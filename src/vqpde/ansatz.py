@@ -8,17 +8,20 @@ entangling pattern of CNOTs.  A prepared state together with a real scale
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .statevec import (
-    Gate,
     QuantumState,
     RegisterLayout,
     SimulationError,
-    apply_gate,
+    apply_gate,  # noqa: F401  unused here; perfbench/tracing.py patches it
+    basis_permutation,
     inner,
     qft,
+    rotate,
+    rotation_matrices,
 )
 
 _ENTANGLERS = ("chain", "ring", "none")
@@ -54,6 +57,39 @@ class AnsatzSpec:
     def parameter_count(self) -> int:
         return self.layers * self.n_qubits * len(self.rotation_axes)
 
+    @cached_property
+    def plan(self) -> "AnsatzPlan":
+        """The circuit, compiled on first use and kept on the spec."""
+        n = self.n_qubits
+        start = QuantumState.zero(n)
+        if self.qft_block:
+            start = qft(start, RegisterLayout((("q", n, 1.0),)), "q")
+        pairs = []
+        if self.entangler != "none" and n > 1:
+            pairs = [(q, q + 1) for q in range(n - 1)]
+            if self.entangler == "ring" and n > 2:
+                pairs.append((n - 1, 0))
+        entangler = None
+        if pairs:
+            # a CNOT only permutes amplitudes, so the whole layer is one gather
+            entangler = np.arange(2 ** n)
+            for pair in pairs:
+                entangler = entangler[basis_permutation("CNOT", pair, n)]
+            entangler.setflags(write=False)
+        kinds = tuple("RY" if a == "Y" else "RZ" for a in self.rotation_axes)
+        return AnsatzPlan(start.amplitudes, kinds, entangler)
+
+
+@dataclass(frozen=True)
+class AnsatzPlan:
+    """A compiled circuit: the start vector, the rotation gate of each axis
+    of a layer, and the layer's CNOT entangler as one basis-index
+    permutation (None when the entangler is the identity)."""
+
+    start: np.ndarray
+    kinds: tuple
+    entangler: np.ndarray | None
+
 
 @dataclass(frozen=True)
 class VariationalState:
@@ -83,15 +119,31 @@ class VariationalState:
         return self.lam0 * np.real(self.state().amplitudes)
 
 
-def _entangle(state: QuantumState, spec: AnsatzSpec) -> QuantumState:
-    n = spec.n_qubits
-    if spec.entangler == "none" or n == 1:
-        return state
-    for q in range(n - 1):
-        state = apply_gate(state, Gate("CNOT"), (q, q + 1))
-    if spec.entangler == "ring" and n > 2:
-        state = apply_gate(state, Gate("CNOT"), (n - 1, 0))
-    return state
+def prepare_batch(spec: AnsatzSpec, lams) -> np.ndarray:
+    """Raw amplitudes for a batch of parameter rows: lams (B, P) ->
+    complex128 (B, 2**n), row i equal to ``prepare(spec, lams[i])``."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2 or lams.shape[1] != spec.parameter_count:
+        raise SimulationError(
+            f"expected rows of {spec.parameter_count} parameters, "
+            f"got shape {lams.shape}"
+        )
+    plan = spec.plan
+    n, rows = spec.n_qubits, lams.shape[0]
+    # angles as [axis][layer, qubit, row]: each 2x2 update takes a contiguous
+    # (B, 2, 2) block of matrices
+    angles = lams.reshape(rows, spec.layers, len(plan.kinds), n)
+    angles = angles.transpose(2, 1, 3, 0)
+    mats = [rotation_matrices(kind, angles[a])
+            for a, kind in enumerate(plan.kinds)]
+    psi = np.repeat(plan.start[None, :], rows, axis=0)
+    for layer in range(spec.layers):
+        for m in mats:
+            for q in range(n):
+                psi = rotate(psi, q, m[layer, q])
+        if plan.entangler is not None:
+            psi = psi[:, plan.entangler]
+    return psi
 
 
 def prepare(spec: AnsatzSpec, lam) -> QuantumState:
@@ -101,19 +153,7 @@ def prepare(spec: AnsatzSpec, lam) -> QuantumState:
         raise SimulationError(
             f"expected {spec.parameter_count} parameters, got {lam.size}"
         )
-    state = QuantumState.zero(spec.n_qubits)
-    if spec.qft_block:
-        layout = RegisterLayout((("q", spec.n_qubits, 1.0),))
-        state = qft(state, layout, "q")
-    k = 0
-    for _ in range(spec.layers):
-        for axis in spec.rotation_axes:
-            kind = "RY" if axis == "Y" else "RZ"
-            for q in range(spec.n_qubits):
-                state = apply_gate(state, Gate(kind, lam[k]), (q,))
-                k += 1
-        state = _entangle(state, spec)
-    return state
+    return QuantumState(prepare_batch(spec, lam[None, :])[0], spec.n_qubits)
 
 
 def amplitude_encode(samples) -> tuple:

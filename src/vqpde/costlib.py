@@ -22,13 +22,15 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, prepare
+from .ansatz import AnsatzSpec, prepare, prepare_batch
 from .opexpr import (
+    MonomialForm,
     OpExpr,
     OpTerm,
     adjoint,
     apply_expr,
     apply_term,
+    compile_monomials,
     diag,
     expand_product,
     grad_op,
@@ -251,6 +253,7 @@ class CostFunction:
     bindings: dict
     b_vector: np.ndarray = dfield(init=False)
     offset: float = dfield(init=False)
+    m_form: MonomialForm = dfield(init=False, repr=False)  # compiled m_op
 
     def __post_init__(self):
         b = np.zeros(self.layout.dim, dtype=complex)
@@ -263,6 +266,8 @@ class CostFunction:
         b.setflags(write=False)
         object.__setattr__(self, "b_vector", b)
         object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
+        object.__setattr__(self, "m_form", compile_monomials(
+            self.m_op, self.layout, self.bindings))
 
     # -- candidate-side pieces ----------------------------------------------
 
@@ -273,21 +278,25 @@ class CostFunction:
     def _psi(self, lam) -> QuantumState:
         return prepare(self.spec, lam)
 
-    def shift_split_eval(self, lam) -> tuple:
-        """(q, l) with C = lam0^2 q - 2 lam0 l + offset."""
-        psi = self._psi(lam)
-        mpsi = apply_expr(self.m_op, psi, self.layout, self.bindings)
-        q = float(np.real(np.vdot(mpsi.amplitudes, mpsi.amplitudes)))
-        l = float(np.real(np.vdot(self.b_vector, mpsi.amplitudes)))
+    def shift_split_eval(self, lams) -> tuple:
+        """Arrays (q, l) over angle rows lams (B, P), with
+        C = lam0^2 q - 2 lam0 l + offset for each row."""
+        mpsi = self.m_form.apply(prepare_batch(self.spec, lams))
+        q = np.einsum("bi,bi->b", mpsi.conj(), mpsi).real
+        l = np.einsum("bi,i->b", mpsi, np.conj(self.b_vector)).real
         return q, l
 
+    def _split_one(self, lam) -> tuple:
+        q, l = self.shift_split_eval(np.asarray(lam, dtype=float)[None, :])
+        return float(q[0]), float(l[0])
+
     def evaluate(self, lam, lam0: float) -> float:
-        q, l = self.shift_split_eval(lam)
+        q, l = self._split_one(lam)
         return lam0 * lam0 * q - 2.0 * lam0 * l + self.offset
 
     def best_scale(self, lam) -> float:
         """Scale minimizing the quadratic at fixed angles."""
-        q, l = self.shift_split_eval(lam)
+        q, l = self._split_one(lam)
         return l / q if q > 1e-300 else 0.0
 
     def evaluate_vec(self, x) -> float:

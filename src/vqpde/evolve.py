@@ -39,8 +39,10 @@ class EvolutionConfig:
     restart_sigma: float = 0.1
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise EvolutionError("time step must be positive")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise EvolutionError("time step must be positive and finite")
+        if not (np.isfinite(self.restart_sigma) and self.restart_sigma >= 0):
+            raise EvolutionError("restart spread must be nonnegative and finite")
         if self.n_steps < 0:
             raise EvolutionError("step count must be nonnegative")
         if self.restarts < 1:

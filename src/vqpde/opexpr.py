@@ -20,6 +20,7 @@ from .statevec import (
     SimulationError,
     apply_diagonal,
     apply_shift,
+    shift_permutation,
 )
 
 
@@ -259,6 +260,52 @@ def apply_expr(expr: OpExpr, state: QuantumState, layout: RegisterLayout,
     for term in expr.terms:
         acc = acc + apply_term(term, state, layout, bindings).amplitudes
     return QuantumState(acc, state.n_qubits)
+
+
+@dataclass(frozen=True)
+class MonomialForm:
+    """An expression compiled for batched application: every term is a
+    monomial matrix, so (expr psi)[j] = sum_t weight[t, j] psi[perm[t, j]]."""
+
+    perm: np.ndarray    # (T, dim) source indices
+    weight: np.ndarray  # (T, dim) complex
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """Apply to rows of raw amplitudes, shape (B, dim)."""
+        return (self.weight * psi[:, self.perm]).sum(axis=1)
+
+
+def compile_monomials(expr: OpExpr, layout: RegisterLayout,
+                      bindings=None) -> MonomialForm:
+    """Resolve shift atoms against the layout and diagonal atoms against the
+    bindings once; ``apply`` then matches ``apply_expr``."""
+    dim = layout.dim
+    perms, weights = [], []
+    for term in expr.terms:
+        perm = np.arange(dim)
+        weight = np.ones(dim, dtype=complex)
+        for atom in reversed(term.atoms):  # rightmost atom acts first
+            if atom.kind == "diag":
+                if bindings is None or atom.field not in bindings:
+                    raise SimulationError(
+                        f"unresolved field reference {atom.field!r}")
+                values = np.asarray(bindings[atom.field], dtype=float)
+                if values.shape != (dim,):
+                    raise SimulationError(
+                        f"diagonal of length {values.size} does not match "
+                        f"state of dimension {dim}")
+                weight = values * weight
+            else:
+                direction = "forward" if atom.kind == "shift" else "backward"
+                src = shift_permutation(layout, atom.axis, direction)
+                perm, weight = perm[src], weight[src]
+        perms.append(perm)
+        weights.append(term.coeff * weight)
+    perm = np.array(perms, dtype=np.intp).reshape(len(perms), dim)
+    weight = np.array(weights, dtype=complex).reshape(len(weights), dim)
+    perm.setflags(write=False)
+    weight.setflags(write=False)
+    return MonomialForm(perm, weight)
 
 
 def dense_matrix(expr: OpExpr, layout: RegisterLayout, bindings=None) -> np.ndarray:

@@ -95,9 +95,13 @@ class OptimizationTrace:
 
 
 def _counted(objective, trace: OptimizationTrace):
+    """Counting wrapper.  Every method's first evaluation is at the start
+    point, so that is where a non-finite objective is rejected."""
     def f(x):
         trace.n_evals += 1
         val = float(objective(np.asarray(x, dtype=float)))
+        if trace.n_evals == 1 and not np.isfinite(val):
+            raise OptimizationError("objective is not finite at the start point")
         return val
     return f
 
@@ -122,24 +126,23 @@ def finite_diff_grad(objective, x, h: float = 1e-5) -> np.ndarray:
 def parameter_shift_grad(cost, lam, lam0: float) -> np.ndarray:
     """Exact gradient of a quadratic-in-state cost via angle shifts.
 
-    ``cost`` must expose ``shift_split_eval(lam) -> (q, l)`` with the cost
-    equal to lam0^2 q - 2 lam0 l + const.  The quadratic block obeys the
-    standard +/- pi/2 shift rule with denominator 2; the state-linear block
-    picks up denominator 2*sqrt(2) because the state (not a sandwiched
-    expectation) is shifted.  The scale derivative is analytic.
+    ``cost`` must expose ``shift_split_eval(lams) -> (q, l)``, taking angle
+    rows (B, P) and returning arrays with the cost of row i equal to
+    lam0^2 q[i] - 2 lam0 l[i] + const; all 2P + 1 shifted rows go in one
+    call.  The quadratic block obeys the standard +/- pi/2 shift rule with
+    denominator 2; the state-linear block picks up denominator 2*sqrt(2)
+    because the state (not a sandwiched expectation) is shifted.  The scale
+    derivative is analytic.
     """
     lam = np.asarray(lam, dtype=float)
-    grad = np.zeros(lam.size + 1)
-    for i in range(lam.size):
-        e = np.zeros_like(lam)
-        e[i] = np.pi / 2
-        qp, lp = cost.shift_split_eval(lam + e)
-        qm, lm = cost.shift_split_eval(lam - e)
-        dq = (qp - qm) / 2.0
-        dl = (lp - lm) / (2.0 * sqrt(2.0))
-        grad[i] = lam0 * lam0 * dq - 2.0 * lam0 * dl
-    q, l = cost.shift_split_eval(lam)
-    grad[-1] = 2.0 * lam0 * q - 2.0 * l
+    p = lam.size
+    shifts = np.eye(p) * (np.pi / 2)
+    q, l = cost.shift_split_eval(np.vstack([lam + shifts, lam - shifts, lam]))
+    dq = (q[:p] - q[p:2 * p]) / 2.0
+    dl = (l[:p] - l[p:2 * p]) / (2.0 * sqrt(2.0))
+    grad = np.empty(p + 1)
+    grad[:p] = lam0 * lam0 * dq - 2.0 * lam0 * dl
+    grad[-1] = 2.0 * lam0 * q[-1] - 2.0 * l[-1]
     return grad
 
 
@@ -365,9 +368,6 @@ def minimize(objective, x0, config, grad=None) -> OptimizationTrace:
     trace = OptimizationTrace()
     f = _counted(objective, trace)
     x0 = np.asarray(x0, dtype=float)
-    f0 = float(objective(x0))
-    if not np.isfinite(f0):
-        raise OptimizationError("objective is not finite at the start point")
     kind = type(config)
     if kind is GradientDescent:
         g = grad if grad is not None else (lambda x: finite_diff_grad(objective, x))

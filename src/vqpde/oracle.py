@@ -222,7 +222,8 @@ def classical_step(problem, fields, layout: RegisterLayout, tau: float):
 def classical_run(problem, fields, layout: RegisterLayout, tau: float,
                   n_steps: int) -> list:
     """Repeated classical_step; returns the list of committed fields
-    (n_steps + 1 entries including the initial one)."""
+    (n_steps + 1 entries including the initial one).  A second-order kind
+    given one field starts from rest, as in ``evolve.run``."""
     history = [np.asarray(f, dtype=float) for f in fields]
     if isinstance(problem, DSW):
         out = [history[-1].copy()]
@@ -231,6 +232,8 @@ def classical_run(problem, fields, layout: RegisterLayout, tau: float,
             u, v = classical_step(problem, [u, v], layout, tau)
             out.append(v.copy())
         return out
+    if problem.history_depth == 2 and len(history) == 1:
+        history = [history[0].copy(), history[0]]
     out = [history[-1].copy()]
     for _ in range(n_steps):
         nxt = classical_step(problem, history[-problem.history_depth:],

@@ -10,7 +10,7 @@ an axis register encodes grid point ``x_j = j * delta``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, sin, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -142,24 +142,64 @@ class Gate:
         return 1 if self.kind in self._ONE_QUBIT else 2
 
     def matrix(self) -> np.ndarray:
-        k, t = self.kind, self.theta
+        k = self.kind
         if k == "H":
             return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
         if k == "X":
             return np.array([[0, 1], [1, 0]], dtype=complex)
         if k == "Z":
             return np.array([[1, 0], [0, -1]], dtype=complex)
-        if k == "RX":
-            c, s = cos(t / 2), sin(t / 2)
-            return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-        if k == "RY":
-            c, s = cos(t / 2), sin(t / 2)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        if k == "RZ":
-            return np.array(
-                [[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]], dtype=complex
-            )
+        if k in ("RX", "RY", "RZ"):
+            return rotation_matrices(k, self.theta)
         raise SimulationError(f"no single-qubit matrix for {k!r}")
+
+
+def rotation_matrices(kind: str, theta) -> np.ndarray:
+    """RX/RY/RZ matrices for an array of angles, shape theta.shape + (2, 2)."""
+    half = np.asarray(theta, dtype=float) / 2
+    c, s = np.cos(half), np.sin(half)
+    out = np.zeros(half.shape + (2, 2), dtype=complex)
+    if kind == "RX":
+        out[..., 0, 0] = out[..., 1, 1] = c
+        out[..., 0, 1] = out[..., 1, 0] = -1j * s
+    elif kind == "RY":
+        out[..., 0, 0] = out[..., 1, 1] = c
+        out[..., 0, 1] = -s
+        out[..., 1, 0] = s
+    elif kind == "RZ":
+        out[..., 0, 0] = c - 1j * s
+        out[..., 1, 1] = c + 1j * s
+    else:
+        raise SimulationError(f"{kind!r} is not a rotation")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel: rows of raw complex128 amplitudes, shape (B, 2**n)
+# ---------------------------------------------------------------------------
+
+def rotate(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+    """2x2 update of one qubit on every row; ``u`` is one (2, 2) matrix or
+    one per row, (B, 2, 2).  Returns a new (B, 2**n) array."""
+    b, dim = psi.shape
+    low = 1 << qubit
+    v = psi.reshape(b, dim // (2 * low), 1, 2, low)
+    u = np.reshape(u, (-1, 1, 2, 2, 1))  # (row, ·, out, in, ·)
+    out = u[..., 0, :] * v[..., 0, :] + u[..., 1, :] * v[..., 1, :]
+    return out.reshape(b, dim)
+
+
+def basis_permutation(kind: str, targets, n_qubits: int) -> np.ndarray:
+    """Source index of every output amplitude for CNOT (control, target) or
+    SWAP; both gates only permute basis states, and both are involutions."""
+    a, b = targets
+    j = np.arange(2 ** n_qubits)
+    if kind == "CNOT":
+        return j ^ (((j >> a) & 1) << b)
+    if kind == "SWAP":
+        differ = ((j >> a) ^ (j >> b)) & 1
+        return j ^ (differ << a) ^ (differ << b)
+    raise SimulationError(f"{kind!r} is not a basis permutation")
 
 
 def apply_gate(state: QuantumState, gate: Gate, targets) -> QuantumState:
@@ -175,31 +215,16 @@ def apply_gate(state: QuantumState, gate: Gate, targets) -> QuantumState:
             f"gate {gate.kind} expects {gate.n_targets} targets, got {len(targets)}"
         )
 
-    psi = state.amplitudes.reshape([2] * n)  # tensor axis i holds qubit n-1-i
+    psi = state.amplitudes[None, :]
     if gate.n_targets == 1:
-        (q,) = targets
-        ax = n - 1 - q
-        psi = np.moveaxis(psi, ax, -1)
-        psi = psi @ gate.matrix().T
-        psi = np.moveaxis(psi, -1, ax)
-        return QuantumState(psi.reshape(-1), n)
-
-    control, target = targets
-    ac, at = n - 1 - control, n - 1 - target
-    new = psi.copy()
-    if gate.kind == "CNOT":
-        sel1 = [slice(None)] * n
-        sel1[ac] = 1
-        sub = new[tuple(sel1)]
-        new[tuple(sel1)] = np.flip(sub, axis=at if at < ac else at - 1)
+        psi = rotate(psi, targets[0], gate.matrix())
     elif gate.kind == "CPHASE":
-        sel = [slice(None)] * n
-        sel[ac] = 1
-        sel[at] = 1
-        new[tuple(sel)] = new[tuple(sel)] * np.exp(1j * gate.theta)
-    elif gate.kind == "SWAP":
-        new = np.swapaxes(psi, ac, at)
-    return QuantumState(new.reshape(-1), n)
+        j = np.arange(psi.shape[1])
+        both = ((j >> targets[0]) & (j >> targets[1]) & 1).astype(bool)
+        psi = psi * np.where(both, np.exp(1j * gate.theta), 1.0)
+    else:
+        psi = psi[:, basis_permutation(gate.kind, targets, n)]
+    return QuantumState(psi[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +254,15 @@ def apply_shift(state: QuantumState, layout: RegisterLayout, axis: str,
     # A|j> = |j+1 mod N>: the amplitude at output index j+1 comes from index j.
     k = 1 if direction == "forward" else -1
     return QuantumState(np.roll(view, k, axis=1).reshape(-1), state.n_qubits)
+
+
+def shift_permutation(layout: RegisterLayout, axis: str,
+                      direction: str = "forward") -> np.ndarray:
+    """Source index of every output amplitude of ``apply_shift``, found by
+    shifting the basis indices themselves (exact as floats below 2**53)."""
+    index = QuantumState(np.arange(layout.dim), layout.total_qubits)
+    moved = apply_shift(index, layout, axis, direction).amplitudes
+    return moved.real.astype(np.intp)
 
 
 def apply_diagonal(state: QuantumState, values) -> QuantumState:

@@ -115,6 +115,19 @@ def test_run_writes_artifacts_and_exit_zero(tmp_path, capsys):
     assert "final relative L2" in capsys.readouterr().out
 
 
+def test_run_second_order_kind_from_one_profile(tmp_path):
+    # one profile: the evolution and the oracle both start from rest
+    out = tmp_path / "ch"
+    path = write_cfg(tmp_path, overrides={
+        "problem": {"kind": "camassa-holm", "kappa": 1.0},
+        "initial": {"profile": "sinusoid", "amplitude": 0.1},
+        "evolution": {"tau": 0.01, "n_steps": 1},
+    }, output_dir=str(out))
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert np.isfinite(manifest["summary"][0]["final_rel_l2"])
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     pa = write_cfg(tmp_path, name="a.yaml", output_dir=str(out_a))

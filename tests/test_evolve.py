@@ -36,6 +36,17 @@ def test_config_validation():
         EvolutionConfig(tau=0.1, n_steps=1, optimizer=GD, mode="shots")
 
 
+@pytest.mark.parametrize("bad", [
+    {"tau": float("nan")}, {"tau": float("inf")},
+    {"restart_sigma": float("nan")}, {"restart_sigma": float("inf")},
+    {"restart_sigma": -0.1},
+])
+def test_config_rejects_nonfinite_values(bad):
+    kwargs = {"tau": 0.1, "n_steps": 1, "optimizer": GD, **bad}
+    with pytest.raises(EvolutionError):
+        EvolutionConfig(**kwargs)
+
+
 def test_readout_roundtrip_and_zero_scale():
     spec = AnsatzSpec(n_qubits=1, layers=1, entangler="none")
     vs = VariationalState(spec, np.array([np.pi / 2]), 2.0)

@@ -100,8 +100,9 @@ def test_finite_diff_rejects_bad_step():
 class _SingleRotationCost:
     """C(theta, lam0) = lam0^2 - 2 lam0 cos(theta/2): q = 1, l = <e0|Psi>."""
 
-    def shift_split_eval(self, lam):
-        return 1.0, float(np.cos(lam[0] / 2.0))
+    def shift_split_eval(self, lams):
+        lams = np.asarray(lams, dtype=float)
+        return np.ones(len(lams)), np.cos(lams[:, 0] / 2.0)
 
 
 def test_shift_rule_on_analytic_rotation():
