@@ -7,19 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
-from vqpde.costlib import (
-    DSW,
-    Boussinesq,
-    CamassaHolm,
-    Einstein,
-    EquilibriumFluid,
-    HunterSaxton,
-    JointCost,
-    LinTsien,
-    Maxwell,
-    NavierStokes,
-    build_cost,
-)
+from vqpde.costlib import CamassaHolm, JointCost, build_cost
 from vqpde.opexpr import (
     OpExpr,
     OpTerm,
@@ -31,6 +19,8 @@ from vqpde.opexpr import (
 )
 from vqpde.optim import parameter_shift_grad
 from vqpde.statevec import RegisterLayout, layout_1d
+
+from test_acceptance import pde_instances
 
 # -- dense reference circuit --------------------------------------------------
 
@@ -105,31 +95,11 @@ def test_prepare_batch_rows_equal_dense_circuit(n, layers, entangler, axes,
 
 # -- compiled operators -------------------------------------------------------
 
-def _costs(n: int) -> list:
-    """Every builder's cost on a 1-D grid of n qubits (lin-tsien on an
-    x/y split of the same qubits), flattened to single-operator parts."""
-    lay = layout_1d(n, 0.7)
-    xs = np.arange(float(2 ** n))
-    u = np.sin(2 * np.pi * xs / 2 ** n) + 0.3
-    v = np.cos(2 * np.pi * xs / 2 ** n)
-    spec = AnsatzSpec(n_qubits=n, layers=1)
-    costs = [
-        build_cost(NavierStokes(nu=1.0, pressure=("field", 0.1 * v)),
-                   [u], lay, 0.05, spec),
-        build_cost(Einstein(tensor=EquilibriumFluid(1.0, 0.1, 1.0, 1.0)),
-                   [u + 2.0], lay, 0.05, spec),
-        build_cost(Maxwell(component="z", which="B", ext_fields={"E_y": v}),
-                   [u], lay, 0.05, spec),
-        build_cost(Boussinesq(0.5, 0.5), [0.9 * u, u], lay, 0.05, spec),
-        build_cost(CamassaHolm(1.0), [0.9 * u, u], lay, 0.05, spec),
-        build_cost(DSW(), [u, v + 1.5], lay, 0.05, spec),
-        build_cost(HunterSaxton(), [u], lay, 0.05, spec),
-    ]
-    if n >= 2:
-        lay2 = RegisterLayout((("x", n - n // 2, 0.5), ("y", n // 2, 0.9)))
-        costs.append(build_cost(LinTsien(), [u], lay2, 0.05, spec))
+def _parts(n: int) -> list:
+    """Every builder's cost on n qubits, split into single-operator parts."""
+    costs = pde_instances(n, two_axis=(max(n - n // 2, 1), max(n // 2, 1)))
     out = []
-    for c in costs:
+    for c in costs.values():
         out.extend(c.parts if isinstance(c, JointCost) else (c,))
     return out
 
@@ -139,9 +109,9 @@ def _costs(n: int) -> list:
        seed=st.integers(0, 2 ** 32 - 1))
 def test_compiled_m_op_equals_dense_matrix(n, rows, seed):
     rng = np.random.default_rng(seed)
-    psi = (rng.normal(size=(rows, 2 ** n))
-           + 1j * rng.normal(size=(rows, 2 ** n)))
-    for cost in _costs(n):
+    for cost in _parts(n):
+        shape = (rows, cost.layout.dim)
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         dense = dense_matrix(cost.m_op, cost.layout, cost.bindings)
         got = cost.m_form.apply(psi)
         scale = max(np.max(np.abs(dense)), 1.0) * np.max(np.abs(psi))
