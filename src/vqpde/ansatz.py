@@ -18,7 +18,6 @@ from .statevec import (
     SimulationError,
     apply_gate,  # noqa: F401  unused here; perfbench/tracing.py patches it
     basis_permutation,
-    inner,
     qft,
     rotate,
     rotation_matrices,
@@ -112,12 +111,6 @@ class VariationalState:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam0", float(self.lam0))
 
-    def state(self) -> QuantumState:
-        return prepare(self.spec, self.lam)
-
-    def field(self) -> np.ndarray:
-        return self.lam0 * np.real(self.state().amplitudes)
-
 
 def prepare_batch(spec: AnsatzSpec, lams) -> np.ndarray:
     """Raw amplitudes for a batch of parameter rows: lams (B, P) ->
@@ -155,30 +148,3 @@ def prepare(spec: AnsatzSpec, lam) -> QuantumState:
         )
     return QuantumState(prepare_batch(spec, lam[None, :])[0], spec.n_qubits)
 
-
-def amplitude_encode(samples) -> tuple:
-    """Exact encoding of a real field: (normalized state, norm as scale)."""
-    samples = np.asarray(samples, dtype=float)
-    scale = float(np.linalg.norm(samples))
-    if scale == 0.0:
-        raise SimulationError("cannot encode an identically zero field")
-    return QuantumState.from_amplitudes(samples / scale), scale
-
-
-def fit_ansatz(spec: AnsatzSpec, target: QuantumState, optimizer,
-               x0=None) -> tuple:
-    """Maximize |<target|Psi(lam)>|; returns (best lam, achieved overlap)."""
-    from .optim import minimize  # deferred: optim imports nothing from here
-
-    if 2 ** spec.n_qubits != target.amplitudes.size:
-        raise SimulationError("ansatz and target dimensions differ")
-
-    def objective(lam):
-        ov = inner(target, prepare(spec, lam))
-        return -abs(ov) ** 2
-
-    if x0 is None:
-        x0 = np.zeros(spec.parameter_count)
-    trace = minimize(objective, x0, optimizer)
-    overlap = float(np.sqrt(max(-trace.f_best, 0.0)))
-    return np.asarray(trace.x_best), overlap

@@ -6,19 +6,18 @@ Verbs:
     compare <run_dir> --against {oracle|exact:<name>}
     terms <pde>                    dump the canonical cost term list for a small instance
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
-Worker count for sweeps comes from the VQPDE_WORKERS environment variable.
+Exit codes: 0 success, 1 runtime failure (including a time step that fails),
+2 invalid configuration.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +37,13 @@ from .costlib import (
     NavierStokes,
     PointParticle,
     build_cost,
+    components,
     grid_coordinates,
 )
 from .evolve import (
     EvolutionConfig,
     fields_to_trajectory,
     run as run_evolution,
-    trajectory_rows,
     write_trajectory_csv,
 )
 from .optim import (
@@ -209,13 +208,13 @@ def _profile_samples(cfg, layout: RegisterLayout) -> np.ndarray:
 
 
 def _parse_initial(cfg, layout, problem) -> list:
-    if isinstance(problem, DSW):
-        _require_keys(cfg, {"u", "v"}, {"u", "v"}, "initial")
-        return [_profile_samples(cfg["u"], layout),
-                _profile_samples(cfg["v"], layout)]
-    if isinstance(cfg, dict) and ("u" in cfg or "v" in cfg):
-        raise ConfigError("initial: u/v sections are only for the coupled system")
-    return [_profile_samples(cfg, layout)]
+    """One profile section per component, named by the component when the
+    problem evolves more than one field."""
+    names = components(problem)
+    if len(names) == 1:
+        return [_profile_samples(cfg, layout)]
+    _require_keys(cfg, set(names), set(names), "initial")
+    return [_profile_samples(cfg[c], layout) for c in names]
 
 
 def _parse_ansatz(cfg, layout) -> AnsatzSpec:
@@ -253,9 +252,7 @@ def _parse_optimizer(cfg):
     method = cfg["method"]
     if method not in _OPTIMIZERS:
         raise ConfigError(f"optimizer.method: unknown method {method!r}")
-    cls = cls_fields = None
     cls = _OPTIMIZERS[method]
-    import dataclasses
     cls_fields = {f.name for f in dataclasses.fields(cls)}
     kwargs = {k: v for k, v in cfg.items() if k != "method"}
     unknown = set(kwargs) - cls_fields
@@ -336,15 +333,6 @@ def _config_hash(raw: dict) -> str:
 # Verbs
 # ---------------------------------------------------------------------------
 
-def _single_run(args):
-    idx, problem, initial, cfg, layout, spec, out_dir = args
-    traj = run_evolution(problem, initial, cfg, layout, spec)
-    path = out_dir / f"vqa_{idx:03d}.csv"
-    write_trajectory_csv(traj, path)
-    final_cost = traj.records[-1].cost if len(traj) > 1 else 0.0
-    return idx, str(path), traj, final_cost
-
-
 def cmd_run(config_path) -> int:
     cfg = load_config(config_path)
     out_dir = Path(cfg["output_dir"])
@@ -352,19 +340,13 @@ def cmd_run(config_path) -> int:
     layout, problem, initial = cfg["layout"], cfg["problem"], cfg["initial"]
     started = time.time()
 
-    jobs = []
-    idx = 0
+    results = []  # (csv path, trajectory) per (ansatz, optimizer) job
     for spec in cfg["specs"]:
         for ev in cfg["evolutions"]:
-            jobs.append((idx, problem, initial, ev, layout, spec, out_dir))
-            idx += 1
-
-    workers = int(os.environ.get("VQPDE_WORKERS", "1"))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_single_run, jobs))
-    else:
-        results = [_single_run(j) for j in jobs]
+            traj = run_evolution(problem, initial, ev, layout, spec)
+            path = out_dir / f"vqa_{len(results):03d}.csv"
+            write_trajectory_csv(traj, path)
+            results.append((str(path), traj))
 
     tau = cfg["evolutions"][0].tau
     n_steps = cfg["evolutions"][0].n_steps
@@ -378,8 +360,10 @@ def cmd_run(config_path) -> int:
     with open(err_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "step", "rel_l2", "linf"])
-        for idx, path, traj, _ in results:
-            fields = traj.fields("u" if not isinstance(problem, DSW) else "v")
+        # the oracle's reference is the last component's field
+        scored = components(problem)[-1]
+        for idx, (_, traj) in enumerate(results):
+            fields = traj.fields(scored)
             refs = ref_fields[:len(fields)]
             errs = l2_error(fields, refs)
             for k, e in enumerate(errs):
@@ -395,7 +379,7 @@ def cmd_run(config_path) -> int:
         "started": started,
         "finished": time.time(),
         "files": {
-            "runs": [p for _, p, _, _ in results],
+            "runs": [p for p, _ in results],
             "oracle": str(oracle_path),
             "errors": str(err_path),
         },
@@ -410,21 +394,25 @@ def cmd_run(config_path) -> int:
     return 0
 
 
-def _read_csv_fields(path) -> dict:
-    """CSV -> {t: {component: value array ordered by index}}."""
+def _read_csv_fields(path) -> tuple:
+    """CSV -> ({t: {component: value array ordered by index}}, first-axis
+    coordinate array ordered by index)."""
     steps: dict = {}
+    coords: dict = {}
     with open(path) as fh:
         reader = csv.DictReader(fh)
+        axis = reader.fieldnames[3]  # t, component, index, then the axes
         for row in reader:
             t = float(row["t"])
             comp = row["component"]
-            steps.setdefault(t, {}).setdefault(comp, {})[int(row["index"])] = \
-                float(row["value"])
+            i = int(row["index"])
+            steps.setdefault(t, {}).setdefault(comp, {})[i] = float(row["value"])
+            coords[i] = float(row[axis])
     out = {}
     for t, comps in steps.items():
         out[t] = {c: np.array([vals[i] for i in sorted(vals)])
                   for c, vals in comps.items()}
-    return out
+    return out, np.array([coords[i] for i in sorted(coords)])
 
 
 def cmd_compare(run_dir, against) -> int:
@@ -438,10 +426,10 @@ def cmd_compare(run_dir, against) -> int:
 
     out_rows = []
     for run_path in manifest["files"]["runs"]:
-        vqa = _read_csv_fields(run_path)
+        vqa, xs = _read_csv_fields(run_path)
         ts = sorted(vqa)
         if against == "oracle":
-            ref = _read_csv_fields(manifest["files"]["oracle"])
+            ref, _ = _read_csv_fields(manifest["files"]["oracle"])
         elif against.startswith("exact:"):
             name = against.split(":", 1)[1]
             if name not in _EXACT_REFS:
@@ -449,11 +437,9 @@ def cmd_compare(run_dir, against) -> int:
                       file=sys.stderr)
                 return 1
             ref_obj = _EXACT_REFS[name]()
-            first = vqa[ts[0]]
-            comp = sorted(first)[0]
-            n = first[comp].size
-            # steady reference: same profile at every step
-            xs = np.arange(n, dtype=float)
+            comp = sorted(vqa[ts[0]])[0]
+            # steady reference on the run's first-axis coordinates: same
+            # profile at every step
             vals = np.array([exact_eval(ref_obj, x) for x in xs])
             ref = {t: {comp: vals} for t in ts}
         else:
@@ -516,13 +502,11 @@ def _demo_cost(pde: str):
 
 
 def cmd_terms(pde: str) -> int:
-    cost = _demo_cost(pde)
-    if hasattr(cost, "parts"):
-        for part in cost.parts:
+    parts = _demo_cost(pde).parts
+    for part in parts:
+        if len(parts) > 1:
             print(f"# component {part.name}")
-            print(part.serialize_terms())
-    else:
-        print(cost.serialize_terms())
+        print(part.serialize_terms())
     return 0
 
 

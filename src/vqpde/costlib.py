@@ -37,13 +37,7 @@ from .opexpr import (
     laplacian_op,
     shift,
 )
-from .statevec import (
-    QuantumState,
-    RegisterLayout,
-    SimulationError,
-    hadamard_test,
-    inner,
-)
+from .statevec import QuantumState, RegisterLayout, hadamard_test
 
 _IDENT = OpExpr.identity()
 
@@ -92,7 +86,7 @@ class PointParticle:
             raise ProblemError("particle speed must stay below c")
 
     def samples(self, layout: RegisterLayout, axis: str) -> np.ndarray:
-        xs = _coordinates(layout)[axis]
+        xs = grid_coordinates(layout)[axis]
         delta = layout.spacing(axis)
         out = np.zeros(layout.dim)
         speed = max(abs(self.v_mu), abs(self.v_nu))
@@ -200,6 +194,7 @@ class DSW:
     # the two "history" entries are the current (u, v) pair
     name = "dsw"
     history_depth = 2
+    components = ("u", "v")
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,13 @@ class HunterSaxton:
     history_depth = 1
 
 
-def _coordinates(layout: RegisterLayout) -> dict:
+def components(problem) -> tuple:
+    """Names of the fields a problem evolves, in the order of its cost parts
+    and of their parameter blocks."""
+    return getattr(problem, "components", ("u",))
+
+
+def grid_coordinates(layout: RegisterLayout) -> dict:
     """Per-axis coordinate arrays over the flattened grid."""
     shape = layout.grid_shape()
     out = {}
@@ -222,10 +223,6 @@ def _coordinates(layout: RegisterLayout) -> dict:
         )
         out[label] = full.reshape(-1)
     return out
-
-
-def grid_coordinates(layout: RegisterLayout) -> dict:
-    return _coordinates(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +387,8 @@ class CostFunction:
 
 @dataclass(frozen=True)
 class JointCost:
-    """Sum of component costs optimized over the concatenated vector
+    """Per-step cost of a problem: the sum of its component costs (one part
+    per evolved field), optimized over the concatenated vector
     (lam_1, lam0_1, lam_2, lam0_2, ...), equal weights."""
 
     name: str
@@ -431,41 +429,11 @@ class JointCost:
 def _history_fields(history, layout: RegisterLayout) -> list:
     out = []
     for h in history:
-        if hasattr(h, "field"):
-            f = h.field()
-        else:
-            f = np.asarray(h, dtype=float)
+        f = np.asarray(h, dtype=float)
         if f.size != layout.dim:
             raise ProblemError("history field does not match the grid")
         out.append(f)
     return out
-
-
-def build_q_operator(problem: NavierStokes, frozen, layout: RegisterLayout,
-                     tau: float) -> tuple:
-    """Literal update generator (h/tau)(1 - Diag(f) grad_x - Diag(v) grad_y
-    + nu lap_x + nu lap_y) with Diag atoms bound to the frozen field; axes
-    missing from the layout drop their terms.  Returns (expr, bindings)."""
-    frozen = np.asarray(frozen, dtype=float)
-    h = layout.axes[0][2]
-    expr = OpExpr.identity()
-    bindings = {}
-    comp = problem.component
-    if layout.has_axis(comp):
-        bindings["q_self"] = frozen
-        expr = expr - OpExpr((OpTerm(1.0, (diag("q_self"),)),)) \
-            * grad_op(comp, layout.spacing(comp))
-    others = problem.other_velocities or {}
-    for ax, vel in others.items():
-        if not layout.has_axis(ax):
-            continue
-        key = f"q_vel_{ax}"
-        bindings[key] = np.asarray(vel, dtype=float)
-        expr = expr - OpExpr((OpTerm(1.0, (diag(key),)),)) \
-            * grad_op(ax, layout.spacing(ax))
-    for ax in layout.axis_labels():
-        expr = expr + laplacian_op(ax, layout.spacing(ax)).scale(problem.nu)
-    return expr.scale(h / tau), bindings
 
 
 def _diag_expr(key: str) -> OpExpr:
@@ -506,7 +474,8 @@ def _build_navier_stokes(problem: NavierStokes, fields, layout, tau, spec):
         else:
             raise ProblemError(f"unknown pressure model {kind!r}")
     m_op = _IDENT
-    return CostFunction(problem.name, layout, spec, m_op, tuple(sources), bindings)
+    return (CostFunction(problem.name, layout, spec, m_op, tuple(sources),
+                         bindings),)
 
 
 def _build_einstein(problem: Einstein, fields, layout, tau, spec):
@@ -523,7 +492,7 @@ def _build_einstein(problem: Einstein, fields, layout, tau, spec):
         Source(OpExpr.single(shift(ax_i)), g, "g"),
         Source(OpExpr.identity(k), t_field, "T"),
     )
-    return CostFunction(problem.name, layout, spec, m_op, sources, {})
+    return (CostFunction(problem.name, layout, spec, m_op, sources, {}),)
 
 
 _CYCLIC = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
@@ -545,14 +514,8 @@ def _build_maxwell(problem: Maxwell, fields, layout, tau, spec):
         sources.append(Source(
             grad_op(d_ax, layout.spacing(d_ax)).scale(sign * s),
             np.asarray(ext[key], dtype=float), key))
-    return CostFunction(problem.name, layout, spec, _IDENT, tuple(sources), {})
-
-
-def _lap_full(layout: RegisterLayout) -> OpExpr:
-    expr = OpExpr.zero()
-    for ax in layout.axis_labels():
-        expr = expr + laplacian_op(ax, layout.spacing(ax))
-    return expr
+    return (CostFunction(problem.name, layout, spec, _IDENT, tuple(sources),
+                         {}),)
 
 
 def _build_boussinesq(problem: Boussinesq, fields, layout, tau, spec):
@@ -569,7 +532,7 @@ def _build_boussinesq(problem: Boussinesq, fields, layout, tau, spec):
         + (gr * _diag_expr("bq_u") * gr).scale(2.0 * problem.alpha * tau * tau)
     expr_prev = m_op.scale(-1.0)
     sources = (Source(expr_u, u, "u"), Source(expr_prev, u_prev, "u_prev"))
-    return CostFunction(problem.name, layout, spec, m_op, sources, bindings)
+    return (CostFunction(problem.name, layout, spec, m_op, sources, bindings),)
 
 
 def _build_lin_tsien(problem: LinTsien, fields, layout, tau, spec):
@@ -584,8 +547,8 @@ def _build_lin_tsien(problem: LinTsien, fields, layout, tau, spec):
     ).amplitudes)
     bindings = {"lt_ux": gradu}
     expr_u = gx + (ly - _diag_expr("lt_ux") * lx).scale(0.5 * tau)
-    return CostFunction(problem.name, layout, spec, gx,
-                        (Source(expr_u, u, "u"),), bindings)
+    return (CostFunction(problem.name, layout, spec, gx,
+                         (Source(expr_u, u, "u"),), bindings),)
 
 
 def _build_camassa_holm(problem: CamassaHolm, fields, layout, tau, spec):
@@ -611,11 +574,11 @@ def _build_camassa_holm(problem: CamassaHolm, fields, layout, tau, spec):
     ).scale(tau)
     expr_prev = lap.scale(-0.5)
     sources = (Source(expr_u, u, "u"), Source(expr_prev, u_prev, "u_prev"))
-    return CostFunction(problem.name, layout, spec, m_op, sources, bindings)
+    return (CostFunction(problem.name, layout, spec, m_op, sources, bindings),)
 
 
 def _build_dsw(problem: DSW, fields, layout, tau, spec):
-    """Coupled pair: fields = [u, v] at the current step."""
+    """Coupled pair: fields = [u, v] at the current step; one part each."""
     if len(fields) < 2:
         raise ProblemError("the coupled system needs both current fields")
     u, v = fields[-2], fields[-1]
@@ -636,7 +599,7 @@ def _build_dsw(problem: DSW, fields, layout, tau, spec):
     cost_v = CostFunction(problem.name + "-v", layout, spec, m_v,
                           (Source(expr_vv, v, "v"), Source(expr_vu, u, "u")),
                           v_bind)
-    return JointCost(problem.name, (cost_u, cost_v))
+    return cost_u, cost_v
 
 
 def _build_hunter_saxton(problem: HunterSaxton, fields, layout, tau, spec):
@@ -650,8 +613,8 @@ def _build_hunter_saxton(problem: HunterSaxton, fields, layout, tau, spec):
     expr_u = gr + (
         _diag_expr("hs_ux").scale(0.5) * gr - gr * _diag_expr("hs_u") * gr
     ).scale(tau)
-    return CostFunction(problem.name, layout, spec, gr,
-                        (Source(expr_u, u, "u"),), bindings)
+    return (CostFunction(problem.name, layout, spec, gr,
+                         (Source(expr_u, u, "u"),), bindings),)
 
 
 _BUILDERS = {
@@ -668,12 +631,12 @@ _BUILDERS = {
 
 def build_cost(problem, history, layout: RegisterLayout, tau: float,
                spec: AnsatzSpec):
-    """Assemble the per-step cost from frozen history fields.
+    """Assemble the per-step cost from frozen history fields: a JointCost
+    with one part per name in ``components(problem)``.
 
-    ``history`` holds field arrays (or objects exposing .field()) ordered
-    oldest to newest; depth must match the equation's time order.  For the
-    coupled system the two entries are the current (u, v) pair and the result
-    optimizes both candidates jointly.
+    ``history`` holds field arrays ordered oldest to newest; depth must match
+    the equation's time order.  For the coupled system the two entries are
+    the current (u, v) pair and the parts are optimized jointly.
     """
     if tau <= 0:
         raise ProblemError("time step must be positive")
@@ -687,25 +650,6 @@ def build_cost(problem, history, layout: RegisterLayout, tau: float,
         )
     if 2 ** spec.n_qubits != layout.dim:
         raise ProblemError("ansatz size does not match the grid")
-    return _BUILDERS[type(problem)](problem, fields, layout, tau, spec)
+    parts = _BUILDERS[type(problem)](problem, fields, layout, tau, spec)
+    return JointCost(problem.name, parts)
 
-
-def evaluate_cost(cost, lam, lam0: float, mode: str = "exact",
-                  shots: int | None = None,
-                  rng: np.random.Generator | None = None) -> float:
-    """Uniform front door: exact closed evaluation or per-term estimation."""
-    if mode == "exact":
-        return cost.evaluate(lam, lam0)
-    if mode == "terms":
-        return cost.evaluate_terms(lam, lam0)
-    if mode == "shots":
-        if shots is None or shots < 1:
-            raise SimulationError("shot mode needs a positive shot count")
-        return cost.evaluate_terms(lam, lam0, shots=shots, rng=rng)
-    raise SimulationError(f"unknown evaluation mode {mode!r}")
-
-
-def cost_term_list(cost) -> tuple:
-    if isinstance(cost, JointCost):
-        return tuple((p.name, p.term_list()) for p in cost.parts)
-    return cost.term_list()

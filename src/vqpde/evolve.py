@@ -15,7 +15,13 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .ansatz import AnsatzSpec, VariationalState, prepare
-from .costlib import CostFunction, DSW, JointCost, Source, build_cost
+from .costlib import (
+    CostFunction,
+    Source,
+    build_cost,
+    components,
+    grid_coordinates,
+)
 from .opexpr import OpExpr
 from .optim import CMAES, GradientDescent, minimize
 from .statevec import RegisterLayout, SimulationError
@@ -57,12 +63,12 @@ class EvolutionConfig:
 class StepRecord:
     t: float
     fields: dict  # component name -> real grid samples
-    cost: float
-    lam: np.ndarray | None
-    lam0: float | None
-    grad_norm: float
-    n_evals: int
-    imag_leak: float
+    cost: float = 0.0
+    lam: np.ndarray | None = None  # first component's angles and scale
+    lam0: float | None = None
+    grad_norm: float = 0.0
+    n_evals: int = 0
+    imag_leak: float = 0.0
 
 
 @dataclass
@@ -90,42 +96,32 @@ def readout(vstate: VariationalState, layout: RegisterLayout | None = None):
 
 
 def _apply_best_scale(cost, x: np.ndarray) -> np.ndarray:
-    """Closed-form lam0 update at fixed angles (exact quadratic minimum)."""
+    """Closed-form lam0 update of every part at fixed angles (exact quadratic
+    minimum)."""
     x = np.array(x, dtype=float)
-    if isinstance(cost, JointCost):
-        k = 0
-        for p in cost.parts:
-            lam = x[k:k + p.n_params - 1]
-            x[k + p.n_params - 1] = p.best_scale(lam)
-            k += p.n_params
-    else:
-        x[-1] = cost.best_scale(x[:-1])
+    k = 0
+    for p in cost.parts:
+        k += p.n_params
+        x[k - 1] = p.best_scale(x[k - p.n_params:k - 1])
     return x
 
 
 def step(problem, history, warm, cfg: EvolutionConfig,
          layout: RegisterLayout, rng: np.random.Generator):
-    """Minimize the frozen-history cost from the warm start plus perturbed
-    restarts; returns (best parameter vector, diagnostics dict)."""
-    spec = warm[0].spec if isinstance(warm, (tuple, list)) else warm.spec
-    cost = build_cost(problem, history, layout, cfg.tau, spec)
-
-    if isinstance(warm, (tuple, list)):
-        x0 = np.concatenate([np.append(w.lam, w.lam0) for w in warm])
-    else:
-        x0 = np.append(warm.lam, warm.lam0)
+    """Minimize the frozen-history cost from the warm start (one variational
+    state per component) plus perturbed restarts; returns (best parameter
+    vector, diagnostics dict)."""
+    cost = build_cost(problem, history, layout, cfg.tau, warm[0].spec)
+    x0 = np.concatenate([np.append(w.lam, w.lam0) for w in warm])
     x0 = _apply_best_scale(cost, x0)
 
     if cfg.mode == "shots":
         eval_rng = np.random.default_rng(rng.integers(2 ** 63))
 
         def objective(x):
-            if isinstance(cost, JointCost):
-                return sum(
-                    p.evaluate_terms(lam, lam0, shots=cfg.shots, rng=eval_rng)
-                    for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
-            return cost.evaluate_terms(x[:-1], x[-1], shots=cfg.shots,
-                                       rng=eval_rng)
+            return sum(
+                p.evaluate_terms(lam, lam0, shots=cfg.shots, rng=eval_rng)
+                for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
     else:
         objective = cost.evaluate_vec
 
@@ -168,75 +164,48 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
                       GradientDescent(eta=0.2, max_iters=300,
                                       grad_tol=1e-12, f_tol=1e-22),
                       grad=cost.grad_vec)
-    x = _apply_best_scale(cost, polish.x_best)
-    return VariationalState(spec, x[:-1], x[-1])
-
-
-def _initial_vstates(problem, initial, spec, layout, rng):
-    if isinstance(problem, DSW):
-        if len(initial) != 2:
-            raise EvolutionError("the coupled system needs (u, v) initial data")
-        return tuple(fit_field(spec, layout, f, rng) for f in initial)
-    return fit_field(spec, layout, initial[-1], rng)
+    lam = polish.x_best[:-1]
+    return VariationalState(spec, lam, cost.best_scale(lam))
 
 
 def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
         spec: AnsatzSpec) -> Trajectory:
     """Full trajectory: n_steps hybrid updates from the given initial data.
 
-    ``initial_fields`` is a list of real grid arrays: one field for
-    first-order equations (a second level is synthesized as a from-rest start
-    for the second-order ones when absent) or the (u, v) pair for the coupled
-    system.  Deterministic for a fixed config seed.
+    ``initial_fields`` is a list of real grid arrays, one per name in
+    ``components(problem)`` for each time level given, oldest level first
+    (for the coupled system: the (u, v) pair).  A second-order kind given one
+    level starts from rest: that level is repeated.  Each step appends the new
+    level to the history and sees its last ``problem.history_depth`` fields.
+    Deterministic for a fixed config seed; an ``EvolutionError`` from a step
+    propagates, so no partial trajectory is returned.
     """
     rng = np.random.default_rng(cfg.seed)
-    initial = [np.asarray(f, dtype=float) for f in initial_fields]
-    if any(f.size != layout.dim for f in initial):
+    names = components(problem)
+    history = [np.asarray(f, dtype=float) for f in initial_fields]
+    if any(f.size != layout.dim for f in history):
         raise SimulationError("initial field does not match the grid")
+    if not history or len(history) % len(names):
+        raise EvolutionError(
+            f"{problem.name} needs initial data for {', '.join(names)}")
+    while len(history) < problem.history_depth:
+        history = [f.copy() for f in history[:len(names)]] + history
 
     traj = Trajectory(layout)
-    joint = isinstance(problem, DSW)
-    if joint:
-        history = [initial[0], initial[1]]
-        traj.records.append(StepRecord(
-            0.0, {"u": initial[0].copy(), "v": initial[1].copy()},
-            0.0, None, None, 0.0, 0, 0.0))
-        warm = _initial_vstates(problem, initial, spec, layout, rng)
-    else:
-        if problem.history_depth == 2 and len(initial) == 1:
-            initial = [initial[0].copy(), initial[0]]  # start from rest
-        history = list(initial)
-        traj.records.append(StepRecord(
-            0.0, {"u": history[-1].copy()}, 0.0, None, None, 0.0, 0, 0.0))
-        warm = _initial_vstates(problem, initial, spec, layout, rng)
-
+    traj.records.append(StepRecord(
+        0.0, {c: f.copy() for c, f in zip(names, history[-len(names):])}))
+    warm = [fit_field(spec, layout, f, rng) for f in history[-len(names):]]
     for k in range(cfg.n_steps):
-        t = (k + 1) * cfg.tau
-        try:
-            x, info = step(problem, history[-problem.history_depth:],
-                           warm, cfg, layout, rng)
-        except EvolutionError:
-            break  # partial trajectory returned
-        if joint:
-            nv = spec.parameter_count + 1
-            vs_u = VariationalState(spec, x[:nv - 1], x[nv - 1])
-            vs_v = VariationalState(spec, x[nv:-1], x[-1])
-            fu, leak_u = readout(vs_u)
-            fv, leak_v = readout(vs_v)
-            history = [fu, fv]
-            warm = (vs_u, vs_v)
-            traj.records.append(StepRecord(
-                t, {"u": fu, "v": fv}, info["cost"], x[:nv - 1].copy(),
-                float(x[nv - 1]), info["grad_norm"], info["n_evals"],
-                max(leak_u, leak_v)))
-        else:
-            vs = VariationalState(spec, x[:-1], x[-1])
-            f, leak = readout(vs)
-            history.append(f)
-            warm = vs
-            traj.records.append(StepRecord(
-                t, {"u": f}, info["cost"], x[:-1].copy(), float(x[-1]),
-                info["grad_norm"], info["n_evals"], leak))
+        x, info = step(problem, history[-problem.history_depth:], warm, cfg,
+                       layout, rng)
+        warm = [VariationalState(spec, p[:-1], p[-1])
+                for p in np.split(x, len(names))]
+        fields, leaks = zip(*(readout(w) for w in warm))
+        history += fields
+        traj.records.append(StepRecord(
+            (k + 1) * cfg.tau, dict(zip(names, fields)), info["cost"],
+            warm[0].lam, warm[0].lam0, info["grad_norm"],
+            info["n_evals"], max(leaks)))
     return traj
 
 
@@ -246,7 +215,7 @@ def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
 
 def trajectory_rows(traj: Trajectory) -> list:
     """Flat CSV payload: one row per (step, component, grid point)."""
-    coords = _grid_columns(traj.layout)
+    coords = grid_coordinates(traj.layout)
     labels = traj.layout.axis_labels()
     rows = []
     for rec in traj.records:
@@ -259,11 +228,6 @@ def trajectory_rows(traj: Trajectory) -> list:
                         f"{rec.grad_norm:.17g}"]
                 rows.append(row)
     return rows
-
-
-def _grid_columns(layout: RegisterLayout) -> dict:
-    from .costlib import grid_coordinates
-    return grid_coordinates(layout)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -282,6 +246,5 @@ def fields_to_trajectory(fields, layout: RegisterLayout, tau: float,
     traj = Trajectory(layout)
     for k, f in enumerate(fields):
         traj.records.append(StepRecord(
-            k * tau, {component: np.asarray(f, dtype=float)},
-            0.0, None, None, 0.0, 0, 0.0))
+            k * tau, {component: np.asarray(f, dtype=float)}))
     return traj

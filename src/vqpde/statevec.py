@@ -9,14 +9,12 @@ an axis register encodes grid point ``x_j = j * delta``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 _SQRT2_INV = 1.0 / sqrt(2.0)
-
-NORM_TOL = 1e-12
 
 
 class SimulationError(ValueError):
@@ -55,9 +53,6 @@ class QuantumState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
 
 
 @dataclass(frozen=True)

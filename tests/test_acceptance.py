@@ -18,7 +18,6 @@ from vqpde.costlib import (
     Einstein,
     EquilibriumFluid,
     HunterSaxton,
-    JointCost,
     LinTsien,
     Maxwell,
     NavierStokes,
@@ -35,7 +34,6 @@ from vqpde.optim import (
     SPSA,
     finite_diff_grad,
     minimize,
-    parameter_shift_grad,
 )
 from vqpde.statevec import RegisterLayout, hadamard_test, layout_1d
 
@@ -96,15 +94,10 @@ def test_term_sum_matches_direct_residual_norms(capsys):
     for name, cost in insts.items():
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(1000):
-            if isinstance(cost, JointCost):
-                x = rng.normal(size=cost.n_params)
-                dev = abs(sum(p.evaluate_terms(lam, lam0) for p, (lam, lam0)
-                              in zip(cost.parts, cost.split(x)))
-                          - cost.evaluate_direct_vec(x))
-            else:
-                x = rng.normal(size=cost.n_params)
-                dev = abs(cost.evaluate_terms(x[:-1], x[-1])
-                          - cost.evaluate_direct(x[:-1], x[-1]))
+            x = rng.normal(size=cost.n_params)
+            dev = abs(sum(p.evaluate_terms(lam, lam0) for p, (lam, lam0)
+                          in zip(cost.parts, cost.split(x)))
+                      - cost.evaluate_direct_vec(x))
             worst = max(worst, dev)
     elapsed = time.time() - t0
     report(capsys, worst <= 1e-10 and elapsed < 120.0,
@@ -143,12 +136,8 @@ def test_shift_rule_gradients_match_finite_differences(capsys):
         rng = np.random.default_rng(100 + zlib.crc32(name.encode()) % 2 ** 16)
         for _ in range(20):
             x = rng.normal(scale=0.7, size=cost.n_params)
-            if isinstance(cost, JointCost):
-                ps = cost.grad_vec(x)
-                fd = finite_diff_grad(cost.evaluate_vec, x)
-            else:
-                ps = parameter_shift_grad(cost, x[:-1], x[-1])
-                fd = finite_diff_grad(cost.evaluate_vec, x)
+            ps = cost.grad_vec(x)
+            fd = finite_diff_grad(cost.evaluate_vec, x)
             worst = max(worst, float(np.max(np.abs(ps - fd))))
     elapsed = time.time() - t0
     report(capsys, worst <= 1e-6 and elapsed < 300.0,
@@ -163,7 +152,7 @@ def test_shot_estimates_consistent_with_exact_values(capsys):
     lay = layout_1d(3, 1.0)
     spec = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
     u = np.sin(2 * np.pi * np.arange(8.0) / 8) + 1.2
-    cost = build_cost(NavierStokes(nu=1.0), [u], lay, 0.05, spec)
+    cost = build_cost(NavierStokes(nu=1.0), [u], lay, 0.05, spec).parts[0]
     terms = [e for e in cost.term_list() if e[2].is_unitary_product()]
     assert terms
     good = 0

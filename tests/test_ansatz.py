@@ -5,11 +5,8 @@ from hypothesis import given, settings, strategies as st
 from vqpde.ansatz import (
     AnsatzSpec,
     VariationalState,
-    amplitude_encode,
-    fit_ansatz,
     prepare,
 )
-from vqpde.optim import CMAES, NelderMead
 from vqpde.statevec import SimulationError
 
 
@@ -81,25 +78,11 @@ def test_amplitude_gradient_matches_shift_rule():
         assert np.max(np.abs(fd - ps)) < 1e-6
 
 
-def test_amplitude_encode_basics():
-    state, scale = amplitude_encode([1.0, 0.0, 0.0, 0.0])
-    assert scale == 1.0
-    assert abs(state.amplitudes[0] - 1.0) < 1e-12
-    state, scale = amplitude_encode([3.0, 4.0])
-    assert scale == 5.0
-    assert np.allclose(state.amplitudes, [0.6, 0.8])
-
-
-def test_amplitude_encode_round_trip():
-    rng = np.random.default_rng(4)
-    f = rng.normal(size=8)
-    state, scale = amplitude_encode(f)
-    assert np.max(np.abs(scale * np.real(state.amplitudes) - f)) < 1e-12
-
-
-def test_amplitude_encode_rejects_zero_field():
-    with pytest.raises(SimulationError):
-        amplitude_encode(np.zeros(4))
+def test_variational_state_field():
+    from vqpde.evolve import readout
+    spec = AnsatzSpec(n_qubits=1, layers=1, entangler="none")
+    vs = VariationalState(spec, np.array([np.pi / 2]), 2.0)
+    assert np.allclose(readout(vs)[0], [np.sqrt(2), np.sqrt(2)])
 
 
 def test_variational_state_validation():
@@ -108,43 +91,3 @@ def test_variational_state_validation():
         VariationalState(spec, np.zeros(3), 1.0)
     with pytest.raises(SimulationError):
         VariationalState(spec, np.zeros(2), np.inf)
-
-
-def test_variational_state_field():
-    spec = AnsatzSpec(n_qubits=1, layers=1, entangler="none")
-    vs = VariationalState(spec, np.array([np.pi / 2]), 2.0)
-    assert np.allclose(vs.field(), [np.sqrt(2), np.sqrt(2)])
-
-
-def test_fit_reference_state_exactly_representable():
-    from vqpde.statevec import QuantumState
-    spec = AnsatzSpec(n_qubits=2, layers=1, rotation_axes=("Y",))
-    lam, overlap = fit_ansatz(spec, QuantumState.zero(2),
-                              NelderMead(max_iters=200))
-    assert overlap >= 1 - 1e-6
-
-
-def test_fit_uniform_state():
-    from vqpde.statevec import QuantumState
-    spec = AnsatzSpec(n_qubits=2, layers=1, rotation_axes=("Y",),
-                      entangler="none")
-    target = QuantumState.from_amplitudes(np.full(4, 0.5))
-    lam, overlap = fit_ansatz(spec, target, CMAES(max_iters=120, seed=1))
-    assert overlap >= 0.999
-
-
-def test_fit_sine_profile():
-    from vqpde.ansatz import amplitude_encode
-    spec = AnsatzSpec(n_qubits=4, layers=4, rotation_axes=("Y",))
-    xs = np.arange(16.0)
-    target, _ = amplitude_encode(np.sin(2 * np.pi * xs / 16) + 1.2)
-    lam, overlap = fit_ansatz(spec, target,
-                              CMAES(sigma0=0.4, max_iters=250, seed=2))
-    assert overlap >= 0.99
-
-
-def test_fit_dimension_mismatch():
-    from vqpde.statevec import QuantumState
-    with pytest.raises(SimulationError):
-        fit_ansatz(AnsatzSpec(n_qubits=2), QuantumState.zero(3),
-                   NelderMead())

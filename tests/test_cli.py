@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from vqpde import evolve
 from vqpde.cli import ConfigError, load_config, main
 from vqpde.optim import NelderMead
 
@@ -128,6 +129,29 @@ def test_run_second_order_kind_from_one_profile(tmp_path):
     assert np.isfinite(manifest["summary"][0]["final_rel_l2"])
 
 
+def test_failed_step_is_an_error_not_a_partial_run(tmp_path, monkeypatch,
+                                                  capsys):
+    real_step = evolve.step
+    calls = []
+
+    def failing_step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) % 2 == 0:
+            raise evolve.EvolutionError("optimizer diverged")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "step", failing_step)
+    path = write_cfg(tmp_path, overrides={
+        "evolution": {"tau": 0.1, "n_steps": 2}},
+        output_dir=str(tmp_path / "out"))
+    cfg = load_config(path)
+    with pytest.raises(evolve.EvolutionError):
+        evolve.run(cfg["problem"], cfg["initial"], cfg["evolutions"][0],
+                   cfg["layout"], cfg["specs"][0])
+    assert main(["run", str(path)]) == 1
+    assert "optimizer diverged" in capsys.readouterr().err
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     pa = write_cfg(tmp_path, name="a.yaml", output_dir=str(out_a))
@@ -164,6 +188,23 @@ def test_compare_against_oracle(tmp_path):
     assert final_rel < 1e-3
 
 
+def test_compare_exact_uses_grid_coordinates(tmp_path):
+    # at t = 0 the run holds the initial profile -x exactly; the reference
+    # must be evaluated at x = 0, 0.5, 1, ... rather than at the indices
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, overrides={
+        "grid": {"axes": [{"label": "x", "qubits": 3, "delta": 0.5}]},
+        "initial": {"profile": "negative-slope", "slope": -1.0,
+                    "intercept": 0.0},
+        "evolution": {"tau": 0.1, "n_steps": 0},
+    }, output_dir=str(out))
+    assert main(["run", str(path)]) == 0
+    assert main(["compare", str(out), "--against", "exact:negative-slope"]) == 0
+    lines = (out / "compare.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert float(lines[1].split(",")[3]) <= 1e-12
+
+
 def test_compare_unknown_reference(tmp_path):
     out = tmp_path / "out"
     path = write_cfg(tmp_path, output_dir=str(out))
@@ -185,8 +226,8 @@ def test_terms_dump_every_equation(pde, capsys):
     assert main(["terms", pde]) == 0
     out = capsys.readouterr().out
     assert out.strip()
-    if pde == "dsw":
-        assert "# component" in out
+    # the per-component header appears only for a multi-part cost
+    assert ("# component" in out) == (pde == "dsw")
 
 
 def test_terms_unknown_equation():

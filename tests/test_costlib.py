@@ -20,9 +20,7 @@ from vqpde.costlib import (
     ProblemError,
     Source,
     build_cost,
-    build_q_operator,
-    cost_term_list,
-    evaluate_cost,
+    components,
     grid_coordinates,
 )
 from vqpde.opexpr import dense_matrix
@@ -83,42 +81,17 @@ def test_insufficient_history_rejected():
         build_cost(DSW(), [U], LAY, TAU, SPEC)
 
 
+def test_build_cost_has_one_part_per_component():
+    for name, cost in all_costs().items():
+        assert isinstance(cost, JointCost)
+        assert len(cost.parts) == (2 if name == "dsw" else 1), name
+    assert components(DSW()) == ("u", "v")
+    assert components(NavierStokes(nu=1.0)) == ("u",)
+
+
 def test_nonpositive_tau_rejected():
     with pytest.raises(ProblemError):
         build_cost(HunterSaxton(), [U], LAY, 0.0, SPEC)
-
-
-# -- update generator ---------------------------------------------------------
-
-def test_q_operator_limit_is_scaled_identity():
-    prob = NavierStokes(nu=1e-30)
-    expr, binds = build_q_operator(prob, np.zeros(8), LAY, tau=0.1)
-    dm = dense_matrix(expr, LAY, binds)
-    assert np.max(np.abs(dm - 10.0 * np.eye(8))) < 1e-12
-
-
-def test_q_operator_on_constant_field():
-    from vqpde.opexpr import apply_expr
-    from vqpde.statevec import QuantumState
-    prob = NavierStokes(nu=0.7)
-    expr, binds = build_q_operator(prob, np.full(8, 3.0), LAY, tau=0.5)
-    c = QuantumState.from_amplitudes(np.full(8, 1.0 + 0j))
-    out = apply_expr(expr, c, LAY, binds)
-    # periodic derivatives of constants vanish; only (h/tau) * 1 survives
-    assert np.max(np.abs(out.amplitudes - 2.0)) < 1e-12
-
-
-def test_q_operator_matches_dense_oracle():
-    from vqpde import oracle as orc
-    rng = np.random.default_rng(3)
-    frozen = rng.normal(size=8)
-    prob = NavierStokes(nu=0.3)
-    expr, binds = build_q_operator(prob, frozen, LAY, tau=0.1)
-    dm = dense_matrix(expr, LAY, binds)
-    g = orc.grad_matrix(LAY, "x")
-    lap = orc.laplacian_matrix(LAY, "x")
-    ref = 10.0 * (np.eye(8) - np.diag(frozen) @ g + 0.3 * lap)
-    assert np.max(np.abs(dm - ref)) < 1e-12
 
 
 # -- evaluation equivalences --------------------------------------------------
@@ -128,18 +101,11 @@ def test_term_sum_equals_direct_residual_norm(name):
     cost = all_costs()[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(25):
-        if isinstance(cost, JointCost):
-            x = rng.normal(size=cost.n_params)
-            closed = cost.evaluate_vec(x)
-            direct = cost.evaluate_direct_vec(x)
-            terms = sum(p.evaluate_terms(lam, lam0)
-                        for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
-        else:
-            lam = rng.normal(size=SPEC.parameter_count)
-            lam0 = rng.normal()
-            closed = cost.evaluate(lam, lam0)
-            direct = cost.evaluate_direct(lam, lam0)
-            terms = cost.evaluate_terms(lam, lam0)
+        x = rng.normal(size=cost.n_params)
+        closed = cost.evaluate_vec(x)
+        direct = cost.evaluate_direct_vec(x)
+        terms = sum(p.evaluate_terms(lam, lam0)
+                    for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
         assert abs(closed - direct) < 1e-10
         assert abs(terms - direct) < 1e-10
 
@@ -149,11 +115,7 @@ def test_cost_is_nonnegative(name):
     cost = all_costs()[name]
     rng = np.random.default_rng(1 + zlib.crc32(name.encode()))
     for _ in range(50):
-        if isinstance(cost, JointCost):
-            val = cost.evaluate_vec(rng.normal(size=cost.n_params))
-        else:
-            val = cost.evaluate(rng.normal(size=SPEC.parameter_count),
-                                rng.normal())
+        val = cost.evaluate_vec(rng.normal(size=cost.n_params))
         assert val >= -1e-10
 
 
@@ -169,7 +131,7 @@ def test_zero_at_truth_for_invertible_updates():
         (Einstein(tensor=EquilibriumFluid(1.0, 0.1, 1.0, 1.0)), [U + 2.0]),
     ]
     for prob, hist in cases:
-        cost = build_cost(prob, hist, LAY, TAU, SPEC)
+        cost = build_cost(prob, hist, LAY, TAU, SPEC).parts[0]
         nxt = orc.classical_step(prob, hist, LAY, TAU)
         enc = QuantumState.from_amplitudes(nxt.astype(complex))
         mc = apply_expr(cost.m_op, enc, LAY, cost.bindings).amplitudes
@@ -178,7 +140,7 @@ def test_zero_at_truth_for_invertible_updates():
 
 def test_couette_constant_field_is_stationary():
     c = np.full(8, 1.7)
-    cost = build_cost(NavierStokes(nu=1.0), [c], LAY, 0.1, SPEC)
+    cost = build_cost(NavierStokes(nu=1.0), [c], LAY, 0.1, SPEC).parts[0]
     lam = np.zeros(SPEC.parameter_count)
     lam[:3] = np.pi / 2  # uniform product state in the first rotation layer
     lam0 = cost.best_scale(lam)
@@ -186,15 +148,15 @@ def test_couette_constant_field_is_stationary():
 
 
 def test_hunter_saxton_zero_field_minimized_at_zero_scale():
-    cost = build_cost(HunterSaxton(), [np.zeros(8)], LAY, TAU, SPEC)
+    cost = build_cost(HunterSaxton(), [np.zeros(8)], LAY, TAU, SPEC).parts[0]
     assert np.max(np.abs(cost.b_vector)) == 0.0
     lam = np.random.default_rng(0).normal(size=SPEC.parameter_count)
     assert cost.evaluate(lam, 0.0) <= 1e-12
 
 
 def test_scale_consistency_for_linear_problem():
-    cost1 = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC)
-    cost3 = build_cost(NavierStokes(nu=1.0), [3.0 * U], LAY, TAU, SPEC)
+    cost1 = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC).parts[0]
+    cost3 = build_cost(NavierStokes(nu=1.0), [3.0 * U], LAY, TAU, SPEC).parts[0]
     lam = np.random.default_rng(2).normal(size=SPEC.parameter_count)
     s1, s3 = cost1.best_scale(lam), cost3.best_scale(lam)
     assert abs(s3 - 3.0 * s1) < 1e-10
@@ -204,7 +166,7 @@ def test_scale_consistency_for_linear_problem():
 # -- term lists ---------------------------------------------------------------
 
 def test_couette_term_list_structure():
-    cost = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC)
+    cost = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC).parts[0]
     labels = {t.label() for _, _, t, _ in cost.term_list()}
     # implicit side is the identity; shifts enter only through the explicit
     # diffusion stencil, so every term is a unitary product
@@ -222,43 +184,23 @@ def test_identity_residual_single_quadratic_term():
 
 
 def test_term_list_deterministic_across_rebuilds():
-    a = build_cost(CamassaHolm(1.0), [0.9 * U, U], LAY, TAU, SPEC)
-    b = build_cost(CamassaHolm(1.0), [0.9 * U, U], LAY, TAU, SPEC)
+    a = build_cost(CamassaHolm(1.0), [0.9 * U, U], LAY, TAU, SPEC).parts[0]
+    b = build_cost(CamassaHolm(1.0), [0.9 * U, U], LAY, TAU, SPEC).parts[0]
     assert a.serialize_terms() == b.serialize_terms()
-
-
-def test_cost_term_list_front_door():
-    joint = build_cost(DSW(), [U, V + 1.5], LAY, TAU, SPEC)
-    parts = cost_term_list(joint)
-    assert len(parts) == 2 and parts[0][0] == "dsw-u"
-    single = build_cost(HunterSaxton(), [U], LAY, TAU, SPEC)
-    assert len(cost_term_list(single)) > 0
 
 
 # -- shot mode ----------------------------------------------------------------
 
 def test_shot_mode_unbiased_within_four_sigma():
-    cost = build_cost(NavierStokes(nu=1.0), [U], LAY, 0.1, SPEC)
+    cost = build_cost(NavierStokes(nu=1.0), [U], LAY, 0.1, SPEC).parts[0]
     rng = np.random.default_rng(77)
     lam = rng.normal(size=SPEC.parameter_count)
     lam0 = 0.8
     exact = cost.evaluate(lam, lam0)
-    vals = [evaluate_cost(cost, lam, lam0, "shots", shots=10 ** 5, rng=rng)
+    vals = [cost.evaluate_terms(lam, lam0, shots=10 ** 5, rng=rng)
             for _ in range(20)]
     spread = np.std(vals)
     assert abs(np.mean(vals) - exact) <= 4 * spread / np.sqrt(20) + 1e-6
-
-
-def test_shot_mode_requires_count():
-    cost = build_cost(NavierStokes(nu=1.0), [U], LAY, 0.1, SPEC)
-    with pytest.raises(Exception):
-        evaluate_cost(cost, np.zeros(SPEC.parameter_count), 1.0, "shots")
-
-
-def test_unknown_mode_rejected():
-    cost = build_cost(NavierStokes(nu=1.0), [U], LAY, 0.1, SPEC)
-    with pytest.raises(Exception):
-        evaluate_cost(cost, np.zeros(SPEC.parameter_count), 1.0, "banana")
 
 
 # -- stress-energy models -------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vqpde.ansatz import AnsatzSpec, VariationalState
-from vqpde.costlib import DSW, NavierStokes
+from vqpde.costlib import DSW, CamassaHolm, NavierStokes
 from vqpde.evolve import (
     EvolutionConfig,
     EvolutionError,
@@ -121,6 +121,25 @@ def test_joint_system_records_both_components():
     assert len(traj) == 2
     assert set(traj.records[1].fields) == {"u", "v"}
     assert np.isfinite(traj.records[1].cost)
+
+
+def test_second_order_from_rest_equals_repeated_level():
+    u0 = 1.0 + 0.1 * np.sin(2 * np.pi * XS / 8)
+    cfg = EvolutionConfig(tau=0.01, n_steps=1,
+                          optimizer=GradientDescent(eta=0.1, max_iters=10),
+                          seed=3)
+    a = run(CamassaHolm(), [u0], cfg, LAY, SPEC)
+    b = run(CamassaHolm(), [u0, u0], cfg, LAY, SPEC)
+    assert len(a) == len(b) == 2
+    for ra, rb in zip(a.records, b.records):
+        assert np.array_equal(ra.fields["u"], rb.fields["u"])
+        assert np.array_equal(ra.cost, rb.cost)
+
+
+def test_coupled_system_needs_both_fields():
+    cfg = EvolutionConfig(tau=0.02, n_steps=1, optimizer=GD)
+    with pytest.raises(EvolutionError):
+        run(DSW(), [np.ones(8)], cfg, LAY, SPEC)
 
 
 def test_run_rejects_wrong_grid_size():

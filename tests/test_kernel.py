@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
-from vqpde.costlib import CamassaHolm, JointCost, build_cost
+from vqpde.costlib import CamassaHolm, build_cost
 from vqpde.opexpr import (
     OpExpr,
     OpTerm,
@@ -100,7 +100,7 @@ def _parts(n: int) -> list:
     costs = pde_instances(n, two_axis=(max(n - n // 2, 1), max(n // 2, 1)))
     out = []
     for c in costs.values():
-        out.extend(c.parts if isinstance(c, JointCost) else (c,))
+        out.extend(c.parts)
     return out
 
 
@@ -173,7 +173,7 @@ def test_batched_shift_grad_equals_loop(n, layers, axes, seed):
     xs = np.arange(float(2 ** n))
     u = np.sin(2 * np.pi * xs / 2 ** n)
     cost = build_cost(CamassaHolm(1.0), [0.9 * u, u], layout_1d(n, 1.0),
-                      0.05, spec)
+                      0.05, spec).parts[0]
     lam = rng.normal(size=spec.parameter_count)
     lam0 = float(rng.normal())
     batched = parameter_shift_grad(cost, lam, lam0)

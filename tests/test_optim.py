@@ -119,7 +119,7 @@ def test_zero_gradient_at_exact_minimum():
     lay = layout_1d(3, 1.0)
     spec = AnsatzSpec(n_qubits=3, layers=1, rotation_axes=("Y",))
     u = np.full(8, 1.3)
-    cost = build_cost(NavierStokes(nu=1.0), [u], lay, 0.1, spec)
+    cost = build_cost(NavierStokes(nu=1.0), [u], lay, 0.1, spec).parts[0]
     # constant field is a fixed point; the exact encoding is reachable with
     # all-zero angles after a basis rotation trick is unnecessary: uniform
     # state = RY(pi/2) on each qubit
@@ -137,7 +137,7 @@ def test_shift_rule_matches_finite_differences_on_pde_cost():
                       entangler="ring")
     xs = np.arange(8.0)
     u = np.sin(2 * np.pi * xs / 8)
-    cost = build_cost(CamassaHolm(1.0), [0.9 * u, u], lay, 0.05, spec)
+    cost = build_cost(CamassaHolm(1.0), [0.9 * u, u], lay, 0.05, spec).parts[0]
     for _ in range(5):
         x = rng.normal(size=spec.parameter_count + 1)
         ps = parameter_shift_grad(cost, x[:-1], x[-1])

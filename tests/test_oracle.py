@@ -106,20 +106,16 @@ def test_step_satisfies_symbolic_update_equation(name):
     # the dense oracle and the operator-expression cost are built from
     # independent code paths; the oracle's next field must zero the residual
     from vqpde.ansatz import AnsatzSpec
-    from vqpde.costlib import build_cost, JointCost
+    from vqpde.costlib import build_cost
     from vqpde.opexpr import apply_expr
     from vqpde.statevec import QuantumState
     problem, hist, lay = step_cases()[name]
     spec = AnsatzSpec(n_qubits=sum(n for _, n, _ in lay.axes), layers=1)
     cost = build_cost(problem, hist, lay, 0.05, spec)
     nxt = orc.classical_step(problem, hist, lay, 0.05)
-    if isinstance(cost, JointCost):
-        fields = nxt
-        parts = cost.parts
-    else:
-        fields = [nxt]
-        parts = [cost]
-    for field, part in zip(fields, parts):
+    # one next field per part: the (u, v) pair or a single array
+    fields = np.reshape(nxt, (len(cost.parts), -1))
+    for field, part in zip(fields, cost.parts):
         enc = QuantumState.from_amplitudes(np.asarray(field, complex))
         mc = apply_expr(part.m_op, enc, lay, part.bindings).amplitudes
         if name in ("lin-tsien", "hunter-saxton"):
