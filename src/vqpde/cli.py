@@ -350,8 +350,10 @@ def cmd_run(config_path) -> int:
 
     tau = cfg["evolutions"][0].tau
     n_steps = cfg["evolutions"][0].n_steps
+    # the oracle's reference is the last component's field
+    scored = components(problem)[-1]
     ref_fields = classical_run(problem, initial, layout, tau, n_steps)
-    ref_traj = fields_to_trajectory(ref_fields, layout, tau)
+    ref_traj = fields_to_trajectory(ref_fields, layout, tau, component=scored)
     oracle_path = out_dir / "oracle.csv"
     write_trajectory_csv(ref_traj, oracle_path)
 
@@ -360,8 +362,6 @@ def cmd_run(config_path) -> int:
     with open(err_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "step", "rel_l2", "linf"])
-        # the oracle's reference is the last component's field
-        scored = components(problem)[-1]
         for idx, (_, traj) in enumerate(results):
             fields = traj.fields(scored)
             refs = ref_fields[:len(fields)]
@@ -434,6 +434,13 @@ def cmd_compare(run_dir, against) -> int:
             name = against.split(":", 1)[1]
             if name not in _EXACT_REFS:
                 print(f"compare: unknown exact reference {name!r}",
+                      file=sys.stderr)
+                return 1
+            needed = [f.name for f in dataclasses.fields(_EXACT_REFS[name])
+                      if f.default is dataclasses.MISSING]
+            if needed:
+                print(f"compare: exact reference {name!r} needs parameters "
+                      f"({', '.join(needed)}) that compare cannot take",
                       file=sys.stderr)
                 return 1
             ref_obj = _EXACT_REFS[name]()

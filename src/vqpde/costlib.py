@@ -18,6 +18,7 @@ unitary and shot-estimable; nonlinear frozen-field factors live in b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from math import pi, sqrt
 
 import numpy as np
@@ -29,7 +30,7 @@ from .opexpr import (
     OpTerm,
     adjoint,
     apply_expr,
-    apply_term,
+    apply_term,  # noqa: F401  unused here; perfbench/tracing.py patches it
     compile_monomials,
     diag,
     expand_product,
@@ -239,6 +240,22 @@ class Source:
 
 
 @dataclass(frozen=True)
+class TermTable:
+    """A cost's term list compiled for one batched evaluation.  Entry k adds
+    lam0**power[k] Re(coeff[k] <bra_k|T_k|psi>) to the offset, with
+    (T_k psi)[j] = weight[k, j] psi[perm[k, j]] and bra_k = psi for
+    bra[k] = 0, else the normalized samples ``sources[bra[k] - 1]``."""
+
+    perm: np.ndarray     # (T, dim) source indices
+    weight: np.ndarray   # (T, dim) complex, unit term coefficients
+    coeff: np.ndarray    # (T,) complex
+    bra: np.ndarray      # (T,) row of [psi, *sources]
+    power: np.ndarray    # (T,) 2 for <psi|..|psi>, 1 for a source bra
+    unitary: np.ndarray  # (T,) bool: shift-only term, shot-estimable
+    sources: np.ndarray  # (n_sources, dim) complex; zero rows are unused
+
+
+@dataclass(frozen=True)
 class CostFunction:
     """Frozen-history residual ||M c - b||^2 over candidates c = lam0 Psi(lam)."""
 
@@ -343,39 +360,66 @@ class CostFunction:
                 ))
         return tuple(entries)
 
-    def _tagged_state(self, tag: str, psi: QuantumState) -> QuantumState:
-        if tag == "psi":
-            return psi
-        si = int(tag.split(":")[0][3:])
-        samples = np.asarray(self.sources[si].samples, dtype=float)
-        return QuantumState.from_amplitudes(samples / np.linalg.norm(samples))
+    @cached_property
+    def term_table(self) -> TermTable:
+        """``term_list()`` compiled on first use; costs that are only
+        evaluated in closed form never build it."""
+        entries = self.term_list()
+        sources = np.zeros((len(self.sources), self.layout.dim), dtype=complex)
+        for si, s in enumerate(self.sources):
+            samples = np.asarray(s.samples, dtype=float)
+            norm = np.linalg.norm(samples)
+            if norm > 0.0:
+                sources[si] = samples / norm
+        # every ket is psi; a bra tag is "psi" or "src<i>:<tag>"
+        bra = np.array([0 if b == "psi" else 1 + int(b.split(":")[0][3:])
+                        for _, b, _, _ in entries], dtype=np.intp)
+        form = compile_monomials([t for _, _, t, _ in entries], self.layout,
+                                 self.bindings)
+        return TermTable(
+            perm=form.perm,
+            weight=form.weight,
+            coeff=np.array([c for c, _, _, _ in entries], dtype=complex),
+            bra=bra,
+            power=np.where(bra == 0, 2, 1),
+            unitary=np.array([t.is_unitary_product() for _, _, t, _ in entries],
+                             dtype=bool),
+            sources=sources,
+        )
+
+    def term_values(self, lam, shots: int | None = None,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+        """Re and Im of <bra_k|T_k|psi> for every term-list entry, shape
+        (2, T); a part whose coefficient is zero is left at 0.  In shot mode
+        every fully unitary term is estimated by the ancilla test and the
+        others are contracted exactly.  Shots are drawn for the real parts
+        of the estimated terms in term-list order, then for their imaginary
+        parts."""
+        t = self.term_table
+        psi = prepare_batch(self.spec, np.asarray(lam, dtype=float)[None, :])[0]
+        kets = t.weight * psi[t.perm]
+        bras = np.concatenate([psi[None, :], t.sources])[t.bra]
+        sampled = t.unitary & (shots is not None)
+        values = np.zeros((2, t.coeff.size))
+        for k, (part, c) in enumerate((("real", t.coeff.real),
+                                       ("imag", t.coeff.imag))):
+            for rows, n in (((c != 0) & ~sampled, None),
+                            ((c != 0) & sampled, shots)):
+                if rows.any():
+                    values[k, rows] = hadamard_test(
+                        bras[rows], kets[rows], None, part, shots=n,
+                        rng=rng).value
+        return values
 
     def evaluate_terms(self, lam, lam0: float, shots: int | None = None,
                        rng: np.random.Generator | None = None) -> float:
-        """Term-by-term evaluation; in shot mode every fully unitary term is
-        estimated by the ancilla test and nonlinear terms are contracted
-        exactly."""
-        psi = self._psi(lam)
-        total = self.offset
-        for coeff, bra_tag, term, ket_tag in self.term_list():
-            bra = self._tagged_state(bra_tag, psi)
-            ket = self._tagged_state(ket_tag, psi)
-            power = (bra_tag == "psi") + (ket_tag == "psi")
-            unitary = term.is_unitary_product()
-            use_shots = shots if unitary else None
-
-            def op(state, _term=term):
-                return apply_term(_term, state, self.layout, self.bindings)
-
-            re_v = im_v = 0.0
-            if abs(coeff.real) > 0.0:
-                re_v = hadamard_test(bra, ket, op, "real", use_shots, rng,
-                                     op_is_unitary=unitary).value
-            if abs(coeff.imag) > 0.0:
-                im_v = hadamard_test(bra, ket, op, "imag", use_shots, rng,
-                                     op_is_unitary=unitary).value
-            total += lam0 ** power * (coeff.real * re_v - coeff.imag * im_v)
-        return float(total)
+        """offset + sum over terms of lam0^power Re(coeff <bra|T|psi>), with
+        the values of ``term_values``."""
+        t = self.term_table
+        re, im = self.term_values(lam, shots, rng)
+        scale = np.array([1.0, lam0, lam0 * lam0])[t.power]
+        return float(self.offset
+                     + np.sum((t.coeff.real * re - t.coeff.imag * im) * scale))
 
     def serialize_terms(self) -> str:
         lines = [f"offset {self.offset:+.12g}"]

@@ -275,13 +275,16 @@ class MonomialForm:
         return (self.weight * psi[:, self.perm]).sum(axis=1)
 
 
-def compile_monomials(expr: OpExpr, layout: RegisterLayout,
+def compile_monomials(expr, layout: RegisterLayout,
                       bindings=None) -> MonomialForm:
     """Resolve shift atoms against the layout and diagonal atoms against the
-    bindings once; ``apply`` then matches ``apply_expr``."""
+    bindings once; ``apply`` then matches ``apply_expr``.  ``expr`` is an
+    ``OpExpr`` or a sequence of ``OpTerm``s, compiled one row each (a term
+    list repeats operators that an ``OpExpr`` would merge)."""
+    terms = expr.terms if isinstance(expr, OpExpr) else tuple(expr)
     dim = layout.dim
     perms, weights = [], []
-    for term in expr.terms:
+    for term in terms:
         perm = np.arange(dim)
         weight = np.ones(dim, dtype=complex)
         for atom in reversed(term.atoms):  # rightmost atom acts first

@@ -305,35 +305,59 @@ def qft(state: QuantumState, layout: RegisterLayout, axis: str,
 
 @dataclass(frozen=True)
 class Estimate:
-    value: float
-    stderr: float
+    """A value and its standard error; arrays of one per row when
+    ``hadamard_test`` is given rows."""
+
+    value: float | np.ndarray
+    stderr: float | np.ndarray
 
 
-def hadamard_test(bra: QuantumState, ket: QuantumState, op_apply,
-                  part: str = "real", shots: int | None = None,
+def hadamard_test(bra, ket, op_apply=None, part: str = "real",
+                  shots: int | None = None,
                   rng: np.random.Generator | None = None,
-                  op_is_unitary: bool = True) -> Estimate:
+                  op_is_unitary=True) -> Estimate:
     """Estimate Re or Im <bra|op|ket>.
+
+    ``bra`` and ``ket`` are two ``QuantumState``s, or rows of raw amplitudes
+    (T, dim) that are estimated together, row k giving <bra_k|op|ket_k>.
+    ``op_apply`` maps the ket (or the ket rows) to op times it; None is the
+    identity.  ``op_is_unitary`` is one flag or one per row.
 
     Exact mode (``shots=None``) contracts the statevector directly.  Shot mode
     simulates the ancilla measurement record of the two-state Hadamard test:
     the ancilla X (or Y) expectation equals the requested part, and each shot
     is a +/-1 Bernoulli draw, so the estimator is unbiased with standard
-    error <= 1/sqrt(shots) for normalized states and unitary ops.
+    error <= 1/sqrt(shots) for normalized states and unitary ops.  The rows'
+    binomial draws are taken in one call, in row order; a numpy Generator
+    gives the same draws as one call per row would.
     """
     if part not in ("real", "imag"):
         raise SimulationError(f"unknown part {part!r}")
-    applied = op_apply(ket)
-    val = inner(bra, applied)
+    applied = ket if op_apply is None else op_apply(ket)
+    single = isinstance(bra, QuantumState)
+    if single:
+        if bra.n_qubits != applied.n_qubits:
+            raise SimulationError(
+                "inner product of states with different dimensions")
+        bras, kets = bra.amplitudes[None, :], applied.amplitudes[None, :]
+    else:
+        bras, kets = np.asarray(bra), np.asarray(applied)
+        if bras.ndim != 2 or bras.shape != kets.shape:
+            raise SimulationError(
+                f"bra rows {bras.shape} do not match ket rows {kets.shape}")
+    # one reduction per row, so a row's value does not depend on its batch
+    val = (bras.conj() * kets).sum(axis=1)
     exact = val.real if part == "real" else val.imag
     if shots is None:
-        return Estimate(float(exact), 0.0)
-    if not op_is_unitary:
-        raise SimulationError("shot-mode estimation requires a unitary op")
-    if rng is None:
-        rng = np.random.default_rng()
-    p = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-    ones = rng.binomial(shots, p)
-    est = 2.0 * ones / shots - 1.0
-    stderr = sqrt(max(p * (1.0 - p), 1e-300) * 4.0 / shots)
-    return Estimate(float(est), float(stderr))
+        est, stderr = exact, np.zeros_like(exact)
+    else:
+        if not np.all(op_is_unitary):
+            raise SimulationError("shot-mode estimation requires a unitary op")
+        if rng is None:
+            rng = np.random.default_rng()
+        p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
+        est = 2.0 * rng.binomial(shots, p) / shots - 1.0
+        stderr = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) * 4.0 / shots)
+    if single:
+        return Estimate(float(est[0]), float(stderr[0]))
+    return Estimate(est, stderr)

@@ -35,13 +35,28 @@ from vqpde.optim import (
     finite_diff_grad,
     minimize,
 )
-from vqpde.statevec import RegisterLayout, hadamard_test, layout_1d
+from vqpde.statevec import (
+    QuantumState,
+    RegisterLayout,
+    hadamard_test,
+    layout_1d,
+)
 
 
 def report(capsys, ok: bool, label: str, detail: str):
     with capsys.disabled():
         print(f"\n[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
     assert ok
+
+
+def tagged_state(cost, tag: str, psi: QuantumState) -> QuantumState:
+    """The state a term-list tag names: psi, or a source's normalized
+    samples ("src<i>:<name>")."""
+    if tag == "psi":
+        return psi
+    samples = np.asarray(cost.sources[int(tag.split(":")[0][3:])].samples,
+                         dtype=float)
+    return QuantumState.from_amplitudes(samples / np.linalg.norm(samples))
 
 
 def pde_instances(n_qubits_1d: int, two_axis: tuple = (2, 1)):
@@ -162,8 +177,8 @@ def test_shot_estimates_consistent_with_exact_values(capsys):
         psi = prepare(spec, lam)
         ok = True
         for _, bra_tag, term, ket_tag in terms:
-            bra = cost._tagged_state(bra_tag, psi)
-            ket = cost._tagged_state(ket_tag, psi)
+            bra = tagged_state(cost, bra_tag, psi)
+            ket = tagged_state(cost, ket_tag, psi)
 
             def op(state, _t=term):
                 return apply_term(_t, state, lay, cost.bindings)

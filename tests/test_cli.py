@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -203,6 +204,34 @@ def test_compare_exact_uses_grid_coordinates(tmp_path):
     lines = (out / "compare.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split(",")[3]) <= 1e-12
+
+
+def test_compare_oracle_scores_dsw_under_v(tmp_path):
+    # the dsw reference is the v field; at t = 0 both equal the initial data
+    out = tmp_path / "dsw"
+    xs = np.arange(8)
+    path = write_cfg(tmp_path, overrides={
+        "problem": {"kind": "dsw"},
+        "initial": {"u": {"samples": (0.1 * np.sin(2 * np.pi * xs / 8)).tolist()},
+                    "v": {"samples": [1.0] * 8}},
+        "evolution": {"tau": 0.02, "n_steps": 1},
+    }, output_dir=str(out))
+    assert main(["run", str(path)]) == 0
+    assert main(["compare", str(out), "--against", "oracle"]) == 0
+    with open(out / "compare.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["component"] for r in rows] == ["v", "v"]
+    assert float(rows[0]["t"]) == 0.0 and float(rows[0]["rel_l2"]) == 0.0
+
+
+def test_compare_exact_reference_needing_parameters(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output_dir=str(out))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(out), "--against", "exact:ns-exponential"]) == 1
+    err = capsys.readouterr().err
+    assert "compare: exact reference 'ns-exponential' needs parameters" in err
 
 
 def test_compare_unknown_reference(tmp_path):

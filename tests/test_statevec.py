@@ -264,3 +264,52 @@ def test_hadamard_shot_mode_within_four_sigma():
         if abs(est.value - exact) <= 4 * max(est.stderr, 1e-12):
             hits += 1
     assert hits >= 99
+
+
+def _rows_and_states(seed, t=6, n=3):
+    rng = np.random.default_rng(seed)
+    lay = layout_1d(n, 1.0)
+    bras = [random_state(rng, n) for _ in range(t)]
+    kets = [apply_shift(random_state(rng, n), lay, "x") for _ in range(t)]
+    return (bras, kets, np.array([b.amplitudes for b in bras]),
+            np.array([k.amplitudes for k in kets]))
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_hadamard_rows_equal_scalar_calls_exact(part):
+    bras, kets, bra_rows, ket_rows = _rows_and_states(11)
+    rows = hadamard_test(bra_rows, ket_rows, None, part)
+    single = [hadamard_test(b, k, None, part) for b, k in zip(bras, kets)]
+    assert np.array_equal(rows.value, [e.value for e in single])
+    assert np.array_equal(rows.stderr, [e.stderr for e in single])
+    want = [getattr(inner(b, k), part) for b, k in zip(bras, kets)]
+    assert np.max(np.abs(rows.value - want)) < 1e-12
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_hadamard_rows_equal_scalar_calls_shots(part):
+    bras, kets, bra_rows, ket_rows = _rows_and_states(12)
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    rows = hadamard_test(bra_rows, ket_rows, None, part, 500, rng_a)
+    single = [hadamard_test(b, k, None, part, 500, rng_b)
+              for b, k in zip(bras, kets)]
+    assert np.array_equal(rows.value, [e.value for e in single])
+    assert np.array_equal(rows.stderr, [e.stderr for e in single])
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_hadamard_rows_shot_mode_rejects_nonunitary_row():
+    _, _, bra_rows, ket_rows = _rows_and_states(13, t=3)
+    rng = np.random.default_rng(0)
+    with pytest.raises(SimulationError):
+        hadamard_test(bra_rows, ket_rows, None, shots=100, rng=rng,
+                      op_is_unitary=np.array([True, False, True]))
+    # the same rows in exact mode need no unitary op
+    hadamard_test(bra_rows, ket_rows, None,
+                  op_is_unitary=np.array([True, False, True]))
+
+
+def test_hadamard_rows_shape_mismatch():
+    _, _, bra_rows, ket_rows = _rows_and_states(14, t=3)
+    with pytest.raises(SimulationError):
+        hadamard_test(bra_rows, ket_rows[:2])

@@ -1,0 +1,135 @@
+"""The compiled term table against an independent per-term loop.
+
+The reference applies every term-list entry to a ``QuantumState`` with
+``opexpr.apply_term`` and estimates it with its own scalar
+``hadamard_test`` call, the real parts of all terms first and then the
+imaginary parts (the draw order ``CostFunction.term_values`` documents).
+"""
+import zlib
+
+import numpy as np
+import pytest
+
+from vqpde.ansatz import AnsatzSpec, prepare
+from vqpde.cli import _demo_cost
+from vqpde.costlib import CostFunction, Source
+from vqpde.opexpr import (
+    OpExpr,
+    OpTerm,
+    apply_term,
+    diag,
+    grad_op,
+    laplacian_op,
+    shift,
+)
+from vqpde.statevec import QuantumState, hadamard_test, layout_1d
+
+KINDS = ["couette", "navier-stokes", "einstein", "maxwell", "boussinesq",
+         "lin-tsien", "camassa-holm", "dsw", "hunter-saxton"]
+SHOTS = 2000
+
+
+def complex_cost() -> CostFunction:
+    """A hand-built cost whose term list has complex coefficients and a
+    non-unitary term; every builder's coefficients are real."""
+    lay = layout_1d(3, 1.0)
+    spec = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
+    xs = np.arange(8.0)
+    u = np.sin(2 * np.pi * xs / 8) + 0.5
+    m_op = OpExpr.identity() + OpExpr.single(shift("x"), 0.3j)
+    expr = OpExpr.identity() + (
+        OpExpr((OpTerm(1.0, (diag("w"),)),)) * grad_op("x", 1.0)).scale(0.1j) \
+        + laplacian_op("x", 1.0).scale(0.05)
+    return CostFunction("complex", lay, spec, m_op, (Source(expr, u, "u"),),
+                        {"w": np.cos(2 * np.pi * xs / 8)})
+
+
+def cases():
+    out = [(f"{kind}/{i}", part) for kind in KINDS
+           for i, part in enumerate(_demo_cost(kind).parts)]
+    return out + [("complex", complex_cost())]
+
+
+CASES = cases()
+IDS = [name for name, _ in CASES]
+
+
+def tagged_state(cost, tag: str, psi: QuantumState) -> QuantumState:
+    if tag == "psi":
+        return psi
+    samples = np.asarray(cost.sources[int(tag.split(":")[0][3:])].samples,
+                         dtype=float)
+    return QuantumState.from_amplitudes(samples / np.linalg.norm(samples))
+
+
+def reference_values(cost, lam, shots=None, rng=None) -> np.ndarray:
+    psi = prepare(cost.spec, lam)
+    entries = cost.term_list()
+    values = np.zeros((2, len(entries)))
+    for k, part in enumerate(("real", "imag")):
+        for i, (coeff, bra_tag, term, ket_tag) in enumerate(entries):
+            if (coeff.real if part == "real" else coeff.imag) == 0:
+                continue
+            unitary = term.is_unitary_product()
+
+            def op(state, _t=term):
+                return apply_term(_t, state, cost.layout, cost.bindings)
+
+            values[k, i] = hadamard_test(
+                tagged_state(cost, bra_tag, psi),
+                tagged_state(cost, ket_tag, psi), op, part,
+                shots if unitary else None, rng, op_is_unitary=unitary).value
+    return values
+
+
+def reference_total(cost, values, lam0: float) -> float:
+    """offset + sum of lam0^p Re(coeff <bra|T|ket>), combined in the same
+    order as ``evaluate_terms`` so that shot totals compare bit for bit."""
+    entries = cost.term_list()
+    coeff = np.array([e[0] for e in entries])
+    power = [(e[1] == "psi") + (e[3] == "psi") for e in entries]
+    scale = np.array([(1.0, lam0, lam0 * lam0)[p] for p in power])
+    return float(cost.offset + np.sum(
+        (coeff.real * values[0] - coeff.imag * values[1]) * scale))
+
+
+def draws(name: str, cost):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    return rng.normal(size=cost.spec.parameter_count), rng.uniform(0.5, 1.5)
+
+
+@pytest.mark.parametrize("name,cost", CASES, ids=IDS)
+def test_exact_term_values_match_per_term_loop(name, cost):
+    for _ in range(5):
+        lam, lam0 = draws(name, cost)
+        got = cost.term_values(lam)
+        want = reference_values(cost, lam)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert abs(cost.evaluate_terms(lam, lam0)
+                   - reference_total(cost, want, lam0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,cost", CASES, ids=IDS)
+def test_term_sum_equals_direct_residual_norm(name, cost):
+    lam, lam0 = draws(name, cost)
+    assert abs(cost.evaluate_terms(lam, lam0)
+               - cost.evaluate_direct(lam, lam0)) < 1e-10
+
+
+@pytest.mark.parametrize("name,cost", CASES, ids=IDS)
+def test_shot_draws_match_per_term_loop(name, cost):
+    lam, lam0 = draws(name, cost)
+    seed = zlib.crc32(name.encode()) + 1
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got = cost.evaluate_terms(lam, lam0, shots=SHOTS, rng=rng_a)
+        want = reference_total(
+            cost, reference_values(cost, lam, SHOTS, rng_b), lam0)
+        assert np.array_equal(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_complex_cost_has_complex_and_nonunitary_terms():
+    table = complex_cost().term_table
+    assert np.any(table.coeff.imag != 0) and np.any(table.coeff.real != 0)
+    assert not np.all(table.unitary) and np.any(table.unitary)
