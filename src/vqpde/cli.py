@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -64,7 +65,7 @@ from .oracle import (
     exact_eval,
     l2_error,
 )
-from .statevec import RegisterLayout
+from .statevec import RegisterLayout, SimulationError
 
 
 class ConfigError(ValueError):
@@ -76,8 +77,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _require_keys(section: dict, allowed: set, required: set, where: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a mapping")
+    _dict(section, where)
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -86,85 +86,137 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _select(cfg, key: str, table: dict, where: str, default=None):
+    """(the entry of ``table`` that ``cfg[key]`` names, the rest of cfg)."""
+    rest = _dict(cfg, where)
+    name = rest.pop(key, default)
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{where}.{key}: unknown value {name!r}; choose "
+                          f"from {sorted(table)}")
+    return table[name], rest
+
+
+def _float(value, where: str) -> float:
+    # a numeric string counts: YAML 1.1 reads 1e-3 as text
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
+def _exact(yaml_type, convert):
+    """Reader of a YAML value that must have ``yaml_type``."""
+    def read(value, where: str):
+        if type(value) is not yaml_type:
+            raise ConfigError(f"{where}: expected a {yaml_type.__name__}, "
+                              f"got {value!r}")
+        return convert(value)
+    return read
+
+
+def _floats(value, where: str) -> np.ndarray:
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{where}: samples must be finite")
+    return out
+
+
+_int, _str = _exact(int, int), _exact(str, str)
+_list, _dict = _exact(list, list), _exact(dict, dict)
+# declared field type -> reader of its YAML value
+_READERS = {"float": _float, "int": _int, "str": _str,
+            "bool": _exact(bool, bool), "tuple": _exact(list, tuple)}
+
+
+def _build(cls, cfg, where: str, fixed=None, keys=None, readers=None):
+    """``cls`` built from a config section.  The section's keys are the
+    dataclass's init fields less those ``fixed`` sets (``keys`` renames a
+    field's key), and the required keys are the fields without a default.  A
+    value is read by ``readers[field]`` if given, else by the field's declared
+    type; ``None`` stays ``None`` for an optional field.  The class's own
+    checks run, and any failure is a ``ConfigError``."""
+    fixed, keys, readers = fixed or {}, keys or {}, readers or {}
+    fields = {keys.get(f.name, f.name): f for f in dataclasses.fields(cls)
+              if f.init and f.name not in fixed}
+    required = {k for k, f in fields.items()
+                if f.default is f.default_factory is dataclasses.MISSING}
+    _require_keys(cfg, set(fields), required, where)
+    kwargs = dict(fixed)
+    for key, value in cfg.items():
+        f = fields[key]
+        # the package's annotations are postponed, so f.type is their text
+        types = [t.strip() for t in f.type.split("|")]
+        if value is None and "None" in types:
+            kwargs[f.name] = None
+        else:
+            read = readers.get(f.name) or _READERS[types[0]]
+            kwargs[f.name] = read(value, f"{where}.{key}")
+    try:
+        return cls(**kwargs)
+    except Exception as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_grid(cfg) -> RegisterLayout:
     _require_keys(cfg, {"axes"}, {"axes"}, "grid")
     axes = []
-    for i, ax in enumerate(cfg["axes"]):
+    for i, ax in enumerate(_list(cfg["axes"], "grid.axes")):
+        where = f"grid.axes[{i}]"
         _require_keys(ax, {"label", "qubits", "delta"}, {"label", "qubits"},
-                      f"grid.axes[{i}]")
-        axes.append((ax["label"], int(ax["qubits"]), float(ax.get("delta", 1.0))))
+                      where)
+        axes.append((_str(ax["label"], f"{where}.label"),
+                     _int(ax["qubits"], f"{where}.qubits"),
+                     _float(ax.get("delta", 1.0), f"{where}.delta")))
     try:
         return RegisterLayout(tuple(axes))
-    except Exception as exc:
+    except SimulationError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-_TENSORS = {
-    "point-particle": (PointParticle, {"m", "v_mu", "v_nu", "position", "c"}),
-    "fluid": (EquilibriumFluid, {"rho_e", "p", "u_mu", "u_nu", "eta", "c"}),
+def _parse_tensor(cfg, where: str):
+    cls, rest = _select(cfg, "model", {"point-particle": PointParticle,
+                                       "fluid": EquilibriumFluid},
+                        where, default="fluid")
+    return _build(cls, rest, where)
+
+
+def _parse_pressure(cfg, where: str) -> tuple:
+    (key, read), rest = _select(cfg, "model", {"uniform": ("value", _float),
+                                               "field": ("samples", _floats)},
+                                where)
+    _require_keys(rest, {key}, {key}, where)
+    return cfg["model"], read(rest[key], f"{where}.{key}")
+
+
+def _parse_ext_fields(cfg, where: str) -> dict:
+    return {k: _floats(v, f"{where}.{k}") for k, v in _dict(cfg, where).items()}
+
+
+# kind -> (dataclass, the fields the kind fixes)
+_KINDS = {
+    "couette": (NavierStokes, {"pressure": None}),
+    "navier-stokes": (NavierStokes, {}),
+    "einstein": (Einstein, {}),
+    "maxwell": (Maxwell, {}),
+    "boussinesq": (Boussinesq, {}),
+    "lin-tsien": (LinTsien, {}),
+    "camassa-holm": (CamassaHolm, {}),
+    "dsw": (DSW, {}),
+    "hunter-saxton": (HunterSaxton, {}),
 }
 
 
 def _parse_problem(cfg):
-    _require_keys(cfg, {"kind", "nu", "rho", "pressure", "component", "which",
-                        "mu0", "eps0", "ext_fields", "alpha", "beta", "kappa",
-                        "tensor", "G", "c", "indices", "axes"},
-                  {"kind"}, "problem")
-    kind = cfg.get("kind")
-    try:
-        if kind == "couette":
-            return NavierStokes(nu=float(cfg.get("nu", 1.0)),
-                                rho=float(cfg.get("rho", 1.0)),
-                                pressure=None,
-                                component=cfg.get("component", "x"))
-        if kind == "navier-stokes":
-            pressure = cfg.get("pressure")
-            if pressure is not None:
-                pressure = (pressure["model"],
-                            pressure.get("value", pressure.get("samples")))
-            return NavierStokes(nu=float(cfg.get("nu", 1.0)),
-                                rho=float(cfg.get("rho", 1.0)),
-                                pressure=pressure,
-                                component=cfg.get("component", "x"))
-        if kind == "einstein":
-            tcfg = dict(cfg.get("tensor") or {"model": "fluid", "rho_e": 1.0,
-                                              "p": 0.1, "u_mu": 1.0, "u_nu": 1.0})
-            model = tcfg.pop("model", "fluid")
-            if model not in _TENSORS:
-                raise ConfigError(f"problem.tensor: unknown model {model!r}")
-            cls, allowed = _TENSORS[model]
-            unknown = set(tcfg) - allowed
-            if unknown:
-                raise ConfigError(f"problem.tensor: unknown keys {sorted(unknown)}")
-            return Einstein(tensor=cls(**tcfg),
-                            G=float(cfg.get("G", 1.0)),
-                            c=float(cfg.get("c", 1.0)),
-                            indices=tuple(cfg.get("indices", (0, 0))),
-                            axes=tuple(cfg.get("axes", ("x", "x"))))
-        if kind == "maxwell":
-            ext = {k: np.asarray(v, dtype=float)
-                   for k, v in (cfg.get("ext_fields") or {}).items()}
-            return Maxwell(component=cfg.get("component", "z"),
-                           which=cfg.get("which", "B"),
-                           mu0=float(cfg.get("mu0", 1.0)),
-                           eps0=float(cfg.get("eps0", 1.0)),
-                           ext_fields=ext)
-        if kind == "boussinesq":
-            return Boussinesq(alpha=float(cfg.get("alpha", 1.0)),
-                              beta=float(cfg.get("beta", 1.0)))
-        if kind == "lin-tsien":
-            return LinTsien()
-        if kind == "camassa-holm":
-            return CamassaHolm(kappa=float(cfg.get("kappa", 1.0)))
-        if kind == "dsw":
-            return DSW()
-        if kind == "hunter-saxton":
-            return HunterSaxton()
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"problem: {exc}") from exc
-    raise ConfigError(f"problem.kind: unknown kind {kind!r}")
+    (cls, fixed), rest = _select(cfg, "kind", _KINDS, "problem")
+    return _build(cls, rest, "problem", fixed, readers={
+        "tensor": _parse_tensor, "pressure": _parse_pressure,
+        "ext_fields": _parse_ext_fields})
 
 
 _EXACT_REFS = {
@@ -174,37 +226,36 @@ _EXACT_REFS = {
     "sinusoid": Sinusoid,
     "negative-slope": LinearNegativeSlope,
 }
+# profile -> the exact solution it samples (none for a constant)
+_PROFILES = {"constant": None, "sinusoid": Sinusoid, "sech-tanh": SechTanh,
+             "negative-slope": LinearNegativeSlope}
 
 
 def _profile_samples(cfg, layout: RegisterLayout) -> np.ndarray:
-    allowed = {"profile", "samples", "amplitude", "wavenumber", "mode",
-               "phase", "value", "width", "center", "slope", "intercept"}
-    _require_keys(cfg, allowed, set(), "initial")
-    if "samples" in cfg:
-        samples = np.asarray(cfg["samples"], dtype=float)
-        if samples.size != layout.dim:
+    """One field's grid samples: given as ``samples``, or a profile on the
+    first axis.  A sinusoid's ``mode`` (periods over the axis) stands for its
+    wavenumber."""
+    if isinstance(cfg, dict) and "samples" in cfg:
+        _require_keys(cfg, {"samples"}, set(), "initial")
+        samples = _floats(cfg["samples"], "initial.samples")
+        if samples.shape != (layout.dim,):
             raise ConfigError("initial.samples: wrong length for the grid")
         return samples
-    profile = cfg.get("profile")
-    xs = grid_coordinates(layout)[layout.axes[0][0]]
-    if profile == "constant":
-        return float(cfg.get("value", 1.0)) * np.ones(layout.dim)
-    if profile == "sinusoid":
-        n = layout.axis_points(layout.axes[0][0])
-        span = n * layout.spacing(layout.axes[0][0])
-        k = 2.0 * np.pi * float(cfg.get("mode", 1)) / span
-        if "wavenumber" in cfg:
-            k = float(cfg["wavenumber"])
-        return float(cfg.get("amplitude", 1.0)) * np.sin(k * xs
-                                                         + float(cfg.get("phase", 0.0)))
-    if profile == "sech-tanh":
-        ref = SechTanh(amplitude=float(cfg.get("amplitude", 1.0)),
-                       width=float(cfg.get("width", 1.0)),
-                       center=float(cfg.get("center", 0.0)))
-        return np.array([exact_eval(ref, x) for x in xs])
-    if profile == "negative-slope":
-        return float(cfg.get("slope", -1.0)) * xs + float(cfg.get("intercept", 0.0))
-    raise ConfigError(f"initial.profile: unknown profile {profile!r}")
+    cls, rest = _select(cfg, "profile", _PROFILES, "initial")
+    if cls is None:
+        _require_keys(rest, {"value"}, set(), "initial")
+        return _float(rest.get("value", 1.0), "initial.value") * np.ones(layout.dim)
+    axis = layout.axes[0][0]
+    if cls is Sinusoid and "wavenumber" not in rest:
+        span = layout.axis_points(axis) * layout.spacing(axis)
+        rest["wavenumber"] = 2.0 * np.pi * _float(
+            rest.pop("mode", 1), "initial.mode") / span
+    ref = _build(cls, rest, "initial")
+    samples = np.array([exact_eval(ref, x)
+                        for x in grid_coordinates(layout)[axis]])
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError("initial: the profile is not finite on the grid")
+    return samples
 
 
 def _parse_initial(cfg, layout, problem) -> list:
@@ -215,21 +266,6 @@ def _parse_initial(cfg, layout, problem) -> list:
         return [_profile_samples(cfg, layout)]
     _require_keys(cfg, set(names), set(names), "initial")
     return [_profile_samples(cfg[c], layout) for c in names]
-
-
-def _parse_ansatz(cfg, layout) -> AnsatzSpec:
-    _require_keys(cfg, {"layers", "rotations", "entangler", "qft_block"},
-                  set(), "ansatz")
-    try:
-        return AnsatzSpec(
-            n_qubits=layout.total_qubits,
-            layers=int(cfg.get("layers", 1)),
-            entangler=cfg.get("entangler", "chain"),
-            qft_block=bool(cfg.get("qft_block", False)),
-            rotation_axes=tuple(cfg.get("rotations", ("Y",))),
-        )
-    except Exception as exc:
-        raise ConfigError(f"ansatz: {exc}") from exc
 
 
 _OPTIMIZERS = {
@@ -247,38 +283,15 @@ _OPTIMIZERS = {
 
 
 def _parse_optimizer(cfg):
-    if not isinstance(cfg, dict) or "method" not in cfg:
-        raise ConfigError("optimizer: needs a 'method' key")
-    method = cfg["method"]
-    if method not in _OPTIMIZERS:
-        raise ConfigError(f"optimizer.method: unknown method {method!r}")
-    cls = _OPTIMIZERS[method]
-    cls_fields = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {k: v for k, v in cfg.items() if k != "method"}
-    unknown = set(kwargs) - cls_fields
-    if unknown:
-        raise ConfigError(f"optimizer: unknown keys {sorted(unknown)}")
-    try:
-        return cls(**kwargs)
-    except Exception as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
+    cls, rest = _select(cfg, "method", _OPTIMIZERS, "optimizer")
+    return _build(cls, rest, "optimizer")
 
 
-def _parse_evolution(cfg, optimizer, seed) -> EvolutionConfig:
-    _require_keys(cfg, {"tau", "n_steps", "restarts", "mode", "shots"},
-                  {"tau", "n_steps"}, "evolution")
-    try:
-        return EvolutionConfig(
-            tau=float(cfg["tau"]),
-            n_steps=int(cfg["n_steps"]),
-            optimizer=optimizer,
-            restarts=int(cfg.get("restarts", 1)),
-            mode=cfg.get("mode", "exact"),
-            shots=cfg.get("shots"),
-            seed=seed,
-        )
-    except Exception as exc:
-        raise ConfigError(f"evolution: {exc}") from exc
+def _sweep(cfg, where: str) -> list:
+    """The sections of a swept key: a list of them, or one."""
+    if cfg == []:
+        raise ConfigError(f"{where}: empty list")
+    return cfg if isinstance(cfg, list) else [cfg]
 
 
 TOP_KEYS = {"problem", "grid", "initial", "ansatz", "evolution", "optimizer",
@@ -299,18 +312,14 @@ def load_config(path) -> dict:
     layout = _parse_grid(raw["grid"])
     problem = _parse_problem(raw["problem"])
     initial = _parse_initial(raw["initial"], layout, problem)
-    seed = int(raw.get("seed", 0))
+    seed = _int(raw.get("seed", EvolutionConfig.seed), "seed")
 
-    ansatz_cfgs = raw.get("ansatz", {})
-    ansatz_list = ansatz_cfgs if isinstance(ansatz_cfgs, list) else [ansatz_cfgs]
-    specs = [_parse_ansatz(a, layout) for a in ansatz_list]
-
-    opt_cfgs = raw["optimizer"]
-    opt_list = opt_cfgs if isinstance(opt_cfgs, list) else [opt_cfgs]
-    optimizers = [_parse_optimizer(o) for o in opt_list]
-
-    evolutions = [_parse_evolution(raw["evolution"], opt, seed)
-                  for opt in optimizers]
+    specs = [_build(AnsatzSpec, a, "ansatz", {"n_qubits": layout.total_qubits},
+                    keys={"rotation_axes": "rotations"})
+             for a in _sweep(raw.get("ansatz", {}), "ansatz")]
+    evolutions = [_build(EvolutionConfig, raw["evolution"], "evolution",
+                         {"optimizer": _parse_optimizer(o), "seed": seed})
+                  for o in _sweep(raw["optimizer"], "optimizer")]
     return {
         "raw": raw,
         "layout": layout,
@@ -319,7 +328,7 @@ def load_config(path) -> dict:
         "specs": specs,
         "evolutions": evolutions,
         "seed": seed,
-        "output_dir": raw.get("output_dir", "vqpde-out"),
+        "output_dir": _str(raw.get("output_dir", "vqpde-out"), "output_dir"),
     }
 
 
@@ -485,14 +494,13 @@ def _demo_cost(pde: str):
     v = np.cos(2 * np.pi * xs / 8)
     tau = 0.05
     problems = {
-        "couette": (NavierStokes(nu=1.0), [u]),
-        "navier-stokes": (NavierStokes(nu=1.0, pressure=("uniform", 0.1)), [u]),
-        "einstein": (Einstein(tensor=EquilibriumFluid(1.0, 0.1, 1.0, 1.0)), [u + 2]),
-        "maxwell": (Maxwell(component="z", which="B",
-                            ext_fields={"E_y": v}), [u]),
+        "couette": (NavierStokes(), [u]),
+        "navier-stokes": (NavierStokes(pressure=("uniform", 0.1)), [u]),
+        "einstein": (Einstein(), [u + 2]),
+        "maxwell": (Maxwell(ext_fields={"E_y": v}), [u]),
         "boussinesq": (Boussinesq(alpha=0.5, beta=0.5), [u, u]),
         "lin-tsien": (LinTsien(), None),
-        "camassa-holm": (CamassaHolm(kappa=1.0), [u, u]),
+        "camassa-holm": (CamassaHolm(), [u, u]),
         "dsw": (DSW(), [u, v]),
         "hunter-saxton": (HunterSaxton(), [u]),
     }

@@ -57,11 +57,10 @@ class NavierStokes:
     advection-free relaxation), ("uniform", g) for a constant gradient, or
     ("field", samples) for an explicit pressure field."""
 
-    nu: float
+    nu: float = 1.0
     rho: float = 1.0
     pressure: tuple | None = None
     component: str = "x"
-    other_velocities: dict | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.nu) and self.nu > 0):
@@ -118,7 +117,6 @@ class Electromagnetic:
     f_nu: np.ndarray | float
     f_squared: np.ndarray | float = 0.0
     eta: float = 1.0
-    mu0: float = 1.0
 
     def samples(self, layout: RegisterLayout, axis: str) -> np.ndarray:
         t = (np.asarray(self.f_mu, dtype=float) * np.asarray(self.f_nu, dtype=float)
@@ -131,15 +129,10 @@ class Einstein:
     """Single evolved metric component sourced by a classical stress-energy
     field; the candidate is constrained through a shifted copy of itself."""
 
-    tensor: object
+    tensor: object = EquilibriumFluid(rho_e=1.0, p=0.1, u_mu=1.0, u_nu=1.0)
     G: float = 1.0
     c: float = 1.0
-    indices: tuple = (0, 0)
     axes: tuple = ("x", "x")  # derivative axes (i, n)
-
-    def __post_init__(self):
-        if any(i not in range(4) for i in self.indices):
-            raise ProblemError("component indices must lie in 0..3")
 
     name = "einstein"
     history_depth = 1
@@ -162,6 +155,10 @@ class Maxwell:
             raise ProblemError("update selector must be 'B' or 'E'")
         if self.component not in ("x", "y", "z"):
             raise ProblemError("component must be one of x, y, z")
+        other = "E" if self.which == "B" else "B"
+        read = {f"{other}_{a}" for a in "xyz" if a != self.component}
+        if set(self.ext_fields or ()) - read:
+            raise ProblemError(f"external fields must be among {sorted(read)}")
 
     name = "maxwell"
     history_depth = 1
@@ -169,8 +166,8 @@ class Maxwell:
 
 @dataclass(frozen=True)
 class Boussinesq:
-    alpha: float
-    beta: float
+    alpha: float = 1.0
+    beta: float = 1.0
 
     name = "boussinesq"
     history_depth = 2
@@ -488,19 +485,11 @@ def _build_navier_stokes(problem: NavierStokes, fields, layout, tau, spec):
     u = fields[-1]
     bindings = {}
     rhs = _IDENT  # acting on u
-    couette = problem.pressure is None
-    if not couette and layout.has_axis(problem.component):
+    if problem.pressure is not None and layout.has_axis(problem.component):
         bindings["adv_self"] = u
         rhs = rhs - (_diag_expr("adv_self")
                      * grad_op(problem.component,
                                layout.spacing(problem.component))).scale(tau)
-    others = {} if couette else (problem.other_velocities or {})
-    for ax, vel in others.items():
-        if not layout.has_axis(ax):
-            continue
-        key = f"adv_{ax}"
-        bindings[key] = np.asarray(vel, dtype=float)
-        rhs = rhs - (_diag_expr(key) * grad_op(ax, layout.spacing(ax))).scale(tau)
     for ax in layout.axis_labels():
         rhs = rhs + laplacian_op(ax, layout.spacing(ax)).scale(problem.nu * tau)
     sources = [Source(rhs, u, "u")]
@@ -517,8 +506,7 @@ def _build_navier_stokes(problem: NavierStokes, fields, layout, tau, spec):
                 np.asarray(val, dtype=float), "p"))
         else:
             raise ProblemError(f"unknown pressure model {kind!r}")
-    m_op = _IDENT
-    return (CostFunction(problem.name, layout, spec, m_op, tuple(sources),
+    return (CostFunction(problem.name, layout, spec, _IDENT, tuple(sources),
                          bindings),)
 
 

@@ -27,6 +27,7 @@ from .optim import CMAES, GradientDescent, minimize
 from .statevec import RegisterLayout, SimulationError
 
 IMAG_LEAK_TOL = 1e-6
+RESTART_SIGMA = 0.1  # spread of the perturbed restarts around the warm start
 
 
 class EvolutionError(RuntimeError):
@@ -42,13 +43,10 @@ class EvolutionConfig:
     mode: str = "exact"
     shots: int | None = None
     seed: int = 0
-    restart_sigma: float = 0.1
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise EvolutionError("time step must be positive and finite")
-        if not (np.isfinite(self.restart_sigma) and self.restart_sigma >= 0):
-            raise EvolutionError("restart spread must be nonnegative and finite")
         if self.n_steps < 0:
             raise EvolutionError("step count must be nonnegative")
         if self.restarts < 1:
@@ -57,6 +55,8 @@ class EvolutionConfig:
             raise EvolutionError(f"unknown mode {self.mode!r}")
         if self.mode == "shots" and (self.shots is None or self.shots < 1):
             raise EvolutionError("shot mode needs a positive shot count")
+        if self.seed < 0:
+            raise EvolutionError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def step(problem, history, warm, cfg: EvolutionConfig,
 
     starts = [x0]
     for _ in range(cfg.restarts - 1):
-        starts.append(x0 + rng.normal(scale=cfg.restart_sigma, size=x0.size))
+        starts.append(x0 + rng.normal(scale=RESTART_SIGMA, size=x0.size))
 
     best_x, best_f, n_evals = None, np.inf, 0
     for s in starts:

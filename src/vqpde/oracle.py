@@ -23,6 +23,7 @@ from .costlib import (
     Maxwell,
     NavierStokes,
     ProblemError,
+    components,
 )
 from .statevec import RegisterLayout
 
@@ -88,14 +89,9 @@ def _solve(m: np.ndarray, b: np.ndarray, keep_kernel_of: np.ndarray | None = Non
 def _ns_step(problem: NavierStokes, fields, layout, tau):
     u = fields[-1]
     b = u.copy()
-    couette = problem.pressure is None
-    if not couette and layout.has_axis(problem.component):
+    if problem.pressure is not None and layout.has_axis(problem.component):
         g = grad_matrix(layout, problem.component)
         b -= tau * u * (g @ u)
-    if not couette:
-        for ax, vel in (problem.other_velocities or {}).items():
-            if layout.has_axis(ax):
-                b -= tau * np.asarray(vel, dtype=float) * (grad_matrix(layout, ax) @ u)
     b += problem.nu * tau * (_lap_full(layout) @ u)
     if problem.pressure is not None:
         kind, val = problem.pressure
@@ -221,25 +217,22 @@ def classical_step(problem, fields, layout: RegisterLayout, tau: float):
 
 def classical_run(problem, fields, layout: RegisterLayout, tau: float,
                   n_steps: int) -> list:
-    """Repeated classical_step; returns the list of committed fields
-    (n_steps + 1 entries including the initial one).  A second-order kind
-    given one field starts from rest, as in ``evolve.run``."""
+    """Repeated classical_step from the initial levels (one field per name in
+    ``components(problem)`` each, oldest first); returns the last component's
+    fields (n_steps + 1 entries including the initial one).  A second-order
+    kind given one level starts from rest, as in ``evolve.run``."""
+    k = len(components(problem))
     history = [np.asarray(f, dtype=float) for f in fields]
-    if isinstance(problem, DSW):
-        out = [history[-1].copy()]
-        u, v = history[-2], history[-1]
-        for _ in range(n_steps):
-            u, v = classical_step(problem, [u, v], layout, tau)
-            out.append(v.copy())
-        return out
-    if problem.history_depth == 2 and len(history) == 1:
-        history = [history[0].copy(), history[0]]
+    if not history or len(history) % k:
+        raise ProblemError(f"{problem.name} needs whole time levels")
+    while len(history) < problem.history_depth:
+        history = [f.copy() for f in history[:k]] + history
     out = [history[-1].copy()]
     for _ in range(n_steps):
         nxt = classical_step(problem, history[-problem.history_depth:],
                              layout, tau)
-        history.append(nxt)
-        out.append(nxt.copy())
+        history += list(np.reshape(nxt, (k, layout.dim)))
+        out.append(history[-1].copy())
     return out
 
 
@@ -290,6 +283,10 @@ class SechTanh:
     width: float = 1.0
     center: float = 0.0
 
+    def __post_init__(self):
+        if self.width == 0:
+            raise ProblemError("the width must be nonzero")
+
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -313,7 +310,8 @@ def exact_eval(ref, x, t: float = 0.0) -> float:
         return ref.top * float(x) / ref.height
     if isinstance(ref, SechTanh):
         z = (float(x) - ref.center) / ref.width
-        return ref.amplitude * tanh(z) / cosh(z)
+        # beyond |z| = 700, where cosh overflows, sech(z) < 1e-304
+        return ref.amplitude * tanh(z) / cosh(min(abs(z), 700.0))
     if isinstance(ref, Sinusoid):
         return ref.amplitude * sin(ref.wavenumber * float(x) + ref.phase)
     if isinstance(ref, LinearNegativeSlope):

@@ -63,12 +63,15 @@ class RegisterLayout:
 
     def __post_init__(self):
         axes = tuple((str(l), int(n), float(d)) for l, n, d in self.axes)
+        if not axes:
+            raise SimulationError("a layout needs at least one axis")
         seen = set()
         for label, n, d in axes:
             if n <= 0:
                 raise SimulationError(f"axis {label!r} has no qubits")
-            if d <= 0:
-                raise SimulationError(f"axis {label!r} has nonpositive spacing")
+            if not (np.isfinite(d) and d > 0):
+                raise SimulationError(
+                    f"axis {label!r} needs a positive finite spacing")
             if label in seen:
                 raise SimulationError(f"duplicate axis label {label!r}")
             seen.add(label)

@@ -4,9 +4,20 @@ import json
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from vqpde import evolve
-from vqpde.cli import ConfigError, load_config, main
+from vqpde.cli import ConfigError, _parse_problem, load_config, main
+from vqpde.costlib import (
+    DSW,
+    Boussinesq,
+    CamassaHolm,
+    Einstein,
+    HunterSaxton,
+    LinTsien,
+    Maxwell,
+    NavierStokes,
+)
 from vqpde.optim import NelderMead
 
 BASE = {
@@ -73,6 +84,104 @@ def test_validate_wrong_sample_count(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+# the keys each problem kind takes
+KIND_KEYS = {
+    "couette": {"nu", "rho", "component"},
+    "navier-stokes": {"nu", "rho", "component", "pressure"},
+    "einstein": {"tensor", "G", "c", "axes"},
+    "maxwell": {"component", "which", "mu0", "eps0", "ext_fields"},
+    "boussinesq": {"alpha", "beta"},
+    "lin-tsien": set(),
+    "camassa-holm": {"kappa"},
+    "dsw": set(),
+    "hunter-saxton": set(),
+}
+# every key the problem section took, for every kind, before kinds had their
+# own key sets
+ANY_KIND_KEYS = {"nu", "rho", "pressure", "component", "which", "mu0", "eps0",
+                 "ext_fields", "alpha", "beta", "kappa", "tensor", "G", "c",
+                 "indices", "axes"}
+
+
+def test_bare_problem_kind_takes_the_dataclass_defaults():
+    expected = {
+        "couette": NavierStokes(pressure=None),
+        "navier-stokes": NavierStokes(),
+        "einstein": Einstein(),
+        "maxwell": Maxwell(),
+        "boussinesq": Boussinesq(),
+        "lin-tsien": LinTsien(),
+        "camassa-holm": CamassaHolm(),
+        "dsw": DSW(),
+        "hunter-saxton": HunterSaxton(),
+    }
+    assert set(expected) == set(KIND_KEYS)
+    for kind, problem in expected.items():
+        assert _parse_problem({"kind": kind}) == problem
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_KEYS))
+def test_problem_kind_rejects_the_keys_it_does_not_read(kind):
+    for key in sorted(ANY_KIND_KEYS - KIND_KEYS[kind]):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            _parse_problem({"kind": kind, key: 1.0})
+
+
+XS8 = np.arange(8.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    # keys the parent accepted and ignored
+    {"problem": {"kind": "couette", "pressure": {"model": "uniform",
+                                                 "value": 0.1}}},
+    {"problem": {"kind": "hunter-saxton", "nu": 1.0}},
+    {"problem": {"kind": "hunter-saxton", "kappa": 1.0}},
+    {"problem": {"kind": "einstein", "indices": [0, 0]}},
+    {"problem": {"kind": "maxwell", "ext_fields": {"E_z": XS8.tolist()}}},
+    {"initial": {"profile": "constant", "amplitude": 2.0}},
+    {"initial": {"profile": "sinusoid", "samples": XS8.tolist()}},
+    {"initial": {"profile": "sinusoid", "mode": 2, "wavenumber": 1.0}},
+    # keys no section took
+    {"ansatz": {"rotation_axes": ["Y"]}},
+    {"ansatz": {"n_qubits": 3}},
+    {"evolution": {"tau": 0.1, "n_steps": 1, "restart_sigma": 0.1}},
+    {"evolution": {"tau": 0.1, "n_steps": 1, "seed": 1}},
+    # values that pass no conversion or check
+    {"seed": "abc"},
+    {"seed": -1},
+    {"grid": {"axes": [{"label": "x", "qubits": "many"}]}},
+    {"grid": {"axes": [{"label": "x", "qubits": 2.5}]}},
+    {"grid": {"axes": [{"label": "x", "qubits": 3, "delta": float("nan")}]}},
+    {"grid": {"axes": []}},
+    {"initial": {"samples": ["a"] * 8}},
+    {"initial": {"samples": [1.0] * 7 + [float("nan")]}},
+    {"initial": {"profile": "sech-tanh", "width": 0.0}},
+    {"problem": {"kind": "camassa-holm", "kappa": float("inf")}},
+    {"problem": {"kind": "couette", "nu": "1e-3x"}},
+    {"optimizer": []},
+    {"optimizer": {"method": "gd", "max_iters": True}},
+    {"output_dir": 5},
+])
+def test_config_errors_exit_2(tmp_path, overrides):
+    path = write_cfg(tmp_path, overrides=overrides)
+    assert main(["validate", str(path)]) == 2
+
+
+def test_numeric_text_is_read_as_a_number(tmp_path):
+    # YAML 1.1 reads 1e-3 (no decimal point) as text
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(BASE).replace("tau: 0.1", "tau: 1e-3"))
+    assert load_config(path)["evolutions"][0].tau == 1e-3
+
+
+def test_sech_tanh_profile_on_a_wide_grid(tmp_path):
+    # cosh overflows far from the centre; the profile there is zero
+    cfg = load_config(write_cfg(tmp_path, overrides={
+        "grid": {"axes": [{"label": "x", "qubits": 10}]},
+        "initial": {"profile": "sech-tanh"}}))
+    assert np.all(np.abs(cfg["initial"][0][800:]) < 1e-300)
+
+
 def test_optimizer_aliases_resolve():
     from vqpde.cli import _parse_optimizer
     assert isinstance(_parse_optimizer({"method": "imfil"}), NelderMead)
@@ -95,6 +204,77 @@ def test_initial_profile_sinusoid(tmp_path):
     u = cfg["initial"][0]
     assert abs(u[0]) < 1e-12
     assert abs(u[2] - 2.0) < 1e-12
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+FUZZ_BASES = [
+    BASE,
+    {**BASE, "problem": {"kind": "dsw"},
+     "initial": {"u": {"samples": [0.1] * 8},
+                 "v": {"profile": "sinusoid", "mode": 1}}},
+    {**BASE, "problem": {"kind": "navier-stokes", "nu": 0.5,
+                         "pressure": {"model": "uniform", "value": 0.1}},
+     "initial": {"profile": "sech-tanh", "width": 2.0, "center": 3.0}},
+    {**BASE, "problem": {"kind": "einstein", "tensor": {
+        "model": "point-particle", "m": 1.0, "v_mu": 0.3, "v_nu": 0.2}},
+     "initial": {"profile": "negative-slope", "slope": -0.5}},
+    {**BASE, "problem": {"kind": "maxwell", "ext_fields": {"E_y": [1.0] * 8}},
+     "optimizer": [{"method": "cmaes", "popsize": 6, "f_tol": None},
+                   {"method": "spsa"}],
+     "evolution": {"tau": 0.1, "n_steps": 1, "mode": "shots", "shots": 10}},
+    {**BASE, "problem": {"kind": "lin-tsien"},
+     "grid": {"axes": [{"label": "x", "qubits": 2},
+                       {"label": "y", "qubits": 2, "delta": 0.5}]}},
+]
+
+# Integers stay small: validate allocates 2**qubits amplitudes.
+YAML_VALUES = st.recursive(
+    st.one_of(st.text(max_size=6), st.booleans(), st.none(),
+              st.integers(-16, 16), st.floats(-16.0, 16.0),
+              st.sampled_from([float("nan"), float("inf"), float("-inf")])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+def config_paths(node, path=()):
+    """The path of every section and leaf in a config tree."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from config_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("base", range(len(FUZZ_BASES)))
+def test_fuzz_bases_are_valid(tmp_path, base):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(FUZZ_BASES[base]))
+    assert main(["validate", str(path)]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_fuzzed_config_exits_0_or_2(tmp_path_factory, data):
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    path = data.draw(st.sampled_from(list(config_paths(cfg))))
+    value = data.draw(YAML_VALUES)
+    if path:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        cfg = value
+    out = tmp_path_factory.mktemp("fuzz") / "cfg.yaml"
+    out.write_text(yaml.safe_dump(cfg))
+    assert main(["validate", str(out)]) in (0, 2)
 
 
 # -- run / compare ------------------------------------------------------------

@@ -65,8 +65,6 @@ def test_problem_validation():
     with pytest.raises(ProblemError):
         NavierStokes(nu=-1.0)
     with pytest.raises(ProblemError):
-        Einstein(tensor=None, indices=(5, 0))
-    with pytest.raises(ProblemError):
         Maxwell(which="Q")
     with pytest.raises(ProblemError):
         PointParticle(1.0, 2.0, 0.0, c=1.0)

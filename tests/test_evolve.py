@@ -38,8 +38,6 @@ def test_config_validation():
 
 @pytest.mark.parametrize("bad", [
     {"tau": float("nan")}, {"tau": float("inf")},
-    {"restart_sigma": float("nan")}, {"restart_sigma": float("inf")},
-    {"restart_sigma": -0.1},
 ])
 def test_config_rejects_nonfinite_values(bad):
     kwargs = {"tau": 0.1, "n_steps": 1, "optimizer": GD, **bad}

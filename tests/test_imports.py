@@ -1,14 +1,24 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+name the benchmark tracer patches exists and is put back."""
 import ast
+import importlib.util
 from pathlib import Path
+from types import ModuleType
 
 import vqpde
 
 PACKAGE = Path(vqpde.__file__).parent
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing",
+    Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
 
-# Imported but unused on purpose: perfbench/tracing.PATCHES patches
-# ``ansatz.apply_gate`` and ``costlib.apply_term``, so the bindings must exist.
-ALLOWED = {("ansatz", "apply_gate"), ("costlib", "apply_term")}
+# Imported but unused on purpose: the tracer patches these bindings, so they
+# must exist.
+ALLOWED = {(owner.__name__.rsplit(".", 1)[-1], attr)
+           for owner, attr, *_ in tracing.PATCHES
+           if isinstance(owner, ModuleType)}
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +47,12 @@ def test_no_unused_imports_in_package():
             if (path.stem, name) not in ALLOWED:
                 found.append(f"{path.stem}.{name}")
     assert found == []
+
+
+def test_tracer_restores_every_patched_binding():
+    before = tracing.installed_bindings()
+    with tracing.Tracer():
+        during = tracing.installed_bindings()
+    after = tracing.installed_bindings()
+    assert all(during[k] is not before[k] for k in before)
+    assert all(after[k] is before[k] for k in before)

@@ -152,6 +152,24 @@ def test_classical_run_two_level_history_threads():
     assert np.allclose(t1[-1], hist[-1], atol=1e-12)
 
 
+def test_classical_run_coupled_returns_v_of_each_step():
+    u, v = U, V + 1.5
+    ref = [v]
+    for _ in range(3):
+        u, v = orc.classical_step(DSW(), [u, v], LAY, 0.02)
+        ref.append(v)
+    out = orc.classical_run(DSW(), [U, V + 1.5], LAY, 0.02, 3)
+    assert all(np.array_equal(a, b) for a, b in zip(out, ref, strict=True))
+    with pytest.raises(ProblemError):
+        orc.classical_run(DSW(), [U], LAY, 0.02, 1)
+
+
+def test_classical_run_second_order_from_rest_repeats_the_level():
+    a = orc.classical_run(CamassaHolm(), [U], LAY, 0.02, 3)
+    b = orc.classical_run(CamassaHolm(), [U, U], LAY, 0.02, 3)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
 def test_classical_step_rejects_short_history():
     with pytest.raises(ProblemError):
         orc.classical_step(CamassaHolm(), [U], LAY, 0.05)
@@ -196,6 +214,14 @@ def test_reference_point_values():
                - 1.0) < 1e-12
     assert orc.exact_eval(orc.LinearNegativeSlope(slope=-2.0, intercept=1.0),
                           0.5) == 0.0
+
+
+def test_sech_tanh_tail_and_width():
+    # cosh overflows beyond |z| ~ 710; the profile there is zero to 1e-300
+    assert abs(orc.exact_eval(orc.SechTanh(), 1000.0)) < 1e-300
+    assert abs(orc.exact_eval(orc.SechTanh(width=-1.0), -1000.0)) < 1e-300
+    with pytest.raises(ProblemError):
+        orc.SechTanh(width=0.0)
 
 
 def test_sample_reference_on_grid():
