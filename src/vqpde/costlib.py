@@ -301,9 +301,16 @@ class CostFunction:
         q, l = self.shift_split_eval(np.asarray(lam, dtype=float)[None, :])
         return float(q[0]), float(l[0])
 
-    def evaluate(self, lam, lam0: float) -> float:
-        q, l = self._split_one(lam)
+    def evaluate_rows(self, xs) -> np.ndarray:
+        """Cost of every row (lam, lam0) of xs (B, n_params), from one
+        batched ``shift_split_eval``."""
+        xs = np.asarray(xs, dtype=float)
+        q, l = self.shift_split_eval(xs[:, :-1])
+        lam0 = xs[:, -1]
         return lam0 * lam0 * q - 2.0 * lam0 * l + self.offset
+
+    def evaluate(self, lam, lam0: float) -> float:
+        return float(self.evaluate_rows(np.append(lam, lam0)[None, :])[0])
 
     def best_scale(self, lam) -> float:
         """Scale minimizing the quadratic at fixed angles."""
@@ -311,8 +318,7 @@ class CostFunction:
         return l / q if q > 1e-300 else 0.0
 
     def evaluate_vec(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return self.evaluate(x[:-1], x[-1])
+        return float(self.evaluate_rows(np.asarray(x, dtype=float)[None, :])[0])
 
     def grad_vec(self, x) -> np.ndarray:
         from .optim import parameter_shift_grad
@@ -447,9 +453,17 @@ class JointCost:
             k += p.n_params
         return out
 
+    def evaluate_rows(self, xs) -> np.ndarray:
+        """Sum of the parts' ``evaluate_rows`` over their column blocks."""
+        xs = np.asarray(xs, dtype=float)
+        total, k = 0.0, 0
+        for p in self.parts:
+            total = total + p.evaluate_rows(xs[:, k:k + p.n_params])
+            k += p.n_params
+        return total
+
     def evaluate_vec(self, x) -> float:
-        return sum(p.evaluate(lam, lam0)
-                   for p, (lam, lam0) in zip(self.parts, self.split(x)))
+        return float(self.evaluate_rows(np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate_direct_vec(self, x) -> float:
         return sum(p.evaluate_direct(lam, lam0)

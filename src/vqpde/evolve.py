@@ -118,12 +118,14 @@ def step(problem, history, warm, cfg: EvolutionConfig,
     if cfg.mode == "shots":
         eval_rng = np.random.default_rng(rng.integers(2 ** 63))
 
-        def objective(x):
-            return sum(
+        # row by row, in order, so the shot draws follow the rows
+        def objective(xs):
+            return np.array([sum(
                 p.evaluate_terms(lam, lam0, shots=cfg.shots, rng=eval_rng)
                 for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
+                for x in xs])
     else:
-        objective = cost.evaluate_vec
+        objective = cost.evaluate_rows
 
     starts = [x0]
     for _ in range(cfg.restarts - 1):
@@ -157,10 +159,10 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
                         (Source(OpExpr.identity(), field, "f"),), {})
     x0 = rng.normal(scale=0.1, size=spec.parameter_count + 1)
     x0[-1] = float(np.linalg.norm(field))
-    search = minimize(cost.evaluate_vec, x0,
+    search = minimize(cost.evaluate_rows, x0,
                       CMAES(sigma0=0.3, max_iters=400, f_tol=1e-18,
                             seed=int(rng.integers(2 ** 31))))
-    polish = minimize(cost.evaluate_vec, search.x_best,
+    polish = minimize(cost.evaluate_rows, search.x_best,
                       GradientDescent(eta=0.2, max_iters=300,
                                       grad_tol=1e-12, f_tol=1e-22),
                       grad=cost.grad_vec)

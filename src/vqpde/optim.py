@@ -1,5 +1,7 @@
 """Classical optimizers with a uniform minimize() interface.
 
+The objective takes rows: X of shape (B, n) in, B values out.  Population
+methods pass a whole population in one call; single points pass one row.
 All stochastic methods draw from a seeded numpy Generator so runs are
 bit-reproducible.  Traces record the best-so-far value per iteration,
 starting from the initial point, and are therefore non-increasing.
@@ -19,6 +21,29 @@ class OptimizationError(RuntimeError):
     pass
 
 
+def _check(cfg, counts=None, positive=(), nonneg=(), tols=()) -> None:
+    """Reject a config whose named fields are out of range.  ``counts`` maps
+    an integer field to its least value; ``positive`` fields (step sizes and
+    scales) are positive and finite, ``nonneg`` fields finite and >= 0, and
+    ``tols`` None or >= 0."""
+    for name, least in (counts or {}).items():
+        v = getattr(cfg, name)
+        if not (isinstance(v, (int, np.integer)) and v >= least):
+            raise OptimizationError(f"{name} must be an integer >= {least}")
+    for name in positive:
+        v = getattr(cfg, name)
+        if not (np.isfinite(v) and v > 0):
+            raise OptimizationError(f"{name} must be positive and finite")
+    for name in nonneg:
+        v = getattr(cfg, name)
+        if not (np.isfinite(v) and v >= 0):
+            raise OptimizationError(f"{name} must be non-negative and finite")
+    for name in tols:
+        v = getattr(cfg, name)
+        if v is not None and not v >= 0:
+            raise OptimizationError(f"{name} must be None or non-negative")
+
+
 # ---------------------------------------------------------------------------
 # Configurations
 # ---------------------------------------------------------------------------
@@ -31,6 +56,9 @@ class GradientDescent:
     # absolute stop target, meaningful for objectives bounded below by zero
     f_tol: float | None = None
 
+    def __post_init__(self):
+        _check(self, {"max_iters": 0}, ("eta",), tols=("grad_tol", "f_tol"))
+
 
 @dataclass(frozen=True)
 class SPSA:
@@ -42,12 +70,19 @@ class SPSA:
     max_iters: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        _check(self, {"max_iters": 0, "seed": 0}, ("a", "c"),
+               ("alpha", "gamma", "stability"))
+
 
 @dataclass(frozen=True)
 class NelderMead:
     scale: float = 0.5
     max_iters: int = 1000
     f_tol: float = F_TOL_DEFAULT
+
+    def __post_init__(self):
+        _check(self, {"max_iters": 0}, ("scale",), tols=("f_tol",))
 
 
 @dataclass(frozen=True)
@@ -59,6 +94,12 @@ class CMAES:
     f_tol: float | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        _check(self, {"max_iters": 0, "seed": 0}, ("sigma0",),
+               tols=("f_tol",))
+        if self.popsize is not None:
+            _check(self, {"popsize": 2})
+
 
 @dataclass(frozen=True)
 class ParticleSwarm:
@@ -69,6 +110,10 @@ class ParticleSwarm:
     max_iters: int = 300
     seed: int = 0
 
+    def __post_init__(self):
+        _check(self, {"particles": 1, "max_iters": 0, "seed": 0},
+               nonneg=("inertia", "cognitive", "social"))
+
 
 @dataclass(frozen=True)
 class DifferentialEvolution:
@@ -77,6 +122,11 @@ class DifferentialEvolution:
     cr: float = 0.9
     max_iters: int = 300
     seed: int = 0
+
+    def __post_init__(self):
+        _check(self, {"population": 4, "max_iters": 0, "seed": 0}, ("f",))
+        if not 0.0 <= self.cr <= 1.0:
+            raise OptimizationError("cr must lie in [0, 1]")
 
 
 @dataclass
@@ -95,14 +145,20 @@ class OptimizationTrace:
 
 
 def _counted(objective, trace: OptimizationTrace):
-    """Counting wrapper.  Every method's first evaluation is at the start
+    """Counting wrapper: ``f(X)`` passes the rows X (B, n) to the objective
+    and returns its B values; ``f(x)`` on one point returns one float.  Each
+    row adds one to ``n_evals``.  Every method's first row is the start
     point, so that is where a non-finite objective is rejected."""
     def f(x):
-        trace.n_evals += 1
-        val = float(objective(np.asarray(x, dtype=float)))
-        if trace.n_evals == 1 and not np.isfinite(val):
+        x = np.asarray(x, dtype=float)
+        rows = x if x.ndim == 2 else x[None, :]
+        vals = np.asarray(objective(rows), dtype=float)
+        if vals.shape != (len(rows),):
+            raise OptimizationError("objective must return one value per row")
+        if trace.n_evals == 0 and not np.isfinite(vals[0]):
             raise OptimizationError("objective is not finite at the start point")
-        return val
+        trace.n_evals += len(rows)
+        return vals if x.ndim == 2 else float(vals[0])
     return f
 
 
@@ -111,16 +167,14 @@ def _counted(objective, trace: OptimizationTrace):
 # ---------------------------------------------------------------------------
 
 def finite_diff_grad(objective, x, h: float = 1e-5) -> np.ndarray:
-    """Central differences per coordinate (testing oracle)."""
+    """Central differences per coordinate, all 2n points in one call of the
+    rows objective (testing oracle)."""
     if h <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (objective(x + e) - objective(x - e)) / (2 * h)
-    return g
+    steps = np.eye(x.size) * h
+    vals = np.asarray(objective(np.vstack([x + steps, x - steps])), dtype=float)
+    return (vals[:x.size] - vals[x.size:]) / (2 * h)
 
 
 def parameter_shift_grad(cost, lam, lam0: float) -> np.ndarray:
@@ -150,8 +204,7 @@ def parameter_shift_grad(cost, lam, lam0: float) -> np.ndarray:
 # Methods
 # ---------------------------------------------------------------------------
 
-def _gradient_descent(f, x0, cfg: GradientDescent, grad, trace):
-    x = np.array(x0, dtype=float)
+def _gradient_descent(f, x, cfg: GradientDescent, grad, trace):
     fx = f(x)
     trace.record(x, fx)
     eta = cfg.eta
@@ -181,16 +234,16 @@ def _gradient_descent(f, x0, cfg: GradientDescent, grad, trace):
     return trace
 
 
-def _spsa(f, x0, cfg: SPSA, trace):
+def _spsa(f, x, cfg: SPSA, trace):
     rng = np.random.default_rng(cfg.seed)
-    x = np.array(x0, dtype=float)
     fx = f(x)
     trace.record(x, fx)
     for k in range(cfg.max_iters):
         ak = cfg.a / (k + 1 + cfg.stability) ** cfg.alpha
         ck = cfg.c / (k + 1) ** cfg.gamma
         delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
-        gk = (f(x + ck * delta) - f(x - ck * delta)) / (2 * ck) / delta
+        fp, fm = f(np.array([x + ck * delta, x - ck * delta]))
+        gk = (fp - fm) / (2 * ck) / delta
         x = x - ak * gk
         fx = f(x)
         trace.record(x, fx)
@@ -198,19 +251,15 @@ def _spsa(f, x0, cfg: SPSA, trace):
 
 
 def _nelder_mead(f, x0, cfg: NelderMead, trace):
-    x0 = np.array(x0, dtype=float)
-    n = x0.size
-    simplex = [x0]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += cfg.scale if v[i] == 0 else 0.1 * cfg.scale * (1 + abs(v[i]))
-        simplex.append(v)
-    values = [f(v) for v in simplex]
-    trace.record(simplex[int(np.argmin(values))], min(values))
+    simplex = np.tile(x0, (x0.size + 1, 1))
+    i = np.arange(x0.size)
+    simplex[i + 1, i] += np.where(x0 == 0, cfg.scale,
+                                  0.1 * cfg.scale * (1 + np.abs(x0)))
+    values = f(simplex)
+    trace.record(simplex[np.argmin(values)], values.min())
     for _ in range(cfg.max_iters):
         order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
+        simplex, values = simplex[order], values[order]
         if values[-1] - values[0] < cfg.f_tol:
             trace.converged = True
             break
@@ -232,19 +281,17 @@ def _nelder_mead(f, x0, cfg: NelderMead, trace):
             if fc < values[-1]:
                 simplex[-1], values[-1] = xc, fc
             else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-        trace.record(simplex[int(np.argmin(values))], min(values))
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = f(simplex[1:])
+        trace.record(simplex[np.argmin(values)], values.min())
     return trace
 
 
 def _cmaes(f, x0, cfg: CMAES, trace):
     """Covariance matrix adaptation with cumulative step-size control."""
     rng = np.random.default_rng(cfg.seed)
-    x0 = np.array(x0, dtype=float)
     n = x0.size
-    lam = cfg.popsize or 4 + int(3 * np.log(n))
+    lam = cfg.popsize if cfg.popsize is not None else 4 + int(3 * np.log(n))
     mu = lam // 2
     w = np.log(lam / 2 + 0.5) - np.log(np.arange(1, mu + 1))
     w /= w.sum()
@@ -256,7 +303,7 @@ def _cmaes(f, x0, cfg: CMAES, trace):
     damps = 1 + 2 * max(0.0, sqrt((mueff - 1) / (n + 1)) - 1) + cs
     chi_n = sqrt(n) * (1 - 1.0 / (4 * n) + 1.0 / (21 * n * n))
 
-    mean = x0.copy()
+    mean = x0
     sigma = cfg.sigma0
     pc = np.zeros(n)
     ps = np.zeros(n)
@@ -269,7 +316,7 @@ def _cmaes(f, x0, cfg: CMAES, trace):
         inv_sqrt_c = diag @ np.diag(1.0 / np.sqrt(vals)) @ diag.T
         z = rng.standard_normal((lam, n))
         xs = mean + sigma * z @ sqrt_c.T
-        fs = np.array([f(xi) for xi in xs])
+        fs = f(xs)
         order = np.argsort(fs)
         trace.record(xs[order[0]], fs[order[0]])
         if cfg.f_tol is not None and fs[order[0]] <= cfg.f_tol:
@@ -297,12 +344,11 @@ def _cmaes(f, x0, cfg: CMAES, trace):
 
 def _particle_swarm(f, x0, cfg: ParticleSwarm, trace):
     rng = np.random.default_rng(cfg.seed)
-    x0 = np.array(x0, dtype=float)
     n = x0.size
     pos = x0 + rng.normal(scale=1.0, size=(cfg.particles, n))
     pos[0] = x0
     vel = np.zeros_like(pos)
-    pvals = np.array([f(p) for p in pos])
+    pvals = f(pos)
     pbest = pos.copy()
     gi = int(np.argmin(pvals))
     trace.record(pbest[gi], pvals[gi])
@@ -314,7 +360,7 @@ def _particle_swarm(f, x0, cfg: ParticleSwarm, trace):
                + cfg.cognitive * r1 * (pbest - pos)
                + cfg.social * r2 * (gbest - pos))
         pos = pos + vel
-        vals = np.array([f(p) for p in pos])
+        vals = f(pos)
         better = vals < pvals
         pbest[better] = pos[better]
         pvals[better] = vals[better]
@@ -327,15 +373,15 @@ def _particle_swarm(f, x0, cfg: ParticleSwarm, trace):
 
 def _differential_evolution(f, x0, cfg: DifferentialEvolution, trace):
     rng = np.random.default_rng(cfg.seed)
-    x0 = np.array(x0, dtype=float)
     n = x0.size
-    np_ = max(cfg.population, 4)
+    np_ = cfg.population
     pop = x0 + rng.normal(scale=1.0, size=(np_, n))
     pop[0] = x0
-    vals = np.array([f(p) for p in pop])
+    vals = f(pop)
     bi = int(np.argmin(vals))
     trace.record(pop[bi], vals[bi])
     for _ in range(cfg.max_iters):
+        # one trial at a time: an accepted trial changes pop for the next
         for i in range(np_):
             idx = [j for j in range(np_) if j != i]
             a, b, c = rng.choice(idx, size=3, replace=False)
@@ -362,12 +408,13 @@ _DISPATCH = {
 
 
 def minimize(objective, x0, config, grad=None) -> OptimizationTrace:
-    """Run the configured method; stochastic methods are seeded and
-    reproducible.  ``grad`` is used by gradient descent only (finite
-    differences are substituted when absent)."""
+    """Run the configured method on the rows objective (X of shape (B, n)
+    to B values); stochastic methods are seeded and reproducible.  ``grad``
+    is used by gradient descent only (finite differences are substituted
+    when absent).  The method owns its copy of ``x0``."""
     trace = OptimizationTrace()
     f = _counted(objective, trace)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)
     kind = type(config)
     if kind is GradientDescent:
         g = grad if grad is not None else (lambda x: finite_diff_grad(objective, x))

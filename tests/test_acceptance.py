@@ -152,7 +152,7 @@ def test_shift_rule_gradients_match_finite_differences(capsys):
         for _ in range(20):
             x = rng.normal(scale=0.7, size=cost.n_params)
             ps = cost.grad_vec(x)
-            fd = finite_diff_grad(cost.evaluate_vec, x)
+            fd = finite_diff_grad(cost.evaluate_rows, x)
             worst = max(worst, float(np.max(np.abs(ps - fd))))
     elapsed = time.time() - t0
     report(capsys, worst <= 1e-6 and elapsed < 300.0,
@@ -282,7 +282,7 @@ def test_coupled_system_joint_minimization(capsys):
                            np.append(vs_v.lam, vs_v.lam0)])
     start = warm + rng.normal(scale=0.3, size=warm.size)
     f_start = cost.evaluate_vec(start)
-    trace = minimize(cost.evaluate_vec, start,
+    trace = minimize(cost.evaluate_rows, start,
                      GradientDescent(eta=0.15, max_iters=400, grad_tol=1e-12),
                      grad=cost.grad_vec)
     f_end = cost.evaluate_vec(_apply_best_scale(cost, trace.x_best))
@@ -347,12 +347,12 @@ def test_optimizer_suite_sanity(capsys):
         DifferentialEvolution(max_iters=150, seed=4),
     ]
     parabola_ok = all(
-        abs(minimize(lambda x: float((x[0] - 2.0) ** 2), np.array([0.0]),
+        abs(minimize(lambda xs: (xs[:, 0] - 2.0) ** 2, np.array([0.0]),
                      cfg).x_best[0] - 2.0) <= 1e-4
         for cfg in configs)
 
-    def rosen(x):
-        return float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
+    def rosen(xs):
+        return 100 * (xs[:, 1] - xs[:, 0] ** 2) ** 2 + (1 - xs[:, 0]) ** 2
 
     trace = minimize(rosen, np.array([-1.0, 1.0]),
                      CMAES(sigma0=0.5, max_iters=800, f_tol=1e-8, seed=7))

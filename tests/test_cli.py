@@ -161,6 +161,18 @@ XS8 = np.arange(8.0)
     {"optimizer": []},
     {"optimizer": {"method": "gd", "max_iters": True}},
     {"output_dir": 5},
+    # optimizer fields out of range
+    {"optimizer": {"method": "spsa", "seed": -1}},
+    {"optimizer": {"method": "cmaes", "popsize": 1}},
+    {"optimizer": {"method": "cmaes", "popsize": 0}},
+    {"optimizer": {"method": "cmaes", "sigma0": -1}},
+    {"optimizer": {"method": "particle-swarm", "particles": 0}},
+    {"optimizer": {"method": "gd", "max_iters": -1}},
+    {"optimizer": {"method": "gd", "eta": -0.1}},
+    {"optimizer": {"method": "gd", "grad_tol": -1.0}},
+    {"optimizer": {"method": "differential-evolution", "population": -3}},
+    {"optimizer": {"method": "differential-evolution", "cr": 1.5}},
+    {"optimizer": {"method": "nelder-mead", "scale": 0.0}},
 ])
 def test_config_errors_exit_2(tmp_path, overrides):
     path = write_cfg(tmp_path, overrides=overrides)

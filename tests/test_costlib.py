@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vqpde.ansatz import AnsatzSpec
+from vqpde.cli import _demo_cost
 from vqpde.costlib import (
     Boussinesq,
     CamassaHolm,
@@ -106,6 +107,21 @@ def test_term_sum_equals_direct_residual_norm(name):
                     for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
         assert abs(closed - direct) < 1e-10
         assert abs(terms - direct) < 1e-10
+
+
+@pytest.mark.parametrize("kind", [
+    "couette", "navier-stokes", "einstein", "maxwell", "boussinesq",
+    "lin-tsien", "camassa-holm", "dsw", "hunter-saxton"])
+def test_rows_evaluation_equals_one_row_bitwise(kind):
+    joint = _demo_cost(kind)
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    for cost in (*joint.parts, joint):
+        for b in (1, 2, 11):
+            xs = rng.normal(size=(b, cost.n_params))
+            rows = cost.evaluate_rows(xs)
+            assert rows.shape == (b,)
+            for i in range(b):
+                assert np.array_equal(rows[i], cost.evaluate_vec(xs[i]))
 
 
 @pytest.mark.parametrize("name", sorted(all_costs()))

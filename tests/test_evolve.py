@@ -14,7 +14,7 @@ from vqpde.evolve import (
     trajectory_rows,
     write_trajectory_csv,
 )
-from vqpde.optim import GradientDescent
+from vqpde.optim import GradientDescent, minimize
 from vqpde.statevec import layout_1d
 
 LAY = layout_1d(3, 1.0)
@@ -61,6 +61,25 @@ def test_fit_field_recovers_profile():
     vs = fit_field(SPEC, LAY, target, rng)
     f, _ = readout(vs)
     assert np.linalg.norm(f - target) / np.linalg.norm(target) < 1e-3
+
+
+def test_fit_field_batched_equals_one_row_at_a_time(monkeypatch):
+    from vqpde import evolve
+    target = np.sin(2 * np.pi * XS / 8) + 1.1
+    batched = fit_field(SPEC, LAY, target, np.random.default_rng(5))
+    calls = []
+
+    def one_row_minimize(objective, x0, config, grad=None):
+        def rows_one_by_one(xs):
+            calls.append(len(xs))
+            return np.array([objective(x[None, :])[0] for x in xs])
+        return minimize(rows_one_by_one, x0, config, grad=grad)
+
+    monkeypatch.setattr(evolve, "minimize", one_row_minimize)
+    single = fit_field(SPEC, LAY, target, np.random.default_rng(5))
+    assert max(calls) > 1
+    assert np.array_equal(batched.lam, single.lam)
+    assert batched.lam0 == single.lam0
 
 
 def test_fit_field_zero_field_shortcut():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,8 @@ ALL_CONFIGS = [
 ]
 
 
-def quadratic(x):
-    return float((x[0] - 2.0) ** 2)
+def quadratic(xs):
+    return (xs[:, 0] - 2.0) ** 2
 
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: type(c).__name__)
@@ -53,7 +55,7 @@ def test_traces_are_monotone_and_start_counted(cfg):
     DifferentialEvolution(max_iters=20, seed=7),
 ], ids=lambda c: type(c).__name__)
 def test_stochastic_methods_reproducible_per_seed(cfg):
-    f = lambda x: float(np.sum((x - 1.5) ** 2) + 0.1 * np.sum(x ** 4))
+    f = lambda xs: np.sum((xs - 1.5) ** 2, axis=1) + 0.1 * np.sum(xs ** 4, axis=1)
     t1 = minimize(f, np.array([0.0, 0.5]), cfg)
     t2 = minimize(f, np.array([0.0, 0.5]), cfg)
     assert t1.best_values == t2.best_values
@@ -61,8 +63,8 @@ def test_stochastic_methods_reproducible_per_seed(cfg):
 
 
 def test_cmaes_solves_rosenbrock_within_budget():
-    def rosen(x):
-        return float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
+    def rosen(xs):
+        return 100 * (xs[:, 1] - xs[:, 0] ** 2) ** 2 + (1 - xs[:, 0]) ** 2
     trace = minimize(rosen, np.array([-1.0, 1.0]),
                      CMAES(sigma0=0.5, max_iters=800, f_tol=1e-8, seed=7))
     assert trace.f_best <= 1e-6
@@ -70,8 +72,72 @@ def test_cmaes_solves_rosenbrock_within_budget():
 
 
 def test_nonfinite_start_rejected():
-    with pytest.raises(OptimizationError):
-        minimize(lambda x: float("nan"), np.array([0.0]), NelderMead())
+    for cfg in ALL_CONFIGS:
+        with pytest.raises(OptimizationError, match="start point"):
+            minimize(lambda xs: np.full(len(xs), np.nan), np.array([0.0]),
+                     cfg)
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: type(c).__name__)
+def test_nonfinite_later_row_accepted(cfg):
+    def f(xs):
+        vals = quadratic(xs)
+        vals[1:] = np.nan  # every row after the first of each call
+        return vals
+    cfg = replace(cfg, max_iters=5)
+    trace = minimize(f, np.array([0.0, 0.5]), cfg,
+                     grad=lambda x: 2.0 * (x - 2.0))
+    assert trace.n_evals > 1
+
+
+def test_objective_must_return_one_value_per_row():
+    with pytest.raises(OptimizationError, match="one value per row"):
+        minimize(lambda xs: quadratic(xs)[:1], np.array([0.0]), CMAES(seed=0))
+
+
+class Recorder:
+    """Rows objective that records the shape of every call."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, xs):
+        self.shapes.append(xs.shape)
+        return np.sum((xs - 1.0) ** 2, axis=1)
+
+
+N = 3
+
+
+@pytest.mark.parametrize("cfg, calls", [
+    (CMAES(popsize=6, max_iters=5, seed=1), [(1, N)] + [(6, N)] * 5),
+    (ParticleSwarm(particles=7, max_iters=4, seed=1), [(7, N)] * 5),
+    (SPSA(max_iters=3, seed=1), [(1, N)] + [(2, N), (1, N)] * 3),
+    (NelderMead(max_iters=0), [(N + 1, N)]),
+    (DifferentialEvolution(population=5, max_iters=2, seed=1),
+     [(5, N)] + [(1, N)] * 10),
+], ids=lambda v: type(v).__name__ if not isinstance(v, list) else "calls")
+def test_populations_are_one_call(cfg, calls):
+    rec = Recorder()
+    trace = minimize(rec, np.zeros(N), cfg)
+    assert rec.shapes == calls
+    assert trace.n_evals == sum(rows for rows, _ in rec.shapes)
+
+
+def test_gradient_descent_passes_single_rows():
+    rec = Recorder()
+    trace = minimize(rec, np.zeros(N), GradientDescent(max_iters=5),
+                     grad=lambda x: 2.0 * (x - 1.0))
+    assert len(rec.shapes) > 1
+    assert set(rec.shapes) == {(1, N)}
+    assert trace.n_evals == len(rec.shapes)
+
+
+def test_finite_diff_is_one_call_of_2n_rows():
+    rec = Recorder()
+    g = finite_diff_grad(rec, np.zeros(N))
+    assert rec.shapes == [(2 * N, N)]
+    assert np.allclose(g, -2.0)
 
 
 def test_respects_iteration_budget():
@@ -83,18 +149,18 @@ def test_respects_iteration_budget():
 # -- gradients ----------------------------------------------------------------
 
 def test_finite_diff_on_square():
-    g = finite_diff_grad(lambda x: float(x[0] ** 2), np.array([3.0]))
+    g = finite_diff_grad(lambda xs: xs[:, 0] ** 2, np.array([3.0]))
     assert abs(g[0] - 6.0) < 1e-5
 
 
 def test_finite_diff_constant_function():
-    g = finite_diff_grad(lambda x: 1.0, np.array([1.0, 2.0]))
+    g = finite_diff_grad(lambda xs: np.ones(len(xs)), np.array([1.0, 2.0]))
     assert np.max(np.abs(g)) < 1e-12
 
 
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(ValueError):
-        finite_diff_grad(lambda x: 0.0, np.array([0.0]), h=0.0)
+        finite_diff_grad(lambda xs: np.zeros(len(xs)), np.array([0.0]), h=0.0)
 
 
 class _SingleRotationCost:
@@ -141,5 +207,44 @@ def test_shift_rule_matches_finite_differences_on_pde_cost():
     for _ in range(5):
         x = rng.normal(size=spec.parameter_count + 1)
         ps = parameter_shift_grad(cost, x[:-1], x[-1])
-        fd = finite_diff_grad(cost.evaluate_vec, x)
+        fd = finite_diff_grad(cost.evaluate_rows, x)
         assert np.max(np.abs(ps - fd)) < 1e-6
+
+
+# -- config checks -----------------------------------------------------------
+
+@pytest.mark.parametrize("cls, bad", [
+    (GradientDescent, {"max_iters": -1}),
+    (GradientDescent, {"eta": -0.1}),
+    (GradientDescent, {"eta": float("inf")}),
+    (GradientDescent, {"grad_tol": -1e-8}),
+    (GradientDescent, {"f_tol": float("nan")}),
+    (SPSA, {"seed": -1}),
+    (SPSA, {"c": 0.0}),
+    (SPSA, {"alpha": float("nan")}),
+    (SPSA, {"max_iters": 2.5}),
+    (NelderMead, {"scale": 0.0}),
+    (NelderMead, {"f_tol": -1.0}),
+    (CMAES, {"popsize": 0}),
+    (CMAES, {"popsize": 1}),
+    (CMAES, {"sigma0": -1.0}),
+    (CMAES, {"seed": -2}),
+    (ParticleSwarm, {"particles": 0}),
+    (ParticleSwarm, {"inertia": -0.5}),
+    (DifferentialEvolution, {"population": -3}),
+    (DifferentialEvolution, {"population": 3}),
+    (DifferentialEvolution, {"cr": 1.5}),
+    (DifferentialEvolution, {"f": 0.0}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_configs_reject_bad_fields(cls, bad):
+    with pytest.raises(OptimizationError):
+        cls(**bad)
+
+
+def test_configs_accept_edge_values():
+    CMAES(popsize=2, max_iters=0, f_tol=None)
+    ParticleSwarm(particles=1, inertia=0.0)
+    DifferentialEvolution(population=4, cr=0.0)
+    DifferentialEvolution(cr=1.0)
+    GradientDescent(grad_tol=0.0, f_tol=0.0)
+    SPSA(seed=np.int64(3))
