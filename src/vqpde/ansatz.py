@@ -18,6 +18,7 @@ from .statevec import (
     SimulationError,
     apply_gate,  # noqa: F401  unused here; perfbench/tracing.py patches it
     basis_permutation,
+    kron_rows,
     qft,
     rotate,
     rotation_matrices,
@@ -25,6 +26,7 @@ from .statevec import (
 
 _ENTANGLERS = ("chain", "ring", "none")
 _ROTATIONS = ("Y", "Z")
+BLOCK = 3  # qubits per rotation block: one matmul applies a layer's block
 
 
 @dataclass(frozen=True)
@@ -123,17 +125,23 @@ def prepare_batch(spec: AnsatzSpec, lams) -> np.ndarray:
         )
     plan = spec.plan
     n, rows = spec.n_qubits, lams.shape[0]
-    # angles as [axis][layer, qubit, row]: each 2x2 update takes a contiguous
-    # (B, 2, 2) block of matrices
+    # angles as [axis][layer, row, qubit]
     angles = lams.reshape(rows, spec.layers, len(plan.kinds), n)
-    angles = angles.transpose(2, 1, 3, 0)
+    angles = angles.transpose(2, 1, 0, 3)
     mats = [rotation_matrices(kind, angles[a])
             for a, kind in enumerate(plan.kinds)]
+    # each block's (layer, row) matrices; the axes act in order, and
+    # rotations on different blocks commute
+    blocks = []
+    for q in range(0, n, BLOCK):
+        u = kron_rows(mats[0][..., q:q + BLOCK, :, :])
+        for m in mats[1:]:
+            u = kron_rows(m[..., q:q + BLOCK, :, :]) @ u
+        blocks.append((q, u))
     psi = np.repeat(plan.start[None, :], rows, axis=0)
     for layer in range(spec.layers):
-        for m in mats:
-            for q in range(n):
-                psi = rotate(psi, q, m[layer, q])
+        for q, u in blocks:
+            psi = rotate(psi, q, u[layer])
         if plan.entangler is not None:
             psi = psi[:, plan.entangler]
     return psi

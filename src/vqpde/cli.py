@@ -163,6 +163,10 @@ def _build(cls, cfg, where: str, fixed=None, keys=None, readers=None):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# the dense oracle holds dim**2 floats per matrix: 128 MiB at 12 qubits
+MAX_QUBITS = 12
+
+
 def _parse_grid(cfg) -> RegisterLayout:
     _require_keys(cfg, {"axes"}, {"axes"}, "grid")
     axes = []
@@ -174,9 +178,13 @@ def _parse_grid(cfg) -> RegisterLayout:
                      _int(ax["qubits"], f"{where}.qubits"),
                      _float(ax.get("delta", 1.0), f"{where}.delta")))
     try:
-        return RegisterLayout(tuple(axes))
+        layout = RegisterLayout(tuple(axes))
     except SimulationError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    if layout.total_qubits > MAX_QUBITS:
+        raise ConfigError(f"grid: {layout.total_qubits} qubits exceed the "
+                          f"limit of {MAX_QUBITS}")
+    return layout
 
 
 def _parse_tensor(cfg, where: str):

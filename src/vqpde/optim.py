@@ -148,7 +148,8 @@ def _counted(objective, trace: OptimizationTrace):
     """Counting wrapper: ``f(X)`` passes the rows X (B, n) to the objective
     and returns its B values; ``f(x)`` on one point returns one float.  Each
     row adds one to ``n_evals``.  Every method's first row is the start
-    point, so that is where a non-finite objective is rejected."""
+    point, so that is where a non-finite objective is rejected; a later NaN
+    reads as +inf, so that no pick of the best can land on it."""
     def f(x):
         x = np.asarray(x, dtype=float)
         rows = x if x.ndim == 2 else x[None, :]
@@ -158,6 +159,7 @@ def _counted(objective, trace: OptimizationTrace):
         if trace.n_evals == 0 and not np.isfinite(vals[0]):
             raise OptimizationError("objective is not finite at the start point")
         trace.n_evals += len(rows)
+        vals = np.fmin(vals, np.inf)  # NaN -> +inf; fmin ignores a NaN
         return vals if x.ndim == 2 else float(vals[0])
     return f
 

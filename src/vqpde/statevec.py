@@ -177,14 +177,26 @@ def rotation_matrices(kind: str, theta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rotate(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
-    """2x2 update of one qubit on every row; ``u`` is one (2, 2) matrix or
-    one per row, (B, 2, 2).  Returns a new (B, 2**n) array."""
+    """Apply a 2**k x 2**k matrix to qubits ``qubit .. qubit+k-1`` of every
+    row, in one matmul; ``u`` is one matrix or one per row, (B, 2**k, 2**k).
+    Returns a new (B, 2**n) array."""
     b, dim = psi.shape
-    low = 1 << qubit
-    v = psi.reshape(b, dim // (2 * low), 1, 2, low)
-    u = np.reshape(u, (-1, 1, 2, 2, 1))  # (row, ·, out, in, ·)
-    out = u[..., 0, :] * v[..., 0, :] + u[..., 1, :] * v[..., 1, :]
+    size, low = u.shape[-1], 1 << qubit
+    v = psi.reshape(b, dim // (size * low), size, low)
+    out = np.matmul(np.reshape(u, (-1, 1, size, size)), v)
     return out.reshape(b, dim)
+
+
+def kron_rows(m: np.ndarray) -> np.ndarray:
+    """Kronecker product over the qubit axis of stacked 2x2 matrices,
+    (..., k, 2, 2) -> (..., 2**k, 2**k), qubit 0 the least significant
+    factor."""
+    out = m[..., 0, :, :]
+    for q in range(1, m.shape[-3]):
+        f, d = m[..., q, :, :], out.shape[-1]
+        out = (f[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (2 * d, 2 * d))
+    return out
 
 
 def basis_permutation(kind: str, targets, n_qubits: int) -> np.ndarray:

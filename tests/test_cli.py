@@ -153,6 +153,9 @@ XS8 = np.arange(8.0)
     {"grid": {"axes": [{"label": "x", "qubits": 2.5}]}},
     {"grid": {"axes": [{"label": "x", "qubits": 3, "delta": float("nan")}]}},
     {"grid": {"axes": []}},
+    {"grid": {"axes": [{"label": "x", "qubits": 45}]}},
+    {"grid": {"axes": [{"label": "x", "qubits": 7},
+                       {"label": "y", "qubits": 6}]}},
     {"initial": {"samples": ["a"] * 8}},
     {"initial": {"samples": [1.0] * 7 + [float("nan")]}},
     {"initial": {"profile": "sech-tanh", "width": 0.0}},

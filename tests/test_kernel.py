@@ -18,7 +18,7 @@ from vqpde.opexpr import (
     shiftdag,
 )
 from vqpde.optim import parameter_shift_grad
-from vqpde.statevec import RegisterLayout, layout_1d
+from vqpde.statevec import RegisterLayout, kron_rows, layout_1d
 
 from test_acceptance import pde_instances
 
@@ -74,8 +74,23 @@ def dense_circuit_state(spec: AnsatzSpec, lam) -> np.ndarray:
     return psi
 
 
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(1, 4), rows=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kron_rows_equals_np_kron(k, rows, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, k, 2, 2)) + 1j * rng.normal(size=(rows, k, 2, 2))
+    got = kron_rows(m)
+    assert got.shape == (rows, 2 ** k, 2 ** k)
+    for r in range(rows):
+        want = np.eye(1)
+        for q in reversed(range(k)):
+            want = np.kron(want, m[r, q])
+        assert np.max(np.abs(got[r] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 6), layers=st.integers(1, 3),
+@given(n=st.integers(1, 8), layers=st.integers(1, 3),
        entangler=st.sampled_from(["chain", "ring", "none"]),
        axes=st.sampled_from([("Y",), ("Z",), ("Y", "Z")]),
        qft_block=st.booleans(), rows=st.integers(1, 4),

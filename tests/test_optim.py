@@ -88,6 +88,8 @@ def test_nonfinite_later_row_accepted(cfg):
     trace = minimize(f, np.array([0.0, 0.5]), cfg,
                      grad=lambda x: 2.0 * (x - 2.0))
     assert trace.n_evals > 1
+    assert trace.x_best is not None
+    assert np.isfinite(trace.f_best)
 
 
 def test_objective_must_return_one_value_per_row():
