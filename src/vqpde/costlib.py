@@ -47,6 +47,13 @@ class ProblemError(ValueError):
     pass
 
 
+def _require_positive(problem, *names) -> None:
+    for name in names:
+        v = getattr(problem, name)
+        if not (np.isfinite(v) and v > 0):
+            raise ProblemError(f"{name} must be positive and finite")
+
+
 # ---------------------------------------------------------------------------
 # Problem definitions
 # ---------------------------------------------------------------------------
@@ -63,10 +70,7 @@ class NavierStokes:
     component: str = "x"
 
     def __post_init__(self):
-        if not (np.isfinite(self.nu) and self.nu > 0):
-            raise ProblemError("viscosity must be positive and finite")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ProblemError("density must be positive and finite")
+        _require_positive(self, "nu", "rho")
 
     name = "navier-stokes"
     history_depth = 1
@@ -134,6 +138,9 @@ class Einstein:
     c: float = 1.0
     axes: tuple = ("x", "x")  # derivative axes (i, n)
 
+    def __post_init__(self):
+        _require_positive(self, "c")
+
     name = "einstein"
     history_depth = 1
 
@@ -159,6 +166,7 @@ class Maxwell:
         read = {f"{other}_{a}" for a in "xyz" if a != self.component}
         if set(self.ext_fields or ()) - read:
             raise ProblemError(f"external fields must be among {sorted(read)}")
+        _require_positive(self, "mu0", "eps0")
 
     name = "maxwell"
     history_depth = 1
@@ -286,39 +294,31 @@ class CostFunction:
     def n_params(self) -> int:
         return self.spec.parameter_count + 1
 
-    def _psi(self, lam) -> QuantumState:
-        return prepare(self.spec, lam)
+    def m_rows(self, lams) -> np.ndarray:
+        """The rows M Psi(lam) over angle rows lams (B, P), from one
+        ``prepare_batch`` call; every exact cost value is formed from them."""
+        return self.m_form.apply(prepare_batch(self.spec, lams))
 
     def shift_split_eval(self, lams) -> tuple:
         """Arrays (q, l) over angle rows lams (B, P), with
-        C = lam0^2 q - 2 lam0 l + offset for each row."""
-        mpsi = self.m_form.apply(prepare_batch(self.spec, lams))
+        C = lam0^2 q - 2 lam0 l + offset for each row: what a device
+        measures, read from ``m_rows``."""
+        mpsi = self.m_rows(lams)
         q = np.einsum("bi,bi->b", mpsi.conj(), mpsi).real
         l = np.einsum("bi,i->b", mpsi, np.conj(self.b_vector)).real
         return q, l
 
-    def _split_one(self, lam) -> tuple:
-        q, l = self.shift_split_eval(np.asarray(lam, dtype=float)[None, :])
-        return float(q[0]), float(l[0])
-
     def evaluate_rows(self, xs) -> np.ndarray:
-        """Cost of every row (lam, lam0) of xs (B, n_params), from one
-        batched ``shift_split_eval``."""
+        """Cost of every row (lam, lam0) of xs (B, n_params): the squared
+        norm of the residual row lam0 M Psi(lam) - b, never negative."""
         xs = np.asarray(xs, dtype=float)
-        q, l = self.shift_split_eval(xs[:, :-1])
-        lam0 = xs[:, -1]
-        return lam0 * lam0 * q - 2.0 * lam0 * l + self.offset
-
-    def evaluate(self, lam, lam0: float) -> float:
-        return float(self.evaluate_rows(np.append(lam, lam0)[None, :])[0])
+        r = xs[:, -1:] * self.m_rows(xs[:, :-1]) - self.b_vector
+        return np.einsum("bi,bi->b", r.conj(), r).real
 
     def best_scale(self, lam) -> float:
         """Scale minimizing the quadratic at fixed angles."""
-        q, l = self._split_one(lam)
-        return l / q if q > 1e-300 else 0.0
-
-    def evaluate_vec(self, x) -> float:
-        return float(self.evaluate_rows(np.asarray(x, dtype=float)[None, :])[0])
+        q, l = self.shift_split_eval(np.asarray(lam, dtype=float)[None, :])
+        return float(l[0] / q[0]) if q[0] > 1e-300 else 0.0
 
     def grad_vec(self, x) -> np.ndarray:
         from .optim import parameter_shift_grad
@@ -327,7 +327,7 @@ class CostFunction:
 
     def residual_vector(self, lam, lam0: float) -> np.ndarray:
         """Direct M c - b (the independent evaluation path)."""
-        psi = self._psi(lam)
+        psi = prepare(self.spec, lam)
         c = QuantumState(lam0 * psi.amplitudes, psi.n_qubits)
         mc = apply_expr(self.m_op, c, self.layout, self.bindings)
         return mc.amplitudes - self.b_vector
@@ -342,7 +342,7 @@ class CostFunction:
         """(coeff, bra tag, unit-coefficient OpTerm, ket tag) entries.
 
         offset + sum over entries of lam0^p Re(coeff <bra|T|ket>) with
-        p = number of 'psi' tags reproduces evaluate().  Source states are
+        p = number of 'psi' tags reproduces the cost.  Source states are
         normalized; their norms are folded into the coefficients.
         """
         entries = []

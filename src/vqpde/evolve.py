@@ -23,7 +23,7 @@ from .costlib import (
     grid_coordinates,
 )
 from .opexpr import OpExpr
-from .optim import CMAES, GradientDescent, minimize
+from .optim import CMAES, minimize
 from .statevec import RegisterLayout, SimulationError
 
 IMAG_LEAK_TOL = 1e-6
@@ -148,10 +148,10 @@ def step(problem, history, warm, cfg: EvolutionConfig,
 def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
               rng: np.random.Generator) -> VariationalState:
     """Variational encoding of a classical field: minimize
-    ||lam0 Psi(lam) - field||^2 (a residual cost with identity operator),
-    global search then gradient polish.  Zero angles are a stationary saddle
-    whenever the field has no overlap with the reference state, hence the
-    randomized start."""
+    ||lam0 Psi(lam) - field||^2 (a residual cost with identity operator) by
+    CMA-ES, down to 1e-15 of the field's squared norm.  Zero angles are a
+    stationary saddle whenever the field has no overlap with the reference
+    state, hence the randomized start."""
     field = np.asarray(field, dtype=float)
     if np.linalg.norm(field) == 0.0:
         return VariationalState(spec, np.zeros(spec.parameter_count), 0.0)
@@ -160,13 +160,10 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
     x0 = rng.normal(scale=0.1, size=spec.parameter_count + 1)
     x0[-1] = float(np.linalg.norm(field))
     search = minimize(cost.evaluate_rows, x0,
-                      CMAES(sigma0=0.3, max_iters=400, f_tol=1e-18,
+                      CMAES(sigma0=0.3, max_iters=400,
+                            f_tol=1e-15 * cost.offset,
                             seed=int(rng.integers(2 ** 31))))
-    polish = minimize(cost.evaluate_rows, search.x_best,
-                      GradientDescent(eta=0.2, max_iters=300,
-                                      grad_tol=1e-12, f_tol=1e-22),
-                      grad=cost.grad_vec)
-    lam = polish.x_best[:-1]
+    lam = search.x_best[:-1]
     return VariationalState(spec, lam, cost.best_scale(lam))
 
 

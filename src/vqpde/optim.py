@@ -245,6 +245,8 @@ def _spsa(f, x, cfg: SPSA, trace):
         ck = cfg.c / (k + 1) ** cfg.gamma
         delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
         fp, fm = f(np.array([x + ck * delta, x - ck * delta]))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            break  # no finite gradient estimate to step along
         gk = (fp - fm) / (2 * ck) / delta
         x = x - ak * gk
         fx = f(x)

@@ -176,6 +176,10 @@ XS8 = np.arange(8.0)
     {"optimizer": {"method": "differential-evolution", "population": -3}},
     {"optimizer": {"method": "differential-evolution", "cr": 1.5}},
     {"optimizer": {"method": "nelder-mead", "scale": 0.0}},
+    # coefficients that divide the update
+    {"problem": {"kind": "maxwell", "eps0": 0.0}},
+    {"problem": {"kind": "maxwell", "mu0": -1.0}},
+    {"problem": {"kind": "einstein", "c": 0.0}},
 ])
 def test_config_errors_exit_2(tmp_path, overrides):
     path = write_cfg(tmp_path, overrides=overrides)

@@ -1,13 +1,16 @@
 import zlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vqpde.ansatz import AnsatzSpec
+from vqpde.ansatz import AnsatzSpec, prepare
 from vqpde.cli import _demo_cost
 from vqpde.costlib import (
     Boussinesq,
     CamassaHolm,
+    CostFunction,
     DSW,
     Einstein,
     Electromagnetic,
@@ -24,11 +27,13 @@ from vqpde.costlib import (
     components,
     grid_coordinates,
 )
-from vqpde.opexpr import dense_matrix
+from vqpde.evolve import _apply_best_scale
+from vqpde.opexpr import OpExpr, dense_matrix
 from vqpde.statevec import RegisterLayout, layout_1d
 
 LAY = layout_1d(3, 1.0)
 SPEC = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
+SPEC_Y = AnsatzSpec(n_qubits=3, layers=4, rotation_axes=("Y",))
 LAY2 = RegisterLayout((("x", 2, 1.0), ("y", 1, 1.0)))
 SPEC2 = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
 XS = np.arange(8.0)
@@ -58,6 +63,16 @@ def all_costs():
         "dsw": build_cost(DSW(), [U, V + 1.5], LAY, TAU, SPEC),
         "hunter-saxton": build_cost(HunterSaxton(), [U], LAY, TAU, SPEC),
     }
+
+
+DEMO_KINDS = ("couette", "navier-stokes", "einstein", "maxwell", "boussinesq",
+              "lin-tsien", "camassa-holm", "dsw", "hunter-saxton")
+
+
+@lru_cache(maxsize=None)
+def demo_costs(kind):
+    joint = _demo_cost(kind)
+    return (*joint.parts, joint)
 
 
 # -- problem validation -------------------------------------------------------
@@ -109,28 +124,46 @@ def test_term_sum_equals_direct_residual_norm(name):
         assert abs(terms - direct) < 1e-10
 
 
-@pytest.mark.parametrize("kind", [
-    "couette", "navier-stokes", "einstein", "maxwell", "boussinesq",
-    "lin-tsien", "camassa-holm", "dsw", "hunter-saxton"])
+@pytest.mark.parametrize("kind", DEMO_KINDS)
 def test_rows_evaluation_equals_one_row_bitwise(kind):
-    joint = _demo_cost(kind)
     rng = np.random.default_rng(zlib.crc32(kind.encode()))
-    for cost in (*joint.parts, joint):
+    for cost in demo_costs(kind):
         for b in (1, 2, 11):
             xs = rng.normal(size=(b, cost.n_params))
             rows = cost.evaluate_rows(xs)
             assert rows.shape == (b,)
             for i in range(b):
-                assert np.array_equal(rows[i], cost.evaluate_vec(xs[i]))
+                assert np.array_equal(rows[i],
+                                      cost.evaluate_rows(xs[i:i + 1])[0])
 
 
-@pytest.mark.parametrize("name", sorted(all_costs()))
-def test_cost_is_nonnegative(name):
-    cost = all_costs()[name]
-    rng = np.random.default_rng(1 + zlib.crc32(name.encode()))
-    for _ in range(50):
-        val = cost.evaluate_vec(rng.normal(size=cost.n_params))
-        assert val >= -1e-10
+@pytest.mark.parametrize("name", sorted(DEMO_KINDS))
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_cost_is_nonnegative(name, which, b, seed, best):
+    """Every row of every demo part and of the joint cost, at random angles
+    and scales or at the closed-form best scale."""
+    costs = demo_costs(name)
+    cost = costs[min(which, len(costs) - 1)]
+    xs = np.random.default_rng(seed).normal(scale=2.0, size=(b, cost.n_params))
+    if best:
+        joint = cost if isinstance(cost, JointCost) else JointCost(
+            cost.name, (cost,))
+        xs = np.array([_apply_best_scale(joint, x) for x in xs])
+    assert np.all(cost.evaluate_rows(xs) >= 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.1, 10.0))
+def test_cost_is_nonnegative_at_an_exact_fit(seed, lam0):
+    """Encoding a field that the ansatz reaches exactly: the residual at
+    that row is zero up to rounding and must not read negative."""
+    lam = np.random.default_rng(seed).normal(size=SPEC_Y.parameter_count)
+    field = lam0 * prepare(SPEC_Y, lam).amplitudes.real
+    cost = CostFunction("encode", LAY, SPEC_Y, OpExpr.identity(),
+                        (Source(OpExpr.identity(), field, "f"),), {})
+    assert cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] >= 0.0
 
 
 def test_zero_at_truth_for_invertible_updates():
@@ -158,14 +191,14 @@ def test_couette_constant_field_is_stationary():
     lam = np.zeros(SPEC.parameter_count)
     lam[:3] = np.pi / 2  # uniform product state in the first rotation layer
     lam0 = cost.best_scale(lam)
-    assert cost.evaluate(lam, lam0) <= 1e-10
+    assert cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] <= 1e-10
 
 
 def test_hunter_saxton_zero_field_minimized_at_zero_scale():
     cost = build_cost(HunterSaxton(), [np.zeros(8)], LAY, TAU, SPEC).parts[0]
     assert np.max(np.abs(cost.b_vector)) == 0.0
     lam = np.random.default_rng(0).normal(size=SPEC.parameter_count)
-    assert cost.evaluate(lam, 0.0) <= 1e-12
+    assert cost.evaluate_rows(np.append(lam, 0.0)[None, :])[0] <= 1e-12
 
 
 def test_scale_consistency_for_linear_problem():
@@ -174,7 +207,9 @@ def test_scale_consistency_for_linear_problem():
     lam = np.random.default_rng(2).normal(size=SPEC.parameter_count)
     s1, s3 = cost1.best_scale(lam), cost3.best_scale(lam)
     assert abs(s3 - 3.0 * s1) < 1e-10
-    assert abs(cost3.evaluate(lam, s3) - 9.0 * cost1.evaluate(lam, s1)) < 1e-8
+    c1 = cost1.evaluate_rows(np.append(lam, s1)[None, :])[0]
+    c3 = cost3.evaluate_rows(np.append(lam, s3)[None, :])[0]
+    assert abs(c3 - 9.0 * c1) < 1e-8
 
 
 # -- term lists ---------------------------------------------------------------
@@ -189,8 +224,6 @@ def test_couette_term_list_structure():
 
 
 def test_identity_residual_single_quadratic_term():
-    from vqpde.costlib import CostFunction
-    from vqpde.opexpr import OpExpr
     cost = CostFunction("plain", LAY, SPEC, OpExpr.identity(),
                         (Source(OpExpr.identity(), U, "u"),), {})
     quad = [e for e in cost.term_list() if e[1] == "psi" and e[3] == "psi"]
@@ -210,7 +243,7 @@ def test_shot_mode_unbiased_within_four_sigma():
     rng = np.random.default_rng(77)
     lam = rng.normal(size=SPEC.parameter_count)
     lam0 = 0.8
-    exact = cost.evaluate(lam, lam0)
+    exact = cost.evaluate_rows(np.append(lam, lam0)[None, :])[0]
     vals = [cost.evaluate_terms(lam, lam0, shots=10 ** 5, rng=rng)
             for _ in range(20)]
     spread = np.std(vals)

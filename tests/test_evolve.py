@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from vqpde.ansatz import AnsatzSpec, VariationalState
-from vqpde.costlib import DSW, CamassaHolm, NavierStokes
+from vqpde.costlib import (
+    DSW,
+    CamassaHolm,
+    CostFunction,
+    NavierStokes,
+    Source,
+    build_cost,
+)
 from vqpde.evolve import (
     EvolutionConfig,
     EvolutionError,
@@ -14,6 +21,7 @@ from vqpde.evolve import (
     trajectory_rows,
     write_trajectory_csv,
 )
+from vqpde.opexpr import OpExpr
 from vqpde.optim import GradientDescent, minimize
 from vqpde.statevec import layout_1d
 
@@ -85,6 +93,32 @@ def test_fit_field_batched_equals_one_row_at_a_time(monkeypatch):
 def test_fit_field_zero_field_shortcut():
     vs = fit_field(SPEC, LAY, np.zeros(8), np.random.default_rng(0))
     assert vs.lam0 == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_cost_matches_direct_at_fit_field_optimum(seed):
+    target = np.sin(2 * np.pi * XS / 8) + 1.1
+    vs = fit_field(SPEC, LAY, target, np.random.default_rng(seed))
+    cost = CostFunction("encode", LAY, SPEC, OpExpr.identity(),
+                        (Source(OpExpr.identity(), target, "f"),), {})
+    direct = cost.evaluate_direct(vs.lam, vs.lam0)
+    rows = cost.evaluate_rows(np.append(vs.lam, vs.lam0)[None, :])[0]
+    assert direct <= 1e-12 * cost.offset
+    assert abs(rows - direct) <= 1e-6 * direct
+
+
+def test_reported_cost_matches_direct_at_converged_steps():
+    u0 = np.sin(2 * np.pi * XS / 8) + 1.2
+    cfg = EvolutionConfig(tau=0.05, n_steps=3,
+                          optimizer=GradientDescent(eta=0.2, max_iters=300,
+                                                    grad_tol=1e-10),
+                          seed=11)
+    traj = run(NavierStokes(nu=1.0), [u0], cfg, LAY, SPEC)
+    for prev, rec in zip(traj.records, traj.records[1:]):
+        cost = build_cost(NavierStokes(nu=1.0), [prev.fields["u"]], LAY,
+                          cfg.tau, SPEC)
+        direct = cost.evaluate_direct_vec(np.append(rec.lam, rec.lam0))
+        assert abs(rec.cost - direct) <= 1e-6 * direct
 
 
 def test_zero_steps_returns_initial_only():

@@ -78,18 +78,28 @@ def test_nonfinite_start_rejected():
                      cfg)
 
 
+def later_rows_nan(xs):
+    vals = quadratic(xs)
+    vals[1:] = np.nan  # every row after the first of each call
+    return vals
+
+
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: type(c).__name__)
 def test_nonfinite_later_row_accepted(cfg):
-    def f(xs):
-        vals = quadratic(xs)
-        vals[1:] = np.nan  # every row after the first of each call
-        return vals
     cfg = replace(cfg, max_iters=5)
-    trace = minimize(f, np.array([0.0, 0.5]), cfg,
+    trace = minimize(later_rows_nan, np.array([0.0, 0.5]), cfg,
                      grad=lambda x: 2.0 * (x - 2.0))
     assert trace.n_evals > 1
     assert trace.x_best is not None
     assert np.isfinite(trace.f_best)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spsa_stops_at_a_nonfinite_estimate():
+    x0 = np.array([0.0, 0.5])
+    trace = minimize(later_rows_nan, x0, SPSA(max_iters=5, seed=1))
+    assert trace.n_evals == 3
+    assert np.array_equal(trace.x_best, x0)
 
 
 def test_objective_must_return_one_value_per_row():
@@ -193,7 +203,7 @@ def test_zero_gradient_at_exact_minimum():
     # state = RY(pi/2) on each qubit
     lam = np.full(3, np.pi / 2)
     lam0 = cost.best_scale(lam)
-    assert cost.evaluate(lam, lam0) < 1e-10
+    assert cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] < 1e-10
     g = parameter_shift_grad(cost, lam, lam0)
     assert np.max(np.abs(g)) < 1e-8
 
