@@ -328,6 +328,14 @@ def load_config(path) -> dict:
     evolutions = [_build(EvolutionConfig, raw["evolution"], "evolution",
                          {"optimizer": _parse_optimizer(o), "seed": seed})
                   for o in _sweep(raw["optimizer"], "optimizer")]
+    # the first step's cost, so that a problem that does not fit the grid
+    # fails here, as does a spacing so small that a stencil coefficient
+    # divides by zero or is not finite
+    try:
+        build_cost(problem, initial * problem.history_depth, layout,
+                   evolutions[0].tau, specs[0])
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"problem: {exc}") from exc
     return {
         "raw": raw,
         "layout": layout,

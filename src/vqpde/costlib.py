@@ -23,7 +23,11 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, prepare, prepare_batch
+from .ansatz import (
+    AnsatzSpec,
+    prepare,  # noqa: F401  unused here; perfbench/tracing.py patches it
+    prepare_batch,
+)
 from .opexpr import (
     MonomialForm,
     OpExpr,
@@ -38,7 +42,7 @@ from .opexpr import (
     laplacian_op,
     shift,
 )
-from .statevec import QuantumState, RegisterLayout, hadamard_test
+from .statevec import RegisterLayout, hadamard_test
 
 _IDENT = OpExpr.identity()
 
@@ -140,6 +144,8 @@ class Einstein:
 
     def __post_init__(self):
         _require_positive(self, "c")
+        if len(self.axes) != 2:
+            raise ProblemError("axes must name two derivative axes")
 
     name = "einstein"
     history_depth = 1
@@ -277,9 +283,7 @@ class CostFunction:
     def __post_init__(self):
         b = np.zeros(self.layout.dim, dtype=complex)
         for s in self.sources:
-            st = QuantumState(np.asarray(s.samples, dtype=complex),
-                              self.layout.total_qubits)
-            b += apply_expr(s.expr, st, self.layout, self.bindings).amplitudes
+            b = b + apply_expr(s.expr, s.samples, self.layout, self.bindings)
         b = np.real_if_close(b, tol=1e6)
         b = b.copy()
         b.setflags(write=False)
@@ -324,17 +328,6 @@ class CostFunction:
         from .optim import parameter_shift_grad
         x = np.asarray(x, dtype=float)
         return parameter_shift_grad(self, x[:-1], x[-1])
-
-    def residual_vector(self, lam, lam0: float) -> np.ndarray:
-        """Direct M c - b (the independent evaluation path)."""
-        psi = prepare(self.spec, lam)
-        c = QuantumState(lam0 * psi.amplitudes, psi.n_qubits)
-        mc = apply_expr(self.m_op, c, self.layout, self.bindings)
-        return mc.amplitudes - self.b_vector
-
-    def evaluate_direct(self, lam, lam0: float) -> float:
-        r = self.residual_vector(lam, lam0)
-        return float(np.real(np.vdot(r, r)))
 
     # -- term list ----------------------------------------------------------
 
@@ -410,8 +403,7 @@ class CostFunction:
                             ((c != 0) & sampled, shots)):
                 if rows.any():
                     values[k, rows] = hadamard_test(
-                        bras[rows], kets[rows], None, part, shots=n,
-                        rng=rng).value
+                        bras[rows], kets[rows], part, shots=n, rng=rng).value
         return values
 
     def evaluate_terms(self, lam, lam0: float, shots: int | None = None,
@@ -464,10 +456,6 @@ class JointCost:
 
     def evaluate_vec(self, x) -> float:
         return float(self.evaluate_rows(np.asarray(x, dtype=float)[None, :])[0])
-
-    def evaluate_direct_vec(self, x) -> float:
-        return sum(p.evaluate_direct(lam, lam0)
-                   for p, (lam, lam0) in zip(self.parts, self.split(x)))
 
     def grad_vec(self, x) -> np.ndarray:
         from .optim import parameter_shift_grad
@@ -588,10 +576,7 @@ def _build_lin_tsien(problem: LinTsien, fields, layout, tau, spec):
     gx = grad_op("x", layout.spacing("x"))
     lx = laplacian_op("x", layout.spacing("x"))
     ly = laplacian_op("y", layout.spacing("y"))
-    gradu = np.real(apply_expr(
-        gx, QuantumState.from_amplitudes(u.astype(complex)), layout, {}
-    ).amplitudes)
-    bindings = {"lt_ux": gradu}
+    bindings = {"lt_ux": apply_expr(gx, u, layout).real}
     expr_u = gx + (ly - _diag_expr("lt_ux") * lx).scale(0.5 * tau)
     return (CostFunction(problem.name, layout, spec, gx,
                          (Source(expr_u, u, "u"),), bindings),)
@@ -606,10 +591,8 @@ def _build_camassa_holm(problem: CamassaHolm, fields, layout, tau, spec):
     gr = grad_op(ax, dx)
     lap = laplacian_op(ax, dx)
     m_op = _IDENT - lap.scale(0.5)
-    st = QuantumState.from_amplitudes(u.astype(complex))
-    ux = np.real(apply_expr(gr, st, layout, {}).amplitudes)
     bindings = {
-        "ch_ux": ux,
+        "ch_ux": apply_expr(gr, u, layout).real,
         "ch_u": u,
         "ch_lin": 3.0 * u + 2.0 * problem.kappa,
     }
@@ -653,9 +636,7 @@ def _build_hunter_saxton(problem: HunterSaxton, fields, layout, tau, spec):
     ax = layout.axes[0][0]
     dx = layout.spacing(ax)
     gr = grad_op(ax, dx)
-    st = QuantumState.from_amplitudes(u.astype(complex))
-    ux = np.real(apply_expr(gr, st, layout, {}).amplitudes)
-    bindings = {"hs_ux": ux, "hs_u": u}
+    bindings = {"hs_ux": apply_expr(gr, u, layout).real, "hs_u": u}
     expr_u = gr + (
         _diag_expr("hs_ux").scale(0.5) * gr - gr * _diag_expr("hs_u") * gr
     ).scale(tau)

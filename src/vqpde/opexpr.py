@@ -15,11 +15,9 @@ from itertools import product
 import numpy as np
 
 from .statevec import (
-    QuantumState,
     RegisterLayout,
     SimulationError,
-    apply_diagonal,
-    apply_shift,
+    apply_shift,  # noqa: F401  unused here; perfbench/tracing.py patches it
     shift_permutation,
 )
 
@@ -235,33 +233,6 @@ def adjoint(expr: OpExpr) -> OpExpr:
 # Application
 # ---------------------------------------------------------------------------
 
-def _apply_atom(atom: OpAtom, state: QuantumState, layout: RegisterLayout,
-                bindings) -> QuantumState:
-    if atom.kind == "shift":
-        return apply_shift(state, layout, atom.axis, "forward")
-    if atom.kind == "shiftdag":
-        return apply_shift(state, layout, atom.axis, "backward")
-    if bindings is None or atom.field not in bindings:
-        raise SimulationError(f"unresolved field reference {atom.field!r}")
-    return apply_diagonal(state, np.asarray(bindings[atom.field], dtype=float))
-
-
-def apply_term(term: OpTerm, state: QuantumState, layout: RegisterLayout,
-               bindings=None) -> QuantumState:
-    out = state
-    for atom in reversed(term.atoms):  # rightmost atom acts first
-        out = _apply_atom(atom, out, layout, bindings)
-    return QuantumState(term.coeff * out.amplitudes, out.n_qubits)
-
-
-def apply_expr(expr: OpExpr, state: QuantumState, layout: RegisterLayout,
-               bindings=None) -> QuantumState:
-    acc = np.zeros_like(state.amplitudes)
-    for term in expr.terms:
-        acc = acc + apply_term(term, state, layout, bindings).amplitudes
-    return QuantumState(acc, state.n_qubits)
-
-
 @dataclass(frozen=True)
 class MonomialForm:
     """An expression compiled for batched application: every term is a
@@ -278,9 +249,9 @@ class MonomialForm:
 def compile_monomials(expr, layout: RegisterLayout,
                       bindings=None) -> MonomialForm:
     """Resolve shift atoms against the layout and diagonal atoms against the
-    bindings once; ``apply`` then matches ``apply_expr``.  ``expr`` is an
-    ``OpExpr`` or a sequence of ``OpTerm``s, compiled one row each (a term
-    list repeats operators that an ``OpExpr`` would merge)."""
+    bindings once, for ``apply``.  ``expr`` is an ``OpExpr`` or a sequence
+    of ``OpTerm``s, compiled one row each (a term list repeats operators
+    that an ``OpExpr`` would merge)."""
     terms = expr.terms if isinstance(expr, OpExpr) else tuple(expr)
     dim = layout.dim
     perms, weights = [], []
@@ -311,13 +282,17 @@ def compile_monomials(expr, layout: RegisterLayout,
     return MonomialForm(perm, weight)
 
 
-def dense_matrix(expr: OpExpr, layout: RegisterLayout, bindings=None) -> np.ndarray:
-    """Column-by-column dense construction (testing and small solves)."""
-    dim = layout.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1.0
-        col = apply_expr(expr, QuantumState(e, layout.total_qubits), layout, bindings)
-        mat[:, j] = col.amplitudes
-    return mat
+def apply_expr(expr, amplitudes, layout: RegisterLayout,
+               bindings=None) -> np.ndarray:
+    """``expr`` applied to one vector of grid amplitudes (real or complex)."""
+    amps = np.asarray(amplitudes)
+    if amps.ndim != 1 or amps.size != layout.dim:
+        raise SimulationError(
+            f"amplitude vector of length {amps.size} does not match "
+            f"{layout.total_qubits} qubits")
+    return compile_monomials(expr, layout, bindings).apply(amps[None, :])[0]
+
+
+def apply_term(term: OpTerm, amplitudes, layout: RegisterLayout,
+               bindings=None) -> np.ndarray:
+    return apply_expr((term,), amplitudes, layout, bindings)

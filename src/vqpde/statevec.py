@@ -40,12 +40,6 @@ class QuantumState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def from_amplitudes(cls, amps) -> "QuantumState":
-        amps = np.asarray(amps, dtype=complex)
-        n = int(round(np.log2(amps.size)))
-        return cls(amps, n)
-
-    @classmethod
     def zero(cls, n_qubits: int) -> "QuantumState":
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[0] = 1.0
@@ -67,6 +61,8 @@ class RegisterLayout:
             raise SimulationError("a layout needs at least one axis")
         seen = set()
         for label, n, d in axes:
+            if not label:
+                raise SimulationError("every axis needs a label")
             if n <= 0:
                 raise SimulationError(f"axis {label!r} has no qubits")
             if not (np.isfinite(d) and d > 0):
@@ -241,56 +237,30 @@ def apply_gate(state: QuantumState, gate: Gate, targets) -> QuantumState:
 # Axis-register operations
 # ---------------------------------------------------------------------------
 
-def _axis_view(state: QuantumState, layout: RegisterLayout, axis: str):
-    """Reshape amplitudes to (high, axis_dim, low) around the axis register."""
-    if layout.total_qubits != state.n_qubits:
-        raise SimulationError("layout does not match state size")
-    offset, n_ax, _ = layout.axis_info(axis)
-    low = 2 ** offset
-    dim = 2 ** n_ax
-    high = state.amplitudes.size // (low * dim)
-    return state.amplitudes.reshape(high, dim, low)
-
-
 def apply_shift(state: QuantumState, layout: RegisterLayout, axis: str,
                 direction: str = "forward") -> QuantumState:
     """Cyclic modular increment of an axis register.
 
     ``forward`` maps grid index j to (j+1) mod N; ``backward`` is the inverse.
     """
-    if direction not in ("forward", "backward"):
-        raise SimulationError(f"unknown shift direction {direction!r}")
-    view = _axis_view(state, layout, axis)
-    # A|j> = |j+1 mod N>: the amplitude at output index j+1 comes from index j.
-    k = 1 if direction == "forward" else -1
-    return QuantumState(np.roll(view, k, axis=1).reshape(-1), state.n_qubits)
+    if layout.total_qubits != state.n_qubits:
+        raise SimulationError("layout does not match state size")
+    src = shift_permutation(layout, axis, direction)
+    return QuantumState(state.amplitudes[src], state.n_qubits)
 
 
 def shift_permutation(layout: RegisterLayout, axis: str,
                       direction: str = "forward") -> np.ndarray:
-    """Source index of every output amplitude of ``apply_shift``, found by
-    shifting the basis indices themselves (exact as floats below 2**53)."""
-    index = QuantumState(np.arange(layout.dim), layout.total_qubits)
-    moved = apply_shift(index, layout, axis, direction).amplitudes
-    return moved.real.astype(np.intp)
-
-
-def apply_diagonal(state: QuantumState, values) -> QuantumState:
-    """Amplitude-wise product with a classical field (generally non-unitary)."""
-    values = np.asarray(values)
-    if values.shape != state.amplitudes.shape:
-        raise SimulationError(
-            f"diagonal of length {values.size} does not match state of "
-            f"dimension {state.amplitudes.size}"
-        )
-    return QuantumState(values * state.amplitudes, state.n_qubits)
-
-
-def inner(bra: QuantumState, ket: QuantumState) -> complex:
-    """<bra|ket> = sum_i conj(bra_i) ket_i."""
-    if bra.n_qubits != ket.n_qubits:
-        raise SimulationError("inner product of states with different dimensions")
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
+    """Source index of every output amplitude of ``apply_shift``: output
+    grid index a along the axis reads a - 1 (forward) or a + 1 (backward),
+    mod N, with the other axes' bits unchanged."""
+    if direction not in ("forward", "backward"):
+        raise SimulationError(f"unknown shift direction {direction!r}")
+    offset, n_ax, _ = layout.axis_info(axis)
+    j = np.arange(layout.dim)
+    a = (j >> offset) & ((1 << n_ax) - 1)
+    step = -1 if direction == "forward" else 1
+    return j + ((((a + step) % (1 << n_ax)) - a) << offset)
 
 
 _DFT_CACHE: dict = {}
@@ -306,8 +276,11 @@ def _dft_matrix(dim: int) -> np.ndarray:
 def qft(state: QuantumState, layout: RegisterLayout, axis: str,
         inverse: bool = False) -> QuantumState:
     """Discrete-Fourier unitary on one axis register."""
-    view = _axis_view(state, layout, axis)
-    f = _dft_matrix(view.shape[1])
+    if layout.total_qubits != state.n_qubits:
+        raise SimulationError("layout does not match state size")
+    offset, n_ax, _ = layout.axis_info(axis)
+    view = state.amplitudes.reshape(-1, 2 ** n_ax, 2 ** offset)
+    f = _dft_matrix(2 ** n_ax)
     if inverse:
         f = f.conj().T
     out = np.einsum("jk,hkl->hjl", f, view)
@@ -320,23 +293,19 @@ def qft(state: QuantumState, layout: RegisterLayout, axis: str,
 
 @dataclass(frozen=True)
 class Estimate:
-    """A value and its standard error; arrays of one per row when
-    ``hadamard_test`` is given rows."""
+    """Values and their standard errors, one per row."""
 
-    value: float | np.ndarray
-    stderr: float | np.ndarray
+    value: np.ndarray
+    stderr: np.ndarray
 
 
-def hadamard_test(bra, ket, op_apply=None, part: str = "real",
+def hadamard_test(bras, kets, part: str = "real", *,
                   shots: int | None = None,
                   rng: np.random.Generator | None = None,
                   op_is_unitary=True) -> Estimate:
-    """Estimate Re or Im <bra|op|ket>.
-
-    ``bra`` and ``ket`` are two ``QuantumState``s, or rows of raw amplitudes
-    (T, dim) that are estimated together, row k giving <bra_k|op|ket_k>.
-    ``op_apply`` maps the ket (or the ket rows) to op times it; None is the
-    identity.  ``op_is_unitary`` is one flag or one per row.
+    """Estimate Re or Im <bra_k|ket_k> for rows of raw amplitudes (T, dim);
+    the ket rows already carry the operator, op_k psi.  ``op_is_unitary`` is
+    one flag or one per row.
 
     Exact mode (``shots=None``) contracts the statevector directly.  Shot mode
     simulates the ancilla measurement record of the two-state Hadamard test:
@@ -348,31 +317,20 @@ def hadamard_test(bra, ket, op_apply=None, part: str = "real",
     """
     if part not in ("real", "imag"):
         raise SimulationError(f"unknown part {part!r}")
-    applied = ket if op_apply is None else op_apply(ket)
-    single = isinstance(bra, QuantumState)
-    if single:
-        if bra.n_qubits != applied.n_qubits:
-            raise SimulationError(
-                "inner product of states with different dimensions")
-        bras, kets = bra.amplitudes[None, :], applied.amplitudes[None, :]
-    else:
-        bras, kets = np.asarray(bra), np.asarray(applied)
-        if bras.ndim != 2 or bras.shape != kets.shape:
-            raise SimulationError(
-                f"bra rows {bras.shape} do not match ket rows {kets.shape}")
+    bras, kets = np.asarray(bras), np.asarray(kets)
+    if bras.ndim != 2 or bras.shape != kets.shape:
+        raise SimulationError(
+            f"bra rows {bras.shape} do not match ket rows {kets.shape}")
     # one reduction per row, so a row's value does not depend on its batch
     val = (bras.conj() * kets).sum(axis=1)
     exact = val.real if part == "real" else val.imag
     if shots is None:
-        est, stderr = exact, np.zeros_like(exact)
-    else:
-        if not np.all(op_is_unitary):
-            raise SimulationError("shot-mode estimation requires a unitary op")
-        if rng is None:
-            rng = np.random.default_rng()
-        p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
-        est = 2.0 * rng.binomial(shots, p) / shots - 1.0
-        stderr = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) * 4.0 / shots)
-    if single:
-        return Estimate(float(est[0]), float(stderr[0]))
+        return Estimate(exact, np.zeros_like(exact))
+    if not np.all(op_is_unitary):
+        raise SimulationError("shot-mode estimation requires a unitary op")
+    if rng is None:
+        rng = np.random.default_rng()
+    p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
+    est = 2.0 * rng.binomial(shots, p) / shots - 1.0
+    stderr = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) * 4.0 / shots)
     return Estimate(est, stderr)

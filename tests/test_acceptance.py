@@ -24,7 +24,7 @@ from vqpde.costlib import (
     build_cost,
 )
 from vqpde.evolve import EvolutionConfig, run
-from vqpde.opexpr import apply_term, dense_matrix, grad_op, laplacian_op
+from vqpde.opexpr import compile_monomials, grad_op, laplacian_op
 from vqpde.optim import (
     CMAES,
     DifferentialEvolution,
@@ -35,28 +35,15 @@ from vqpde.optim import (
     finite_diff_grad,
     minimize,
 )
-from vqpde.statevec import (
-    QuantumState,
-    RegisterLayout,
-    hadamard_test,
-    layout_1d,
-)
+from vqpde.statevec import RegisterLayout, hadamard_test, layout_1d
+
+from reference import dense_reference, direct_joint_cost, tagged_state
 
 
 def report(capsys, ok: bool, label: str, detail: str):
     with capsys.disabled():
         print(f"\n[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
     assert ok
-
-
-def tagged_state(cost, tag: str, psi: QuantumState) -> QuantumState:
-    """The state a term-list tag names: psi, or a source's normalized
-    samples ("src<i>:<name>")."""
-    if tag == "psi":
-        return psi
-    samples = np.asarray(cost.sources[int(tag.split(":")[0][3:])].samples,
-                         dtype=float)
-    return QuantumState.from_amplitudes(samples / np.linalg.norm(samples))
 
 
 def pde_instances(n_qubits_1d: int, two_axis: tuple = (2, 1)):
@@ -112,7 +99,7 @@ def test_term_sum_matches_direct_residual_norms(capsys):
             x = rng.normal(size=cost.n_params)
             dev = abs(sum(p.evaluate_terms(lam, lam0) for p, (lam, lam0)
                           in zip(cost.parts, cost.split(x)))
-                      - cost.evaluate_direct_vec(x))
+                      - direct_joint_cost(cost, x))
             worst = max(worst, dev)
     elapsed = time.time() - t0
     report(capsys, worst <= 1e-10 and elapsed < 120.0,
@@ -122,18 +109,25 @@ def test_term_sum_matches_direct_residual_norms(capsys):
 
 
 def test_derivative_operators_match_dense_circulants(capsys):
-    """Symbolic forward difference and three-point stencil vs dense circulant
-    matrices (exact), plus the sine eigenvalue identity to 1e-12."""
+    """Compiled forward difference and three-point stencil, materialized
+    column by column, vs dense circulant matrices (exact), plus the sine
+    eigenvalue identity to 1e-12."""
     n = 32
     lay = layout_1d(5, 0.5)
     delta = 0.5
-    g_dev = np.max(np.abs(dense_matrix(grad_op("x", delta), lay)
+    eye = np.eye(lay.dim)
+
+    def runtime_matrix(expr):
+        # column j is the compiled operator applied to basis vector j
+        return compile_monomials(expr, lay).apply(eye).T
+
+    g_dev = np.max(np.abs(runtime_matrix(grad_op("x", delta))
                           - orc.grad_matrix(lay, "x")))
-    l_dev = np.max(np.abs(dense_matrix(laplacian_op("x", delta), lay)
+    l_dev = np.max(np.abs(runtime_matrix(laplacian_op("x", delta))
                           - orc.laplacian_matrix(lay, "x")))
     k = 2 * np.pi * 3 / n
     f = np.sin(k * np.arange(n))
-    lap = dense_matrix(laplacian_op("x", delta), lay) @ f
+    lap = runtime_matrix(laplacian_op("x", delta)) @ f
     ev = -(2.0 / delta ** 2) * (1.0 - np.cos(k))
     e_dev = np.max(np.abs(lap - ev * f))
     report(capsys, g_dev == 0.0 and l_dev == 0.0 and e_dev <= 1e-12,
@@ -174,18 +168,15 @@ def test_shot_estimates_consistent_with_exact_values(capsys):
     for trial in range(100):
         rng = np.random.default_rng(1000 + trial)
         lam = rng.normal(scale=0.5, size=spec.parameter_count)
-        psi = prepare(spec, lam)
+        psi = prepare(spec, lam).amplitudes
         ok = True
         for _, bra_tag, term, ket_tag in terms:
-            bra = tagged_state(cost, bra_tag, psi)
+            bra = tagged_state(cost, bra_tag, psi)[None, :]
             ket = tagged_state(cost, ket_tag, psi)
-
-            def op(state, _t=term):
-                return apply_term(_t, state, lay, cost.bindings)
-
-            exact = hadamard_test(bra, ket, op, "real").value
-            est = hadamard_test(bra, ket, op, "real", shots=10 ** 5, rng=rng)
-            if abs(est.value - exact) > 4.0 * est.stderr + 1e-12:
+            ket = (dense_reference([term], lay, cost.bindings) @ ket)[None, :]
+            exact = hadamard_test(bra, ket, "real").value[0]
+            est = hadamard_test(bra, ket, "real", shots=10 ** 5, rng=rng)
+            if abs(est.value[0] - exact) > 4.0 * est.stderr[0] + 1e-12:
                 ok = False
         good += ok
     report(capsys, good >= 99,

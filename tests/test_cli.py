@@ -180,6 +180,16 @@ XS8 = np.arange(8.0)
     {"problem": {"kind": "maxwell", "eps0": 0.0}},
     {"problem": {"kind": "maxwell", "mu0": -1.0}},
     {"problem": {"kind": "einstein", "c": 0.0}},
+    # problems that do not fit the grid (3 qubits on axis x)
+    {"problem": {"kind": "einstein", "axes": ["x", "y"]}},
+    {"problem": {"kind": "einstein", "axes": ["x"]}},
+    {"problem": {"kind": "lin-tsien"}},
+    {"problem": {"kind": "navier-stokes",
+                 "pressure": {"model": "field", "samples": [0.1, 0.2]}}},
+    {"problem": {"kind": "maxwell", "ext_fields": {"E_y": [1.0, 2.0]}}},
+    {"problem": {"kind": "maxwell", "ext_fields": {"E_y": [1.0] * 16}}},
+    {"grid": {"axes": [{"label": "", "qubits": 3, "delta": 1.0}]}},
+    {"grid": {"axes": [{"label": "x", "qubits": 3, "delta": 5e-324}]}},
 ])
 def test_config_errors_exit_2(tmp_path, overrides):
     path = write_cfg(tmp_path, overrides=overrides)

@@ -28,8 +28,10 @@ from vqpde.costlib import (
     grid_coordinates,
 )
 from vqpde.evolve import _apply_best_scale
-from vqpde.opexpr import OpExpr, dense_matrix
-from vqpde.statevec import RegisterLayout, layout_1d
+from vqpde.opexpr import OpExpr
+from vqpde.statevec import RegisterLayout, SimulationError, layout_1d
+
+from reference import dense_reference, direct_joint_cost
 
 LAY = layout_1d(3, 1.0)
 SPEC = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
@@ -95,6 +97,16 @@ def test_insufficient_history_rejected():
         build_cost(DSW(), [U], LAY, TAU, SPEC)
 
 
+@pytest.mark.parametrize("n", [2, 16])
+def test_wrong_length_field_rejected(n):
+    samples = np.linspace(0.0, 1.0, n)
+    for problem in (NavierStokes(nu=1.0, pressure=("field", samples)),
+                    Maxwell(component="z", which="B",
+                            ext_fields={"E_y": samples})):
+        with pytest.raises((SimulationError, ProblemError)):
+            build_cost(problem, [U], LAY, TAU, SPEC)
+
+
 def test_build_cost_has_one_part_per_component():
     for name, cost in all_costs().items():
         assert isinstance(cost, JointCost)
@@ -117,7 +129,7 @@ def test_term_sum_equals_direct_residual_norm(name):
     for _ in range(25):
         x = rng.normal(size=cost.n_params)
         closed = cost.evaluate_vec(x)
-        direct = cost.evaluate_direct_vec(x)
+        direct = direct_joint_cost(cost, x)
         terms = sum(p.evaluate_terms(lam, lam0)
                     for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
         assert abs(closed - direct) < 1e-10
@@ -168,8 +180,6 @@ def test_cost_is_nonnegative_at_an_exact_fit(seed, lam0):
 
 def test_zero_at_truth_for_invertible_updates():
     from vqpde import oracle as orc
-    from vqpde.opexpr import apply_expr
-    from vqpde.statevec import QuantumState
     cases = [
         (NavierStokes(nu=1.0), [U]),
         (Maxwell(component="z", which="B", ext_fields={"E_y": V}), [U]),
@@ -180,8 +190,7 @@ def test_zero_at_truth_for_invertible_updates():
     for prob, hist in cases:
         cost = build_cost(prob, hist, LAY, TAU, SPEC).parts[0]
         nxt = orc.classical_step(prob, hist, LAY, TAU)
-        enc = QuantumState.from_amplitudes(nxt.astype(complex))
-        mc = apply_expr(cost.m_op, enc, LAY, cost.bindings).amplitudes
+        mc = dense_reference(cost.m_op, LAY, cost.bindings) @ nxt
         assert np.vdot(mc - cost.b_vector, mc - cost.b_vector).real <= 1e-10
 
 

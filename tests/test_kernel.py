@@ -1,6 +1,6 @@
 """The compiled, batched kernel against independent slow paths: a dense
-np.kron circuit product, dense operator matrices and the per-coordinate
-parameter-shift loop."""
+np.kron circuit product, dense operator matrices built from the oracle's
+circulants and the per-coordinate parameter-shift loop."""
 from math import sqrt
 
 import numpy as np
@@ -12,7 +12,6 @@ from vqpde.opexpr import (
     OpExpr,
     OpTerm,
     compile_monomials,
-    dense_matrix,
     diag,
     shift,
     shiftdag,
@@ -20,59 +19,11 @@ from vqpde.opexpr import (
 from vqpde.optim import parameter_shift_grad
 from vqpde.statevec import RegisterLayout, kron_rows, layout_1d
 
+from reference import dense_circuit_state, dense_reference
 from test_acceptance import pde_instances
 
+
 # -- dense reference circuit --------------------------------------------------
-
-_I2 = np.eye(2)
-_P0 = np.diag([1.0, 0.0])
-_P1 = np.diag([0.0, 1.0])
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _embed(factors: dict, n: int) -> np.ndarray:
-    """Kronecker product with qubit 0 as the least significant factor."""
-    out = np.eye(1)
-    for q in reversed(range(n)):
-        out = np.kron(out, factors.get(q, _I2))
-    return out
-
-
-def _rotation(axis: str, theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    if axis == "Y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-
-
-def _cnot(control: int, target: int, n: int) -> np.ndarray:
-    return (_embed({control: _P0}, n)
-            + _embed({control: _P1, target: _X}, n))
-
-
-def dense_circuit_state(spec: AnsatzSpec, lam) -> np.ndarray:
-    n = spec.n_qubits
-    dim = 2 ** n
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    if spec.qft_block:
-        j = np.arange(dim)
-        psi = np.exp(2j * np.pi * np.outer(j, j) / dim) / sqrt(dim) @ psi
-    pairs = []
-    if spec.entangler != "none" and n > 1:
-        pairs = [(q, q + 1) for q in range(n - 1)]
-        if spec.entangler == "ring" and n > 2:
-            pairs.append((n - 1, 0))
-    k = 0
-    for _ in range(spec.layers):
-        for axis in spec.rotation_axes:
-            for q in range(n):
-                psi = _embed({q: _rotation(axis, lam[k])}, n) @ psi
-                k += 1
-        for c, t in pairs:
-            psi = _cnot(c, t, n) @ psi
-    return psi
-
 
 @settings(max_examples=20, deadline=None)
 @given(k=st.integers(1, 4), rows=st.integers(1, 3),
@@ -127,7 +78,7 @@ def test_compiled_m_op_equals_dense_matrix(n, rows, seed):
     for cost in _parts(n):
         shape = (rows, cost.layout.dim)
         psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        dense = dense_matrix(cost.m_op, cost.layout, cost.bindings)
+        dense = dense_reference(cost.m_op, cost.layout, cost.bindings)
         got = cost.m_form.apply(psi)
         scale = max(np.max(np.abs(dense)), 1.0) * np.max(np.abs(psi))
         assert np.max(np.abs(got - psi @ dense.T)) <= 1e-13 * scale, cost.name
@@ -152,7 +103,7 @@ def test_compiled_random_expression_equals_dense_matrix(nx, ny, seed):
     expr = OpExpr(tuple(terms))
     psi = rng.normal(size=(2, lay.dim)) + 1j * rng.normal(size=(2, lay.dim))
     got = compile_monomials(expr, lay, binds).apply(psi)
-    want = psi @ dense_matrix(expr, lay, binds).T
+    want = psi @ dense_reference(expr, lay, binds).T
     assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 

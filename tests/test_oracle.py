@@ -107,8 +107,7 @@ def test_step_satisfies_symbolic_update_equation(name):
     # independent code paths; the oracle's next field must zero the residual
     from vqpde.ansatz import AnsatzSpec
     from vqpde.costlib import build_cost
-    from vqpde.opexpr import apply_expr
-    from vqpde.statevec import QuantumState
+    from reference import dense_reference
     problem, hist, lay = step_cases()[name]
     spec = AnsatzSpec(n_qubits=sum(n for _, n, _ in lay.axes), layers=1)
     cost = build_cost(problem, hist, lay, 0.05, spec)
@@ -116,13 +115,11 @@ def test_step_satisfies_symbolic_update_equation(name):
     # one next field per part: the (u, v) pair or a single array
     fields = np.reshape(nxt, (len(cost.parts), -1))
     for field, part in zip(fields, cost.parts):
-        enc = QuantumState.from_amplitudes(np.asarray(field, complex))
-        mc = apply_expr(part.m_op, enc, lay, part.bindings).amplitudes
+        m = dense_reference(part.m_op, lay, part.bindings)
+        mc = m @ field
         if name in ("lin-tsien", "hunter-saxton"):
             # singular implicit operator: the least-squares solution zeroes
             # the normal-equation residual, not the raw one
-            from vqpde.opexpr import adjoint, dense_matrix
-            m = dense_matrix(part.m_op, lay, part.bindings)
             assert np.max(np.abs(m.conj().T @ (mc - part.b_vector))) < 1e-9
         else:
             assert np.max(np.abs(mc - part.b_vector)) < 1e-9

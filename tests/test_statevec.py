@@ -8,21 +8,21 @@ from vqpde.statevec import (
     QuantumState,
     RegisterLayout,
     SimulationError,
-    apply_diagonal,
     apply_gate,
     apply_shift,
     hadamard_test,
-    inner,
     layout_1d,
     qft,
+    shift_permutation,
 )
+from vqpde.oracle import axis_operator, shift_matrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
 def random_state(rng, n):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    return QuantumState.from_amplitudes(amps / np.linalg.norm(amps))
+    return QuantumState(amps / np.linalg.norm(amps), n)
 
 
 # -- construction -----------------------------------------------------------
@@ -142,49 +142,32 @@ def test_shift_backward_inverts_forward(seed, nx, ny):
         assert np.max(np.abs(out.amplitudes - s.amplitudes)) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+def test_shift_permutation_equals_dense_circulant(qubits):
+    lay = RegisterLayout(tuple((l, n, 1.0) for l, n in zip("xyz", qubits)))
+    for ax in lay.axis_labels():
+        dense = axis_operator(lay, ax, shift_matrix(lay.axis_points(ax)))
+        for direction, want in (("forward", dense), ("backward", dense.T)):
+            # row j of the gather reads amplitude src[j]
+            src = shift_permutation(lay, ax, direction)
+            assert np.array_equal(np.eye(lay.dim)[src], want)
+
+
+def test_shift_rejects_bad_direction_and_size():
+    lay = layout_1d(2, 1.0)
+    with pytest.raises(SimulationError):
+        apply_shift(QuantumState.zero(2), lay, "x", "sideways")
+    with pytest.raises(SimulationError):
+        apply_shift(QuantumState.zero(3), lay, "x")
+
+
 def test_shift_acts_on_named_axis_only():
     lay = RegisterLayout((("x", 1, 1.0), ("y", 1, 1.0)))
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0  # (x=0, y=0)
     out = apply_shift(QuantumState(amps, 2), lay, "y")
     assert abs(out.amplitudes[2] - 1.0) < 1e-12  # y incremented, x untouched
-
-
-# -- diagonal, inner --------------------------------------------------------
-
-def test_diagonal_identity_and_annihilator():
-    rng = np.random.default_rng(0)
-    s = random_state(rng, 3)
-    assert np.allclose(apply_diagonal(s, np.ones(8)).amplitudes, s.amplitudes)
-    assert np.allclose(apply_diagonal(s, np.zeros(8)).amplitudes, 0.0)
-
-
-def test_diagonal_is_pointwise_product():
-    f = np.arange(1.0, 5.0)
-    g = np.array([0.5, -1.0, 2.0, 0.25])
-    enc = QuantumState.from_amplitudes(g.astype(complex))
-    out = apply_diagonal(enc, f)
-    assert np.allclose(out.amplitudes, f * g)
-
-
-def test_diagonal_length_mismatch():
-    with pytest.raises(SimulationError):
-        apply_diagonal(QuantumState.zero(2), np.ones(3))
-
-
-def test_inner_orthonormal_basis():
-    e0 = QuantumState.zero(2)
-    amps = np.zeros(4, dtype=complex)
-    amps[2] = 1.0
-    e2 = QuantumState(amps, 2)
-    assert inner(e0, e0) == 1.0
-    assert inner(e0, e2) == 0.0
-
-
-def test_inner_uniform_shift_invariance():
-    lay = layout_1d(2, 1.0)
-    s = QuantumState.from_amplitudes(np.full(4, 0.5))
-    assert abs(inner(s, apply_shift(s, lay, "x")) - 1.0) < 1e-12
 
 
 # -- qft --------------------------------------------------------------------
@@ -197,7 +180,7 @@ def test_qft_of_delta_is_uniform():
 
 def test_qft_of_uniform_is_delta():
     lay = layout_1d(3, 1.0)
-    s = QuantumState.from_amplitudes(np.full(8, 1 / np.sqrt(8)))
+    s = QuantumState(np.full(8, 1 / np.sqrt(8)), 3)
     out = qft(s, lay, "x")
     assert abs(out.amplitudes[0] - 1.0) < 1e-12
     assert np.max(np.abs(out.amplitudes[1:])) < 1e-12
@@ -215,101 +198,106 @@ def test_qft_inverse_round_trip():
 
 def test_hadamard_test_identity():
     rng = np.random.default_rng(7)
-    s = random_state(rng, 3)
-    est = hadamard_test(s, s, lambda k: k)
-    assert abs(est.value - 1.0) < 1e-12
+    s = random_state(rng, 3).amplitudes[None, :]
+    est = hadamard_test(s, s)
+    assert abs(est.value[0] - 1.0) < 1e-12
 
 
 def test_hadamard_test_pauli_z_on_plus():
-    plus = QuantumState.from_amplitudes([SQ2, SQ2])
-    op = lambda k: apply_gate(k, Gate("Z"), (0,))
-    assert abs(hadamard_test(plus, plus, op).value) < 1e-12
+    plus = QuantumState(np.array([SQ2, SQ2]), 1)
+    z_plus = apply_gate(plus, Gate("Z"), (0,))
+    est = hadamard_test(plus.amplitudes[None, :], z_plus.amplitudes[None, :])
+    assert abs(est.value[0]) < 1e-12
 
 
 def test_hadamard_test_shift_off_diagonal():
     lay = layout_1d(2, 1.0)
     z = QuantumState.zero(2)
-    op = lambda k: apply_shift(k, lay, "x")
-    assert abs(hadamard_test(z, z, op).value) < 1e-12
+    shifted = apply_shift(z, lay, "x")
+    est = hadamard_test(z.amplitudes[None, :], shifted.amplitudes[None, :])
+    assert abs(est.value[0]) < 1e-12
 
 
 def test_hadamard_exact_equals_inner(seed=0):
     rng = np.random.default_rng(seed)
     lay = layout_1d(3, 1.0)
     bra, ket = random_state(rng, 3), random_state(rng, 3)
-    op = lambda k: apply_shift(k, lay, "x")
+    op_ket = apply_shift(ket, lay, "x").amplitudes
+    want = np.vdot(bra.amplitudes, op_ket)
     for part, proj in (("real", np.real), ("imag", np.imag)):
-        est = hadamard_test(bra, ket, op, part)
-        assert abs(est.value - proj(inner(bra, op(ket)))) < 1e-12
+        est = hadamard_test(bra.amplitudes[None, :], op_ket[None, :], part)
+        assert abs(est.value[0] - proj(want)) < 1e-12
 
 
 def test_hadamard_shot_mode_rejects_nonunitary():
-    s = QuantumState.zero(2)
+    s = QuantumState.zero(2).amplitudes[None, :]
     with pytest.raises(SimulationError):
-        hadamard_test(s, s, lambda k: k, shots=100, op_is_unitary=False)
+        hadamard_test(s, s, shots=100, op_is_unitary=False)
 
 
 def test_hadamard_shot_mode_within_four_sigma():
     rng = np.random.default_rng(2024)
     lay = layout_1d(3, 1.0)
-    op = lambda k: apply_shift(k, lay, "x")
     hits = 0
     for trial in range(100):
-        bra = random_state(rng, 3)
-        ket = random_state(rng, 3)
-        exact = np.real(inner(bra, op(ket)))
-        est = hadamard_test(bra, ket, op, shots=10 ** 5, rng=rng)
+        bra = random_state(rng, 3).amplitudes
+        ket = apply_shift(random_state(rng, 3), lay, "x").amplitudes
+        exact = np.real(np.vdot(bra, ket))
+        est = hadamard_test(bra[None, :], ket[None, :], shots=10 ** 5, rng=rng)
         assert isinstance(est, Estimate)
-        assert est.stderr <= 1.0 / np.sqrt(10 ** 5) + 1e-12
-        if abs(est.value - exact) <= 4 * max(est.stderr, 1e-12):
+        assert est.stderr[0] <= 1.0 / np.sqrt(10 ** 5) + 1e-12
+        if abs(est.value[0] - exact) <= 4 * max(est.stderr[0], 1e-12):
             hits += 1
     assert hits >= 99
 
 
-def _rows_and_states(seed, t=6, n=3):
+def _rows(seed, t=6, n=3):
     rng = np.random.default_rng(seed)
     lay = layout_1d(n, 1.0)
-    bras = [random_state(rng, n) for _ in range(t)]
-    kets = [apply_shift(random_state(rng, n), lay, "x") for _ in range(t)]
-    return (bras, kets, np.array([b.amplitudes for b in bras]),
-            np.array([k.amplitudes for k in kets]))
+    bras = [random_state(rng, n).amplitudes for _ in range(t)]
+    kets = [apply_shift(random_state(rng, n), lay, "x").amplitudes
+            for _ in range(t)]
+    return np.array(bras), np.array(kets)
 
 
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_hadamard_rows_equal_scalar_calls_exact(part):
-    bras, kets, bra_rows, ket_rows = _rows_and_states(11)
-    rows = hadamard_test(bra_rows, ket_rows, None, part)
-    single = [hadamard_test(b, k, None, part) for b, k in zip(bras, kets)]
-    assert np.array_equal(rows.value, [e.value for e in single])
-    assert np.array_equal(rows.stderr, [e.stderr for e in single])
-    want = [getattr(inner(b, k), part) for b, k in zip(bras, kets)]
+    bra_rows, ket_rows = _rows(11)
+    rows = hadamard_test(bra_rows, ket_rows, part)
+    single = [hadamard_test(b[None, :], k[None, :], part)
+              for b, k in zip(bra_rows, ket_rows)]
+    assert np.array_equal(rows.value, [e.value[0] for e in single])
+    assert np.array_equal(rows.stderr, [e.stderr[0] for e in single])
+    want = [getattr(np.vdot(b, k), part) for b, k in zip(bra_rows, ket_rows)]
     assert np.max(np.abs(rows.value - want)) < 1e-12
 
 
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_hadamard_rows_equal_scalar_calls_shots(part):
-    bras, kets, bra_rows, ket_rows = _rows_and_states(12)
+    bra_rows, ket_rows = _rows(12)
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    rows = hadamard_test(bra_rows, ket_rows, None, part, 500, rng_a)
-    single = [hadamard_test(b, k, None, part, 500, rng_b)
-              for b, k in zip(bras, kets)]
-    assert np.array_equal(rows.value, [e.value for e in single])
-    assert np.array_equal(rows.stderr, [e.stderr for e in single])
+    rows = hadamard_test(bra_rows, ket_rows, part, shots=500, rng=rng_a)
+    single = [hadamard_test(b[None, :], k[None, :], part, shots=500, rng=rng_b)
+              for b, k in zip(bra_rows, ket_rows)]
+    assert np.array_equal(rows.value, [e.value[0] for e in single])
+    assert np.array_equal(rows.stderr, [e.stderr[0] for e in single])
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_hadamard_rows_shot_mode_rejects_nonunitary_row():
-    _, _, bra_rows, ket_rows = _rows_and_states(13, t=3)
+    bra_rows, ket_rows = _rows(13, t=3)
     rng = np.random.default_rng(0)
     with pytest.raises(SimulationError):
-        hadamard_test(bra_rows, ket_rows, None, shots=100, rng=rng,
+        hadamard_test(bra_rows, ket_rows, shots=100, rng=rng,
                       op_is_unitary=np.array([True, False, True]))
     # the same rows in exact mode need no unitary op
-    hadamard_test(bra_rows, ket_rows, None,
+    hadamard_test(bra_rows, ket_rows,
                   op_is_unitary=np.array([True, False, True]))
 
 
 def test_hadamard_rows_shape_mismatch():
-    _, _, bra_rows, ket_rows = _rows_and_states(14, t=3)
+    bra_rows, ket_rows = _rows(14, t=3)
     with pytest.raises(SimulationError):
         hadamard_test(bra_rows, ket_rows[:2])
+    with pytest.raises(SimulationError):
+        hadamard_test(bra_rows[0], ket_rows[0])

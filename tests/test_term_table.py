@@ -1,9 +1,10 @@
 """The compiled term table against an independent per-term loop.
 
-The reference applies every term-list entry to a ``QuantumState`` with
-``opexpr.apply_term`` and estimates it with its own scalar
-``hadamard_test`` call, the real parts of all terms first and then the
-imaginary parts (the draw order ``CostFunction.term_values`` documents).
+The reference applies every term-list entry to the prepared amplitudes
+through its dense matrix (``reference.dense_reference``) and estimates it
+with its own one-row ``hadamard_test`` call, the real parts of all terms
+first and then the imaginary parts (the draw order
+``CostFunction.term_values`` documents).
 """
 import zlib
 
@@ -16,13 +17,14 @@ from vqpde.costlib import CostFunction, Source
 from vqpde.opexpr import (
     OpExpr,
     OpTerm,
-    apply_term,
     diag,
     grad_op,
     laplacian_op,
     shift,
 )
-from vqpde.statevec import QuantumState, hadamard_test, layout_1d
+from vqpde.statevec import hadamard_test, layout_1d
+
+from reference import dense_reference, direct_cost, tagged_state
 
 KINDS = ["couette", "navier-stokes", "einstein", "maxwell", "boussinesq",
          "lin-tsien", "camassa-holm", "dsw", "hunter-saxton"]
@@ -54,16 +56,8 @@ CASES = cases()
 IDS = [name for name, _ in CASES]
 
 
-def tagged_state(cost, tag: str, psi: QuantumState) -> QuantumState:
-    if tag == "psi":
-        return psi
-    samples = np.asarray(cost.sources[int(tag.split(":")[0][3:])].samples,
-                         dtype=float)
-    return QuantumState.from_amplitudes(samples / np.linalg.norm(samples))
-
-
 def reference_values(cost, lam, shots=None, rng=None) -> np.ndarray:
-    psi = prepare(cost.spec, lam)
+    psi = prepare(cost.spec, lam).amplitudes
     entries = cost.term_list()
     values = np.zeros((2, len(entries)))
     for k, part in enumerate(("real", "imag")):
@@ -71,14 +65,12 @@ def reference_values(cost, lam, shots=None, rng=None) -> np.ndarray:
             if (coeff.real if part == "real" else coeff.imag) == 0:
                 continue
             unitary = term.is_unitary_product()
-
-            def op(state, _t=term):
-                return apply_term(_t, state, cost.layout, cost.bindings)
-
+            op = dense_reference([term], cost.layout, cost.bindings)
             values[k, i] = hadamard_test(
-                tagged_state(cost, bra_tag, psi),
-                tagged_state(cost, ket_tag, psi), op, part,
-                shots if unitary else None, rng, op_is_unitary=unitary).value
+                tagged_state(cost, bra_tag, psi)[None, :],
+                (op @ tagged_state(cost, ket_tag, psi))[None, :], part,
+                shots=shots if unitary else None, rng=rng,
+                op_is_unitary=unitary).value[0]
     return values
 
 
@@ -113,7 +105,7 @@ def test_exact_term_values_match_per_term_loop(name, cost):
 def test_term_sum_equals_direct_residual_norm(name, cost):
     lam, lam0 = draws(name, cost)
     assert abs(cost.evaluate_terms(lam, lam0)
-               - cost.evaluate_direct(lam, lam0)) < 1e-10
+               - direct_cost(cost, lam, lam0)) < 1e-10
 
 
 @pytest.mark.parametrize("name,cost", CASES, ids=IDS)
