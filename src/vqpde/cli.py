@@ -26,7 +26,8 @@ import yaml
 
 from . import __version__
 from .ansatz import AnsatzSpec
-from .costlib import (
+from .costlib import build_cost
+from .problems import (
     Boussinesq,
     CamassaHolm,
     DSW,
@@ -37,7 +38,6 @@ from .costlib import (
     Maxwell,
     NavierStokes,
     PointParticle,
-    build_cost,
     components,
     grid_coordinates,
 )

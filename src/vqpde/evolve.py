@@ -10,7 +10,9 @@ optimization; it can only lower the cost.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field as dfield
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .costlib import (
     CostFunction,
     Source,
     build_cost,
+)
+from .problems import (
     components,
     grid_coordinates,
 )
@@ -27,6 +31,9 @@ from .optim import CMAES, minimize
 from .statevec import RegisterLayout, SimulationError
 
 IMAG_LEAK_TOL = 1e-6
+# largest encoding residual, relative to ||field||^2, that fit_field returns
+# without a warning: a relative L2 error of 1e-3
+ENCODE_TOL = 1e-6
 RESTART_SIGMA = 0.1  # spread of the perturbed restarts around the warm start
 
 
@@ -99,10 +106,7 @@ def _apply_best_scale(cost, x: np.ndarray) -> np.ndarray:
     """Closed-form lam0 update of every part at fixed angles (exact quadratic
     minimum)."""
     x = np.array(x, dtype=float)
-    k = 0
-    for p in cost.parts:
-        k += p.n_params
-        x[k - 1] = p.best_scale(x[k - p.n_params:k - 1])
+    x[np.cumsum([p.n_params for p in cost.parts]) - 1] = cost.best_scales(x)
     return x
 
 
@@ -117,13 +121,7 @@ def step(problem, history, warm, cfg: EvolutionConfig,
 
     if cfg.mode == "shots":
         eval_rng = np.random.default_rng(rng.integers(2 ** 63))
-
-        # row by row, in order, so the shot draws follow the rows
-        def objective(xs):
-            return np.array([sum(
-                p.evaluate_terms(lam, lam0, shots=cfg.shots, rng=eval_rng)
-                for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
-                for x in xs])
+        objective = partial(cost.estimate_rows, shots=cfg.shots, rng=eval_rng)
     else:
         objective = cost.evaluate_rows
 
@@ -151,7 +149,8 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
     ||lam0 Psi(lam) - field||^2 (a residual cost with identity operator) by
     CMA-ES, down to 1e-15 of the field's squared norm.  Zero angles are a
     stationary saddle whenever the field has no overlap with the reference
-    state, hence the randomized start."""
+    state, hence the randomized start.  A residual above ``ENCODE_TOL`` of
+    the squared norm is returned with a warning that names it."""
     field = np.asarray(field, dtype=float)
     if np.linalg.norm(field) == 0.0:
         return VariationalState(spec, np.zeros(spec.parameter_count), 0.0)
@@ -164,7 +163,13 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
                             f_tol=1e-15 * cost.offset,
                             seed=int(rng.integers(2 ** 31))))
     lam = search.x_best[:-1]
-    return VariationalState(spec, lam, cost.best_scale(lam))
+    lam0 = cost.best_scale(lam)
+    rel = cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] / cost.offset
+    if rel > ENCODE_TOL:
+        warnings.warn(f"field encoding missed: residual {rel:.3g} of "
+                      f"||field||^2 (tolerance {ENCODE_TOL:g})",
+                      RuntimeWarning, stacklevel=2)
+    return VariationalState(spec, lam, lam0)
 
 
 def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,

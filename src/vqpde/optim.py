@@ -316,8 +316,8 @@ def _cmaes(f, x0, cfg: CMAES, trace):
     for g in range(cfg.max_iters):
         vals, diag = np.linalg.eigh(cov)
         vals = np.maximum(vals, 1e-20)
-        sqrt_c = diag @ np.diag(np.sqrt(vals)) @ diag.T
-        inv_sqrt_c = diag @ np.diag(1.0 / np.sqrt(vals)) @ diag.T
+        sqrt_c = (diag * np.sqrt(vals)) @ diag.T
+        inv_sqrt_c = (diag * (1.0 / np.sqrt(vals))) @ diag.T
         z = rng.standard_normal((lam, n))
         xs = mean + sigma * z @ sqrt_c.T
         fs = f(xs)
@@ -337,7 +337,7 @@ def _cmaes(f, x0, cfg: CMAES, trace):
         artmp = (sel - old_mean) / sigma
         cov = ((1 - c1 - cmu) * cov
                + c1 * (np.outer(pc, pc) + (not hsig) * cc * (2 - cc) * cov)
-               + cmu * artmp.T @ np.diag(w) @ artmp)
+               + (cmu * artmp.T * w) @ artmp)
         cov = (cov + cov.T) / 2
         sigma *= np.exp((cs / damps) * (np.linalg.norm(ps) / chi_n - 1))
         if sigma < 1e-16:

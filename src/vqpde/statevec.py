@@ -299,38 +299,48 @@ class Estimate:
     stderr: np.ndarray
 
 
-def hadamard_test(bras, kets, part: str = "real", *,
+def hadamard_test(bras, kets, part="real", *,
                   shots: int | None = None,
                   rng: np.random.Generator | None = None,
-                  op_is_unitary=True) -> Estimate:
-    """Estimate Re or Im <bra_k|ket_k> for rows of raw amplitudes (T, dim);
-    the ket rows already carry the operator, op_k psi.  ``op_is_unitary`` is
-    one flag or one per row.
+                  op_is_unitary=True, sampled=True) -> Estimate:
+    """Estimate Re or Im <bra|ket> for every row of raw amplitudes, shape
+    (..., dim); the ket rows already carry the operator, op psi.  ``part``
+    is "real", "imag" or one flag per row, true for the imaginary part;
+    ``part``, ``op_is_unitary`` and ``sampled`` broadcast against the
+    leading shape.
 
     Exact mode (``shots=None``) contracts the statevector directly.  Shot mode
-    simulates the ancilla measurement record of the two-state Hadamard test:
-    the ancilla X (or Y) expectation equals the requested part, and each shot
-    is a +/-1 Bernoulli draw, so the estimator is unbiased with standard
-    error <= 1/sqrt(shots) for normalized states and unitary ops.  The rows'
-    binomial draws are taken in one call, in row order; a numpy Generator
-    gives the same draws as one call per row would.
+    simulates the ancilla measurement record of the two-state Hadamard test
+    for the ``sampled`` rows and contracts the others exactly: the ancilla
+    X (or Y) expectation equals the requested part, and each shot is a +/-1
+    Bernoulli draw, so the estimator is unbiased with standard error
+    <= 1/sqrt(shots) for normalized states and unitary ops.  The sampled
+    rows' binomial draws are taken in one call, in row order (C order of the
+    leading shape); a numpy Generator gives the same draws as one call per
+    row would.
     """
-    if part not in ("real", "imag"):
-        raise SimulationError(f"unknown part {part!r}")
+    if isinstance(part, str):
+        if part not in ("real", "imag"):
+            raise SimulationError(f"unknown part {part!r}")
+        part = part == "imag"
     bras, kets = np.asarray(bras), np.asarray(kets)
-    if bras.ndim != 2 or bras.shape != kets.shape:
+    if bras.ndim < 2 or bras.shape != kets.shape:
         raise SimulationError(
             f"bra rows {bras.shape} do not match ket rows {kets.shape}")
-    # one reduction per row, so a row's value does not depend on its batch
-    val = (bras.conj() * kets).sum(axis=1)
-    exact = val.real if part == "real" else val.imag
+    # one reduction per row of a 2-D view, so a row's value does not depend
+    # on its batch; a 3-D sum over the last axis can round differently
+    lead, dim = bras.shape[:-1], bras.shape[-1]
+    val = (bras.conj() * kets).reshape(-1, dim).sum(axis=1).reshape(lead)
+    exact = np.where(part, val.imag, val.real)
     if shots is None:
         return Estimate(exact, np.zeros_like(exact))
-    if not np.all(op_is_unitary):
+    sampled = np.ones(lead, dtype=bool) & sampled
+    if not np.logical_or(op_is_unitary, ~sampled).all():
         raise SimulationError("shot-mode estimation requires a unitary op")
     if rng is None:
         rng = np.random.default_rng()
-    p = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
-    est = 2.0 * rng.binomial(shots, p) / shots - 1.0
-    stderr = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) * 4.0 / shots)
-    return Estimate(est, stderr)
+    p = np.minimum(np.maximum((1.0 + exact[sampled]) / 2.0, 0.0), 1.0)
+    value, stderr = exact.copy(), np.zeros(lead)
+    value[sampled] = 2.0 * rng.binomial(shots, p) / shots - 1.0
+    stderr[sampled] = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) * 4.0 / shots)
+    return Estimate(value, stderr)

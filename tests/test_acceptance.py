@@ -11,7 +11,8 @@ import pytest
 
 from vqpde import oracle as orc
 from vqpde.ansatz import AnsatzSpec, prepare
-from vqpde.costlib import (
+from vqpde.costlib import build_cost
+from vqpde.problems import (
     Boussinesq,
     CamassaHolm,
     DSW,
@@ -21,7 +22,6 @@ from vqpde.costlib import (
     LinTsien,
     Maxwell,
     NavierStokes,
-    build_cost,
 )
 from vqpde.evolve import EvolutionConfig, run
 from vqpde.opexpr import compile_monomials, grad_op, laplacian_op

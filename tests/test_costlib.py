@@ -8,22 +8,24 @@ from hypothesis import given, settings, strategies as st
 from vqpde.ansatz import AnsatzSpec, prepare
 from vqpde.cli import _demo_cost
 from vqpde.costlib import (
+    CostFunction,
+    JointCost,
+    Source,
+    build_cost,
+)
+from vqpde.problems import (
     Boussinesq,
     CamassaHolm,
-    CostFunction,
     DSW,
     Einstein,
     Electromagnetic,
     EquilibriumFluid,
     HunterSaxton,
-    JointCost,
     LinTsien,
     Maxwell,
     NavierStokes,
     PointParticle,
     ProblemError,
-    Source,
-    build_cost,
     components,
     grid_coordinates,
 )
@@ -147,6 +149,23 @@ def test_rows_evaluation_equals_one_row_bitwise(kind):
             for i in range(b):
                 assert np.array_equal(rows[i],
                                       cost.evaluate_rows(xs[i:i + 1])[0])
+
+
+@pytest.mark.parametrize("kind", DEMO_KINDS)
+def test_joint_calls_equal_per_part_calls_bitwise(kind):
+    """The joint cost prepares every part's rows in one call; its rows and
+    scales equal those of the parts evaluated one by one."""
+    joint = _demo_cost(kind)
+    rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
+    xs = rng.normal(size=(5, joint.n_params))
+    want, k = 0.0, 0
+    for p in joint.parts:
+        want = want + p.evaluate_rows(xs[:, k:k + p.n_params])
+        k += p.n_params
+    assert np.array_equal(joint.evaluate_rows(xs), want)
+    blocks = joint.split(xs[0])
+    assert joint.best_scales(xs[0]) == [
+        p.best_scale(lam) for p, (lam, _) in zip(joint.parts, blocks)]
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_KINDS))

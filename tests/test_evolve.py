@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from vqpde.ansatz import AnsatzSpec, VariationalState, prepare
 from vqpde.costlib import (
-    DSW,
-    CamassaHolm,
     CostFunction,
-    NavierStokes,
     Source,
     build_cost,
+)
+from vqpde.problems import (
+    DSW,
+    CamassaHolm,
+    NavierStokes,
 )
 from vqpde.evolve import (
     EvolutionConfig,
@@ -90,6 +94,23 @@ def test_fit_field_batched_equals_one_row_at_a_time(monkeypatch):
     assert max(calls) > 1
     assert np.array_equal(batched.lam, single.lam)
     assert batched.lam0 == single.lam0
+
+
+def test_fit_field_warns_when_the_encoding_is_missed():
+    """Two Y-layers on 4 qubits do not reach this profile: CMA-ES stops
+    after its 400 generations with a residual far above the tolerance, and
+    the warning names it.  Four layers on 3 qubits reach a sine profile to
+    rounding, silently."""
+    lay = layout_1d(4, 1.0)
+    spec = AnsatzSpec(n_qubits=4, layers=2, rotation_axes=("Y",),
+                      entangler="chain")
+    field = 1.0 + 0.2 * np.sin(2 * np.pi * np.arange(16) / 16 + 0.7)
+    with pytest.warns(RuntimeWarning, match="residual 0.01"):
+        fit_field(spec, lay, field, np.random.default_rng(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_field(SPEC, LAY, np.sin(2 * np.pi * XS / 8 + 0.4) + 1.2,
+                  np.random.default_rng(1))
 
 
 def test_fit_field_zero_field_shortcut():

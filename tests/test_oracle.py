@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vqpde import oracle as orc
-from vqpde.costlib import (
+from vqpde.problems import (
     Boussinesq,
     CamassaHolm,
     DSW,

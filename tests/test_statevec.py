@@ -301,3 +301,22 @@ def test_hadamard_rows_shape_mismatch():
         hadamard_test(bra_rows, ket_rows[:2])
     with pytest.raises(SimulationError):
         hadamard_test(bra_rows[0], ket_rows[0])
+
+
+def test_hadamard_rows_mix_parts_and_sampled_rows():
+    """Per-row parts and a sampled mask in one call: the values and draws
+    of one call per row, exact where a row is not sampled (its op need not
+    be unitary)."""
+    bra_rows, ket_rows = _rows(15)
+    imag = np.array([False, True, True, False, True, False])
+    sampled = np.array([True, True, False, False, True, True])
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    rows = hadamard_test(bra_rows, ket_rows, imag, shots=500, rng=rng_a,
+                         op_is_unitary=sampled, sampled=sampled)
+    for i, (b, k) in enumerate(zip(bra_rows, ket_rows)):
+        one = hadamard_test(b[None, :], k[None, :], "imag" if imag[i] else
+                            "real", shots=500 if sampled[i] else None,
+                            rng=rng_b)
+        assert rows.value[i] == one.value[0]
+        assert rows.stderr[i] == one.stderr[0]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state

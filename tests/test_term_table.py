@@ -3,17 +3,17 @@
 The reference applies every term-list entry to the prepared amplitudes
 through its dense matrix (``reference.dense_reference``) and estimates it
 with its own one-row ``hadamard_test`` call, the real parts of all terms
-first and then the imaginary parts (the draw order
-``CostFunction.term_values`` documents).
+first and then the imaginary parts, row by row and part by part (the draw
+order ``JointCost.term_values`` documents).
 """
 import zlib
 
 import numpy as np
 import pytest
 
-from vqpde.ansatz import AnsatzSpec, prepare
+from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
 from vqpde.cli import _demo_cost
-from vqpde.costlib import CostFunction, Source
+from vqpde.costlib import CostFunction, JointCost, Source
 from vqpde.opexpr import (
     OpExpr,
     OpTerm,
@@ -94,9 +94,9 @@ def draws(name: str, cost):
 def test_exact_term_values_match_per_term_loop(name, cost):
     for _ in range(5):
         lam, lam0 = draws(name, cost)
-        got = cost.term_values(lam)
+        got = JointCost(name, (cost,)).term_values([lam[None, :]])[0]
         want = reference_values(cost, lam)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got.reshape(2, -1) - want)) <= 1e-12
         assert abs(cost.evaluate_terms(lam, lam0)
                    - reference_total(cost, want, lam0)) <= 1e-12
 
@@ -124,4 +124,64 @@ def test_shot_draws_match_per_term_loop(name, cost):
 def test_complex_cost_has_complex_and_nonunitary_terms():
     table = complex_cost().term_table
     assert np.any(table.coeff.imag != 0) and np.any(table.coeff.real != 0)
-    assert not np.all(table.unitary) and np.any(table.unitary)
+    assert not np.all(table.sampled) and np.any(table.sampled)
+
+
+# -- batched objective calls --------------------------------------------------
+
+JOINTS = [(kind, _demo_cost(kind)) for kind in KINDS] + [
+    ("complex", JointCost("complex", (complex_cost(),)))]
+JOINT_IDS = [name for name, _ in JOINTS]
+
+
+def reference_rows(joint, xs, shots=None, rng=None) -> list:
+    """Per row, per part, the per-term loop and its total: the order of one
+    objective call per row and part."""
+    values, totals = [], []
+    for x in xs:
+        total = 0.0
+        for p, (lam, lam0) in zip(joint.parts, joint.split(x)):
+            values.append(reference_values(p, lam, shots, rng))
+            total = total + reference_total(p, values[-1], lam0)
+        totals.append(total)
+    return values, np.array(totals)
+
+
+@pytest.mark.parametrize("shots", [None, SHOTS])
+@pytest.mark.parametrize("b", [1, 2, 5])
+@pytest.mark.parametrize("name,joint", JOINTS, ids=JOINT_IDS)
+def test_batched_rows_match_row_by_row_reference(name, joint, b, shots):
+    """One call over b rows gives every term value and every total of the
+    row-by-row loop bit for bit, and leaves the generator in the same
+    state."""
+    seed = zlib.crc32(name.encode()) + b
+    xs = np.random.default_rng(seed).normal(size=(b, joint.n_params))
+    lams = [lam for lam, _ in joint._blocks(xs)]
+    rngs = [np.random.default_rng(seed) for _ in range(4)]
+    want_values, _ = reference_rows(joint, xs, shots, rngs[0])
+    got = joint.term_values(lams, shots, rngs[1])
+    got_values = [got[k][i].reshape(2, -1) for i in range(b)
+                  for k in range(len(joint.parts))]
+    for g, w in zip(got_values, want_values):
+        assert np.array_equal(g, w)
+    _, want = reference_rows(joint, xs, shots, rngs[2])
+    assert np.array_equal(joint.estimate_rows(xs, shots, rngs[3]), want)
+    states = [r.bit_generator.state for r in rngs]
+    assert all(s == states[0] for s in states)
+
+
+def test_batched_contraction_reduces_rows_of_a_2d_view():
+    """Each value is the sum over one row of a (rows, dim) array, equal bit
+    for bit to a one-row call.  A sum over the last axis of the 3-D
+    (B, T, dim) product rounds differently for these rows, so this pins
+    the reduction."""
+    part = _demo_cost("camassa-holm").parts[0]
+    t = part.term_table
+    lams = np.random.default_rng(3).normal(size=(3, part.spec.parameter_count))
+    psi = prepare_batch(part.spec, lams)
+    kets = t.weight * psi[:, t.perm]
+    bras = np.where(t.from_source, t.source, psi[:, None, :])
+    got = hadamard_test(bras, kets, t.imag).value
+    for i in range(3):
+        assert np.array_equal(got[i], hadamard_test(bras[i], kets[i],
+                                                    t.imag).value)
