@@ -26,8 +26,7 @@ import yaml
 
 from . import __version__
 from .ansatz import AnsatzSpec
-from .costlib import build_cost
-from .problems import (
+from .costlib import (
     Boussinesq,
     CamassaHolm,
     DSW,
@@ -38,6 +37,7 @@ from .problems import (
     Maxwell,
     NavierStokes,
     PointParticle,
+    build_cost,
     components,
     grid_coordinates,
 )

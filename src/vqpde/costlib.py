@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 
@@ -42,20 +42,203 @@ from .opexpr import (
     laplacian_op,
     shift,
 )
-from .problems import (
-    DSW,
-    Boussinesq,
-    CamassaHolm,
-    Einstein,
-    HunterSaxton,
-    LinTsien,
-    Maxwell,
-    NavierStokes,
-    ProblemError,
-)
 from .statevec import RegisterLayout, hadamard_test
 
 _IDENT = OpExpr.identity()
+# amplitudes per (rows, term-table rows, dim) work array of one
+# ``JointCost.term_values`` block: 128 KiB of complex, or one row when a row
+# alone needs more
+TERM_BLOCK = 1 << 13
+
+
+class ProblemError(ValueError):
+    pass
+
+
+def _require_positive(problem, *names) -> None:
+    for name in names:
+        v = getattr(problem, name)
+        if not (np.isfinite(v) and v > 0):
+            raise ProblemError(f"{name} must be positive and finite")
+
+
+# ---------------------------------------------------------------------------
+# Problem definitions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NavierStokes:
+    """Velocity-component update.  ``pressure`` is None (pressure-free,
+    advection-free relaxation), ("uniform", g) for a constant gradient, or
+    ("field", samples) for an explicit pressure field."""
+
+    nu: float = 1.0
+    rho: float = 1.0
+    pressure: tuple | None = None
+    component: str = "x"
+
+    def __post_init__(self):
+        _require_positive(self, "nu", "rho")
+
+    name = "navier-stokes"
+    history_depth = 1
+
+
+@dataclass(frozen=True)
+class PointParticle:
+    m: float
+    v_mu: float
+    v_nu: float
+    position: float = 0.0
+    c: float = 1.0
+
+    def __post_init__(self):
+        speed = max(abs(self.v_mu), abs(self.v_nu))
+        if speed >= self.c:
+            raise ProblemError("particle speed must stay below c")
+
+    def samples(self, layout: RegisterLayout, axis: str) -> np.ndarray:
+        xs = grid_coordinates(layout)[axis]
+        delta = layout.spacing(axis)
+        out = np.zeros(layout.dim)
+        speed = max(abs(self.v_mu), abs(self.v_nu))
+        gamma = 1.0 / sqrt(1.0 - (speed / self.c) ** 2)
+        idx = int(np.argmin(np.abs(xs - self.position)))
+        out[idx] = self.m * gamma * self.v_mu * self.v_nu / delta
+        return out
+
+
+@dataclass(frozen=True)
+class EquilibriumFluid:
+    rho_e: float
+    p: float
+    u_mu: float
+    u_nu: float
+    eta: float = 1.0  # flat-metric component for the (mu, nu) slot
+    c: float = 1.0
+
+    def samples(self, layout: RegisterLayout, axis: str) -> np.ndarray:
+        val = (self.rho_e + self.p / self.c ** 2) * self.u_mu * self.u_nu \
+            + self.p * self.eta
+        return np.full(layout.dim, val)
+
+
+@dataclass(frozen=True)
+class Electromagnetic:
+    f_mu: np.ndarray | float
+    f_nu: np.ndarray | float
+    f_squared: np.ndarray | float = 0.0
+    eta: float = 1.0
+
+    def samples(self, layout: RegisterLayout, axis: str) -> np.ndarray:
+        t = (np.asarray(self.f_mu, dtype=float) * np.asarray(self.f_nu, dtype=float)
+             - 0.25 * self.eta * np.asarray(self.f_squared, dtype=float))
+        return np.broadcast_to(t, (layout.dim,)).astype(float)
+
+
+@dataclass(frozen=True)
+class Einstein:
+    """Single evolved metric component sourced by a classical stress-energy
+    field; the candidate is constrained through a shifted copy of itself."""
+
+    tensor: object = EquilibriumFluid(rho_e=1.0, p=0.1, u_mu=1.0, u_nu=1.0)
+    G: float = 1.0
+    c: float = 1.0
+    axes: tuple = ("x", "x")  # derivative axes (i, n)
+
+    def __post_init__(self):
+        _require_positive(self, "c")
+        if len(self.axes) != 2:
+            raise ProblemError("axes must name two derivative axes")
+
+    name = "einstein"
+    history_depth = 1
+
+
+@dataclass(frozen=True)
+class Maxwell:
+    """One field-component update of the source-free curl equations.
+    ``component`` is the updated axis index (i in the cyclic triple i,j,k)
+    and ``which`` selects the magnetic or electric update."""
+
+    component: str = "z"
+    which: str = "B"
+    mu0: float = 1.0
+    eps0: float = 1.0
+    ext_fields: dict | None = None  # e.g. {"E_y": samples} for the B update
+
+    def __post_init__(self):
+        if self.which not in ("B", "E"):
+            raise ProblemError("update selector must be 'B' or 'E'")
+        if self.component not in ("x", "y", "z"):
+            raise ProblemError("component must be one of x, y, z")
+        other = "E" if self.which == "B" else "B"
+        read = {f"{other}_{a}" for a in "xyz" if a != self.component}
+        if set(self.ext_fields or ()) - read:
+            raise ProblemError(f"external fields must be among {sorted(read)}")
+        _require_positive(self, "mu0", "eps0")
+
+    name = "maxwell"
+    history_depth = 1
+
+
+@dataclass(frozen=True)
+class Boussinesq:
+    alpha: float = 1.0
+    beta: float = 1.0
+
+    name = "boussinesq"
+    history_depth = 2
+
+
+@dataclass(frozen=True)
+class LinTsien:
+    name = "lin-tsien"
+    history_depth = 1
+
+
+@dataclass(frozen=True)
+class CamassaHolm:
+    kappa: float = 1.0
+
+    name = "camassa-holm"
+    history_depth = 2
+
+
+@dataclass(frozen=True)
+class DSW:
+    # the two "history" entries are the current (u, v) pair
+    name = "dsw"
+    history_depth = 2
+    components = ("u", "v")
+
+
+@dataclass(frozen=True)
+class HunterSaxton:
+    name = "hunter-saxton"
+    history_depth = 1
+
+
+def components(problem) -> tuple:
+    """Names of the fields a problem evolves, in the order of its cost parts
+    and of their parameter blocks."""
+    return getattr(problem, "components", ("u",))
+
+
+def grid_coordinates(layout: RegisterLayout) -> dict:
+    """Per-axis coordinate arrays over the flattened grid."""
+    shape = layout.grid_shape()
+    out = {}
+    for pos, (label, _, delta) in enumerate(layout.axes):
+        idx = np.arange(shape[pos]) * delta
+        # first axis occupies the lowest qubits, i.e. the fastest index
+        full = np.ones(shape[::-1])
+        full = full * idx.reshape(
+            [shape[pos] if a == len(shape) - 1 - pos else 1
+             for a in range(len(shape))]
+        )
+        out[label] = full.reshape(-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,24 +490,32 @@ class JointCost:
                     rng: np.random.Generator | None = None) -> list:
         """[Re | Im] of <bra_k|T_k|psi> for the term-list entries of every
         part over its angle rows (one (B, P) block per part): one (B, 2T)
-        array per part, a part whose coefficient is zero left at 0.  One
-        ``hadamard_test`` call measures all of them; in shot mode it samples
+        array per part, a part whose coefficient is zero left at 0.  The rows
+        are measured in blocks of at most ``TERM_BLOCK`` amplitudes per work
+        array, one ``hadamard_test`` call per block; in shot mode it samples
         the fully unitary terms and contracts the others exactly.  Shots are
         drawn row by row, then part by part, real parts before imaginary
         parts, in term-list order: the order of one call per row and part,
         so batching does not change the draws."""
         tabs = [p.term_table for p in self.parts]
         states = self._states(lams)
-        kets = [t.weight * psi[:, t.perm] for t, psi in zip(tabs, states)]
-        bras = [np.where(t.from_source, t.source, psi[:, None, :])
-                for t, psi in zip(tabs, states)]
-        est = hadamard_test(
-            _cat(bras, 1), _cat(kets, 1), _cat([t.imag for t in tabs]),
-            shots=shots, rng=rng,
-            sampled=_cat([t.sampled for t in tabs])).value
+        imag = _cat([t.imag for t in tabs])
+        sampled = _cat([t.sampled for t in tabs])
+        n_rows = len(states[0])
+        block = max(1, TERM_BLOCK // (imag.size * states[0].shape[1]))
+        est = []
+        for r in range(0, n_rows, block):
+            rows = [psi[r:r + block] for psi in states]
+            kets = [t.weight * psi[:, t.perm] for t, psi in zip(tabs, rows)]
+            bras = [np.where(t.from_source, t.source, psi[:, None, :])
+                    for t, psi in zip(tabs, rows)]
+            est.append(hadamard_test(_cat(bras, 1), _cat(kets, 1), imag,
+                                     shots=shots, rng=rng,
+                                     sampled=sampled).value)
+        est = _cat(est)
         out, k = [], 0
         for t in tabs:
-            out.append(np.zeros((len(est), 2 * t.coeff.size)))
+            out.append(np.zeros((n_rows, 2 * t.coeff.size)))
             out[-1][:, t.slot] = est[:, k:k + t.slot.size]
             k += t.slot.size
         return out

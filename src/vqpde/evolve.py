@@ -21,8 +21,6 @@ from .costlib import (
     CostFunction,
     Source,
     build_cost,
-)
-from .problems import (
     components,
     grid_coordinates,
 )

@@ -13,7 +13,7 @@ from math import cosh, exp, pi, sin, tanh
 
 import numpy as np
 
-from .problems import (
+from .costlib import (
     Boussinesq,
     CamassaHolm,
     DSW,

@@ -11,8 +11,7 @@ import pytest
 
 from vqpde import oracle as orc
 from vqpde.ansatz import AnsatzSpec, prepare
-from vqpde.costlib import build_cost
-from vqpde.problems import (
+from vqpde.costlib import (
     Boussinesq,
     CamassaHolm,
     DSW,
@@ -22,6 +21,7 @@ from vqpde.problems import (
     LinTsien,
     Maxwell,
     NavierStokes,
+    build_cost,
 )
 from vqpde.evolve import EvolutionConfig, run
 from vqpde.opexpr import compile_monomials, grad_op, laplacian_op

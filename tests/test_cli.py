@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vqpde import evolve
 from vqpde.cli import ConfigError, _parse_problem, load_config, main
-from vqpde.problems import (
+from vqpde.costlib import (
     DSW,
     Boussinesq,
     CamassaHolm,

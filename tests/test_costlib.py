@@ -8,24 +8,22 @@ from hypothesis import given, settings, strategies as st
 from vqpde.ansatz import AnsatzSpec, prepare
 from vqpde.cli import _demo_cost
 from vqpde.costlib import (
-    CostFunction,
-    JointCost,
-    Source,
-    build_cost,
-)
-from vqpde.problems import (
     Boussinesq,
     CamassaHolm,
+    CostFunction,
     DSW,
     Einstein,
     Electromagnetic,
     EquilibriumFluid,
     HunterSaxton,
+    JointCost,
     LinTsien,
     Maxwell,
     NavierStokes,
     PointParticle,
     ProblemError,
+    Source,
+    build_cost,
     components,
     grid_coordinates,
 )

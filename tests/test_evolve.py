@@ -5,14 +5,12 @@ import pytest
 
 from vqpde.ansatz import AnsatzSpec, VariationalState, prepare
 from vqpde.costlib import (
-    CostFunction,
-    Source,
-    build_cost,
-)
-from vqpde.problems import (
     DSW,
     CamassaHolm,
+    CostFunction,
     NavierStokes,
+    Source,
+    build_cost,
 )
 from vqpde.evolve import (
     EvolutionConfig,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vqpde import oracle as orc
-from vqpde.problems import (
+from vqpde.costlib import (
     Boussinesq,
     CamassaHolm,
     DSW,

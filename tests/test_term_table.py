@@ -13,6 +13,7 @@ import pytest
 
 from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
 from vqpde.cli import _demo_cost
+from vqpde import costlib
 from vqpde.costlib import CostFunction, JointCost, Source
 from vqpde.opexpr import (
     OpExpr,
@@ -185,3 +186,21 @@ def test_batched_contraction_reduces_rows_of_a_2d_view():
     for i in range(3):
         assert np.array_equal(got[i], hadamard_test(bras[i], kets[i],
                                                     t.imag).value)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2])
+@pytest.mark.parametrize("name,joint", JOINTS, ids=JOINT_IDS)
+def test_blocked_rows_match_row_by_row_reference(name, joint, rows_per_block,
+                                                 monkeypatch):
+    """A call cut into blocks of consecutive rows (5 rows as 1+1+1+1+1 or
+    2+2+1) still gives the row-by-row totals bit for bit and leaves the
+    generator in the same state."""
+    n = sum(p.term_table.slot.size for p in joint.parts)
+    monkeypatch.setattr(costlib, "TERM_BLOCK",
+                        rows_per_block * n * joint.parts[0].layout.dim)
+    seed = zlib.crc32(name.encode()) + 7
+    xs = np.random.default_rng(seed).normal(size=(5, joint.n_params))
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    _, want = reference_rows(joint, xs, SHOTS, rng_a)
+    assert np.array_equal(joint.estimate_rows(xs, SHOTS, rng_b), want)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
