@@ -28,6 +28,8 @@ from .opexpr import OpExpr
 from .optim import CMAES, minimize
 from .statevec import RegisterLayout, SimulationError
 
+# largest imaginary part, relative to the amplitudes' norm, that readout
+# drops without a warning
 IMAG_LEAK_TOL = 1e-6
 # largest encoding residual, relative to ||field||^2, that fit_field returns
 # without a warning: a relative L2 error of 1e-3
@@ -93,10 +95,15 @@ class Trajectory:
 
 def readout(vstate: VariationalState, layout: RegisterLayout | None = None):
     """Scaled real part of the prepared amplitudes, plus the relative
-    imaginary leakage diagnostic."""
+    imaginary leakage diagnostic.  A leak above ``IMAG_LEAK_TOL`` is
+    returned with a warning that names it."""
     amps = vstate.lam0 * prepare(vstate.spec, vstate.lam).amplitudes
     norm = max(np.linalg.norm(amps), 1e-300)
     leak = float(np.linalg.norm(np.imag(amps)) / norm)
+    if leak > IMAG_LEAK_TOL:
+        warnings.warn(f"readout dropped an imaginary part of {leak:.3g} of "
+                      f"the field's norm (tolerance {IMAG_LEAK_TOL:g})",
+                      RuntimeWarning, stacklevel=2)
     return np.real(amps), leak
 
 

@@ -1,7 +1,8 @@
 """Classical optimizers with a uniform minimize() interface.
 
 The objective takes rows: X of shape (B, n) in, B values out.  Population
-methods pass a whole population in one call; single points pass one row.
+methods pass a whole population in one call, and each SPSA iteration is one
+call on the current point and its +/- pair; single points pass one row.
 All stochastic methods draw from a seeded numpy Generator so runs are
 bit-reproducible.  Traces record the best-so-far value per iteration,
 starting from the initial point, and are therefore non-increasing.
@@ -131,11 +132,19 @@ class DifferentialEvolution:
 
 @dataclass
 class OptimizationTrace:
+    """Best-so-far values per iteration, the row count and why the method
+    stopped: "converged", "max-iters" (the default, left by a method that
+    runs out of iterations), "no-descent" (gradient descent's backtracking
+    ran out) or "non-finite" (SPSA met a non-finite +/- estimate)."""
     best_values: list = field(default_factory=list)
     n_evals: int = 0
     x_best: np.ndarray | None = None
     f_best: float = np.inf
-    converged: bool = False
+    stop: str = "max-iters"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
     def record(self, x, f) -> None:
         if f < self.f_best:
@@ -214,7 +223,7 @@ def _gradient_descent(f, x, cfg: GradientDescent, grad, trace):
         g = np.asarray(grad(x), dtype=float)
         gn = np.linalg.norm(g)
         if gn <= cfg.grad_tol:
-            trace.converged = True
+            trace.stop = "converged"
             break
         # backtracking: shrink the step until the value decreases
         moved = False
@@ -229,28 +238,31 @@ def _gradient_descent(f, x, cfg: GradientDescent, grad, trace):
             eta *= 0.5
         trace.record(x, fx)
         if not moved:
+            trace.stop = "no-descent"
             break
         if cfg.f_tol is not None and fx <= cfg.f_tol:
-            trace.converged = True
+            trace.stop = "converged"
             break
     return trace
 
 
 def _spsa(f, x, cfg: SPSA, trace):
+    """One call per iteration on the rows [x_k, x_k + c_k d, x_k - c_k d],
+    then x_K alone: the rows, and so the draws of a shot objective, come in
+    the order of a loop that evaluates each new point by itself."""
     rng = np.random.default_rng(cfg.seed)
-    fx = f(x)
-    trace.record(x, fx)
     for k in range(cfg.max_iters):
         ak = cfg.a / (k + 1 + cfg.stability) ** cfg.alpha
         ck = cfg.c / (k + 1) ** cfg.gamma
         delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
-        fp, fm = f(np.array([x + ck * delta, x - ck * delta]))
+        fx, fp, fm = f(np.array([x, x + ck * delta, x - ck * delta]))
+        trace.record(x, fx)
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            break  # no finite gradient estimate to step along
+            trace.stop = "non-finite"  # no gradient estimate to step along
+            return trace
         gk = (fp - fm) / (2 * ck) / delta
         x = x - ak * gk
-        fx = f(x)
-        trace.record(x, fx)
+    trace.record(x, f(x))
     return trace
 
 
@@ -265,7 +277,7 @@ def _nelder_mead(f, x0, cfg: NelderMead, trace):
         order = np.argsort(values)
         simplex, values = simplex[order], values[order]
         if values[-1] - values[0] < cfg.f_tol:
-            trace.converged = True
+            trace.stop = "converged"
             break
         centroid = np.mean(simplex[:-1], axis=0)
         xr = centroid + (centroid - simplex[-1])
@@ -324,7 +336,7 @@ def _cmaes(f, x0, cfg: CMAES, trace):
         order = np.argsort(fs)
         trace.record(xs[order[0]], fs[order[0]])
         if cfg.f_tol is not None and fs[order[0]] <= cfg.f_tol:
-            trace.converged = True
+            trace.stop = "converged"
             break
         old_mean = mean
         sel = xs[order[:mu]]
@@ -341,7 +353,7 @@ def _cmaes(f, x0, cfg: CMAES, trace):
         cov = (cov + cov.T) / 2
         sigma *= np.exp((cs / damps) * (np.linalg.norm(ps) / chi_n - 1))
         if sigma < 1e-16:
-            trace.converged = True
+            trace.stop = "converged"
             break
     return trace
 

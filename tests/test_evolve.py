@@ -8,11 +8,13 @@ from vqpde.costlib import (
     DSW,
     CamassaHolm,
     CostFunction,
+    JointCost,
     NavierStokes,
     Source,
     build_cost,
 )
 from vqpde.evolve import (
+    IMAG_LEAK_TOL,
     EvolutionConfig,
     EvolutionError,
     Trajectory,
@@ -20,11 +22,12 @@ from vqpde.evolve import (
     fit_field,
     readout,
     run,
+    step,
     trajectory_rows,
     write_trajectory_csv,
 )
 from vqpde.opexpr import OpExpr
-from vqpde.optim import GradientDescent, minimize
+from vqpde.optim import SPSA, GradientDescent, minimize
 from vqpde.statevec import layout_1d
 
 from reference import dense_reference, direct_cost
@@ -65,6 +68,25 @@ def test_readout_roundtrip_and_zero_scale():
     assert leak < 1e-12
     f0, _ = readout(VariationalState(spec, np.array([0.3]), 0.0))
     assert np.max(np.abs(f0)) == 0.0
+
+
+def test_readout_warns_when_it_drops_an_imaginary_part():
+    """Y rotations and CNOTs keep the amplitudes real; a Z layer does not,
+    and the warning names the share of the norm that readout drops."""
+    rng = np.random.default_rng(3)
+    spec_y = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, leak = readout(VariationalState(
+            spec_y, rng.normal(size=spec_y.parameter_count), 1.5))
+    assert leak == 0.0
+    spec_yz = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
+    vs = VariationalState(spec_yz, rng.normal(size=spec_yz.parameter_count),
+                          1.5)
+    with pytest.warns(RuntimeWarning, match="imaginary part") as caught:
+        _, leak = readout(vs)
+    assert leak > IMAG_LEAK_TOL
+    assert f"{leak:.3g}" in str(caught[0].message)
 
 
 def test_fit_field_recovers_profile():
@@ -146,6 +168,32 @@ def test_reported_cost_matches_direct_at_converged_steps():
         r = rec.lam0 * (m @ prepare(SPEC, rec.lam).amplitudes) - part.b_vector
         direct = float(np.vdot(r, r).real)
         assert abs(rec.cost - direct) <= 1e-6 * direct
+
+
+@pytest.mark.parametrize("iters", [0, 4])
+def test_shot_mode_spsa_step_is_one_call_per_iteration(monkeypatch, iters):
+    """A shot-mode step with K SPSA iterations estimates K + 1 batches:
+    each iteration's point with its +/- pair, then the last point."""
+    calls = []
+    estimate_rows = JointCost.estimate_rows
+
+    def counted(self, xs, *args, **kwargs):
+        calls.append(len(xs))
+        return estimate_rows(self, xs, *args, **kwargs)
+
+    monkeypatch.setattr(JointCost, "estimate_rows", counted)
+    lay = layout_1d(3, 1.0)
+    spec = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y",))
+    u = 1.0 + 0.2 * np.sin(2 * np.pi * XS / 8)
+    rng = np.random.default_rng(8)
+    warm = [VariationalState(spec, rng.normal(size=spec.parameter_count),
+                             float(np.linalg.norm(u)))]
+    cfg = EvolutionConfig(tau=0.01, n_steps=1,
+                          optimizer=SPSA(max_iters=iters, seed=2),
+                          mode="shots", shots=500)
+    _, info = step(CamassaHolm(1.0), [u, u], warm, cfg, lay, rng)
+    assert len(calls) == iters + 1
+    assert sum(calls) == info["n_evals"] == 3 * iters + 1
 
 
 def test_zero_steps_returns_initial_only():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from vqpde.optim import (
     GradientDescent,
     NelderMead,
     OptimizationError,
+    OptimizationTrace,
     ParticleSwarm,
     SPSA,
+    _counted,
     finite_diff_grad,
     minimize,
     parameter_shift_grad,
@@ -102,6 +105,89 @@ def test_spsa_stops_at_a_nonfinite_estimate():
     assert np.array_equal(trace.x_best, x0)
 
 
+def spsa_two_calls_per_iteration(objective, x, cfg):
+    """SPSA as a loop that evaluates the +/- pair in one call and each new
+    point in a call of its own, the row order the batched loop keeps."""
+    trace = OptimizationTrace()
+    f = _counted(objective, trace)
+    x = np.array(x, dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    trace.record(x, f(x))
+    for k in range(cfg.max_iters):
+        ak = cfg.a / (k + 1 + cfg.stability) ** cfg.alpha
+        ck = cfg.c / (k + 1) ** cfg.gamma
+        delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
+        fp, fm = f(np.array([x + ck * delta, x - ck * delta]))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            break
+        gk = (fp - fm) / (2 * ck) / delta
+        x = x - ak * gk
+        trace.record(x, f(x))
+    return trace
+
+
+@pytest.mark.parametrize("iters", [0, 1, 25])
+def test_spsa_matches_three_call_reference(iters):
+    """On a shot-estimated Camassa-Holm cost the one-call iterations draw
+    the same shots as the reference loop: the same trace, the same rows and
+    the same final state of the evaluation generator."""
+    lay = layout_1d(4, 1.0)
+    spec = AnsatzSpec(n_qubits=4, layers=2, rotation_axes=("Y",),
+                      entangler="chain")
+    u = 1.0 + 0.2 * np.sin(2 * np.pi * np.arange(16) / 16 + 0.3)
+    cost = build_cost(CamassaHolm(1.0), [u, 1.01 * u], lay, 0.01, spec)
+    lam = np.random.default_rng(4).normal(scale=0.5,
+                                          size=spec.parameter_count)
+    x0 = np.append(lam, cost.parts[0].best_scale(lam))
+    cfg = SPSA(a=0.05, c=0.05, max_iters=iters, seed=11)
+    runs = []
+    for run in (spsa_two_calls_per_iteration, minimize):
+        rng = np.random.default_rng(21)
+        trace = run(partial(cost.estimate_rows, shots=2000, rng=rng), x0, cfg)
+        runs.append((trace, rng.bit_generator.state))
+    (ref, ref_state), (new, new_state) = runs
+    assert new.best_values == ref.best_values
+    assert np.array_equal(new.x_best, ref.x_best)
+    assert new.n_evals == ref.n_evals == 3 * iters + 1
+    assert new_state == ref_state
+
+
+def rising(xs):
+    return np.sum(xs ** 2, axis=1)
+
+
+def quadratic_grad(x):
+    return 2.0 * (x - 2.0)
+
+
+STOP_CASES = [
+    (GradientDescent(eta=0.3, max_iters=300), quadratic, quadratic_grad,
+     "converged"),
+    (GradientDescent(eta=0.3, max_iters=2), quadratic, quadratic_grad,
+     "max-iters"),
+    # the "gradient" points uphill, so backtracking finds no lower point
+    (GradientDescent(eta=0.3, max_iters=300), rising, lambda x: -2.0 * x - 1.0,
+     "no-descent"),
+    (SPSA(max_iters=20, seed=1), quadratic, None, "max-iters"),
+    (SPSA(max_iters=20, seed=1), later_rows_nan, None, "non-finite"),
+    (NelderMead(max_iters=400), quadratic, None, "converged"),
+    (NelderMead(max_iters=3), quadratic, None, "max-iters"),
+    (CMAES(max_iters=200, f_tol=1e-12, seed=2), quadratic, None, "converged"),
+    (CMAES(max_iters=3, seed=2), quadratic, None, "max-iters"),
+    (ParticleSwarm(max_iters=10, seed=3), quadratic, None, "max-iters"),
+    (DifferentialEvolution(max_iters=5, seed=4), quadratic, None, "max-iters"),
+]
+
+
+@pytest.mark.parametrize("cfg, objective, grad, stop", STOP_CASES,
+                         ids=[f"{type(c[0]).__name__}-{c[3]}"
+                              for c in STOP_CASES])
+def test_every_method_records_why_it_stopped(cfg, objective, grad, stop):
+    trace = minimize(objective, np.array([0.0]), cfg, grad=grad)
+    assert trace.stop == stop
+    assert trace.converged == (stop == "converged")
+
+
 def test_objective_must_return_one_value_per_row():
     with pytest.raises(OptimizationError, match="one value per row"):
         minimize(lambda xs: quadratic(xs)[:1], np.array([0.0]), CMAES(seed=0))
@@ -124,7 +210,7 @@ N = 3
 @pytest.mark.parametrize("cfg, calls", [
     (CMAES(popsize=6, max_iters=5, seed=1), [(1, N)] + [(6, N)] * 5),
     (ParticleSwarm(particles=7, max_iters=4, seed=1), [(7, N)] * 5),
-    (SPSA(max_iters=3, seed=1), [(1, N)] + [(2, N), (1, N)] * 3),
+    (SPSA(max_iters=3, seed=1), [(3, N)] * 3 + [(1, N)]),
     (NelderMead(max_iters=0), [(N + 1, N)]),
     (DifferentialEvolution(population=5, max_iters=2, seed=1),
      [(5, N)] + [(1, N)] * 10),
