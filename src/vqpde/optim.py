@@ -188,29 +188,6 @@ def finite_diff_grad(objective, x, h: float = 1e-5) -> np.ndarray:
     return (vals[:x.size] - vals[x.size:]) / (2 * h)
 
 
-def parameter_shift_grad(cost, lam, lam0: float) -> np.ndarray:
-    """Exact gradient of a quadratic-in-state cost via angle shifts.
-
-    ``cost`` must expose ``shift_split_eval(lams) -> (q, l)``, taking angle
-    rows (B, P) and returning arrays with the cost of row i equal to
-    lam0^2 q[i] - 2 lam0 l[i] + const; all 2P + 1 shifted rows go in one
-    call.  The quadratic block obeys the standard +/- pi/2 shift rule with
-    denominator 2; the state-linear block picks up denominator 2*sqrt(2)
-    because the state (not a sandwiched expectation) is shifted.  The scale
-    derivative is analytic.
-    """
-    lam = np.asarray(lam, dtype=float)
-    p = lam.size
-    shifts = np.eye(p) * (np.pi / 2)
-    q, l = cost.shift_split_eval(np.vstack([lam + shifts, lam - shifts, lam]))
-    dq = (q[:p] - q[p:2 * p]) / 2.0
-    dl = (l[:p] - l[p:2 * p]) / (2.0 * sqrt(2.0))
-    grad = np.empty(p + 1)
-    grad[:p] = lam0 * lam0 * dq - 2.0 * lam0 * dl
-    grad[-1] = 2.0 * lam0 * q[-1] - 2.0 * l[-1]
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # Methods
 # ---------------------------------------------------------------------------

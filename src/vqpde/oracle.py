@@ -70,9 +70,12 @@ def _lap_full(layout: RegisterLayout) -> np.ndarray:
 def _solve(m: np.ndarray, b: np.ndarray, keep_kernel_of: np.ndarray | None = None):
     """Dense solve; singular systems fall back to least squares, retaining
     the given field's null-space component (typically the axis mean, which
-    the residual cannot see)."""
+    the residual cannot see).  A system counts as singular when its 1-norm
+    condition number reaches 1 / (n eps): unlike the determinant, this does
+    not depend on the scale of m, and unlike ``matrix_rank`` it needs only
+    the LU factorization that ``solve`` uses, not an SVD."""
     n = m.shape[0]
-    if abs(np.linalg.det(m)) > 1e-10:
+    if np.linalg.cond(m, 1) < 1.0 / (n * np.finfo(float).eps):
         return np.linalg.solve(m, b)
     pinv = np.linalg.pinv(m)
     c = pinv @ b

@@ -1,8 +1,8 @@
 """Independent dense references for the tests: the circuit as a product of
 np.kron matrices, every operator expression as a product of the oracle's
-np.roll circulants and np.diag matrices, and the residual cost formed from
-them.  None of this shares code with ``prepare_batch`` or
-``compile_monomials``."""
+np.roll circulants and np.diag matrices, and the residual cost and its
+parameter-shift gradient formed from them.  None of this shares code with
+``prepare_batch`` or ``compile_monomials``."""
 from functools import lru_cache, reduce
 from math import sqrt
 
@@ -105,6 +105,31 @@ def direct_cost(part, lam, lam0: float) -> float:
     r, b = _residual_operators(part)
     res = lam0 * (r @ dense_circuit_state(part.spec, lam)) - b
     return float(np.vdot(res, res).real)
+
+
+def shift_rule_grad(part, lam, lam0: float) -> np.ndarray:
+    """Gradient of ``direct_cost`` by the +/- pi/2 parameter-shift rule on
+    q = ||R psi||^2 and l = Re<b|R psi>, the cost being
+    lam0^2 q - 2 lam0 l + ||b||^2: divisor 2 on q, 2 sqrt(2) on l (the
+    state, not an expectation, is shifted), and the scale derivative
+    2 lam0 q - 2 l."""
+    r, b = _residual_operators(part)
+
+    def split(row):
+        m = r @ dense_circuit_state(part.spec, row)
+        return np.vdot(m, m).real, np.vdot(b, m).real
+
+    lam = np.asarray(lam, dtype=float)
+    grad = np.empty(lam.size + 1)
+    for k in range(lam.size):
+        e = np.zeros(lam.size)
+        e[k] = np.pi / 2
+        (qp, lp), (qm, lm) = split(lam + e), split(lam - e)
+        grad[k] = lam0 * lam0 * (qp - qm) / 2.0 \
+            - 2.0 * lam0 * (lp - lm) / (2.0 * sqrt(2.0))
+    q, l = split(lam)
+    grad[-1] = 2.0 * lam0 * q - 2.0 * l
+    return grad
 
 
 def direct_joint_cost(cost, x) -> float:

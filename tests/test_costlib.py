@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vqpde.ansatz import AnsatzSpec, prepare
+from vqpde import costlib
+from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
 from vqpde.cli import _demo_cost
 from vqpde.costlib import (
     Boussinesq,
@@ -151,8 +152,8 @@ def test_rows_evaluation_equals_one_row_bitwise(kind):
 
 @pytest.mark.parametrize("kind", DEMO_KINDS)
 def test_joint_calls_equal_per_part_calls_bitwise(kind):
-    """The joint cost prepares every part's rows in one call; its rows and
-    scales equal those of the parts evaluated one by one."""
+    """The joint cost prepares every part's rows in one call; its rows,
+    scales and gradient equal those of the parts evaluated one by one."""
     joint = _demo_cost(kind)
     rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
     xs = rng.normal(size=(5, joint.n_params))
@@ -164,6 +165,23 @@ def test_joint_calls_equal_per_part_calls_bitwise(kind):
     blocks = joint.split(xs[0])
     assert joint.best_scales(xs[0]) == [
         p.best_scale(lam) for p, (lam, _) in zip(joint.parts, blocks)]
+    assert np.array_equal(joint.grad_vec(xs[0]), np.concatenate([
+        p.grad_vec(np.append(lam, lam0))
+        for p, (lam, lam0) in zip(joint.parts, blocks)]))
+
+
+def test_joint_gradient_is_one_prepare_batch_call(monkeypatch):
+    """dsw's two parts take their P + 1 rows each from one call."""
+    joint = build_cost(DSW(), [U, V + 1.5], LAY, TAU, SPEC_Y)
+    rows = []
+
+    def counted(spec, lams):
+        rows.append(len(lams))
+        return prepare_batch(spec, lams)
+
+    monkeypatch.setattr(costlib, "prepare_batch", counted)
+    joint.grad_vec(np.zeros(joint.n_params))
+    assert rows == [2 * (SPEC_Y.parameter_count + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_KINDS))

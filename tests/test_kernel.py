@@ -1,13 +1,22 @@
 """The compiled, batched kernel against independent slow paths: a dense
 np.kron circuit product, dense operator matrices built from the oracle's
-circulants and the per-coordinate parameter-shift loop."""
-from math import sqrt
-
+circulants, the per-coordinate parameter-shift rule and finite
+differences."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
-from vqpde.costlib import CamassaHolm, build_cost
+from vqpde.costlib import (
+    Boussinesq,
+    CamassaHolm,
+    DSW,
+    Einstein,
+    HunterSaxton,
+    LinTsien,
+    Maxwell,
+    NavierStokes,
+    build_cost,
+)
 from vqpde.opexpr import (
     OpExpr,
     OpTerm,
@@ -16,10 +25,10 @@ from vqpde.opexpr import (
     shift,
     shiftdag,
 )
-from vqpde.optim import parameter_shift_grad
+from vqpde.optim import finite_diff_grad
 from vqpde.statevec import RegisterLayout, kron_rows, layout_1d
 
-from reference import dense_circuit_state, dense_reference
+from reference import dense_circuit_state, dense_reference, shift_rule_grad
 from test_acceptance import pde_instances
 
 
@@ -107,32 +116,15 @@ def test_compiled_random_expression_equals_dense_matrix(nx, ny, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
-# -- batched gradient ---------------------------------------------------------
-
-def loop_shift_grad(cost, lam, lam0: float) -> np.ndarray:
-    """The parameter-shift rule one coordinate and one state at a time."""
-    def split(row):
-        q, l = cost.shift_split_eval(row[None, :])
-        return q[0], l[0]
-
-    grad = np.zeros(lam.size + 1)
-    for i in range(lam.size):
-        e = np.zeros_like(lam)
-        e[i] = np.pi / 2
-        qp, lp = split(lam + e)
-        qm, lm = split(lam - e)
-        grad[i] = (lam0 * lam0 * (qp - qm) / 2.0
-                   - 2.0 * lam0 * (lp - lm) / (2.0 * sqrt(2.0)))
-    q, l = split(lam)
-    grad[-1] = 2.0 * lam0 * q - 2.0 * l
-    return grad
-
+# -- gradient ---------------------------------------------------------------
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 4), layers=st.integers(1, 2),
        axes=st.sampled_from([("Y",), ("Y", "Z")]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_shift_grad_equals_loop(n, layers, axes, seed):
+    """The P + 1-row gradient against the +/- pi/2 rule on the dense
+    circuit, one coordinate and one state at a time."""
     rng = np.random.default_rng(seed)
     spec = AnsatzSpec(n_qubits=n, layers=layers, rotation_axes=axes,
                       entangler="ring")
@@ -142,6 +134,54 @@ def test_batched_shift_grad_equals_loop(n, layers, axes, seed):
                       0.05, spec).parts[0]
     lam = rng.normal(size=spec.parameter_count)
     lam0 = float(rng.normal())
-    batched = parameter_shift_grad(cost, lam, lam0)
-    looped = loop_shift_grad(cost, lam, lam0)
+    batched = cost.grad_vec(np.append(lam, lam0))
+    looped = shift_rule_grad(cost, lam, lam0)
     assert np.max(np.abs(batched - looped)) <= 1e-12
+
+
+# every kind ``build_cost`` accepts, as (problem, number of history fields)
+GRAD_KINDS_1D = {
+    "couette": (NavierStokes(nu=1.0), 1),
+    "navier-stokes": (NavierStokes(nu=0.5, pressure=("uniform", 0.3)), 1),
+    "einstein": (Einstein(), 1),
+    "maxwell": (Maxwell(component="z", which="B"), 1),
+    "boussinesq": (Boussinesq(0.5, 0.5), 2),
+    "camassa-holm": (CamassaHolm(1.0), 2),
+    "dsw": (DSW(), 2),
+    "hunter-saxton": (HunterSaxton(), 1),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(GRAD_KINDS_1D) + ["lin-tsien"]),
+       n=st.integers(1, 4), layers=st.integers(1, 2),
+       axes=st.sampled_from([("Y",), ("Y", "Z"), ("Z", "Y")]),
+       qft_block=st.booleans(),
+       entangler=st.sampled_from(["chain", "ring", "none"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grad_vec_equals_shift_rule_and_finite_differences(
+        kind, n, layers, axes, qft_block, entangler, seed):
+    """Every kind, random history, angles and scales: the P + 1-row
+    gradient against the dense +/- pi/2 rule and central differences."""
+    rng = np.random.default_rng(seed)
+    if kind == "lin-tsien":
+        n = max(n, 2)
+        layout = RegisterLayout((("x", n - 1, 1.0), ("y", 1, 1.0)))
+        problem, depth = LinTsien(), 1
+    else:
+        layout = layout_1d(n, 1.0)
+        problem, depth = GRAD_KINDS_1D[kind]
+    spec = AnsatzSpec(n_qubits=n, layers=layers, entangler=entangler,
+                      qft_block=qft_block, rotation_axes=axes)
+    history = list(rng.normal(size=(depth, 2 ** n)))
+    if kind == "maxwell":
+        problem = Maxwell(component="z", which="B",
+                          ext_fields={"E_y": rng.normal(size=2 ** n)})
+    cost = build_cost(problem, history, layout, 0.05, spec)
+    x = rng.normal(size=cost.n_params)
+    got = cost.grad_vec(x)
+    want = np.concatenate([shift_rule_grad(p, lam, lam0)
+                           for p, (lam, lam0) in zip(cost.parts, cost.split(x))])
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.linalg.norm(want))
+    fd = finite_diff_grad(cost.evaluate_rows, x)
+    assert np.max(np.abs(got - fd)) <= 1e-6

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vqpde.ansatz import AnsatzSpec
-from vqpde.costlib import CamassaHolm, NavierStokes, build_cost
+from vqpde.costlib import CamassaHolm, Maxwell, NavierStokes, build_cost
 from vqpde.optim import (
     CMAES,
     DifferentialEvolution,
@@ -18,9 +18,10 @@ from vqpde.optim import (
     _counted,
     finite_diff_grad,
     minimize,
-    parameter_shift_grad,
 )
 from vqpde.statevec import layout_1d
+
+from reference import shift_rule_grad
 
 ALL_CONFIGS = [
     GradientDescent(eta=0.3, max_iters=300),
@@ -261,22 +262,19 @@ def test_finite_diff_rejects_bad_step():
         finite_diff_grad(lambda xs: np.zeros(len(xs)), np.array([0.0]), h=0.0)
 
 
-class _SingleRotationCost:
-    """C(theta, lam0) = lam0^2 - 2 lam0 cos(theta/2): q = 1, l = <e0|Psi>."""
-
-    def shift_split_eval(self, lams):
-        lams = np.asarray(lams, dtype=float)
-        return np.ones(len(lams)), np.cos(lams[:, 0] / 2.0)
-
-
 def test_shift_rule_on_analytic_rotation():
-    cost = _SingleRotationCost()
+    """One qubit, M = I and b = e0: C(theta, lam0) = lam0^2 -
+    2 lam0 cos(theta/2) + 1."""
+    cost = build_cost(Maxwell(), [np.array([1.0, 0.0])], layout_1d(1, 1.0),
+                      0.1, AnsatzSpec(n_qubits=1)).parts[0]
     theta = 0.9
-    g = parameter_shift_grad(cost, np.array([theta]), 1.0)
-    # d/dtheta of -2 cos(theta/2) = sin(theta/2)
-    assert abs(g[0] - np.sin(theta / 2.0)) < 1e-10
-    # scale derivative 2 lam0 q - 2 l
-    assert abs(g[1] - (2.0 - 2.0 * np.cos(theta / 2.0))) < 1e-12
+    want = [np.sin(theta / 2.0), 2.0 - 2.0 * np.cos(theta / 2.0)]
+    for g in (cost.grad_vec(np.array([theta, 1.0])),
+              shift_rule_grad(cost, np.array([theta]), 1.0)):
+        # d/dtheta of -2 cos(theta/2) = sin(theta/2)
+        assert abs(g[0] - want[0]) < 1e-10
+        # scale derivative 2 lam0 q - 2 l
+        assert abs(g[1] - want[1]) < 1e-12
 
 
 def test_zero_gradient_at_exact_minimum():
@@ -290,8 +288,9 @@ def test_zero_gradient_at_exact_minimum():
     lam = np.full(3, np.pi / 2)
     lam0 = cost.best_scale(lam)
     assert cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] < 1e-10
-    g = parameter_shift_grad(cost, lam, lam0)
+    g = cost.grad_vec(np.append(lam, lam0))
     assert np.max(np.abs(g)) < 1e-8
+    assert np.max(np.abs(shift_rule_grad(cost, lam, lam0))) < 1e-8
 
 
 def test_shift_rule_matches_finite_differences_on_pde_cost():
@@ -304,9 +303,9 @@ def test_shift_rule_matches_finite_differences_on_pde_cost():
     cost = build_cost(CamassaHolm(1.0), [0.9 * u, u], lay, 0.05, spec).parts[0]
     for _ in range(5):
         x = rng.normal(size=spec.parameter_count + 1)
-        ps = parameter_shift_grad(cost, x[:-1], x[-1])
         fd = finite_diff_grad(cost.evaluate_rows, x)
-        assert np.max(np.abs(ps - fd)) < 1e-6
+        for g in (cost.grad_vec(x), shift_rule_grad(cost, x[:-1], x[-1])):
+            assert np.max(np.abs(g - fd)) < 1e-6
 
 
 # -- config checks -----------------------------------------------------------

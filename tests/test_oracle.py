@@ -133,6 +133,27 @@ def test_singular_update_keeps_mean_of_current_field():
     assert abs(np.mean(out) - np.mean(f)) < 1e-10
 
 
+def test_small_scale_regular_system_takes_the_direct_solve(monkeypatch):
+    # det(0.05 I) at 16 points is 1.5e-21, yet the system is perfectly
+    # conditioned; a determinant threshold would send it to least squares
+    def no_pinv(m):
+        raise AssertionError("regular system sent to least squares")
+
+    monkeypatch.setattr(orc.np.linalg, "pinv", no_pinv)
+    b = np.arange(16.0)
+    assert np.max(np.abs(orc._solve(0.05 * np.eye(16), b) - b / 0.05)) \
+        <= 1e-12
+
+
+def test_large_scale_singular_system_takes_least_squares():
+    # 1e3 times a rank-15 projector: its computed determinant is of order
+    # 1e31, yet the system is singular; the minimum-norm solution of
+    # P x = b / 1e3 is P b / 1e3
+    p = np.eye(16) - np.full((16, 16), 1.0 / 16)
+    b = np.arange(16.0)
+    assert np.max(np.abs(orc._solve(1e3 * p, b) - p @ b / 1e3)) <= 1e-12
+
+
 def test_classical_run_lengths_and_start():
     traj = orc.classical_run(NavierStokes(nu=1.0), [U], LAY, 0.05, 5)
     assert len(traj) == 6
