@@ -18,15 +18,16 @@ from .statevec import (
     SimulationError,
     apply_gate,  # noqa: F401  unused here; perfbench/tracing.py patches it
     basis_permutation,
-    kron_rows,
     qft,
     rotate,
-    rotation_matrices,
 )
 
 _ENTANGLERS = ("chain", "ring", "none")
 _ROTATIONS = ("Y", "Z")
 BLOCK = 3  # qubits per rotation block: one matmul applies a layer's block
+# entry of each 2x2 rotation element, in units of n, in a call's entry table
+# [c | s | -s] (Y) or [exp(-i theta/2) | exp(i theta/2) | 0] (Z)
+_SLOTS = {"Y": ((0, 2), (1, 0)), "Z": ((0, 2), (2, 1))}
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,11 @@ class AnsatzSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "rotation_axes", tuple(self.rotation_axes))
+        for name in ("n_qubits", "layers"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise SimulationError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(v))
         if self.n_qubits < 1:
             raise SimulationError("ansatz needs at least one qubit")
         if self.layers < 1:
@@ -62,33 +68,44 @@ class AnsatzSpec:
     def plan(self) -> "AnsatzPlan":
         """The circuit, compiled on first use and kept on the spec."""
         n = self.n_qubits
-        start = QuantumState.zero(n)
+        start = np.eye(1, 2 ** n)[0]  # |0...0>, real
         if self.qft_block:
-            start = qft(start, RegisterLayout((("q", n, 1.0),)), "q")
+            start = qft(QuantumState(start, n),
+                        RegisterLayout((("q", n, 1.0),)), "q").amplitudes
         pairs = []
         if self.entangler != "none" and n > 1:
             pairs = [(q, q + 1) for q in range(n - 1)]
             if self.entangler == "ring" and n > 2:
                 pairs.append((n - 1, 0))
-        entangler = None
-        if pairs:
-            # a CNOT only permutes amplitudes, so the whole layer is one gather
-            entangler = np.arange(2 ** n)
-            for pair in pairs:
-                entangler = entangler[basis_permutation("CNOT", pair, n)]
-            entangler.setflags(write=False)
-        kinds = tuple("RY" if a == "Y" else "RZ" for a in self.rotation_axes)
-        return AnsatzPlan(start.amplitudes, kinds, entangler)
+        perm = np.arange(2 ** n)  # a CNOT only permutes amplitudes
+        for pair in pairs:
+            perm = perm[basis_permutation("CNOT", pair, n)]
+        # per block, element (i, j) of its matrix on axis a is the product
+        # over qubits m of entry _SLOTS[a][bit m of i][bit m of j] * n + q + m
+        slots, blocks = np.array([_SLOTS[a] for a in self.rotation_axes]), []
+        for q in range(0, n, BLOCK):
+            k = min(BLOCK, n - q)
+            bits = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
+            t = slots[:, bits[:, None], bits[None, :]] * n + q + np.arange(k)
+            blocks.append((q, np.moveaxis(t, -1, 1)))
+        if n <= BLOCK:  # one block: its last axis' rows take the CNOTs
+            blocks[0][1][-1] = blocks[0][1][-1][:, perm]
+        entangler = perm if pairs and n > BLOCK else None
+        for a in (start, *(t for _, t in blocks)):
+            a.setflags(write=False)
+        return AnsatzPlan(start, tuple(blocks), entangler)
 
 
 @dataclass(frozen=True)
 class AnsatzPlan:
-    """A compiled circuit: the start vector, the rotation gate of each axis
-    of a layer, and the layer's CNOT entangler as one basis-index
-    permutation (None when the entangler is the identity)."""
+    """A compiled circuit: the start vector (real unless a Fourier block
+    leads), per block of up to ``BLOCK`` qubits its first qubit and its
+    index tables (axis, k, 2^k, 2^k) into a call's entry tables, and the
+    layer's CNOT entangler as one basis-index permutation (None when it is
+    the identity or folded into the last axis' tables)."""
 
     start: np.ndarray
-    kinds: tuple
+    blocks: tuple
     entangler: np.ndarray | None
 
 
@@ -106,45 +123,63 @@ class VariationalState:
             raise SimulationError(
                 f"expected {self.spec.parameter_count} parameters, got {lam.size}"
             )
-        if not np.isfinite(self.lam0):
-            raise SimulationError("scale must be finite")
+        if not (np.isfinite(lam).all() and np.isfinite(self.lam0)):
+            raise SimulationError("parameters and scale must be finite")
         lam = lam.copy()
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam0", float(self.lam0))
 
 
+def block_matrices(spec: AnsatzSpec, lams: np.ndarray) -> list:
+    """Each block's first qubit and its (layer, row) matrices for parameter
+    rows (B, P): per axis the product of k gathers from the entry table,
+    qubit by qubit; the axes act in order.  Real for Y rotations alone."""
+    axes, n = spec.rotation_axes, spec.n_qubits
+    # half angles as [axis][layer, row, qubit], and per axis the entry table
+    half = lams.reshape(len(lams), spec.layers, len(axes), n).transpose(
+        2, 1, 0, 3) * 0.5
+    c, s = np.cos(half), np.sin(half)
+    entries = [np.concatenate((c[a], s[a], -s[a]) if axis == "Y" else
+                              (c[a] - 1j * s[a], c[a] + 1j * s[a],
+                               np.zeros_like(c[a])), axis=-1)
+               for a, axis in enumerate(axes)]
+    mats = []
+    for q, tables in spec.plan.blocks:
+        u = None
+        for e, t in zip(entries, tables):
+            g = e[..., t[0]]
+            for idx in t[1:]:
+                g = g * e[..., idx]
+            u = g if u is None else g @ u
+        mats.append((q, u))
+    return mats
+
+
 def prepare_batch(spec: AnsatzSpec, lams) -> np.ndarray:
     """Raw amplitudes for a batch of parameter rows: lams (B, P) ->
-    complex128 (B, 2**n), row i equal to ``prepare(spec, lams[i])``."""
+    complex128 (B, 2**n), row i equal to ``prepare(spec, lams[i])``.  A real
+    circuit (Y rotations only, no Fourier block) runs in float64."""
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2 or lams.shape[1] != spec.parameter_count:
         raise SimulationError(
             f"expected rows of {spec.parameter_count} parameters, "
             f"got shape {lams.shape}"
         )
-    plan = spec.plan
-    n, rows = spec.n_qubits, lams.shape[0]
-    # angles as [axis][layer, row, qubit]
-    angles = lams.reshape(rows, spec.layers, len(plan.kinds), n)
-    angles = angles.transpose(2, 1, 0, 3)
-    mats = [rotation_matrices(kind, angles[a])
-            for a, kind in enumerate(plan.kinds)]
-    # each block's (layer, row) matrices; the axes act in order, and
-    # rotations on different blocks commute
-    blocks = []
-    for q in range(0, n, BLOCK):
-        u = kron_rows(mats[0][..., q:q + BLOCK, :, :])
-        for m in mats[1:]:
-            u = kron_rows(m[..., q:q + BLOCK, :, :]) @ u
-        blocks.append((q, u))
-    psi = np.repeat(plan.start[None, :], rows, axis=0)
-    for layer in range(spec.layers):
-        for q, u in blocks:
-            psi = rotate(psi, q, u[layer])
-        if plan.entangler is not None:
-            psi = psi[:, plan.entangler]
-    return psi
+    plan, mats = spec.plan, block_matrices(spec, lams)
+    if len(mats) == 1:
+        # one block spans the register and holds the entangler: one matmul
+        psi = plan.start[:, None]
+        for layer in range(spec.layers):
+            psi = mats[0][1][layer] @ psi
+    else:
+        psi = plan.start[None, :]
+        for layer in range(spec.layers):
+            for q, u in mats:
+                psi = rotate(psi, q, u[layer])
+            if plan.entangler is not None:
+                psi = psi[:, plan.entangler]
+    return np.ascontiguousarray(psi.reshape(-1, plan.start.size), complex)
 
 
 def prepare(spec: AnsatzSpec, lam) -> QuantumState:

@@ -143,56 +143,30 @@ class Gate:
             return np.array([[0, 1], [1, 0]], dtype=complex)
         if k == "Z":
             return np.array([[1, 0], [0, -1]], dtype=complex)
-        if k in ("RX", "RY", "RZ"):
-            return rotation_matrices(k, self.theta)
+        c, s = np.cos(self.theta / 2), np.sin(self.theta / 2)
+        if k == "RX":
+            return np.array([[c, -1j * s], [-1j * s, c]])
+        if k == "RY":
+            return np.array([[c, -s], [s, c]], dtype=complex)
+        if k == "RZ":
+            return np.diag([c - 1j * s, c + 1j * s])
         raise SimulationError(f"no single-qubit matrix for {k!r}")
 
 
-def rotation_matrices(kind: str, theta) -> np.ndarray:
-    """RX/RY/RZ matrices for an array of angles, shape theta.shape + (2, 2)."""
-    half = np.asarray(theta, dtype=float) / 2
-    c, s = np.cos(half), np.sin(half)
-    out = np.zeros(half.shape + (2, 2), dtype=complex)
-    if kind == "RX":
-        out[..., 0, 0] = out[..., 1, 1] = c
-        out[..., 0, 1] = out[..., 1, 0] = -1j * s
-    elif kind == "RY":
-        out[..., 0, 0] = out[..., 1, 1] = c
-        out[..., 0, 1] = -s
-        out[..., 1, 0] = s
-    elif kind == "RZ":
-        out[..., 0, 0] = c - 1j * s
-        out[..., 1, 1] = c + 1j * s
-    else:
-        raise SimulationError(f"{kind!r} is not a rotation")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Batched kernel: rows of raw complex128 amplitudes, shape (B, 2**n)
+# Batched kernel: rows of raw amplitudes, shape (B, 2**n)
 # ---------------------------------------------------------------------------
 
 def rotate(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     """Apply a 2**k x 2**k matrix to qubits ``qubit .. qubit+k-1`` of every
-    row, in one matmul; ``u`` is one matrix or one per row, (B, 2**k, 2**k).
-    Returns a new (B, 2**n) array."""
+    row, in one matmul; ``u`` is one matrix or one per row, (B, 2**k, 2**k),
+    and one ``psi`` row broadcasts against B matrices.  Returns a new
+    (B, 2**n) array."""
     b, dim = psi.shape
     size, low = u.shape[-1], 1 << qubit
     v = psi.reshape(b, dim // (size * low), size, low)
     out = np.matmul(np.reshape(u, (-1, 1, size, size)), v)
-    return out.reshape(b, dim)
-
-
-def kron_rows(m: np.ndarray) -> np.ndarray:
-    """Kronecker product over the qubit axis of stacked 2x2 matrices,
-    (..., k, 2, 2) -> (..., 2**k, 2**k), qubit 0 the least significant
-    factor."""
-    out = m[..., 0, :, :]
-    for q in range(1, m.shape[-3]):
-        f, d = m[..., q, :, :], out.shape[-1]
-        out = (f[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
-            out.shape[:-2] + (2 * d, 2 * d))
-    return out
+    return out.reshape(-1, dim)
 
 
 def basis_permutation(kind: str, targets, n_qubits: int) -> np.ndarray:

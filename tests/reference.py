@@ -18,13 +18,13 @@ _P1 = np.diag([0.0, 1.0])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _kron_qubits(mats) -> np.ndarray:
+def kron_qubits(mats) -> np.ndarray:
     """Kronecker product of one matrix per qubit, qubit 0 the least
     significant factor."""
     return reduce(np.kron, reversed(mats))
 
 
-def _rotation(axis: str, theta: float) -> np.ndarray:
+def rotation_matrix(axis: str, theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     if axis == "Y":
         return np.array([[c, -s], [s, c]], dtype=complex)
@@ -32,7 +32,7 @@ def _rotation(axis: str, theta: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _entangler(n: int, entangler: str) -> np.ndarray:
+def entangler_matrix(n: int, entangler: str) -> np.ndarray:
     """One layer's CNOTs as one matrix: CNOT(c, t) = P0_c + P1_c X_t."""
     pairs = []
     if entangler != "none" and n > 1:
@@ -43,7 +43,7 @@ def _entangler(n: int, entangler: str) -> np.ndarray:
     for c, t in pairs:
         p0 = [_P0 if q == c else _I2 for q in range(n)]
         p1x = [_P1 if q == c else _X if q == t else _I2 for q in range(n)]
-        out = (_kron_qubits(p0) + _kron_qubits(p1x)) @ out
+        out = (kron_qubits(p0) + kron_qubits(p1x)) @ out
     return out
 
 
@@ -58,10 +58,10 @@ def dense_circuit_state(spec: AnsatzSpec, lam) -> np.ndarray:
     k = 0
     for _ in range(spec.layers):
         for axis in spec.rotation_axes:
-            layer = _kron_qubits([_rotation(axis, t) for t in lam[k:k + n]])
+            layer = kron_qubits([rotation_matrix(axis, t) for t in lam[k:k + n]])
             psi = layer @ psi
             k += n
-        psi = _entangler(n, spec.entangler) @ psi
+        psi = entangler_matrix(n, spec.entangler) @ psi
     return psi
 
 

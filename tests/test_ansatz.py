@@ -26,6 +26,21 @@ def test_spec_validation():
         AnsatzSpec(n_qubits=2, rotation_axes=("X",))
 
 
+@pytest.mark.parametrize("field", ["n_qubits", "layers"])
+@pytest.mark.parametrize("value", [3.0, True, "3", None])
+def test_spec_rejects_non_integer_sizes(field, value):
+    args = {"n_qubits": 2, "layers": 1, field: value}
+    with pytest.raises(SimulationError, match=field):
+        AnsatzSpec(**args)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = AnsatzSpec(n_qubits=np.int64(3), layers=np.uint8(2))
+    assert spec == AnsatzSpec(n_qubits=3, layers=2)
+    assert type(spec.n_qubits) is int and type(spec.layers) is int
+    assert prepare(spec, np.zeros(6)).amplitudes[0] == 1.0
+
+
 def test_zero_parameters_give_reference_state():
     spec = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y",))
     out = prepare(spec, np.zeros(spec.parameter_count))
@@ -91,3 +106,12 @@ def test_variational_state_validation():
         VariationalState(spec, np.zeros(3), 1.0)
     with pytest.raises(SimulationError):
         VariationalState(spec, np.zeros(2), np.inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_variational_state_rejects_non_finite_angles(bad):
+    spec = AnsatzSpec(n_qubits=2, layers=1)
+    with pytest.raises(SimulationError, match="finite"):
+        VariationalState(spec, np.full(spec.parameter_count, bad), 1.0)
+    with pytest.raises(SimulationError, match="finite"):
+        VariationalState(spec, np.array([0.0, bad]), 1.0)

@@ -5,7 +5,13 @@ differences."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
+from vqpde.ansatz import (
+    BLOCK,
+    AnsatzSpec,
+    block_matrices,
+    prepare,
+    prepare_batch,
+)
 from vqpde.costlib import (
     Boussinesq,
     CamassaHolm,
@@ -26,33 +32,59 @@ from vqpde.opexpr import (
     shiftdag,
 )
 from vqpde.optim import finite_diff_grad
-from vqpde.statevec import RegisterLayout, kron_rows, layout_1d
+from vqpde.statevec import RegisterLayout, layout_1d
 
-from reference import dense_circuit_state, dense_reference, shift_rule_grad
+from reference import (
+    dense_circuit_state,
+    dense_reference,
+    entangler_matrix,
+    kron_qubits,
+    rotation_matrix,
+    shift_rule_grad,
+)
 from test_acceptance import pde_instances
 
 
 # -- dense reference circuit --------------------------------------------------
 
-@settings(max_examples=20, deadline=None)
-@given(k=st.integers(1, 4), rows=st.integers(1, 3),
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), layers=st.integers(1, 2), rows=st.integers(1, 3),
+       entangler=st.sampled_from(["chain", "ring", "none"]),
+       axes=st.sampled_from([("Y",), ("Z",), ("Y", "Z"), ("Z", "Y")]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_kron_rows_equals_np_kron(k, rows, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(rows, k, 2, 2)) + 1j * rng.normal(size=(rows, k, 2, 2))
-    got = kron_rows(m)
-    assert got.shape == (rows, 2 ** k, 2 ** k)
-    for r in range(rows):
-        want = np.eye(1)
-        for q in reversed(range(k)):
-            want = np.kron(want, m[r, q])
-        assert np.max(np.abs(got[r] - want)) <= 1e-15 * np.max(np.abs(want))
+def test_block_matrices_equal_np_kron(n, layers, rows, entangler, axes, seed):
+    """Each block's gathered matrix is the np.kron product of its qubits'
+    rotations, axis after axis; when one block spans the register (folded),
+    it also holds the layer's CNOTs, and otherwise the plan keeps them."""
+    spec = AnsatzSpec(n_qubits=n, layers=layers, entangler=entangler,
+                      rotation_axes=axes)
+    lams = np.random.default_rng(seed).normal(
+        scale=2.0, size=(rows, spec.parameter_count))
+    angles = lams.reshape(rows, layers, len(axes), n)
+    mats = block_matrices(spec, lams)
+    assert [q for q, _ in mats] == list(range(0, n, BLOCK))
+    folded = n <= BLOCK
+    assert (spec.plan.entangler is None) == (folded or entangler == "none"
+                                             or n == 1)
+    for q, u in mats:
+        k = min(BLOCK, n - q)
+        assert u.shape == (layers, rows, 2 ** k, 2 ** k)
+        assert u.dtype == (np.float64 if axes == ("Y",) else np.complex128)
+        for layer in range(layers):
+            for r in range(rows):
+                want = np.eye(2 ** k)
+                for a, axis in enumerate(axes):
+                    want = kron_qubits([rotation_matrix(axis, t) for t in
+                                        angles[r, layer, a, q:q + k]]) @ want
+                if folded:
+                    want = entangler_matrix(n, entangler) @ want
+                assert np.max(np.abs(u[layer, r] - want)) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), layers=st.integers(1, 3),
        entangler=st.sampled_from(["chain", "ring", "none"]),
-       axes=st.sampled_from([("Y",), ("Z",), ("Y", "Z")]),
+       axes=st.sampled_from([("Y",), ("Z",), ("Y", "Z"), ("Z", "Y")]),
        qft_block=st.booleans(), rows=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_prepare_batch_rows_equal_dense_circuit(n, layers, entangler, axes,
@@ -63,6 +95,10 @@ def test_prepare_batch_rows_equal_dense_circuit(n, layers, entangler, axes,
         scale=2.0, size=(rows, spec.parameter_count))
     batch = prepare_batch(spec, lams)
     assert batch.shape == (rows, 2 ** n)
+    # complex128 rows whether or not the circuit ran in float64
+    assert batch.dtype == np.complex128 and batch.flags.c_contiguous
+    empty = prepare_batch(spec, lams[:0])
+    assert empty.shape == (0, 2 ** n) and empty.dtype == np.complex128
     for row, lam in zip(batch, lams):
         assert np.max(np.abs(row - dense_circuit_state(spec, lam))) <= 1e-13
         assert np.array_equal(row, prepare(spec, lam).amplitudes)
