@@ -18,7 +18,7 @@ unitary and shot-estimable; nonlinear frozen-field factors live in b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import cached_property
+from functools import cache, cached_property
 from math import pi, sqrt
 
 import numpy as np
@@ -275,9 +275,17 @@ class TermTable:
     from_source: np.ndarray  # (N, 1) bool
 
 
-def _pi_rows(lam) -> np.ndarray:
-    """Angle rows (P + 1, P): lam, then lam + pi e_k for every k."""
-    return np.vstack([lam, lam + pi * np.eye(lam.size)])
+@cache
+def _pi_shifts(p: int) -> np.ndarray:
+    """[-0.0; pi I] (P + 1, P): lam + it is lam bitwise, then lam + pi e_k."""
+    shifts = np.vstack([np.full(p, -0.0), pi * np.eye(p)])
+    shifts.setflags(write=False)  # one array, shared by every caller
+    return shifts
+
+
+def _sq_norms(r) -> np.ndarray:
+    """Squared norm of every residual row r (B, dim)."""
+    return np.einsum("bi,bi->b", r.conj(), r).real
 
 
 def _best_scale(q, l) -> float:
@@ -331,10 +339,8 @@ class CostFunction:
 
     def cost_rows(self, psi, lam0) -> np.ndarray:
         """Cost of prepared rows psi (B, dim) at scales lam0 (B, 1): the
-        squared norm of the residual row lam0 M psi - b, never negative.
-        Every exact cost value is formed here."""
-        r = lam0 * self.m_form.apply(psi) - self.b_vector
-        return np.einsum("bi,bi->b", r.conj(), r).real
+        squared norm of the residual row lam0 M psi - b, never negative."""
+        return _sq_norms(lam0 * self.m_form.apply(psi) - self.b_vector)
 
     def evaluate_rows(self, xs) -> np.ndarray:
         """Cost of every row (lam, lam0) of xs (B, n_params)."""
@@ -346,19 +352,25 @@ class CostFunction:
         return _best_scale(*self.shift_split_eval(
             np.asarray(lam, dtype=float)[None, :]))
 
-    def grad_rows(self, psi, lam0) -> np.ndarray:
-        """Exact gradient in (lam, lam0) from the rows psi (P + 1, dim) of
-        ``_pi_rows(lam)``.  Each angle sits in one rotation exp(-i t G / 2)
-        with G^2 = I, so d psi / d lam_k = psi(lam + pi e_k) / 2; with the
-        residual r = lam0 M psi_0 - b, dC/d lam_k = lam0 Re<r|M psi_k> and
-        dC/d lam0 = 2 Re<M psi_0|r>."""
+    def grad_rows(self, psi, lam0) -> tuple:
+        """Cost ||r||^2 and gradient from r = lam0 M psi_0 - b and the rows
+        psi (P + 1, dim) at lam + ``_pi_shifts``.  Each angle sits in one
+        exp(-i t G / 2) with G^2 = I, so d psi_0 / d lam_k = psi_k / 2:
+        dC/d lam_k = lam0 Re<r|M psi_k> and dC/d lam0 = 2 Re<M psi_0|r>."""
         mpsi = self.m_form.apply(psi)
-        g = (mpsi @ np.conj(lam0 * mpsi[0] - self.b_vector)).real
-        return np.append(lam0 * g[1:], 2.0 * g[0])
+        r = lam0 * mpsi[:1] - self.b_vector
+        g = (mpsi @ r[0].conj()).real
+        return float(_sq_norms(r)[0]), np.concatenate((lam0 * g[1:],
+                                                       [2.0 * g[0]]))
+
+    def value_and_grad(self, x) -> tuple:
+        """Cost and exact gradient at x = (lam, lam0) from P + 1 rows."""
+        x = np.asarray(x, dtype=float)
+        lam = x[:-1] + _pi_shifts(x.size - 1)
+        return self.grad_rows(prepare_batch(self.spec, lam), x[-1])
 
     def grad_vec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.grad_rows(prepare_batch(self.spec, _pi_rows(x[:-1])), x[-1])
+        return self.value_and_grad(x)[1]
 
     # -- term list ----------------------------------------------------------
 
@@ -479,23 +491,24 @@ class JointCost:
         return sum(p.cost_rows(psi, lam0) for p, psi, (_, lam0)
                    in zip(self.parts, states, blocks))
 
-    def evaluate_vec(self, x) -> float:
-        return float(self.evaluate_rows(np.asarray(x, dtype=float)[None, :])[0])
-
     def best_scales(self, x) -> list:
         """Every part's closed-form scale at the angles of x."""
         states = self._states([lam[None, :] for lam, _ in self.split(x)])
         return [_best_scale(*p.split_rows(psi))
                 for p, psi in zip(self.parts, states)]
 
-    def grad_vec(self, x) -> np.ndarray:
-        """Every part's exact gradient (``CostFunction.grad_rows``) from
-        its P + 1 rows, the rows of all parts from one ``prepare_batch``
-        call."""
+    def value_and_grad(self, x) -> tuple:
+        """The parts' ``value_and_grad`` summed and concatenated, one batch."""
+        if len(self.parts) == 1:
+            return self.parts[0].value_and_grad(x)
         split = self.split(x)
-        states = self._states([_pi_rows(lam) for lam, _ in split])
-        return np.concatenate([p.grad_rows(psi, lam0) for p, psi, (_, lam0)
-                               in zip(self.parts, states, split)])
+        states = self._states([lam + _pi_shifts(lam.size) for lam, _ in split])
+        pairs = [p.grad_rows(psi, lam0) for p, psi, (_, lam0)
+                 in zip(self.parts, states, split)]
+        return sum(c for c, _ in pairs), np.concatenate([g for _, g in pairs])
+
+    def grad_vec(self, x) -> np.ndarray:
+        return self.value_and_grad(x)[1]
 
     def term_values(self, lams: list, shots: int | None = None,
                     rng: np.random.Generator | None = None) -> list:

@@ -76,6 +76,7 @@ class StepRecord:
     grad_norm: float = 0.0
     n_evals: int = 0
     imag_leak: float = 0.0
+    stop: str | None = None  # why the winning start's optimization ended
 
 
 @dataclass
@@ -119,16 +120,16 @@ def step(problem, history, warm, cfg: EvolutionConfig,
          layout: RegisterLayout, rng: np.random.Generator):
     """Minimize the frozen-history cost from the warm start (one variational
     state per component) plus perturbed restarts; returns (best parameter
-    vector, diagnostics dict)."""
+    vector, diagnostics dict with the winner's stop reason)."""
     cost = build_cost(problem, history, layout, cfg.tau, warm[0].spec)
     x0 = np.concatenate([np.append(w.lam, w.lam0) for w in warm])
     x0 = _apply_best_scale(cost, x0)
 
+    objective, fused = cost.evaluate_rows, cost.value_and_grad
     if cfg.mode == "shots":
         eval_rng = np.random.default_rng(rng.integers(2 ** 63))
         objective = partial(cost.estimate_rows, shots=cfg.shots, rng=eval_rng)
-    else:
-        objective = cost.evaluate_rows
+        fused = None
 
     starts = [x0]
     for _ in range(cfg.restarts - 1):
@@ -136,16 +137,17 @@ def step(problem, history, warm, cfg: EvolutionConfig,
 
     best_x, best_f, n_evals = None, np.inf, 0
     for s in starts:
-        trace = minimize(objective, s, cfg.optimizer, grad=cost.grad_vec)
+        trace = minimize(objective, s, cfg.optimizer, grad=cost.grad_vec,
+                         value_and_grad=fused)
         n_evals += trace.n_evals
         cand = _apply_best_scale(cost, trace.x_best)
-        f = cost.evaluate_vec(cand)
+        f, g = cost.value_and_grad(cand)
         if not np.isfinite(f):
             raise EvolutionError("optimizer diverged to a non-finite cost")
         if f < best_f:
-            best_x, best_f = cand, f
-    grad_norm = float(np.linalg.norm(cost.grad_vec(best_x)))
-    return best_x, {"cost": best_f, "grad_norm": grad_norm, "n_evals": n_evals}
+            best_x, best_f, best_g, stop = cand, f, g, trace.stop
+    return best_x, {"cost": best_f, "grad_norm": float(np.linalg.norm(best_g)),
+                    "n_evals": n_evals, "stop": stop}
 
 
 def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
@@ -214,7 +216,7 @@ def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
         traj.records.append(StepRecord(
             (k + 1) * cfg.tau, dict(zip(names, fields)), info["cost"],
             warm[0].lam, warm[0].lam0, info["grad_norm"],
-            info["n_evals"], max(leaks)))
+            info["n_evals"], max(leaks), info["stop"]))
     return traj
 
 

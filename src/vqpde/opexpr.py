@@ -240,9 +240,12 @@ class MonomialForm:
 
     perm: np.ndarray    # (T, dim) source indices
     weight: np.ndarray  # (T, dim) complex
+    identity: bool = False  # expr is 1: apply copies the rows
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Apply to rows of raw amplitudes, shape (B, dim)."""
+        if self.identity:  # in the sum's column-major layout: rounds alike
+            return np.array(psi, dtype=complex, order="F")
         return (self.weight * psi[:, self.perm]).sum(axis=1)
 
 
@@ -279,7 +282,7 @@ def compile_monomials(expr, layout: RegisterLayout,
     weight = np.array(weights, dtype=complex).reshape(len(weights), dim)
     perm.setflags(write=False)
     weight.setflags(write=False)
-    return MonomialForm(perm, weight)
+    return MonomialForm(perm, weight, terms == (OpTerm(1.0),))
 
 
 def apply_expr(expr, amplitudes, layout: RegisterLayout,

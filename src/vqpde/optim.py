@@ -133,9 +133,9 @@ class DifferentialEvolution:
 @dataclass
 class OptimizationTrace:
     """Best-so-far values per iteration, the row count and why the method
-    stopped: "converged", "max-iters" (the default, left by a method that
-    runs out of iterations), "no-descent" (gradient descent's backtracking
-    ran out) or "non-finite" (SPSA met a non-finite +/- estimate)."""
+    stopped: "converged", "max-iters" (the default: out of iterations),
+    "no-descent" (gradient descent's backtracking ran out) or "non-finite"
+    (a non-finite SPSA +/- estimate or gradient-descent gradient)."""
     best_values: list = field(default_factory=list)
     n_evals: int = 0
     x_best: np.ndarray | None = None
@@ -153,22 +153,24 @@ class OptimizationTrace:
         self.best_values.append(self.f_best)
 
 
+def _tally(vals, n: int, trace: OptimizationTrace) -> np.ndarray:
+    """Check and count the n values of one objective call."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (n,):
+        raise OptimizationError("objective must return one value per row")
+    if trace.n_evals == 0 and not np.isfinite(vals[0]):
+        raise OptimizationError("objective is not finite at the start point")
+    trace.n_evals += n
+    return np.fmin(vals, np.inf)  # NaN -> +inf; fmin ignores a NaN
+
+
 def _counted(objective, trace: OptimizationTrace):
-    """Counting wrapper: ``f(X)`` passes the rows X (B, n) to the objective
-    and returns its B values; ``f(x)`` on one point returns one float.  Each
-    row adds one to ``n_evals``.  Every method's first row is the start
-    point, so that is where a non-finite objective is rejected; a later NaN
-    reads as +inf, so that no pick of the best can land on it."""
+    """``f(X)``: the objective's B values at the rows X (B, n), each row one
+    count in ``n_evals``; ``f(x)`` on one point returns one float."""
     def f(x):
         x = np.asarray(x, dtype=float)
         rows = x if x.ndim == 2 else x[None, :]
-        vals = np.asarray(objective(rows), dtype=float)
-        if vals.shape != (len(rows),):
-            raise OptimizationError("objective must return one value per row")
-        if trace.n_evals == 0 and not np.isfinite(vals[0]):
-            raise OptimizationError("objective is not finite at the start point")
-        trace.n_evals += len(rows)
-        vals = np.fmin(vals, np.inf)  # NaN -> +inf; fmin ignores a NaN
+        vals = _tally(objective(rows), len(rows), trace)
         return vals if x.ndim == 2 else float(vals[0])
     return f
 
@@ -192,29 +194,28 @@ def finite_diff_grad(objective, x, h: float = 1e-5) -> np.ndarray:
 # Methods
 # ---------------------------------------------------------------------------
 
-def _gradient_descent(f, x, cfg: GradientDescent, grad, trace):
-    fx = f(x)
+def _gradient_descent(fg, x, cfg: GradientDescent, grad, trace):
+    """``fg(x)`` is (value, gradient or None for ``grad`` to take later)."""
+    fx, g = fg(x)
     trace.record(x, fx)
     eta = cfg.eta
     for _ in range(cfg.max_iters):
-        g = np.asarray(grad(x), dtype=float)
+        g = np.asarray(grad(x) if g is None else g, dtype=float)
         gn = np.linalg.norm(g)
-        if gn <= cfg.grad_tol:
-            trace.stop = "converged"
+        if not (np.isfinite(gn) and gn > cfg.grad_tol):
+            trace.stop = "converged" if gn <= cfg.grad_tol else "non-finite"
             break
         # backtracking: shrink the step until the value decreases
-        moved = False
         while eta > 1e-14:
             cand = x - eta * g
-            fc = f(cand)
+            fc, gc = fg(cand)
             if fc < fx:
-                x, fx = cand, fc
+                x, fx, g = cand, fc, gc
                 eta = min(eta * 1.3, cfg.eta * 100)
-                moved = True
                 break
             eta *= 0.5
         trace.record(x, fx)
-        if not moved:
+        if eta <= 1e-14:  # ran out: an accepted step leaves eta above this
             trace.stop = "no-descent"
             break
         if cfg.f_tol is not None and fx <= cfg.f_tol:
@@ -391,7 +392,6 @@ def _differential_evolution(f, x0, cfg: DifferentialEvolution, trace):
 
 
 _DISPATCH = {
-    GradientDescent: _gradient_descent,
     SPSA: _spsa,
     NelderMead: _nelder_mead,
     CMAES: _cmaes,
@@ -400,18 +400,24 @@ _DISPATCH = {
 }
 
 
-def minimize(objective, x0, config, grad=None) -> OptimizationTrace:
+def minimize(objective, x0, config, grad=None,
+             value_and_grad=None) -> OptimizationTrace:
     """Run the configured method on the rows objective (X of shape (B, n)
-    to B values); stochastic methods are seeded and reproducible.  ``grad``
-    is used by gradient descent only (finite differences are substituted
-    when absent).  The method owns its copy of ``x0``."""
+    to B values); stochastic methods are seeded and reproducible.  Gradient
+    descent calls ``value_and_grad(x)`` instead when given, else ``grad``
+    (finite differences when absent) at accepted points.  Owns its x0 copy."""
     trace = OptimizationTrace()
     f = _counted(objective, trace)
     x0 = np.array(x0, dtype=float)
     kind = type(config)
     if kind is GradientDescent:
-        g = grad if grad is not None else (lambda x: finite_diff_grad(objective, x))
-        return _gradient_descent(f, x0, config, g, trace)
+        def fg(x):
+            if value_and_grad is None:
+                return f(x), None
+            v, g = value_and_grad(x)
+            return float(_tally([v], 1, trace)[0]), g
+        return _gradient_descent(fg, x0, config, grad or (
+            lambda x: finite_diff_grad(objective, x)), trace)
     if kind not in _DISPATCH:
         raise OptimizationError(f"unknown optimizer config {config!r}")
     return _DISPATCH[kind](f, x0, config, trace)

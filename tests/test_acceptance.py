@@ -272,11 +272,12 @@ def test_coupled_system_joint_minimization(capsys):
     warm = np.concatenate([np.append(vs_u.lam, vs_u.lam0),
                            np.append(vs_v.lam, vs_v.lam0)])
     start = warm + rng.normal(scale=0.3, size=warm.size)
-    f_start = cost.evaluate_vec(start)
+    f_start = cost.evaluate_rows(start[None, :])[0]
     trace = minimize(cost.evaluate_rows, start,
                      GradientDescent(eta=0.15, max_iters=400, grad_tol=1e-12),
                      grad=cost.grad_vec)
-    f_end = cost.evaluate_vec(_apply_best_scale(cost, trace.x_best))
+    best = _apply_best_scale(cost, trace.x_best)
+    f_end = cost.evaluate_rows(best[None, :])[0]
     reduction = f_start / max(f_end, 1e-300)
 
     cfg = EvolutionConfig(

@@ -32,7 +32,7 @@ from vqpde.evolve import _apply_best_scale
 from vqpde.opexpr import OpExpr
 from vqpde.statevec import RegisterLayout, SimulationError, layout_1d
 
-from reference import dense_reference, direct_joint_cost
+from reference import dense_reference, direct_joint_cost, shift_rule_grad
 
 LAY = layout_1d(3, 1.0)
 SPEC = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
@@ -129,7 +129,7 @@ def test_term_sum_equals_direct_residual_norm(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(25):
         x = rng.normal(size=cost.n_params)
-        closed = cost.evaluate_vec(x)
+        closed = cost.evaluate_rows(x[None, :])[0]
         direct = direct_joint_cost(cost, x)
         terms = sum(p.evaluate_terms(lam, lam0)
                     for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
@@ -168,6 +168,27 @@ def test_joint_calls_equal_per_part_calls_bitwise(kind):
     assert np.array_equal(joint.grad_vec(xs[0]), np.concatenate([
         p.grad_vec(np.append(lam, lam0))
         for p, (lam, lam0) in zip(joint.parts, blocks)]))
+
+
+@pytest.mark.parametrize("kind", DEMO_KINDS)
+def test_fused_call_equals_evaluate_rows_and_shift_rule(kind):
+    """On every demo part and joint cost, ``value_and_grad``'s cost is
+    ``evaluate_rows`` bit for bit, and its gradient is ``grad_vec`` bit for
+    bit and the dense +/- pi/2 rule to 1e-10."""
+    rng = np.random.default_rng(zlib.crc32(kind.encode()) + 2)
+    for cost in demo_costs(kind):
+        parts = cost.parts if isinstance(cost, JointCost) else (cost,)
+        for _ in range(3):
+            x = rng.normal(size=cost.n_params)
+            f, g = cost.value_and_grad(x)
+            assert f == cost.evaluate_rows(x[None, :])[0]
+            assert np.array_equal(g, cost.grad_vec(x))
+            k, want = 0, []
+            for p in parts:
+                k += p.n_params
+                want.append(shift_rule_grad(p, x[k - p.n_params:k - 1],
+                                            x[k - 1]))
+            assert np.max(np.abs(g - np.concatenate(want))) <= 1e-10
 
 
 def test_joint_gradient_is_one_prepare_batch_call(monkeypatch):

@@ -196,6 +196,50 @@ def test_shot_mode_spsa_step_is_one_call_per_iteration(monkeypatch, iters):
     assert sum(calls) == info["n_evals"] == 3 * iters + 1
 
 
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_exact_gd_step_prepares_once_per_evaluation(monkeypatch, restarts):
+    """An exact-mode gradient-descent step prepares one batch per counted
+    evaluation, each candidate's gradient included, plus the closed-form
+    scales at the warm start and, per start, at its best point and the
+    fused cost and gradient reported there."""
+    from vqpde import costlib
+
+    calls = []
+    prepare_batch = costlib.prepare_batch
+
+    def counted(spec, lams):
+        calls.append(len(lams))
+        return prepare_batch(spec, lams)
+
+    monkeypatch.setattr(costlib, "prepare_batch", counted)
+    u = np.sin(2 * np.pi * XS / 8) + 1.2
+    rng = np.random.default_rng(5)
+    warm = [VariationalState(SPEC, rng.normal(size=SPEC.parameter_count),
+                             float(np.linalg.norm(u)))]
+    cfg = EvolutionConfig(tau=0.05, n_steps=1, restarts=restarts,
+                          optimizer=GradientDescent(eta=0.2, max_iters=10,
+                                                    grad_tol=0.0))
+    _, info = step(NavierStokes(nu=1.0), [u], warm, cfg, LAY, rng)
+    assert info["n_evals"] > 10 * restarts
+    assert len(calls) == info["n_evals"] + 1 + 2 * restarts
+    assert calls.count(SPEC.parameter_count + 1) == len(calls) - 1 - restarts
+
+
+@pytest.mark.parametrize("optimizer, mode, stop", [
+    (GradientDescent(eta=0.2, max_iters=5, grad_tol=0.0), "exact",
+     "max-iters"),
+    (GradientDescent(eta=0.2, max_iters=5, grad_tol=1e6), "exact",
+     "converged"),
+    (SPSA(max_iters=3, seed=1), "shots", "max-iters"),
+])
+def test_steps_record_why_the_optimization_stopped(optimizer, mode, stop):
+    u0 = np.sin(2 * np.pi * XS / 8) + 1.2
+    cfg = EvolutionConfig(tau=0.05, n_steps=2, optimizer=optimizer, mode=mode,
+                          shots=500 if mode == "shots" else None, seed=3)
+    traj = run(NavierStokes(nu=1.0), [u0], cfg, LAY, SPEC)
+    assert [r.stop for r in traj.records] == [None, stop, stop]
+
+
 def test_zero_steps_returns_initial_only():
     cfg = EvolutionConfig(tau=0.1, n_steps=0, optimizer=GD, seed=3)
     traj = run(NavierStokes(nu=1.0), [XS * 0 + 1.0], cfg, LAY, SPEC)

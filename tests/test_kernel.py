@@ -222,7 +222,9 @@ GRAD_KINDS_1D = {
 def test_grad_vec_equals_shift_rule_and_finite_differences(
         kind, n, layers, axes, qft_block, entangler, seed):
     """Every kind, random history, angles and scales: the P + 1-row
-    gradient against the dense +/- pi/2 rule and central differences."""
+    gradient against the dense +/- pi/2 rule and central differences, and
+    the fused call's cost and gradient against ``evaluate_rows`` and
+    ``grad_vec`` bit for bit."""
     rng = np.random.default_rng(seed)
     if kind == "lin-tsien":
         n = max(n, 2)
@@ -245,3 +247,6 @@ def test_grad_vec_equals_shift_rule_and_finite_differences(
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.linalg.norm(want))
     fd = finite_diff_grad(cost.evaluate_rows, x)
     assert np.max(np.abs(got - fd)) <= 1e-6
+    f, g = cost.value_and_grad(x)
+    assert f == cost.evaluate_rows(x[None, :])[0]
+    assert np.array_equal(g, got)

@@ -169,6 +169,8 @@ STOP_CASES = [
     # the "gradient" points uphill, so backtracking finds no lower point
     (GradientDescent(eta=0.3, max_iters=300), rising, lambda x: -2.0 * x - 1.0,
      "no-descent"),
+    (GradientDescent(eta=0.3, max_iters=300), quadratic,
+     lambda x: np.full(x.size, np.nan), "non-finite"),
     (SPSA(max_iters=20, seed=1), quadratic, None, "max-iters"),
     (SPSA(max_iters=20, seed=1), later_rows_nan, None, "non-finite"),
     (NelderMead(max_iters=400), quadratic, None, "converged"),
@@ -223,13 +225,150 @@ def test_populations_are_one_call(cfg, calls):
     assert trace.n_evals == sum(rows for rows, _ in rec.shapes)
 
 
+def gradient_descent_reference(objective, x, cfg, grad, trace):
+    """Gradient descent as a loop that evaluates each candidate alone and
+    takes the gradient at every accepted point, before its next step."""
+    f = _counted(objective, trace)
+    x = np.array(x, dtype=float)
+    fx = f(x)
+    trace.record(x, fx)
+    eta = cfg.eta
+    for _ in range(cfg.max_iters):
+        g = grad(x)
+        if np.linalg.norm(g) <= cfg.grad_tol:
+            break
+        moved = False
+        while eta > 1e-14:
+            cand = x - eta * g
+            fc = f(cand)
+            if fc < fx:
+                x, fx = cand, fc
+                eta = min(eta * 1.3, cfg.eta * 100)
+                moved = True
+                break
+            eta *= 0.5
+        trace.record(x, fx)
+        if not moved:
+            break
+    return trace
+
+
 def test_gradient_descent_passes_single_rows():
+    """Without a fused call, each candidate is one row and the gradient is
+    taken only at accepted points: the calls of the reference loop, in its
+    order."""
+    cfg = GradientDescent(eta=0.9, max_iters=6)
+    logs = []
+    for run in (gradient_descent_reference, None):
+        log = []
+
+        def objective(xs):
+            log.append(("f", xs.copy()))
+            return np.sum((xs - 1.0) ** 2 + np.sin(3.0 * xs), axis=1)
+
+        def grad(x):
+            log.append(("g", x.copy()))
+            return 2.0 * (x - 1.0) + 3.0 * np.cos(3.0 * x)
+
+        trace = (run(objective, np.zeros(N), cfg, grad, OptimizationTrace())
+                 if run else minimize(objective, np.zeros(N), cfg, grad=grad))
+        logs.append((log, trace))
+    (ref_log, ref), (log, trace) = logs
+    assert [k for k, _ in log] == [k for k, _ in ref_log]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(log, ref_log))
+    rows = [v for k, v in log if k == "f"]
+    assert {v.shape for v in rows} == {(1, N)}
+    assert trace.best_values == ref.best_values
+    assert trace.n_evals == ref.n_evals == len(rows)
+    # some candidates were rejected, and took no gradient
+    assert sum(k == "g" for k, _ in log) < len(rows) - 1
+
+
+def test_gradient_descent_is_one_fused_call_per_candidate():
+    """With ``value_and_grad`` each candidate, the start included, is one
+    call that also returns its gradient; the rows objective is not called,
+    and the path is that of the separate calls."""
+    rec, points = Recorder(), []
+
+    def fused(x):
+        points.append(x.copy())
+        return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
+
+    cfg = GradientDescent(max_iters=5)
+    trace = minimize(rec, np.zeros(N), cfg, value_and_grad=fused)
+    assert rec.shapes == []
+    assert len(points) > 1 and {p.shape for p in points} == {(N,)}
+    assert trace.n_evals == len(points)
+    ref = minimize(Recorder(), np.zeros(N), cfg,
+                   grad=lambda x: 2.0 * (x - 1.0))
+    assert trace.best_values == ref.best_values
+    assert np.array_equal(trace.x_best, ref.x_best)
+    assert trace.n_evals == ref.n_evals
+
+
+def nan_grad(x):
+    return np.full(x.size, np.nan)
+
+
+@pytest.mark.parametrize("fused", [False, True])
+def test_gradient_descent_stops_at_a_nonfinite_gradient(fused):
+    """A NaN gradient gives no direction: the descent stops at once instead
+    of backtracking through NaN candidates."""
     rec = Recorder()
-    trace = minimize(rec, np.zeros(N), GradientDescent(max_iters=5),
-                     grad=lambda x: 2.0 * (x - 1.0))
-    assert len(rec.shapes) > 1
-    assert set(rec.shapes) == {(1, N)}
-    assert trace.n_evals == len(rec.shapes)
+    kwargs = ({"value_and_grad": lambda x: (rec(x[None])[0], nan_grad(x))}
+              if fused else {"grad": nan_grad})
+    trace = minimize(rec, np.zeros(N), GradientDescent(max_iters=5), **kwargs)
+    assert trace.stop == "non-finite"
+    assert trace.n_evals == len(rec.shapes) == 1
+    assert np.array_equal(trace.x_best, np.zeros(N))
+
+
+def test_fused_values_are_checked_like_rows():
+    """A fused call's value is checked as a row is: the start point must be
+    finite, and a later NaN reads as +inf, so it is never accepted."""
+    with pytest.raises(OptimizationError, match="start point"):
+        minimize(quadratic, np.array([0.0]), GradientDescent(),
+                 value_and_grad=lambda x: (np.nan, np.zeros(1)))
+    trace = minimize(quadratic, np.array([0.0]), GradientDescent(max_iters=3),
+                     value_and_grad=lambda x: (np.nan if x.any() else 0.0,
+                                               np.ones(1)))
+    assert trace.stop == "no-descent"
+    assert trace.best_values == [0.0, 0.0]
+    assert np.array_equal(trace.x_best, [0.0])
+
+
+def test_shot_mode_gradient_descent_matches_reference_loop():
+    """On a shot-estimated Camassa-Holm cost, gradient descent with the
+    exact gradient draws the same shots as the reference loop: the same
+    trace, the same final state of the evaluation generator, and exact
+    gradients at the same (accepted) points only."""
+    lay = layout_1d(4, 1.0)
+    spec = AnsatzSpec(n_qubits=4, layers=2, rotation_axes=("Y",))
+    u = 1.0 + 0.2 * np.sin(2 * np.pi * np.arange(16) / 16 + 0.3)
+    cost = build_cost(CamassaHolm(1.0), [u, 1.01 * u], lay, 0.01, spec)
+    lam = np.random.default_rng(4).normal(scale=0.5,
+                                          size=spec.parameter_count)
+    x0 = np.append(lam, cost.parts[0].best_scale(lam))
+    cfg = GradientDescent(eta=0.05, max_iters=8, grad_tol=0.0)
+    runs = []
+    for run in (gradient_descent_reference, None):
+        rng, points = np.random.default_rng(21), []
+
+        def grad(x):
+            points.append(x.copy())
+            return cost.grad_vec(x)
+
+        objective = partial(cost.estimate_rows, shots=2000, rng=rng)
+        trace = (run(objective, x0, cfg, grad, OptimizationTrace())
+                 if run else minimize(objective, x0, cfg, grad=grad))
+        runs.append((trace, rng.bit_generator.state, points))
+    (ref, ref_state, ref_points), (new, new_state, new_points) = runs
+    assert len(new_points) == len(ref_points) < new.n_evals - 1
+    assert all(map(np.array_equal, new_points, ref_points))
+    assert new.best_values == ref.best_values
+    assert np.array_equal(new.x_best, ref.x_best)
+    assert new.n_evals == ref.n_evals > cfg.max_iters
+    assert new_state == ref_state
 
 
 def test_finite_diff_is_one_call_of_2n_rows():
