@@ -484,8 +484,6 @@ class JointCost:
 
     def evaluate_rows(self, xs) -> np.ndarray:
         """Sum of the parts' exact costs over their column blocks."""
-        if len(self.parts) == 1:
-            return self.parts[0].evaluate_rows(xs)
         blocks = self._blocks(np.asarray(xs, dtype=float))
         states = self._states([lams for lams, _ in blocks])
         return sum(p.cost_rows(psi, lam0) for p, psi, (_, lam0)

@@ -35,6 +35,7 @@ IMAG_LEAK_TOL = 1e-6
 # without a warning: a relative L2 error of 1e-3
 ENCODE_TOL = 1e-6
 RESTART_SIGMA = 0.1  # spread of the perturbed restarts around the warm start
+FUSED_MAX_AMPS = 2 ** 10  # largest n_params * dim of a fused GD call
 
 
 class EvolutionError(RuntimeError):
@@ -125,11 +126,12 @@ def step(problem, history, warm, cfg: EvolutionConfig,
     x0 = np.concatenate([np.append(w.lam, w.lam0) for w in warm])
     x0 = _apply_best_scale(cost, x0)
 
-    objective, fused = cost.evaluate_rows, cost.value_and_grad
+    objective, fused = cost.evaluate_rows, None
     if cfg.mode == "shots":
         eval_rng = np.random.default_rng(rng.integers(2 ** 63))
         objective = partial(cost.estimate_rows, shots=cfg.shots, rng=eval_rng)
-        fused = None
+    elif cost.n_params * layout.dim <= FUSED_MAX_AMPS:
+        fused = cost.value_and_grad
 
     starts = [x0]
     for _ in range(cfg.restarts - 1):

@@ -225,6 +225,36 @@ def test_exact_gd_step_prepares_once_per_evaluation(monkeypatch, restarts):
     assert calls.count(SPEC.parameter_count + 1) == len(calls) - 1 - restarts
 
 
+def test_exact_gd_step_above_the_fused_size_takes_one_row_candidates(
+        monkeypatch):
+    """Above ``FUSED_MAX_AMPS`` a candidate is one row and a gradient is
+    taken only where one is accepted; the step is the same bit for bit."""
+    from vqpde import costlib, evolve
+
+    calls = []
+    prepare_batch = costlib.prepare_batch
+
+    def counted(spec, lams):
+        calls.append(len(lams))
+        return prepare_batch(spec, lams)
+
+    monkeypatch.setattr(costlib, "prepare_batch", counted)
+    u = np.sin(2 * np.pi * XS / 8) + 1.2
+    warm = [VariationalState(SPEC, np.full(SPEC.parameter_count, 0.3),
+                             float(np.linalg.norm(u)))]
+    cfg = EvolutionConfig(tau=0.05, n_steps=1, optimizer=GradientDescent(
+        eta=0.2, max_iters=10, grad_tol=0.0))
+    args = (NavierStokes(nu=1.0), [u], warm, cfg, LAY)
+    x_fused, info_fused = step(*args, np.random.default_rng(5))
+    n_fused = len(calls)
+    calls.clear()
+    monkeypatch.setattr(evolve, "FUSED_MAX_AMPS", 0)
+    x, info = step(*args, np.random.default_rng(5))
+    assert np.array_equal(x, x_fused) and info == info_fused
+    assert calls.count(1) == info["n_evals"] + 2  # + the two scale fits
+    assert len(calls) > n_fused
+
+
 @pytest.mark.parametrize("optimizer, mode, stop", [
     (GradientDescent(eta=0.2, max_iters=5, grad_tol=0.0), "exact",
      "max-iters"),
