@@ -14,11 +14,9 @@ import numpy as np
 
 from .statevec import (
     QuantumState,
-    RegisterLayout,
     SimulationError,
     apply_gate,  # noqa: F401  unused here; perfbench/tracing.py patches it
     basis_permutation,
-    qft,
     rotate,
 )
 
@@ -68,10 +66,9 @@ class AnsatzSpec:
     def plan(self) -> "AnsatzPlan":
         """The circuit, compiled on first use and kept on the spec."""
         n = self.n_qubits
-        start = np.eye(1, 2 ** n)[0]  # |0...0>, real
-        if self.qft_block:
-            start = qft(QuantumState(start, n),
-                        RegisterLayout((("q", n, 1.0),)), "q").amplitudes
+        # |0...0>, real, or its Fourier transform: the uniform superposition
+        start = (np.full(2 ** n, 1 / np.sqrt(2 ** n), complex)
+                 if self.qft_block else np.eye(1, 2 ** n)[0])
         pairs = []
         if self.entangler != "none" and n > 1:
             pairs = [(q, q + 1) for q in range(n - 1)]

@@ -63,6 +63,8 @@ class EvolutionConfig:
             raise EvolutionError(f"unknown mode {self.mode!r}")
         if self.mode == "shots" and (self.shots is None or self.shots < 1):
             raise EvolutionError("shot mode needs a positive shot count")
+        if self.mode != "shots" and self.shots is not None:
+            raise EvolutionError("a shot count needs mode 'shots'")
         if self.seed < 0:
             raise EvolutionError("seed must be nonnegative")
 
@@ -91,11 +93,8 @@ class Trajectory:
     def fields(self, component: str = "u") -> list:
         return [r.fields[component] for r in self.records]
 
-    def costs(self) -> list:
-        return [r.cost for r in self.records]
 
-
-def readout(vstate: VariationalState, layout: RegisterLayout | None = None):
+def readout(vstate: VariationalState):
     """Scaled real part of the prepared amplitudes, plus the relative
     imaginary leakage diagnostic.  A leak above ``IMAG_LEAK_TOL`` is
     returned with a warning that names it."""

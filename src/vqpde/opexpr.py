@@ -112,9 +112,6 @@ class OpTerm:
     def label(self) -> str:
         return "*".join(a.label() for a in self.atoms) if self.atoms else "1"
 
-    def key(self) -> tuple:
-        return tuple((a.kind, a.axis, a.field) for a in self.atoms)
-
 
 @dataclass(frozen=True)
 class OpExpr:
@@ -146,10 +143,6 @@ class OpExpr:
     @classmethod
     def identity(cls, coeff: complex = 1.0) -> "OpExpr":
         return cls((OpTerm(coeff),))
-
-    @classmethod
-    def zero(cls) -> "OpExpr":
-        return cls(())
 
     @classmethod
     def single(cls, atom: OpAtom, coeff: complex = 1.0) -> "OpExpr":

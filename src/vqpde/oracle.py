@@ -304,11 +304,8 @@ class LinearNegativeSlope:
     intercept: float = 0.0
 
 
-def exact_eval(ref, x, t: float = 0.0) -> float:
-    """Closed-form value at a point (tuple for the two-component flow)."""
-    if isinstance(ref, NsExponential):
-        xv, yv = x if isinstance(x, (tuple, list, np.ndarray)) else (x, 0.0)
-        return ref.vx(float(xv), float(yv))
+def exact_eval(ref, x) -> float:
+    """Closed-form value of a one-dimensional reference at a point."""
     if isinstance(ref, CouetteSteady):
         return ref.top * float(x) / ref.height
     if isinstance(ref, SechTanh):
@@ -320,13 +317,6 @@ def exact_eval(ref, x, t: float = 0.0) -> float:
     if isinstance(ref, LinearNegativeSlope):
         return ref.slope * float(x) + ref.intercept
     raise ProblemError(f"unknown reference solution {ref!r}")
-
-
-def sample_reference(ref, layout: RegisterLayout, t: float = 0.0) -> np.ndarray:
-    """Reference evaluated on every grid point of a 1-D layout."""
-    ax, n, delta = layout.axes[0]
-    xs = np.arange(2 ** n) * delta
-    return np.array([exact_eval(ref, x, t) for x in xs])
 
 
 def ns_stationarity_residual(ref: NsExponential, n_points: int,

@@ -1,4 +1,4 @@
-"""Dense statevector simulator: gates, cyclic shifts, QFT, expectation estimation.
+"""Dense statevector simulator: gates, cyclic shifts, expectation estimation.
 
 Conventions
 -----------
@@ -45,9 +45,6 @@ class QuantumState:
         amps[0] = 1.0
         return cls(amps, n_qubits)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -56,6 +53,9 @@ class RegisterLayout:
     axes: tuple  # of (label: str, n_qubits: int, delta: float)
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for _, n, _ in self.axes):
+            raise SimulationError("every axis' qubit count must be an integer")
         axes = tuple((str(l), int(n), float(d)) for l, n, d in self.axes)
         if not axes:
             raise SimulationError("a layout needs at least one axis")
@@ -237,30 +237,6 @@ def shift_permutation(layout: RegisterLayout, axis: str,
     return j + ((((a + step) % (1 << n_ax)) - a) << offset)
 
 
-_DFT_CACHE: dict = {}
-
-
-def _dft_matrix(dim: int) -> np.ndarray:
-    if dim not in _DFT_CACHE:
-        j = np.arange(dim)
-        _DFT_CACHE[dim] = np.exp(2j * np.pi * np.outer(j, j) / dim) / sqrt(dim)
-    return _DFT_CACHE[dim]
-
-
-def qft(state: QuantumState, layout: RegisterLayout, axis: str,
-        inverse: bool = False) -> QuantumState:
-    """Discrete-Fourier unitary on one axis register."""
-    if layout.total_qubits != state.n_qubits:
-        raise SimulationError("layout does not match state size")
-    offset, n_ax, _ = layout.axis_info(axis)
-    view = state.amplitudes.reshape(-1, 2 ** n_ax, 2 ** offset)
-    f = _dft_matrix(2 ** n_ax)
-    if inverse:
-        f = f.conj().T
-    out = np.einsum("jk,hkl->hjl", f, view)
-    return QuantumState(out.reshape(-1), state.n_qubits)
-
-
 # ---------------------------------------------------------------------------
 # Hadamard-test expectation estimation
 # ---------------------------------------------------------------------------
@@ -273,30 +249,23 @@ class Estimate:
     stderr: np.ndarray
 
 
-def hadamard_test(bras, kets, part="real", *,
-                  shots: int | None = None,
-                  rng: np.random.Generator | None = None,
-                  op_is_unitary=True, sampled=True) -> Estimate:
+def hadamard_test(bras, kets, imag, *, sampled, shots: int | None = None,
+                  rng: np.random.Generator | None = None) -> Estimate:
     """Estimate Re or Im <bra|ket> for every row of raw amplitudes, shape
-    (..., dim); the ket rows already carry the operator, op psi.  ``part``
-    is "real", "imag" or one flag per row, true for the imaginary part;
-    ``part``, ``op_is_unitary`` and ``sampled`` broadcast against the
-    leading shape.
+    (..., dim); the ket rows already carry the operator, op psi.  ``imag``
+    holds one flag per row, true for the imaginary part; ``imag`` and
+    ``sampled`` broadcast against the leading shape.
 
     Exact mode (``shots=None``) contracts the statevector directly.  Shot mode
     simulates the ancilla measurement record of the two-state Hadamard test
-    for the ``sampled`` rows and contracts the others exactly: the ancilla
-    X (or Y) expectation equals the requested part, and each shot is a +/-1
-    Bernoulli draw, so the estimator is unbiased with standard error
-    <= 1/sqrt(shots) for normalized states and unitary ops.  The sampled
-    rows' binomial draws are taken in one call, in row order (C order of the
-    leading shape); a numpy Generator gives the same draws as one call per
-    row would.
+    for the ``sampled`` rows, whose ops must be unitary, and contracts the
+    others exactly: the ancilla X (or Y) expectation equals the requested
+    part, and each shot is a +/-1 Bernoulli draw, so the estimator is
+    unbiased with standard error <= 1/sqrt(shots) for normalized states.
+    The sampled rows' binomial draws are taken from ``rng`` in one call, in
+    row order (C order of the leading shape); a numpy Generator gives the
+    same draws as one call per row would.
     """
-    if isinstance(part, str):
-        if part not in ("real", "imag"):
-            raise SimulationError(f"unknown part {part!r}")
-        part = part == "imag"
     bras, kets = np.asarray(bras), np.asarray(kets)
     if bras.ndim < 2 or bras.shape != kets.shape:
         raise SimulationError(
@@ -305,14 +274,12 @@ def hadamard_test(bras, kets, part="real", *,
     # on its batch; a 3-D sum over the last axis can round differently
     lead, dim = bras.shape[:-1], bras.shape[-1]
     val = (bras.conj() * kets).reshape(-1, dim).sum(axis=1).reshape(lead)
-    exact = np.where(part, val.imag, val.real)
+    exact = np.where(imag, val.imag, val.real)
     if shots is None:
         return Estimate(exact, np.zeros_like(exact))
-    sampled = np.ones(lead, dtype=bool) & sampled
-    if not np.logical_or(op_is_unitary, ~sampled).all():
-        raise SimulationError("shot-mode estimation requires a unitary op")
     if rng is None:
-        rng = np.random.default_rng()
+        raise SimulationError("shot mode needs the caller's random generator")
+    sampled = np.ones(lead, dtype=bool) & sampled
     p = np.minimum(np.maximum((1.0 + exact[sampled]) / 2.0, 0.0), 1.0)
     value, stderr = exact.copy(), np.zeros(lead)
     value[sampled] = 2.0 * rng.binomial(shots, p) / shots - 1.0

@@ -47,14 +47,20 @@ def entangler_matrix(n: int, entangler: str) -> np.ndarray:
     return out
 
 
+def dft_matrix(dim: int) -> np.ndarray:
+    """The unitary discrete Fourier transform, entry (j, k) exp(2 pi i jk /
+    dim) / sqrt(dim): the QFT on dim amplitudes."""
+    j = np.arange(dim)
+    return np.exp(2j * np.pi * np.outer(j, j) / dim) / sqrt(dim)
+
+
 def dense_circuit_state(spec: AnsatzSpec, lam) -> np.ndarray:
     n = spec.n_qubits
     dim = 2 ** n
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
     if spec.qft_block:
-        j = np.arange(dim)
-        psi = np.exp(2j * np.pi * np.outer(j, j) / dim) / sqrt(dim) @ psi
+        psi = dft_matrix(dim) @ psi
     k = 0
     for _ in range(spec.layers):
         for axis in spec.rotation_axes:

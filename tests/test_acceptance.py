@@ -174,8 +174,9 @@ def test_shot_estimates_consistent_with_exact_values(capsys):
             bra = tagged_state(cost, bra_tag, psi)[None, :]
             ket = tagged_state(cost, ket_tag, psi)
             ket = (dense_reference([term], lay, cost.bindings) @ ket)[None, :]
-            exact = hadamard_test(bra, ket, "real").value[0]
-            est = hadamard_test(bra, ket, "real", shots=10 ** 5, rng=rng)
+            exact = hadamard_test(bra, ket, False, sampled=True).value[0]
+            est = hadamard_test(bra, ket, False, sampled=True, shots=10 ** 5,
+                                rng=rng)
             if abs(est.value[0] - exact) > 4.0 * est.stderr[0] + 1e-12:
                 ok = False
         good += ok

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,8 +73,20 @@ def test_prepare_unit_norm_and_deterministic(seed):
     lam = rng.normal(size=spec.parameter_count)
     a = prepare(spec, lam)
     b = prepare(spec, lam)
-    assert abs(a.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
     assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def test_qft_block_plan_builds_no_dense_transform():
+    """The Fourier block's start is built directly: a 10-qubit plan, whose
+    dense DFT matrix would take 16 MiB, peaks under 1 MiB."""
+    tracemalloc.start()
+    try:
+        AnsatzSpec(n_qubits=10, qft_block=True).plan
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_amplitude_gradient_matches_shift_rule():

@@ -7,7 +7,13 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from vqpde import evolve
-from vqpde.cli import ConfigError, _parse_problem, load_config, main
+from vqpde.cli import (
+    _EXACT_REFS,
+    ConfigError,
+    _parse_problem,
+    load_config,
+    main,
+)
 from vqpde.costlib import (
     DSW,
     Boussinesq,
@@ -190,6 +196,8 @@ XS8 = np.arange(8.0)
     {"problem": {"kind": "maxwell", "ext_fields": {"E_y": [1.0] * 16}}},
     {"grid": {"axes": [{"label": "", "qubits": 3, "delta": 1.0}]}},
     {"grid": {"axes": [{"label": "x", "qubits": 3, "delta": 5e-324}]}},
+    # a shot count without shot mode would run exact
+    {"evolution": {"tau": 0.1, "n_steps": 1, "shots": 1000}},
 ])
 def test_config_errors_exit_2(tmp_path, overrides):
     path = write_cfg(tmp_path, overrides=overrides)
@@ -433,14 +441,17 @@ def test_compare_oracle_scores_dsw_under_v(tmp_path):
     assert float(rows[0]["t"]) == 0.0 and float(rows[0]["rel_l2"]) == 0.0
 
 
-def test_compare_exact_reference_needing_parameters(tmp_path, capsys):
+def test_compare_against_every_exact_reference(tmp_path):
+    # every listed reference takes its defaults, so compare can always use it
     out = tmp_path / "out"
     path = write_cfg(tmp_path, output_dir=str(out))
     assert main(["run", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["compare", str(out), "--against", "exact:ns-exponential"]) == 1
-    err = capsys.readouterr().err
-    assert "compare: exact reference 'ns-exponential' needs parameters" in err
+    assert sorted(_EXACT_REFS) == ["couette-steady", "negative-slope",
+                                   "sech-tanh", "sinusoid"]
+    for name in sorted(_EXACT_REFS):
+        assert main(["compare", str(out), "--against", f"exact:{name}"]) == 0
+        lines = (out / "compare.csv").read_text().strip().splitlines()
+        assert len(lines) == 3  # header and two time levels
 
 
 def test_compare_unknown_reference(tmp_path):

@@ -51,6 +51,16 @@ def test_config_validation():
         EvolutionConfig(tau=0.1, n_steps=1, optimizer=GD, mode="shots")
 
 
+def test_shot_count_needs_shot_mode():
+    with pytest.raises(EvolutionError, match="mode 'shots'"):
+        EvolutionConfig(tau=0.1, n_steps=1, optimizer=GD, shots=1000)
+    with pytest.raises(EvolutionError, match="mode 'shots'"):
+        EvolutionConfig(tau=0.1, n_steps=1, optimizer=GD, mode="exact",
+                        shots=1000)
+    assert EvolutionConfig(tau=0.1, n_steps=1, optimizer=GD, mode="shots",
+                           shots=1000).shots == 1000
+
+
 @pytest.mark.parametrize("bad", [
     {"tau": float("nan")}, {"tau": float("inf")},
 ])

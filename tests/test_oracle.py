@@ -242,11 +242,6 @@ def test_sech_tanh_tail_and_width():
         orc.SechTanh(width=0.0)
 
 
-def test_sample_reference_on_grid():
-    vals = orc.sample_reference(orc.LinearNegativeSlope(slope=-1.0), LAY)
-    assert np.allclose(vals, -XS)
-
-
 # -- error metric -------------------------------------------------------------
 
 def test_l2_error_examples():

@@ -12,10 +12,11 @@ from vqpde.statevec import (
     apply_shift,
     hadamard_test,
     layout_1d,
-    qft,
     shift_permutation,
 )
+from vqpde.ansatz import AnsatzSpec
 from vqpde.oracle import axis_operator, shift_matrix
+from reference import dft_matrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -45,6 +46,13 @@ def test_layout_rejects_bad_axes():
         RegisterLayout((("x", 2, -1.0),))
     with pytest.raises(SimulationError):
         RegisterLayout((("x", 2, 1.0), ("x", 1, 1.0)))
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True, "2", None])
+def test_layout_rejects_a_qubit_count_that_is_not_an_integer(n):
+    with pytest.raises(SimulationError):
+        RegisterLayout((("x", n, 1.0),))
+    assert RegisterLayout((("x", np.int64(2), 1.0),)).axes == (("x", 2, 1.0),)
 
 
 def test_layout_offsets():
@@ -105,7 +113,7 @@ def test_gates_preserve_norm(seed, n):
     kinds = ["H", "RX", "RY", "RZ", "X", "Z"]
     g = Gate(kinds[seed % len(kinds)], rng.normal())
     out = apply_gate(s, g, (int(rng.integers(n)),))
-    assert abs(out.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 # -- shifts -----------------------------------------------------------------
@@ -173,25 +181,13 @@ def test_shift_acts_on_named_axis_only():
 # -- qft --------------------------------------------------------------------
 
 def test_qft_of_delta_is_uniform():
-    lay = layout_1d(3, 1.0)
-    out = qft(QuantumState.zero(3), lay, "x")
-    assert np.allclose(out.amplitudes, np.full(8, 1 / np.sqrt(8)))
-
-
-def test_qft_of_uniform_is_delta():
-    lay = layout_1d(3, 1.0)
-    s = QuantumState(np.full(8, 1 / np.sqrt(8)), 3)
-    out = qft(s, lay, "x")
-    assert abs(out.amplitudes[0] - 1.0) < 1e-12
-    assert np.max(np.abs(out.amplitudes[1:])) < 1e-12
-
-
-def test_qft_inverse_round_trip():
-    rng = np.random.default_rng(5)
-    lay = RegisterLayout((("x", 2, 1.0), ("y", 2, 1.0)))
-    s = random_state(rng, 4)
-    out = qft(qft(s, lay, "y"), lay, "y", inverse=True)
-    assert np.max(np.abs(out.amplitudes - s.amplitudes)) < 1e-10
+    """The Fourier block's start, the QFT of |0...0>, is the uniform
+    superposition, bit for bit the first column of the dense DFT matrix."""
+    for n in range(1, 11):
+        want = dft_matrix(2 ** n)[:, 0]
+        got = AnsatzSpec(n, qft_block=True).plan.start
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.allclose(got, np.full(2 ** n, 1 / np.sqrt(2 ** n)))
 
 
 # -- hadamard test ----------------------------------------------------------
@@ -199,14 +195,15 @@ def test_qft_inverse_round_trip():
 def test_hadamard_test_identity():
     rng = np.random.default_rng(7)
     s = random_state(rng, 3).amplitudes[None, :]
-    est = hadamard_test(s, s)
+    est = hadamard_test(s, s, False, sampled=True)
     assert abs(est.value[0] - 1.0) < 1e-12
 
 
 def test_hadamard_test_pauli_z_on_plus():
     plus = QuantumState(np.array([SQ2, SQ2]), 1)
     z_plus = apply_gate(plus, Gate("Z"), (0,))
-    est = hadamard_test(plus.amplitudes[None, :], z_plus.amplitudes[None, :])
+    est = hadamard_test(plus.amplitudes[None, :], z_plus.amplitudes[None, :],
+                        False, sampled=True)
     assert abs(est.value[0]) < 1e-12
 
 
@@ -214,7 +211,8 @@ def test_hadamard_test_shift_off_diagonal():
     lay = layout_1d(2, 1.0)
     z = QuantumState.zero(2)
     shifted = apply_shift(z, lay, "x")
-    est = hadamard_test(z.amplitudes[None, :], shifted.amplitudes[None, :])
+    est = hadamard_test(z.amplitudes[None, :], shifted.amplitudes[None, :],
+                        False, sampled=True)
     assert abs(est.value[0]) < 1e-12
 
 
@@ -224,15 +222,18 @@ def test_hadamard_exact_equals_inner(seed=0):
     bra, ket = random_state(rng, 3), random_state(rng, 3)
     op_ket = apply_shift(ket, lay, "x").amplitudes
     want = np.vdot(bra.amplitudes, op_ket)
-    for part, proj in (("real", np.real), ("imag", np.imag)):
-        est = hadamard_test(bra.amplitudes[None, :], op_ket[None, :], part)
+    for imag, proj in ((False, np.real), (True, np.imag)):
+        est = hadamard_test(bra.amplitudes[None, :], op_ket[None, :], imag,
+                            sampled=True)
         assert abs(est.value[0] - proj(want)) < 1e-12
 
 
-def test_hadamard_shot_mode_rejects_nonunitary():
+def test_hadamard_shot_mode_needs_the_callers_generator():
     s = QuantumState.zero(2).amplitudes[None, :]
-    with pytest.raises(SimulationError):
-        hadamard_test(s, s, shots=100, op_is_unitary=False)
+    with pytest.raises(SimulationError, match="random generator"):
+        hadamard_test(s, s, False, sampled=True, shots=100)
+    # exact mode draws nothing
+    assert hadamard_test(s, s, False, sampled=True).value[0] == 1.0
 
 
 def test_hadamard_shot_mode_within_four_sigma():
@@ -243,7 +244,8 @@ def test_hadamard_shot_mode_within_four_sigma():
         bra = random_state(rng, 3).amplitudes
         ket = apply_shift(random_state(rng, 3), lay, "x").amplitudes
         exact = np.real(np.vdot(bra, ket))
-        est = hadamard_test(bra[None, :], ket[None, :], shots=10 ** 5, rng=rng)
+        est = hadamard_test(bra[None, :], ket[None, :], False, sampled=True,
+                            shots=10 ** 5, rng=rng)
         assert isinstance(est, Estimate)
         assert est.stderr[0] <= 1.0 / np.sqrt(10 ** 5) + 1e-12
         if abs(est.value[0] - exact) <= 4 * max(est.stderr[0], 1e-12):
@@ -263,8 +265,9 @@ def _rows(seed, t=6, n=3):
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_hadamard_rows_equal_scalar_calls_exact(part):
     bra_rows, ket_rows = _rows(11)
-    rows = hadamard_test(bra_rows, ket_rows, part)
-    single = [hadamard_test(b[None, :], k[None, :], part)
+    imag = part == "imag"
+    rows = hadamard_test(bra_rows, ket_rows, imag, sampled=True)
+    single = [hadamard_test(b[None, :], k[None, :], imag, sampled=True)
               for b, k in zip(bra_rows, ket_rows)]
     assert np.array_equal(rows.value, [e.value[0] for e in single])
     assert np.array_equal(rows.stderr, [e.stderr[0] for e in single])
@@ -275,48 +278,38 @@ def test_hadamard_rows_equal_scalar_calls_exact(part):
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_hadamard_rows_equal_scalar_calls_shots(part):
     bra_rows, ket_rows = _rows(12)
+    imag = part == "imag"
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    rows = hadamard_test(bra_rows, ket_rows, part, shots=500, rng=rng_a)
-    single = [hadamard_test(b[None, :], k[None, :], part, shots=500, rng=rng_b)
+    rows = hadamard_test(bra_rows, ket_rows, imag, sampled=True, shots=500,
+                         rng=rng_a)
+    single = [hadamard_test(b[None, :], k[None, :], imag, sampled=True,
+                            shots=500, rng=rng_b)
               for b, k in zip(bra_rows, ket_rows)]
     assert np.array_equal(rows.value, [e.value[0] for e in single])
     assert np.array_equal(rows.stderr, [e.stderr[0] for e in single])
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def test_hadamard_rows_shot_mode_rejects_nonunitary_row():
-    bra_rows, ket_rows = _rows(13, t=3)
-    rng = np.random.default_rng(0)
-    with pytest.raises(SimulationError):
-        hadamard_test(bra_rows, ket_rows, shots=100, rng=rng,
-                      op_is_unitary=np.array([True, False, True]))
-    # the same rows in exact mode need no unitary op
-    hadamard_test(bra_rows, ket_rows,
-                  op_is_unitary=np.array([True, False, True]))
-
-
 def test_hadamard_rows_shape_mismatch():
     bra_rows, ket_rows = _rows(14, t=3)
     with pytest.raises(SimulationError):
-        hadamard_test(bra_rows, ket_rows[:2])
+        hadamard_test(bra_rows, ket_rows[:2], False, sampled=True)
     with pytest.raises(SimulationError):
-        hadamard_test(bra_rows[0], ket_rows[0])
+        hadamard_test(bra_rows[0], ket_rows[0], False, sampled=True)
 
 
 def test_hadamard_rows_mix_parts_and_sampled_rows():
     """Per-row parts and a sampled mask in one call: the values and draws
-    of one call per row, exact where a row is not sampled (its op need not
-    be unitary)."""
+    of one call per row, exact where a row is not sampled."""
     bra_rows, ket_rows = _rows(15)
     imag = np.array([False, True, True, False, True, False])
     sampled = np.array([True, True, False, False, True, True])
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-    rows = hadamard_test(bra_rows, ket_rows, imag, shots=500, rng=rng_a,
-                         op_is_unitary=sampled, sampled=sampled)
+    rows = hadamard_test(bra_rows, ket_rows, imag, sampled=sampled, shots=500,
+                         rng=rng_a)
     for i, (b, k) in enumerate(zip(bra_rows, ket_rows)):
-        one = hadamard_test(b[None, :], k[None, :], "imag" if imag[i] else
-                            "real", shots=500 if sampled[i] else None,
-                            rng=rng_b)
+        one = hadamard_test(b[None, :], k[None, :], imag[i], sampled=True,
+                            shots=500 if sampled[i] else None, rng=rng_b)
         assert rows.value[i] == one.value[0]
         assert rows.stderr[i] == one.stderr[0]
     assert rng_a.bit_generator.state == rng_b.bit_generator.state

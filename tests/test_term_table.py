@@ -69,9 +69,9 @@ def reference_values(cost, lam, shots=None, rng=None) -> np.ndarray:
             op = dense_reference([term], cost.layout, cost.bindings)
             values[k, i] = hadamard_test(
                 tagged_state(cost, bra_tag, psi)[None, :],
-                (op @ tagged_state(cost, ket_tag, psi))[None, :], part,
-                shots=shots if unitary else None, rng=rng,
-                op_is_unitary=unitary).value[0]
+                (op @ tagged_state(cost, ket_tag, psi))[None, :],
+                part == "imag", sampled=unitary,
+                shots=shots if unitary else None, rng=rng).value[0]
     return values
 
 
@@ -182,10 +182,10 @@ def test_batched_contraction_reduces_rows_of_a_2d_view():
     psi = prepare_batch(part.spec, lams)
     kets = t.weight * psi[:, t.perm]
     bras = np.where(t.from_source, t.source, psi[:, None, :])
-    got = hadamard_test(bras, kets, t.imag).value
+    got = hadamard_test(bras, kets, t.imag, sampled=t.sampled).value
     for i in range(3):
-        assert np.array_equal(got[i], hadamard_test(bras[i], kets[i],
-                                                    t.imag).value)
+        assert np.array_equal(got[i], hadamard_test(
+            bras[i], kets[i], t.imag, sampled=t.sampled).value)
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 2])
