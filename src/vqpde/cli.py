@@ -279,11 +279,8 @@ _OPTIMIZERS = {
     "gd": GradientDescent,
     "spsa": SPSA,
     "nelder-mead": NelderMead,
-    "imfil": NelderMead,  # stand-in mapping
     "cmaes": CMAES,
-    "vd-cma": CMAES,  # stand-in mapping
     "particle-swarm": ParticleSwarm,
-    "cpso": ParticleSwarm,  # stand-in mapping
     "differential-evolution": DifferentialEvolution,
 }
 

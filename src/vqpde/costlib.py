@@ -124,19 +124,6 @@ class EquilibriumFluid:
 
 
 @dataclass(frozen=True)
-class Electromagnetic:
-    f_mu: np.ndarray | float
-    f_nu: np.ndarray | float
-    f_squared: np.ndarray | float = 0.0
-    eta: float = 1.0
-
-    def samples(self, layout: RegisterLayout, axis: str) -> np.ndarray:
-        t = (np.asarray(self.f_mu, dtype=float) * np.asarray(self.f_nu, dtype=float)
-             - 0.25 * self.eta * np.asarray(self.f_squared, dtype=float))
-        return np.broadcast_to(t, (layout.dim,)).astype(float)
-
-
-@dataclass(frozen=True)
 class Einstein:
     """Single evolved metric component sourced by a classical stress-energy
     field; the candidate is constrained through a shifted copy of itself."""
@@ -257,22 +244,17 @@ class Source:
 @dataclass(frozen=True)
 class TermTable:
     """A cost's term list compiled for one batched evaluation.  Term k adds
-    lam0^p Re(coeff[k] <bra_k|T_k|psi>) to the offset, p = 2 for bra_k = psi
-    and 1 for a normalized source row.  Row i measures slot i of [Re | Im]
-    over the terms: the real parts of the terms with a nonzero real
-    coefficient, then the imaginary parts of those with a nonzero imaginary
-    one, each in term-list order; (T psi)[j] = weight[i, j] psi[perm[i, j]]
-    and the bra is ``source[i]`` where ``from_source[i]``, else psi."""
+    lam0^p coeff[k] Re<bra_k|T_k|psi> to the offset, p = 2 for bra_k = psi
+    and 1 for a normalized source row; (T_k psi)[j] = weight[k, j]
+    psi[perm[k, j]] and the bra is psi where ``quadratic[k]``, else
+    ``source[k]``."""
 
-    coeff: np.ndarray        # (T,) complex
+    coeff: np.ndarray        # (T,) real
     quadratic: np.ndarray    # (T,) bool: bra_k = psi
-    slot: np.ndarray         # (N,) index into [Re | Im]
-    imag: np.ndarray         # (N,) bool: the row measures Im
-    sampled: np.ndarray      # (N,) bool: shift-only term, shot-estimable
-    perm: np.ndarray         # (N, dim) source indices
-    weight: np.ndarray       # (N, dim) complex, unit term coefficients
-    source: np.ndarray       # (N, dim) complex normalized bra; 0 for psi
-    from_source: np.ndarray  # (N, 1) bool
+    sampled: np.ndarray      # (T,) bool: shift-only term, shot-estimable
+    perm: np.ndarray         # (T, dim) source indices
+    weight: np.ndarray       # (T, dim) complex, unit term coefficients
+    source: np.ndarray       # (T, dim) complex normalized bra; 0 for psi
 
 
 @cache
@@ -375,35 +357,35 @@ class CostFunction:
     # -- term list ----------------------------------------------------------
 
     def term_list(self) -> tuple:
-        """(coeff, bra tag, unit-coefficient OpTerm, ket tag) entries.
+        """(coeff, bra, unit-coefficient OpTerm) entries, the bra 0 for psi
+        and i + 1 for source i; every ket is psi.
 
-        offset + sum over entries of lam0^p Re(coeff <bra|T|ket>) with
-        p = number of 'psi' tags reproduces the cost.  Source states are
-        normalized; their norms are folded into the coefficients.
+        offset + sum over entries of lam0^p Re(coeff <bra|T|psi>) with
+        p = 2 for bra psi and 1 for a source reproduces the cost.  Source
+        states are normalized; their norms are folded into the coefficients.
         """
-        entries = []
         quad = expand_product([adjoint(self.m_op), self.m_op])
-        for t in quad.terms:
-            entries.append((complex(t.coeff), "psi", OpTerm(1.0, t.atoms), "psi"))
+        entries = [(complex(t.coeff), 0, OpTerm(1.0, t.atoms))
+                   for t in quad.terms]
         for si, s in enumerate(self.sources):
             norm = float(np.linalg.norm(s.samples))
             if norm == 0.0:
                 continue
             cross = expand_product([adjoint(s.expr), self.m_op])
-            for t in cross.terms:
-                entries.append((
-                    -2.0 * norm * complex(t.coeff),
-                    f"src{si}:{s.tag}",
-                    OpTerm(1.0, t.atoms),
-                    "psi",
-                ))
+            entries += [(-2.0 * norm * complex(t.coeff), si + 1,
+                         OpTerm(1.0, t.atoms)) for t in cross.terms]
         return tuple(entries)
 
     @cached_property
     def term_table(self) -> TermTable:
         """``term_list()`` compiled on first use; costs that are only
         evaluated in closed form never build it."""
-        entries = self.term_list()
+        coeff, bra, terms = zip(*self.term_list())
+        coeff, bra = np.array(coeff), np.array(bra)
+        if np.any(coeff.imag != 0):
+            raise ProblemError(
+                f"{self.name}: the term list has a complex coefficient; a "
+                "Hadamard test measures Re<bra|T|psi> only")
         # row 0 stands for psi, row i + 1 for source i
         sources = np.zeros((len(self.sources) + 1, self.layout.dim),
                            dtype=complex)
@@ -412,22 +394,11 @@ class CostFunction:
             norm = np.linalg.norm(samples)
             if norm > 0.0:
                 sources[si + 1] = samples / norm
-        # every ket is psi; a bra tag is "psi" or "src<i>:<tag>"
-        bra = np.array([0 if b == "psi" else 1 + int(b.split(":")[0][3:])
-                        for _, b, _, _ in entries], dtype=np.intp)
-        form = compile_monomials([t for _, _, t, _ in entries], self.layout,
-                                 self.bindings)
-        coeff = np.array([c for c, _, _, _ in entries], dtype=complex)
-        unitary = np.array([t.is_unitary_product() for _, _, t, _ in entries],
-                           dtype=bool)
-        slot = np.flatnonzero(np.concatenate([coeff.real != 0,
-                                              coeff.imag != 0]))
-        term = slot % coeff.size
+        form = compile_monomials(terms, self.layout, self.bindings)
         return TermTable(
-            coeff=coeff, quadratic=bra == 0, slot=slot,
-            imag=slot >= coeff.size, sampled=unitary[term],
-            perm=form.perm[term], weight=form.weight[term],
-            source=sources[bra[term]], from_source=bra[term, None] > 0)
+            coeff=coeff.real, quadratic=bra == 0,
+            sampled=np.array([t.is_unitary_product() for t in terms]),
+            perm=form.perm, weight=form.weight, source=sources[bra])
 
     def evaluate_terms(self, lam, lam0: float, shots: int | None = None,
                        rng: np.random.Generator | None = None) -> float:
@@ -438,9 +409,10 @@ class CostFunction:
 
     def serialize_terms(self) -> str:
         lines = [f"offset {self.offset:+.12g}"]
-        for coeff, bra, term, ket in self.term_list():
+        for coeff, bra, term in self.term_list():
             cs = f"({coeff.real:+.12g}{coeff.imag:+.12g}j)"
-            lines.append(f"{cs} * <{bra}| {term.label()} |{ket}>")
+            tag = f"src{bra - 1}:{self.sources[bra - 1].tag}" if bra else "psi"
+            lines.append(f"{cs} * <{tag}| {term.label()} |psi>")
         return "\n".join(lines)
 
 
@@ -510,52 +482,42 @@ class JointCost:
 
     def term_values(self, lams: list, shots: int | None = None,
                     rng: np.random.Generator | None = None) -> list:
-        """[Re | Im] of <bra_k|T_k|psi> for the term-list entries of every
-        part over its angle rows (one (B, P) block per part): one (B, 2T)
-        array per part, a part whose coefficient is zero left at 0.  The rows
-        are measured in blocks of at most ``TERM_BLOCK`` amplitudes per work
-        array, one ``hadamard_test`` call per block; in shot mode it samples
-        the fully unitary terms and contracts the others exactly.  Shots are
-        drawn row by row, then part by part, real parts before imaginary
-        parts, in term-list order: the order of one call per row and part,
-        so batching does not change the draws."""
+        """Re<bra_k|T_k|psi> for the term-list entries of every part over
+        its angle rows (one (B, P) block per part): one (B, T) array per
+        part.  The rows are measured in blocks of at most ``TERM_BLOCK``
+        amplitudes per work array, one ``hadamard_test`` call per block; in
+        shot mode it samples the fully unitary terms and contracts the
+        others exactly.  Shots are drawn row by row, then part by part, in
+        term-list order: the order of one call per row and part, so
+        batching does not change the draws."""
         tabs = [p.term_table for p in self.parts]
         states = self._states(lams)
-        imag = _cat([t.imag for t in tabs])
         sampled = _cat([t.sampled for t in tabs])
-        n_rows = len(states[0])
-        block = max(1, TERM_BLOCK // (imag.size * states[0].shape[1]))
+        block = max(1, TERM_BLOCK // (sampled.size * states[0].shape[1]))
         est = []
-        for r in range(0, n_rows, block):
+        for r in range(0, len(states[0]), block):
             rows = [psi[r:r + block] for psi in states]
             kets = [t.weight * psi[:, t.perm] for t, psi in zip(tabs, rows)]
-            bras = [np.where(t.from_source, t.source, psi[:, None, :])
+            bras = [np.where(t.quadratic[:, None], psi[:, None, :], t.source)
                     for t, psi in zip(tabs, rows)]
-            est.append(hadamard_test(_cat(bras, 1), _cat(kets, 1), imag,
-                                     shots=shots, rng=rng,
-                                     sampled=sampled).value)
+            est.append(hadamard_test(_cat(bras, 1), _cat(kets, 1),
+                                     sampled=sampled, shots=shots, rng=rng))
         est = _cat(est)
-        out, k = [], 0
-        for t in tabs:
-            out.append(np.zeros((n_rows, 2 * t.coeff.size)))
-            out[-1][:, t.slot] = est[:, k:k + t.slot.size]
-            k += t.slot.size
-        return out
+        ends = np.cumsum([t.coeff.size for t in tabs])
+        return np.split(est, ends[:-1], axis=1)
 
     def estimate_rows(self, xs, shots: int | None = None,
                       rng: np.random.Generator | None = None) -> np.ndarray:
         """Cost of every row of xs (B, n_params) from the parts' term lists:
-        offset + sum over terms of lam0^p Re(coeff <bra|T|psi>), with the
+        offset + sum over terms of lam0^p coeff Re<bra|T|psi>, with the
         values of ``term_values``; in shot mode what a device sees."""
         blocks = self._blocks(np.asarray(xs, dtype=float))
         values = self.term_values([lams for lams, _ in blocks], shots, rng)
         total = 0.0
         for p, v, (_, lam0) in zip(self.parts, values, blocks):
-            t, n = p.term_table, v.shape[1] // 2
+            t = p.term_table
             scale = np.where(t.quadratic, lam0 * lam0, lam0)
-            total = total + (p.offset + (
-                (t.coeff.real * v[:, :n] - t.coeff.imag * v[:, n:]) * scale
-            ).sum(axis=1))
+            total = total + (p.offset + (t.coeff * v * scale).sum(axis=1))
         return total
 
 

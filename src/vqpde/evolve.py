@@ -55,6 +55,13 @@ class EvolutionConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise EvolutionError("time step must be positive and finite")
+        for name in ("n_steps", "restarts", "seed", "shots"):
+            v = getattr(self, name)
+            if v is None and name == "shots":
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise EvolutionError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(v))
         if self.n_steps < 0:
             raise EvolutionError("step count must be nonnegative")
         if self.restarts < 1:

@@ -160,18 +160,6 @@ class OpExpr:
     def __mul__(self, other: "OpExpr") -> "OpExpr":
         return expand_product([self, other])
 
-    def serialize(self) -> str:
-        """Deterministic plain-text term list for golden-file comparison."""
-        lines = []
-        for t in self.terms:
-            c = t.coeff
-            if abs(c.imag) < 1e-300:
-                cs = f"{c.real:+.12g}"
-            else:
-                cs = f"({c.real:+.12g}{c.imag:+.12g}j)"
-            lines.append(f"{cs} * {t.label()}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Discrete derivative builders

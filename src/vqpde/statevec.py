@@ -241,30 +241,21 @@ def shift_permutation(layout: RegisterLayout, axis: str,
 # Hadamard-test expectation estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Estimate:
-    """Values and their standard errors, one per row."""
-
-    value: np.ndarray
-    stderr: np.ndarray
-
-
-def hadamard_test(bras, kets, imag, *, sampled, shots: int | None = None,
-                  rng: np.random.Generator | None = None) -> Estimate:
-    """Estimate Re or Im <bra|ket> for every row of raw amplitudes, shape
-    (..., dim); the ket rows already carry the operator, op psi.  ``imag``
-    holds one flag per row, true for the imaginary part; ``imag`` and
-    ``sampled`` broadcast against the leading shape.
+def hadamard_test(bras, kets, *, sampled, shots: int | None = None,
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Estimate Re <bra|ket> for every row of raw amplitudes, shape
+    (..., dim); the ket rows already carry the operator, op psi, and
+    ``sampled`` broadcasts against the leading shape.
 
     Exact mode (``shots=None``) contracts the statevector directly.  Shot mode
     simulates the ancilla measurement record of the two-state Hadamard test
     for the ``sampled`` rows, whose ops must be unitary, and contracts the
-    others exactly: the ancilla X (or Y) expectation equals the requested
-    part, and each shot is a +/-1 Bernoulli draw, so the estimator is
-    unbiased with standard error <= 1/sqrt(shots) for normalized states.
-    The sampled rows' binomial draws are taken from ``rng`` in one call, in
-    row order (C order of the leading shape); a numpy Generator gives the
-    same draws as one call per row would.
+    others exactly: the ancilla X expectation equals the real part, and each
+    shot is a +/-1 Bernoulli draw, so the estimator is unbiased with
+    standard error sqrt((1 - Re^2) / shots) for normalized states.  The
+    sampled rows' binomial draws are taken from ``rng`` in one call, in row
+    order (C order of the leading shape); a numpy Generator gives the same
+    draws as one call per row would.
     """
     bras, kets = np.asarray(bras), np.asarray(kets)
     if bras.ndim < 2 or bras.shape != kets.shape:
@@ -273,15 +264,13 @@ def hadamard_test(bras, kets, imag, *, sampled, shots: int | None = None,
     # one reduction per row of a 2-D view, so a row's value does not depend
     # on its batch; a 3-D sum over the last axis can round differently
     lead, dim = bras.shape[:-1], bras.shape[-1]
-    val = (bras.conj() * kets).reshape(-1, dim).sum(axis=1).reshape(lead)
-    exact = np.where(imag, val.imag, val.real)
+    value = (bras.conj() * kets).reshape(-1, dim).sum(axis=1)
+    value = value.reshape(lead).real
     if shots is None:
-        return Estimate(exact, np.zeros_like(exact))
+        return value
     if rng is None:
         raise SimulationError("shot mode needs the caller's random generator")
     sampled = np.ones(lead, dtype=bool) & sampled
-    p = np.minimum(np.maximum((1.0 + exact[sampled]) / 2.0, 0.0), 1.0)
-    value, stderr = exact.copy(), np.zeros(lead)
+    p = np.minimum(np.maximum((1.0 + value[sampled]) / 2.0, 0.0), 1.0)
     value[sampled] = 2.0 * rng.binomial(shots, p) / shots - 1.0
-    stderr[sampled] = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) * 4.0 / shots)
-    return Estimate(value, stderr)
+    return value

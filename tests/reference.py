@@ -144,11 +144,10 @@ def direct_joint_cost(cost, x) -> float:
                for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
 
 
-def tagged_state(cost, tag: str, psi: np.ndarray) -> np.ndarray:
-    """The amplitudes a term-list tag names: psi, or a source's normalized
-    samples ("src<i>:<name>")."""
-    if tag == "psi":
+def tagged_state(cost, bra: int, psi: np.ndarray) -> np.ndarray:
+    """The amplitudes a term-list bra index names: psi for 0, else the
+    normalized samples of source bra - 1."""
+    if bra == 0:
         return psi
-    samples = np.asarray(cost.sources[int(tag.split(":")[0][3:])].samples,
-                         dtype=float)
+    samples = np.asarray(cost.sources[bra - 1].samples, dtype=float)
     return samples / np.linalg.norm(samples)

@@ -24,7 +24,6 @@ from vqpde.costlib import (
     Maxwell,
     NavierStokes,
 )
-from vqpde.optim import NelderMead
 
 BASE = {
     "problem": {"kind": "couette", "nu": 1.0},
@@ -219,12 +218,17 @@ def test_sech_tanh_profile_on_a_wide_grid(tmp_path):
     assert np.all(np.abs(cfg["initial"][0][800:]) < 1e-300)
 
 
-def test_optimizer_aliases_resolve():
+def test_optimizer_aliases_resolve(tmp_path, capsys):
+    """``gd`` is gradient descent; a method the package does not implement
+    exits 2 and lists the methods, rather than running another one."""
     from vqpde.cli import _parse_optimizer
-    assert isinstance(_parse_optimizer({"method": "imfil"}), NelderMead)
-    from vqpde.optim import CMAES, ParticleSwarm
-    assert isinstance(_parse_optimizer({"method": "vd-cma"}), CMAES)
-    assert isinstance(_parse_optimizer({"method": "cpso"}), ParticleSwarm)
+    from vqpde.optim import GradientDescent
+    assert isinstance(_parse_optimizer({"method": "gd"}), GradientDescent)
+    for method in ("imfil", "vd-cma", "cpso"):
+        path = write_cfg(tmp_path, overrides={"optimizer": {"method": method}})
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown value {method!r}" in err and "nelder-mead" in err
 
 
 def test_load_config_structure(tmp_path):

@@ -70,6 +70,29 @@ def test_config_rejects_nonfinite_values(bad):
         EvolutionConfig(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [
+    {"mode": "shots", "shots": 2.5}, {"mode": "shots", "shots": True},
+    {"n_steps": True}, {"n_steps": 2.5}, {"restarts": 1.5}, {"seed": 1.5},
+], ids=["shots-float", "shots-bool", "n_steps-bool", "n_steps-float",
+        "restarts-float", "seed-float"])
+def test_config_rejects_non_integer_counts(bad):
+    """A fractional shot count would be truncated by the binomial draw but
+    still divide the estimate, and a bool would count as 1; both are
+    rejected when the config is made, before any work."""
+    kwargs = {"tau": 0.1, "n_steps": 1, "optimizer": GD, **bad}
+    name = next(k for k in bad if k != "mode")
+    with pytest.raises(EvolutionError, match=f"{name} must be an integer"):
+        EvolutionConfig(**kwargs)
+
+
+def test_config_stores_numpy_integer_counts_as_int():
+    cfg = EvolutionConfig(tau=0.1, n_steps=np.int64(2), optimizer=GD,
+                          restarts=np.int32(2), mode="shots",
+                          shots=np.int64(100), seed=np.uint32(3))
+    assert [type(v) for v in (cfg.n_steps, cfg.restarts, cfg.shots,
+                              cfg.seed)] == [int] * 4
+
+
 def test_readout_roundtrip_and_zero_scale():
     spec = AnsatzSpec(n_qubits=1, layers=1, entangler="none")
     vs = VariationalState(spec, np.array([np.pi / 2]), 2.0)

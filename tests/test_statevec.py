@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vqpde.statevec import (
-    Estimate,
     Gate,
     QuantumState,
     RegisterLayout,
@@ -195,16 +194,15 @@ def test_qft_of_delta_is_uniform():
 def test_hadamard_test_identity():
     rng = np.random.default_rng(7)
     s = random_state(rng, 3).amplitudes[None, :]
-    est = hadamard_test(s, s, False, sampled=True)
-    assert abs(est.value[0] - 1.0) < 1e-12
+    assert abs(hadamard_test(s, s, sampled=True)[0] - 1.0) < 1e-12
 
 
 def test_hadamard_test_pauli_z_on_plus():
     plus = QuantumState(np.array([SQ2, SQ2]), 1)
     z_plus = apply_gate(plus, Gate("Z"), (0,))
     est = hadamard_test(plus.amplitudes[None, :], z_plus.amplitudes[None, :],
-                        False, sampled=True)
-    assert abs(est.value[0]) < 1e-12
+                        sampled=True)
+    assert abs(est[0]) < 1e-12
 
 
 def test_hadamard_test_shift_off_diagonal():
@@ -212,8 +210,13 @@ def test_hadamard_test_shift_off_diagonal():
     z = QuantumState.zero(2)
     shifted = apply_shift(z, lay, "x")
     est = hadamard_test(z.amplitudes[None, :], shifted.amplitudes[None, :],
-                        False, sampled=True)
-    assert abs(est.value[0]) < 1e-12
+                        sampled=True)
+    assert abs(est[0]) < 1e-12
+
+
+# the ket rows that measure each part: Im<b|k> = Re<b|-i k>, the phase a
+# device applies to the ancilla to read the imaginary part
+PHASES = {"real": 1.0, "imag": -1j}
 
 
 def test_hadamard_exact_equals_inner(seed=0):
@@ -222,33 +225,33 @@ def test_hadamard_exact_equals_inner(seed=0):
     bra, ket = random_state(rng, 3), random_state(rng, 3)
     op_ket = apply_shift(ket, lay, "x").amplitudes
     want = np.vdot(bra.amplitudes, op_ket)
-    for imag, proj in ((False, np.real), (True, np.imag)):
-        est = hadamard_test(bra.amplitudes[None, :], op_ket[None, :], imag,
+    for part, phase in PHASES.items():
+        est = hadamard_test(bra.amplitudes[None, :], phase * op_ket[None, :],
                             sampled=True)
-        assert abs(est.value[0] - proj(want)) < 1e-12
+        assert abs(est[0] - getattr(want, part)) < 1e-12
 
 
 def test_hadamard_shot_mode_needs_the_callers_generator():
     s = QuantumState.zero(2).amplitudes[None, :]
     with pytest.raises(SimulationError, match="random generator"):
-        hadamard_test(s, s, False, sampled=True, shots=100)
+        hadamard_test(s, s, sampled=True, shots=100)
     # exact mode draws nothing
-    assert hadamard_test(s, s, False, sampled=True).value[0] == 1.0
+    assert hadamard_test(s, s, sampled=True)[0] == 1.0
 
 
 def test_hadamard_shot_mode_within_four_sigma():
     rng = np.random.default_rng(2024)
     lay = layout_1d(3, 1.0)
+    shots = 10 ** 5
     hits = 0
     for trial in range(100):
         bra = random_state(rng, 3).amplitudes
         ket = apply_shift(random_state(rng, 3), lay, "x").amplitudes
         exact = np.real(np.vdot(bra, ket))
-        est = hadamard_test(bra[None, :], ket[None, :], False, sampled=True,
-                            shots=10 ** 5, rng=rng)
-        assert isinstance(est, Estimate)
-        assert est.stderr[0] <= 1.0 / np.sqrt(10 ** 5) + 1e-12
-        if abs(est.value[0] - exact) <= 4 * max(est.stderr[0], 1e-12):
+        est = hadamard_test(bra[None, :], ket[None, :], sampled=True,
+                            shots=shots, rng=rng)
+        sigma = np.sqrt((1.0 - exact ** 2) / shots)
+        if abs(est[0] - exact) <= 4 * max(sigma, 1e-12):
             hits += 1
     assert hits >= 99
 
@@ -265,51 +268,51 @@ def _rows(seed, t=6, n=3):
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_hadamard_rows_equal_scalar_calls_exact(part):
     bra_rows, ket_rows = _rows(11)
-    imag = part == "imag"
-    rows = hadamard_test(bra_rows, ket_rows, imag, sampled=True)
-    single = [hadamard_test(b[None, :], k[None, :], imag, sampled=True)
+    ket_rows = PHASES[part] * ket_rows
+    rows = hadamard_test(bra_rows, ket_rows, sampled=True)
+    single = [hadamard_test(b[None, :], k[None, :], sampled=True)[0]
               for b, k in zip(bra_rows, ket_rows)]
-    assert np.array_equal(rows.value, [e.value[0] for e in single])
-    assert np.array_equal(rows.stderr, [e.stderr[0] for e in single])
-    want = [getattr(np.vdot(b, k), part) for b, k in zip(bra_rows, ket_rows)]
-    assert np.max(np.abs(rows.value - want)) < 1e-12
+    assert np.array_equal(rows, single)
+    want = [getattr(np.vdot(b, k / PHASES[part]), part)
+            for b, k in zip(bra_rows, ket_rows)]
+    assert np.max(np.abs(rows - want)) < 1e-12
 
 
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_hadamard_rows_equal_scalar_calls_shots(part):
     bra_rows, ket_rows = _rows(12)
-    imag = part == "imag"
+    ket_rows = PHASES[part] * ket_rows
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    rows = hadamard_test(bra_rows, ket_rows, imag, sampled=True, shots=500,
+    rows = hadamard_test(bra_rows, ket_rows, sampled=True, shots=500,
                          rng=rng_a)
-    single = [hadamard_test(b[None, :], k[None, :], imag, sampled=True,
-                            shots=500, rng=rng_b)
+    single = [hadamard_test(b[None, :], k[None, :], sampled=True,
+                            shots=500, rng=rng_b)[0]
               for b, k in zip(bra_rows, ket_rows)]
-    assert np.array_equal(rows.value, [e.value[0] for e in single])
-    assert np.array_equal(rows.stderr, [e.stderr[0] for e in single])
+    assert np.array_equal(rows, single)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_hadamard_rows_shape_mismatch():
     bra_rows, ket_rows = _rows(14, t=3)
     with pytest.raises(SimulationError):
-        hadamard_test(bra_rows, ket_rows[:2], False, sampled=True)
+        hadamard_test(bra_rows, ket_rows[:2], sampled=True)
     with pytest.raises(SimulationError):
-        hadamard_test(bra_rows[0], ket_rows[0], False, sampled=True)
+        hadamard_test(bra_rows[0], ket_rows[0], sampled=True)
 
 
 def test_hadamard_rows_mix_parts_and_sampled_rows():
-    """Per-row parts and a sampled mask in one call: the values and draws
-    of one call per row, exact where a row is not sampled."""
+    """Rows of both parts (kets with and without the -i phase) and a
+    sampled mask in one call: the values and draws of one call per row,
+    exact where a row is not sampled."""
     bra_rows, ket_rows = _rows(15)
     imag = np.array([False, True, True, False, True, False])
+    ket_rows = np.where(imag[:, None], -1j, 1.0) * ket_rows
     sampled = np.array([True, True, False, False, True, True])
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-    rows = hadamard_test(bra_rows, ket_rows, imag, sampled=sampled, shots=500,
+    rows = hadamard_test(bra_rows, ket_rows, sampled=sampled, shots=500,
                          rng=rng_a)
     for i, (b, k) in enumerate(zip(bra_rows, ket_rows)):
-        one = hadamard_test(b[None, :], k[None, :], imag[i], sampled=True,
+        one = hadamard_test(b[None, :], k[None, :], sampled=True,
                             shots=500 if sampled[i] else None, rng=rng_b)
-        assert rows.value[i] == one.value[0]
-        assert rows.stderr[i] == one.stderr[0]
+        assert rows[i] == one[0]
     assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -2,9 +2,8 @@
 
 The reference applies every term-list entry to the prepared amplitudes
 through its dense matrix (``reference.dense_reference``) and estimates it
-with its own one-row ``hadamard_test`` call, the real parts of all terms
-first and then the imaginary parts, row by row and part by part (the draw
-order ``JointCost.term_values`` documents).
+with its own one-row ``hadamard_test`` call, in term-list order, row by row
+and part by part (the draw order ``JointCost.term_values`` documents).
 """
 import zlib
 
@@ -32,16 +31,18 @@ KINDS = ["couette", "navier-stokes", "einstein", "maxwell", "boussinesq",
 SHOTS = 2000
 
 
-def complex_cost() -> CostFunction:
-    """A hand-built cost whose term list has complex coefficients and a
-    non-unitary term; every builder's coefficients are real."""
+def complex_cost(c=0.1) -> CostFunction:
+    """A hand-built cost on a Y+Z ansatz, whose amplitudes are complex, so
+    <bra|T|psi> has a nonzero imaginary part that the real coefficients
+    drop.  ``c`` scales its non-unitary term; a complex ``c`` makes the
+    coefficients complex."""
     lay = layout_1d(3, 1.0)
     spec = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
     xs = np.arange(8.0)
     u = np.sin(2 * np.pi * xs / 8) + 0.5
-    m_op = OpExpr.identity() + OpExpr.single(shift("x"), 0.3j)
+    m_op = OpExpr.identity() + OpExpr.single(shift("x"), 0.3)
     expr = OpExpr.identity() + (
-        OpExpr((OpTerm(1.0, (diag("w"),)),)) * grad_op("x", 1.0)).scale(0.1j) \
+        OpExpr((OpTerm(1.0, (diag("w"),)),)) * grad_op("x", 1.0)).scale(c) \
         + laplacian_op("x", 1.0).scale(0.05)
     return CostFunction("complex", lay, spec, m_op, (Source(expr, u, "u"),),
                         {"w": np.cos(2 * np.pi * xs / 8)})
@@ -60,30 +61,23 @@ IDS = [name for name, _ in CASES]
 def reference_values(cost, lam, shots=None, rng=None) -> np.ndarray:
     psi = prepare(cost.spec, lam).amplitudes
     entries = cost.term_list()
-    values = np.zeros((2, len(entries)))
-    for k, part in enumerate(("real", "imag")):
-        for i, (coeff, bra_tag, term, ket_tag) in enumerate(entries):
-            if (coeff.real if part == "real" else coeff.imag) == 0:
-                continue
-            unitary = term.is_unitary_product()
-            op = dense_reference([term], cost.layout, cost.bindings)
-            values[k, i] = hadamard_test(
-                tagged_state(cost, bra_tag, psi)[None, :],
-                (op @ tagged_state(cost, ket_tag, psi))[None, :],
-                part == "imag", sampled=unitary,
-                shots=shots if unitary else None, rng=rng).value[0]
+    values = np.zeros(len(entries))
+    for i, (_, bra, term) in enumerate(entries):
+        unitary = term.is_unitary_product()
+        op = dense_reference([term], cost.layout, cost.bindings)
+        values[i] = hadamard_test(
+            tagged_state(cost, bra, psi)[None, :], (op @ psi)[None, :],
+            sampled=unitary, shots=shots if unitary else None, rng=rng)[0]
     return values
 
 
 def reference_total(cost, values, lam0: float) -> float:
-    """offset + sum of lam0^p Re(coeff <bra|T|ket>), combined in the same
+    """offset + sum of lam0^p coeff Re<bra|T|psi>, combined in the same
     order as ``evaluate_terms`` so that shot totals compare bit for bit."""
     entries = cost.term_list()
-    coeff = np.array([e[0] for e in entries])
-    power = [(e[1] == "psi") + (e[3] == "psi") for e in entries]
-    scale = np.array([(1.0, lam0, lam0 * lam0)[p] for p in power])
-    return float(cost.offset + np.sum(
-        (coeff.real * values[0] - coeff.imag * values[1]) * scale))
+    coeff = np.array([e[0].real for e in entries])
+    scale = np.array([lam0 if bra else lam0 * lam0 for _, bra, _ in entries])
+    return float(cost.offset + np.sum(coeff * values * scale))
 
 
 def draws(name: str, cost):
@@ -97,7 +91,7 @@ def test_exact_term_values_match_per_term_loop(name, cost):
         lam, lam0 = draws(name, cost)
         got = JointCost(name, (cost,)).term_values([lam[None, :]])[0]
         want = reference_values(cost, lam)
-        assert np.max(np.abs(got.reshape(2, -1) - want)) <= 1e-12
+        assert np.max(np.abs(got[0] - want)) <= 1e-12
         assert abs(cost.evaluate_terms(lam, lam0)
                    - reference_total(cost, want, lam0)) <= 1e-12
 
@@ -123,9 +117,24 @@ def test_shot_draws_match_per_term_loop(name, cost):
 
 
 def test_complex_cost_has_complex_and_nonunitary_terms():
-    table = complex_cost().term_table
-    assert np.any(table.coeff.imag != 0) and np.any(table.coeff.real != 0)
+    """The Y+Z cost's term values <bra|T|psi> have imaginary parts that the
+    table drops, and it mixes unitary and non-unitary terms."""
+    cost = complex_cost()
+    table = cost.term_table
+    psi = prepare(cost.spec, draws("complex", cost)[0]).amplitudes
+    imag = []
+    for _, bra, term in cost.term_list():
+        op = dense_reference([term], cost.layout, cost.bindings)
+        imag.append(np.vdot(tagged_state(cost, bra, psi), op @ psi).imag)
+    assert np.max(np.abs(imag)) > 1e-3
     assert not np.all(table.sampled) and np.any(table.sampled)
+
+
+def test_complex_coefficient_is_rejected():
+    """A Hadamard test measures only the real part of a term, so a term
+    list with a complex coefficient has no table."""
+    with pytest.raises(costlib.ProblemError, match="complex coefficient"):
+        complex_cost(0.1j).term_table
 
 
 # -- batched objective calls --------------------------------------------------
@@ -161,7 +170,7 @@ def test_batched_rows_match_row_by_row_reference(name, joint, b, shots):
     rngs = [np.random.default_rng(seed) for _ in range(4)]
     want_values, _ = reference_rows(joint, xs, shots, rngs[0])
     got = joint.term_values(lams, shots, rngs[1])
-    got_values = [got[k][i].reshape(2, -1) for i in range(b)
+    got_values = [got[k][i] for i in range(b)
                   for k in range(len(joint.parts))]
     for g, w in zip(got_values, want_values):
         assert np.array_equal(g, w)
@@ -181,11 +190,11 @@ def test_batched_contraction_reduces_rows_of_a_2d_view():
     lams = np.random.default_rng(3).normal(size=(3, part.spec.parameter_count))
     psi = prepare_batch(part.spec, lams)
     kets = t.weight * psi[:, t.perm]
-    bras = np.where(t.from_source, t.source, psi[:, None, :])
-    got = hadamard_test(bras, kets, t.imag, sampled=t.sampled).value
+    bras = np.where(t.quadratic[:, None], psi[:, None, :], t.source)
+    got = hadamard_test(bras, kets, sampled=t.sampled)
     for i in range(3):
         assert np.array_equal(got[i], hadamard_test(
-            bras[i], kets[i], t.imag, sampled=t.sampled).value)
+            bras[i], kets[i], sampled=t.sampled))
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 2])
@@ -195,7 +204,7 @@ def test_blocked_rows_match_row_by_row_reference(name, joint, rows_per_block,
     """A call cut into blocks of consecutive rows (5 rows as 1+1+1+1+1 or
     2+2+1) still gives the row-by-row totals bit for bit and leaves the
     generator in the same state."""
-    n = sum(p.term_table.slot.size for p in joint.parts)
+    n = sum(p.term_table.coeff.size for p in joint.parts)
     monkeypatch.setattr(costlib, "TERM_BLOCK",
                         rows_per_block * n * joint.parts[0].layout.dim)
     seed = zlib.crc32(name.encode()) + 7
