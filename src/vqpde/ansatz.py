@@ -106,28 +106,6 @@ class AnsatzPlan:
     entangler: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class VariationalState:
-    """(ansatz parameters, scale) pair; the field is lam0 * prepare(spec, lam)."""
-
-    spec: AnsatzSpec
-    lam: np.ndarray
-    lam0: float
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.shape != (self.spec.parameter_count,):
-            raise SimulationError(
-                f"expected {self.spec.parameter_count} parameters, got {lam.size}"
-            )
-        if not (np.isfinite(lam).all() and np.isfinite(self.lam0)):
-            raise SimulationError("parameters and scale must be finite")
-        lam = lam.copy()
-        lam.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "lam0", float(self.lam0))
-
-
 def block_matrices(spec: AnsatzSpec, lams: np.ndarray) -> list:
     """Each block's first qubit and its (layer, row) matrices for parameter
     rows (B, P): per axis the product of k gathers from the entry table,

@@ -270,10 +270,6 @@ def _sq_norms(r) -> np.ndarray:
     return np.einsum("bi,bi->b", r.conj(), r).real
 
 
-def _best_scale(q, l) -> float:
-    return float(l[0] / q[0]) if q[0] > 1e-300 else 0.0
-
-
 @dataclass(frozen=True)
 class CostFunction:
     """Frozen-history residual ||M c - b||^2 over candidates c = lam0 Psi(lam)."""
@@ -324,16 +320,6 @@ class CostFunction:
         squared norm of the residual row lam0 M psi - b, never negative."""
         return _sq_norms(lam0 * self.m_form.apply(psi) - self.b_vector)
 
-    def evaluate_rows(self, xs) -> np.ndarray:
-        """Cost of every row (lam, lam0) of xs (B, n_params)."""
-        xs = np.asarray(xs, dtype=float)
-        return self.cost_rows(prepare_batch(self.spec, xs[:, :-1]), xs[:, -1:])
-
-    def best_scale(self, lam) -> float:
-        """Scale minimizing the quadratic at fixed angles."""
-        return _best_scale(*self.shift_split_eval(
-            np.asarray(lam, dtype=float)[None, :]))
-
     def grad_rows(self, psi, lam0) -> tuple:
         """Cost ||r||^2 and gradient from r = lam0 M psi_0 - b and the rows
         psi (P + 1, dim) at lam + ``_pi_shifts``.  Each angle sits in one
@@ -345,14 +331,9 @@ class CostFunction:
         return float(_sq_norms(r)[0]), np.concatenate((lam0 * g[1:],
                                                        [2.0 * g[0]]))
 
-    def value_and_grad(self, x) -> tuple:
-        """Cost and exact gradient at x = (lam, lam0) from P + 1 rows."""
-        x = np.asarray(x, dtype=float)
-        lam = x[:-1] + _pi_shifts(x.size - 1)
-        return self.grad_rows(prepare_batch(self.spec, lam), x[-1])
-
     def grad_vec(self, x) -> np.ndarray:
-        return self.value_and_grad(x)[1]
+        """``JointCost.value_and_grad``'s gradient of this part alone."""
+        return JointCost(self.name, (self,)).value_and_grad(x)[1]
 
     # -- term list ----------------------------------------------------------
 
@@ -444,10 +425,6 @@ class JointCost:
             out.append((xs[..., k - p.n_params:k - 1], xs[..., k - 1:k]))
         return out
 
-    def split(self, x) -> list:
-        return [(lam, float(lam0[0]))
-                for lam, lam0 in self._blocks(np.asarray(x, dtype=float))]
-
     def _states(self, lams: list) -> list:
         """Each part's states at its angle rows (one (B, P) block per part),
         all from one ``prepare_batch`` call."""
@@ -456,25 +433,39 @@ class JointCost:
 
     def evaluate_rows(self, xs) -> np.ndarray:
         """Sum of the parts' exact costs over their column blocks."""
-        blocks = self._blocks(np.asarray(xs, dtype=float))
+        xs = np.asarray(xs, dtype=float)
+        if len(self.parts) == 1:  # skips the blocks' glue
+            p = self.parts[0]
+            return p.cost_rows(prepare_batch(p.spec, xs[:, :-1]), xs[:, -1:])
+        blocks = self._blocks(xs)
         states = self._states([lams for lams, _ in blocks])
         return sum(p.cost_rows(psi, lam0) for p, psi, (_, lam0)
                    in zip(self.parts, states, blocks))
 
-    def best_scales(self, x) -> list:
-        """Every part's closed-form scale at the angles of x."""
-        states = self._states([lam[None, :] for lam, _ in self.split(x)])
-        return [_best_scale(*p.split_rows(psi))
-                for p, psi in zip(self.parts, states)]
+    def rescale(self, x) -> np.ndarray:
+        """Copy of x with every part's lam0 at its exact quadratic's
+        minimum l / q at x's angles (0 where q vanishes): one batch."""
+        x = np.array(x, dtype=float)
+        blocks = self._blocks(x)  # views into x
+        states = self._states([lam[None, :] for lam, _ in blocks])
+        for p, psi, (_, lam0) in zip(self.parts, states, blocks):
+            q, l = p.split_rows(psi)
+            lam0[:] = l / q if q[0] > 1e-300 else 0.0
+        return x
 
     def value_and_grad(self, x) -> tuple:
-        """The parts' ``value_and_grad`` summed and concatenated, one batch."""
-        if len(self.parts) == 1:
-            return self.parts[0].value_and_grad(x)
-        split = self.split(x)
-        states = self._states([lam + _pi_shifts(lam.size) for lam, _ in split])
-        pairs = [p.grad_rows(psi, lam0) for p, psi, (_, lam0)
-                 in zip(self.parts, states, split)]
+        """Cost and exact gradient at x: each part's ``grad_rows`` at its
+        angles plus ``_pi_shifts`` (P + 1 rows), all in one batch."""
+        x = np.asarray(x, dtype=float)
+        if len(self.parts) == 1:  # skips the blocks' glue
+            p = self.parts[0]
+            lam = x[:-1] + _pi_shifts(x.size - 1)
+            return p.grad_rows(prepare_batch(p.spec, lam), x[-1])
+        blocks = self._blocks(x)
+        states = self._states([lam + _pi_shifts(lam.size)
+                               for lam, _ in blocks])
+        pairs = [p.grad_rows(psi, lam0[0]) for p, psi, (_, lam0)
+                 in zip(self.parts, states, blocks)]
         return sum(c for c, _ in pairs), np.concatenate([g for _, g in pairs])
 
     def grad_vec(self, x) -> np.ndarray:

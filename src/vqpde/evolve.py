@@ -1,10 +1,12 @@
 """Outer hybrid loop: per step, freeze history, minimize the residual cost
 over (lam, lam0), commit the winner, read the field back out.
 
-History is kept as the committed readout fields (real grid samples), so each
-step's cost sees exactly what the previous optimization produced.  The
-candidate scale admits a closed-form optimum at fixed angles (the cost is an
-exact quadratic in lam0), which is applied before and after each inner
+The parameters are one row x = (lam_1, lam0_1, lam_2, lam0_2, ...), one
+block per component, from encoding to readout.  History is kept as the
+committed readout fields (real grid samples), so each step's cost sees
+exactly what the previous optimization produced.  The candidate scale admits
+a closed-form optimum at fixed angles (the cost is an exact quadratic in
+lam0), which ``JointCost.rescale`` applies before and after each inner
 optimization; it can only lower the cost.
 """
 from __future__ import annotations
@@ -16,16 +18,17 @@ from functools import partial
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, VariationalState, prepare
+from .ansatz import AnsatzSpec, prepare
 from .costlib import (
     CostFunction,
+    JointCost,
     Source,
     build_cost,
     components,
     grid_coordinates,
 )
 from .opexpr import OpExpr
-from .optim import CMAES, minimize
+from .optim import CMAES, CONFIGS, minimize
 from .statevec import RegisterLayout, SimulationError
 
 # largest imaginary part, relative to the amplitudes' norm, that readout
@@ -53,8 +56,11 @@ class EvolutionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
+        if isinstance(self.tau, (bool, np.bool_)) or not (
+                np.isfinite(self.tau) and self.tau > 0):
             raise EvolutionError("time step must be positive and finite")
+        if type(self.optimizer) not in CONFIGS:
+            raise EvolutionError(f"unknown optimizer {self.optimizer!r}")
         for name in ("n_steps", "restarts", "seed", "shots"):
             v = getattr(self, name)
             if v is None and name == "shots":
@@ -81,8 +87,7 @@ class StepRecord:
     t: float
     fields: dict  # component name -> real grid samples
     cost: float = 0.0
-    lam: np.ndarray | None = None  # first component's angles and scale
-    lam0: float | None = None
+    x: np.ndarray | None = None  # every component's (lam, lam0) block
     grad_norm: float = 0.0
     n_evals: int = 0
     imag_leak: float = 0.0
@@ -101,11 +106,15 @@ class Trajectory:
         return [r.fields[component] for r in self.records]
 
 
-def readout(vstate: VariationalState):
-    """Scaled real part of the prepared amplitudes, plus the relative
-    imaginary leakage diagnostic.  A leak above ``IMAG_LEAK_TOL`` is
-    returned with a warning that names it."""
-    amps = vstate.lam0 * prepare(vstate.spec, vstate.lam).amplitudes
+def readout(spec: AnsatzSpec, row):
+    """Field of one component's row (lam, lam0): the real part of
+    lam0 * prepare(spec, lam), plus the relative imaginary leakage
+    diagnostic.  A leak above ``IMAG_LEAK_TOL`` is returned with a warning
+    that names it; a non-finite row raises ``SimulationError``."""
+    row = np.asarray(row, dtype=float)
+    if not np.isfinite(row).all():
+        raise SimulationError("parameters and scale must be finite")
+    amps = row[-1] * prepare(spec, row[:-1]).amplitudes
     norm = max(np.linalg.norm(amps), 1e-300)
     leak = float(np.linalg.norm(np.imag(amps)) / norm)
     if leak > IMAG_LEAK_TOL:
@@ -115,22 +124,17 @@ def readout(vstate: VariationalState):
     return np.real(amps), leak
 
 
-def _apply_best_scale(cost, x: np.ndarray) -> np.ndarray:
-    """Closed-form lam0 update of every part at fixed angles (exact quadratic
-    minimum)."""
-    x = np.array(x, dtype=float)
-    x[np.cumsum([p.n_params for p in cost.parts]) - 1] = cost.best_scales(x)
-    return x
-
-
-def step(problem, history, warm, cfg: EvolutionConfig,
-         layout: RegisterLayout, rng: np.random.Generator):
-    """Minimize the frozen-history cost from the warm start (one variational
-    state per component) plus perturbed restarts; returns (best parameter
-    vector, diagnostics dict with the winner's stop reason)."""
-    cost = build_cost(problem, history, layout, cfg.tau, warm[0].spec)
-    x0 = np.concatenate([np.append(w.lam, w.lam0) for w in warm])
-    x0 = _apply_best_scale(cost, x0)
+def step(problem, history, x0, cfg: EvolutionConfig, layout: RegisterLayout,
+         spec: AnsatzSpec, rng: np.random.Generator):
+    """Minimize the frozen-history cost from the warm start row x0 plus
+    perturbed restarts; returns (best row, diagnostics dict with the
+    winner's stop reason)."""
+    cost = build_cost(problem, history, layout, cfg.tau, spec)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (cost.n_params,):
+        raise EvolutionError(f"expected a row of {cost.n_params} parameters, "
+                             f"got shape {x0.shape}")
+    x0 = cost.rescale(x0)
 
     objective, fused = cost.evaluate_rows, None
     if cfg.mode == "shots":
@@ -148,7 +152,7 @@ def step(problem, history, warm, cfg: EvolutionConfig,
         trace = minimize(objective, s, cfg.optimizer, grad=cost.grad_vec,
                          value_and_grad=fused)
         n_evals += trace.n_evals
-        cand = _apply_best_scale(cost, trace.x_best)
+        cand = cost.rescale(trace.x_best)
         f, g = cost.value_and_grad(cand)
         if not np.isfinite(f):
             raise EvolutionError("optimizer diverged to a non-finite cost")
@@ -159,32 +163,33 @@ def step(problem, history, warm, cfg: EvolutionConfig,
 
 
 def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
-              rng: np.random.Generator) -> VariationalState:
-    """Variational encoding of a classical field: minimize
-    ||lam0 Psi(lam) - field||^2 (a residual cost with identity operator) by
-    CMA-ES, down to 1e-15 of the field's squared norm.  Zero angles are a
-    stationary saddle whenever the field has no overlap with the reference
-    state, hence the randomized start.  A residual above ``ENCODE_TOL`` of
-    the squared norm is returned with a warning that names it."""
+              rng: np.random.Generator) -> np.ndarray:
+    """Variational encoding of a classical field as a row (lam, lam0):
+    minimize ||lam0 Psi(lam) - field||^2 (a residual cost with identity
+    operator) by CMA-ES, down to 1e-15 of the field's squared norm, then
+    take the closed-form lam0.  Zero angles are a stationary saddle whenever
+    the field has no overlap with the reference state, hence the randomized
+    start.  A residual above ``ENCODE_TOL`` of the squared norm is returned
+    with a warning that names it."""
     field = np.asarray(field, dtype=float)
     if np.linalg.norm(field) == 0.0:
-        return VariationalState(spec, np.zeros(spec.parameter_count), 0.0)
-    cost = CostFunction("encode", layout, spec, OpExpr.identity(),
+        return np.zeros(spec.parameter_count + 1)
+    part = CostFunction("encode", layout, spec, OpExpr.identity(),
                         (Source(OpExpr.identity(), field, "f"),), {})
-    x0 = rng.normal(scale=0.1, size=spec.parameter_count + 1)
+    cost = JointCost(part.name, (part,))
+    x0 = rng.normal(scale=0.1, size=cost.n_params)
     x0[-1] = float(np.linalg.norm(field))
     search = minimize(cost.evaluate_rows, x0,
                       CMAES(sigma0=0.3, max_iters=400,
-                            f_tol=1e-15 * cost.offset,
+                            f_tol=1e-15 * part.offset,
                             seed=int(rng.integers(2 ** 31))))
-    lam = search.x_best[:-1]
-    lam0 = cost.best_scale(lam)
-    rel = cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] / cost.offset
+    x = cost.rescale(search.x_best)
+    rel = cost.evaluate_rows(x[None, :])[0] / part.offset
     if rel > ENCODE_TOL:
         warnings.warn(f"field encoding missed: residual {rel:.3g} of "
                       f"||field||^2 (tolerance {ENCODE_TOL:g})",
                       RuntimeWarning, stacklevel=2)
-    return VariationalState(spec, lam, lam0)
+    return x
 
 
 def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
@@ -204,6 +209,8 @@ def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
     history = [np.asarray(f, dtype=float) for f in initial_fields]
     if any(f.size != layout.dim for f in history):
         raise SimulationError("initial field does not match the grid")
+    if not all(np.isfinite(f).all() for f in history):
+        raise SimulationError("initial field is not finite")
     if not history or len(history) % len(names):
         raise EvolutionError(
             f"{problem.name} needs initial data for {', '.join(names)}")
@@ -213,18 +220,17 @@ def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
     traj = Trajectory(layout)
     traj.records.append(StepRecord(
         0.0, {c: f.copy() for c, f in zip(names, history[-len(names):])}))
-    warm = [fit_field(spec, layout, f, rng) for f in history[-len(names):]]
+    x = np.concatenate([fit_field(spec, layout, f, rng)
+                        for f in history[-len(names):]])
     for k in range(cfg.n_steps):
-        x, info = step(problem, history[-problem.history_depth:], warm, cfg,
-                       layout, rng)
-        warm = [VariationalState(spec, p[:-1], p[-1])
-                for p in np.split(x, len(names))]
-        fields, leaks = zip(*(readout(w) for w in warm))
+        x, info = step(problem, history[-problem.history_depth:], x, cfg,
+                       layout, spec, rng)
+        fields, leaks = zip(*(readout(spec, row)
+                              for row in np.split(x, len(names))))
         history += fields
         traj.records.append(StepRecord(
-            (k + 1) * cfg.tau, dict(zip(names, fields)), info["cost"],
-            warm[0].lam, warm[0].lam0, info["grad_norm"],
-            info["n_evals"], max(leaks), info["stop"]))
+            (k + 1) * cfg.tau, dict(zip(names, fields)), info["cost"], x,
+            info["grad_norm"], info["n_evals"], max(leaks), info["stop"]))
     return traj
 
 

@@ -398,6 +398,8 @@ _DISPATCH = {
     ParticleSwarm: _particle_swarm,
     DifferentialEvolution: _differential_evolution,
 }
+# every config class ``minimize`` runs
+CONFIGS = (GradientDescent, *_DISPATCH)
 
 
 def minimize(objective, x0, config, grad=None,
@@ -410,6 +412,8 @@ def minimize(objective, x0, config, grad=None,
     f = _counted(objective, trace)
     x0 = np.array(x0, dtype=float)
     kind = type(config)
+    if kind not in CONFIGS:
+        raise OptimizationError(f"unknown optimizer config {config!r}")
     if kind is GradientDescent:
         def fg(x):
             if value_and_grad is None:
@@ -418,6 +422,4 @@ def minimize(objective, x0, config, grad=None,
             return float(_tally([v], 1, trace)[0]), g
         return _gradient_descent(fg, x0, config, grad or (
             lambda x: finite_diff_grad(objective, x)), trace)
-    if kind not in _DISPATCH:
-        raise OptimizationError(f"unknown optimizer config {config!r}")
     return _DISPATCH[kind](f, x0, config, trace)

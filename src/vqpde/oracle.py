@@ -228,6 +228,8 @@ def classical_run(problem, fields, layout: RegisterLayout, tau: float,
     history = [np.asarray(f, dtype=float) for f in fields]
     if not history or len(history) % k:
         raise ProblemError(f"{problem.name} needs whole time levels")
+    if not all(np.isfinite(f).all() for f in history):
+        raise ProblemError("initial field is not finite")
     while len(history) < problem.history_depth:
         history = [f.copy() for f in history[:k]] + history
     out = [history[-1].copy()]

@@ -138,10 +138,17 @@ def shift_rule_grad(part, lam, lam0: float) -> np.ndarray:
     return grad
 
 
+def split_row(cost, x) -> list:
+    """A ``JointCost`` row x cut into one (angles, scale) pair per part."""
+    ends = np.cumsum([p.n_params for p in cost.parts])
+    return [(b[:-1], float(b[-1]))
+            for b in np.split(np.asarray(x, dtype=float), ends[:-1])]
+
+
 def direct_joint_cost(cost, x) -> float:
     """``direct_cost`` summed over a ``JointCost``'s parts."""
     return sum(direct_cost(p, lam, lam0)
-               for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
+               for p, (lam, lam0) in zip(cost.parts, split_row(cost, x)))
 
 
 def tagged_state(cost, bra: int, psi: np.ndarray) -> np.ndarray:

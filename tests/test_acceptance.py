@@ -37,7 +37,12 @@ from vqpde.optim import (
 )
 from vqpde.statevec import RegisterLayout, hadamard_test, layout_1d
 
-from reference import dense_reference, direct_joint_cost, tagged_state
+from reference import (
+    dense_reference,
+    direct_joint_cost,
+    split_row,
+    tagged_state,
+)
 
 
 def report(capsys, ok: bool, label: str, detail: str):
@@ -98,7 +103,7 @@ def test_term_sum_matches_direct_residual_norms(capsys):
         for _ in range(1000):
             x = rng.normal(size=cost.n_params)
             dev = abs(sum(p.evaluate_terms(lam, lam0) for p, (lam, lam0)
-                          in zip(cost.parts, cost.split(x)))
+                          in zip(cost.parts, split_row(cost, x)))
                       - direct_joint_cost(cost, x))
             worst = max(worst, dev)
     elapsed = time.time() - t0
@@ -265,19 +270,16 @@ def test_coupled_system_joint_minimization(capsys):
     spec = AnsatzSpec(n_qubits=3, layers=4, rotation_axes=("Y",))
 
     # one-shot reduction from a perturbed warm start
-    from vqpde.evolve import _apply_best_scale, fit_field
+    from vqpde.evolve import fit_field
     rng = np.random.default_rng(8)
     cost = build_cost(DSW(), [u0, v0], lay, 0.02, spec)
-    vs_u = fit_field(spec, lay, u0, rng)
-    vs_v = fit_field(spec, lay, v0, rng)
-    warm = np.concatenate([np.append(vs_u.lam, vs_u.lam0),
-                           np.append(vs_v.lam, vs_v.lam0)])
+    warm = np.concatenate([fit_field(spec, lay, f, rng) for f in (u0, v0)])
     start = warm + rng.normal(scale=0.3, size=warm.size)
     f_start = cost.evaluate_rows(start[None, :])[0]
     trace = minimize(cost.evaluate_rows, start,
                      GradientDescent(eta=0.15, max_iters=400, grad_tol=1e-12),
                      grad=cost.grad_vec)
-    best = _apply_best_scale(cost, trace.x_best)
+    best = cost.rescale(trace.x_best)
     f_end = cost.evaluate_rows(best[None, :])[0]
     reduction = f_start / max(f_end, 1e-300)
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vqpde.ansatz import (
-    AnsatzSpec,
-    VariationalState,
-    prepare,
-)
+from vqpde.ansatz import AnsatzSpec, prepare
 from vqpde.statevec import SimulationError
 
 
@@ -107,25 +103,30 @@ def test_amplitude_gradient_matches_shift_rule():
         assert np.max(np.abs(fd - ps)) < 1e-6
 
 
+# A variational state is the row (lam, lam0); ``readout`` turns it into the
+# field lam0 * prepare(spec, lam) and is where a bad row is rejected.
+
 def test_variational_state_field():
     from vqpde.evolve import readout
     spec = AnsatzSpec(n_qubits=1, layers=1, entangler="none")
-    vs = VariationalState(spec, np.array([np.pi / 2]), 2.0)
-    assert np.allclose(readout(vs)[0], [np.sqrt(2), np.sqrt(2)])
+    f, _ = readout(spec, np.array([np.pi / 2, 2.0]))
+    assert np.allclose(f, [np.sqrt(2), np.sqrt(2)])
 
 
 def test_variational_state_validation():
+    from vqpde.evolve import readout
     spec = AnsatzSpec(n_qubits=2)
-    with pytest.raises(SimulationError):
-        VariationalState(spec, np.zeros(3), 1.0)
-    with pytest.raises(SimulationError):
-        VariationalState(spec, np.zeros(2), np.inf)
+    with pytest.raises(SimulationError, match="expected 2 parameters"):
+        readout(spec, np.zeros(4))
+    with pytest.raises(SimulationError, match="finite"):
+        readout(spec, np.array([0.0, 0.0, np.inf]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_variational_state_rejects_non_finite_angles(bad):
+    from vqpde.evolve import readout
     spec = AnsatzSpec(n_qubits=2, layers=1)
     with pytest.raises(SimulationError, match="finite"):
-        VariationalState(spec, np.full(spec.parameter_count, bad), 1.0)
+        readout(spec, np.append(np.full(spec.parameter_count, bad), 1.0))
     with pytest.raises(SimulationError, match="finite"):
-        VariationalState(spec, np.array([0.0, bad]), 1.0)
+        readout(spec, np.array([0.0, bad, 1.0]))

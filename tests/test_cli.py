@@ -231,6 +231,12 @@ def test_optimizer_aliases_resolve(tmp_path, capsys):
         assert f"unknown value {method!r}" in err and "nelder-mead" in err
 
 
+def test_every_optimizer_config_has_a_method():
+    from vqpde.cli import _OPTIMIZERS
+    from vqpde.optim import CONFIGS
+    assert set(_OPTIMIZERS.values()) == set(CONFIGS)
+
+
 def test_load_config_structure(tmp_path):
     cfg = load_config(write_cfg(tmp_path))
     assert cfg["layout"].dim == 8

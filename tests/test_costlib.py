@@ -27,11 +27,15 @@ from vqpde.costlib import (
     components,
     grid_coordinates,
 )
-from vqpde.evolve import _apply_best_scale
 from vqpde.opexpr import OpExpr
 from vqpde.statevec import RegisterLayout, SimulationError, layout_1d
 
-from reference import dense_reference, direct_joint_cost, shift_rule_grad
+from reference import (
+    dense_reference,
+    direct_joint_cost,
+    shift_rule_grad,
+    split_row,
+)
 
 LAY = layout_1d(3, 1.0)
 SPEC = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
@@ -73,8 +77,12 @@ DEMO_KINDS = ("couette", "navier-stokes", "einstein", "maxwell", "boussinesq",
 
 @lru_cache(maxsize=None)
 def demo_costs(kind):
+    """The demo's joint cost, after each of its parts alone when it has
+    several."""
     joint = _demo_cost(kind)
-    return (*joint.parts, joint)
+    if len(joint.parts) == 1:
+        return (joint,)
+    return (*(JointCost(p.name, (p,)) for p in joint.parts), joint)
 
 
 # -- problem validation -------------------------------------------------------
@@ -131,7 +139,7 @@ def test_term_sum_equals_direct_residual_norm(name):
         closed = cost.evaluate_rows(x[None, :])[0]
         direct = direct_joint_cost(cost, x)
         terms = sum(p.evaluate_terms(lam, lam0)
-                    for p, (lam, lam0) in zip(cost.parts, cost.split(x)))
+                    for p, (lam, lam0) in zip(cost.parts, split_row(cost, x)))
         assert abs(closed - direct) < 1e-10
         assert abs(terms - direct) < 1e-10
 
@@ -156,17 +164,37 @@ def test_joint_calls_equal_per_part_calls_bitwise(kind):
     joint = _demo_cost(kind)
     rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
     xs = rng.normal(size=(5, joint.n_params))
-    want, k = 0.0, 0
-    for p in joint.parts:
-        want = want + p.evaluate_rows(xs[:, k:k + p.n_params])
-        k += p.n_params
+    ends = np.cumsum([p.n_params for p in joint.parts])[:-1]
+    want = 0.0
+    for p, b in zip(joint.parts, np.split(xs, ends, axis=1)):
+        want = want + p.cost_rows(prepare_batch(p.spec, b[:, :-1]), b[:, -1:])
     assert np.array_equal(joint.evaluate_rows(xs), want)
-    blocks = joint.split(xs[0])
-    assert joint.best_scales(xs[0]) == [
-        p.best_scale(lam) for p, (lam, _) in zip(joint.parts, blocks)]
+    blocks = np.split(xs[0], ends)
+    assert np.array_equal(joint.rescale(xs[0]), np.concatenate([
+        JointCost(p.name, (p,)).rescale(x) for p, x in zip(joint.parts,
+                                                            blocks)]))
     assert np.array_equal(joint.grad_vec(xs[0]), np.concatenate([
-        p.grad_vec(np.append(lam, lam0))
-        for p, (lam, lam0) in zip(joint.parts, blocks)]))
+        p.grad_vec(x) for p, x in zip(joint.parts, blocks)]))
+
+
+@pytest.mark.parametrize("kind", DEMO_KINDS)
+def test_rescale_lowers_the_cost_and_is_idempotent(kind):
+    """Each part's cost is an exact quadratic in its lam0, so ``rescale``'s
+    closed-form scales can only lower the cost.  They depend on the angles
+    alone, so a second rescale changes nothing; the angles stay, and x is
+    not written."""
+    rng = np.random.default_rng(zlib.crc32(kind.encode()) + 3)
+    for cost in demo_costs(kind):
+        scales = np.cumsum([p.n_params for p in cost.parts]) - 1
+        for _ in range(5):
+            x = rng.normal(scale=2.0, size=cost.n_params)
+            kept = x.copy()
+            y = cost.rescale(x)
+            assert np.array_equal(x, kept)
+            assert np.array_equal(np.delete(y, scales), np.delete(x, scales))
+            assert np.array_equal(cost.rescale(y), y)
+            before, after = cost.evaluate_rows(np.stack([x, y]))
+            assert after <= before
 
 
 @pytest.mark.parametrize("kind", DEMO_KINDS)
@@ -176,14 +204,13 @@ def test_fused_call_equals_evaluate_rows_and_shift_rule(kind):
     bit and the dense +/- pi/2 rule to 1e-10."""
     rng = np.random.default_rng(zlib.crc32(kind.encode()) + 2)
     for cost in demo_costs(kind):
-        parts = cost.parts if isinstance(cost, JointCost) else (cost,)
         for _ in range(3):
             x = rng.normal(size=cost.n_params)
             f, g = cost.value_and_grad(x)
             assert f == cost.evaluate_rows(x[None, :])[0]
             assert np.array_equal(g, cost.grad_vec(x))
             k, want = 0, []
-            for p in parts:
+            for p in cost.parts:
                 k += p.n_params
                 want.append(shift_rule_grad(p, x[k - p.n_params:k - 1],
                                             x[k - 1]))
@@ -215,9 +242,7 @@ def test_cost_is_nonnegative(name, which, b, seed, best):
     cost = costs[min(which, len(costs) - 1)]
     xs = np.random.default_rng(seed).normal(scale=2.0, size=(b, cost.n_params))
     if best:
-        joint = cost if isinstance(cost, JointCost) else JointCost(
-            cost.name, (cost,))
-        xs = np.array([_apply_best_scale(joint, x) for x in xs])
+        xs = np.array([cost.rescale(x) for x in xs])
     assert np.all(cost.evaluate_rows(xs) >= 0.0)
 
 
@@ -230,7 +255,8 @@ def test_cost_is_nonnegative_at_an_exact_fit(seed, lam0):
     field = lam0 * prepare(SPEC_Y, lam).amplitudes.real
     cost = CostFunction("encode", LAY, SPEC_Y, OpExpr.identity(),
                         (Source(OpExpr.identity(), field, "f"),), {})
-    assert cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] >= 0.0
+    psi = prepare_batch(SPEC_Y, lam[None, :])
+    assert cost.cost_rows(psi, np.array([[lam0]]))[0] >= 0.0
 
 
 def test_zero_at_truth_for_invertible_updates():
@@ -251,28 +277,31 @@ def test_zero_at_truth_for_invertible_updates():
 
 def test_couette_constant_field_is_stationary():
     c = np.full(8, 1.7)
-    cost = build_cost(NavierStokes(nu=1.0), [c], LAY, 0.1, SPEC).parts[0]
-    lam = np.zeros(SPEC.parameter_count)
-    lam[:3] = np.pi / 2  # uniform product state in the first rotation layer
-    lam0 = cost.best_scale(lam)
-    assert cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] <= 1e-10
+    cost = build_cost(NavierStokes(nu=1.0), [c], LAY, 0.1, SPEC)
+    x = np.zeros(cost.n_params)
+    x[:3] = np.pi / 2  # uniform product state in the first rotation layer
+    x = cost.rescale(x)
+    assert cost.evaluate_rows(x[None, :])[0] <= 1e-10
 
 
 def test_hunter_saxton_zero_field_minimized_at_zero_scale():
-    cost = build_cost(HunterSaxton(), [np.zeros(8)], LAY, TAU, SPEC).parts[0]
-    assert np.max(np.abs(cost.b_vector)) == 0.0
+    cost = build_cost(HunterSaxton(), [np.zeros(8)], LAY, TAU, SPEC)
+    assert np.max(np.abs(cost.parts[0].b_vector)) == 0.0
     lam = np.random.default_rng(0).normal(size=SPEC.parameter_count)
-    assert cost.evaluate_rows(np.append(lam, 0.0)[None, :])[0] <= 1e-12
+    x = cost.rescale(np.append(lam, 1.0))
+    assert x[-1] == 0.0
+    assert cost.evaluate_rows(x[None, :])[0] <= 1e-12
 
 
 def test_scale_consistency_for_linear_problem():
-    cost1 = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC).parts[0]
-    cost3 = build_cost(NavierStokes(nu=1.0), [3.0 * U], LAY, TAU, SPEC).parts[0]
-    lam = np.random.default_rng(2).normal(size=SPEC.parameter_count)
-    s1, s3 = cost1.best_scale(lam), cost3.best_scale(lam)
-    assert abs(s3 - 3.0 * s1) < 1e-10
-    c1 = cost1.evaluate_rows(np.append(lam, s1)[None, :])[0]
-    c3 = cost3.evaluate_rows(np.append(lam, s3)[None, :])[0]
+    cost1 = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC)
+    cost3 = build_cost(NavierStokes(nu=1.0), [3.0 * U], LAY, TAU, SPEC)
+    x = np.append(np.random.default_rng(2).normal(size=SPEC.parameter_count),
+                  0.0)
+    x1, x3 = cost1.rescale(x), cost3.rescale(x)
+    assert abs(x3[-1] - 3.0 * x1[-1]) < 1e-10
+    c1 = cost1.evaluate_rows(x1[None, :])[0]
+    c3 = cost3.evaluate_rows(x3[None, :])[0]
     assert abs(c3 - 9.0 * c1) < 1e-8
 
 
@@ -307,7 +336,8 @@ def test_shot_mode_unbiased_within_four_sigma():
     rng = np.random.default_rng(77)
     lam = rng.normal(size=SPEC.parameter_count)
     lam0 = 0.8
-    exact = cost.evaluate_rows(np.append(lam, lam0)[None, :])[0]
+    exact = cost.cost_rows(prepare_batch(SPEC, lam[None, :]),
+                           np.array([[lam0]]))[0]
     vals = [cost.evaluate_terms(lam, lam0, shots=10 ** 5, rng=rng)
             for _ in range(20)]
     spread = np.std(vals)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vqpde.ansatz import AnsatzSpec, VariationalState, prepare
+from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
 from vqpde.costlib import (
     DSW,
     CamassaHolm,
@@ -28,7 +28,7 @@ from vqpde.evolve import (
 )
 from vqpde.opexpr import OpExpr
 from vqpde.optim import SPSA, GradientDescent, minimize
-from vqpde.statevec import layout_1d
+from vqpde.statevec import SimulationError, layout_1d
 
 from reference import dense_reference, direct_cost
 
@@ -49,6 +49,20 @@ def test_config_validation():
         EvolutionConfig(tau=0.1, n_steps=1, optimizer=GD, mode="fuzzy")
     with pytest.raises(EvolutionError):
         EvolutionConfig(tau=0.1, n_steps=1, optimizer=GD, mode="shots")
+
+
+@pytest.mark.parametrize("optimizer", ["gd", None, GradientDescent])
+def test_config_rejects_what_is_not_an_optimizer_config(optimizer):
+    """A name, None or a config class (not an instance) fails at the
+    config, before ``run`` spends its encoding on it."""
+    with pytest.raises(EvolutionError, match="unknown optimizer"):
+        EvolutionConfig(tau=0.1, n_steps=1, optimizer=optimizer)
+
+
+@pytest.mark.parametrize("tau", [True, np.True_])
+def test_config_rejects_a_bool_time_step(tau):
+    with pytest.raises(EvolutionError, match="time step"):
+        EvolutionConfig(tau=tau, n_steps=1, optimizer=GD)
 
 
 def test_shot_count_needs_shot_mode():
@@ -95,11 +109,10 @@ def test_config_stores_numpy_integer_counts_as_int():
 
 def test_readout_roundtrip_and_zero_scale():
     spec = AnsatzSpec(n_qubits=1, layers=1, entangler="none")
-    vs = VariationalState(spec, np.array([np.pi / 2]), 2.0)
-    f, leak = readout(vs)
+    f, leak = readout(spec, np.array([np.pi / 2, 2.0]))
     assert np.allclose(f, [np.sqrt(2), np.sqrt(2)])
     assert leak < 1e-12
-    f0, _ = readout(VariationalState(spec, np.array([0.3]), 0.0))
+    f0, _ = readout(spec, np.array([0.3, 0.0]))
     assert np.max(np.abs(f0)) == 0.0
 
 
@@ -110,14 +123,13 @@ def test_readout_warns_when_it_drops_an_imaginary_part():
     spec_y = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y",))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, leak = readout(VariationalState(
-            spec_y, rng.normal(size=spec_y.parameter_count), 1.5))
+        _, leak = readout(spec_y, np.append(
+            rng.normal(size=spec_y.parameter_count), 1.5))
     assert leak == 0.0
     spec_yz = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
-    vs = VariationalState(spec_yz, rng.normal(size=spec_yz.parameter_count),
-                          1.5)
+    row = np.append(rng.normal(size=spec_yz.parameter_count), 1.5)
     with pytest.warns(RuntimeWarning, match="imaginary part") as caught:
-        _, leak = readout(vs)
+        _, leak = readout(spec_yz, row)
     assert leak > IMAG_LEAK_TOL
     assert f"{leak:.3g}" in str(caught[0].message)
 
@@ -125,8 +137,9 @@ def test_readout_warns_when_it_drops_an_imaginary_part():
 def test_fit_field_recovers_profile():
     rng = np.random.default_rng(5)
     target = np.sin(2 * np.pi * XS / 8) + 1.1
-    vs = fit_field(SPEC, LAY, target, rng)
-    f, _ = readout(vs)
+    x = fit_field(SPEC, LAY, target, rng)
+    assert x.shape == (SPEC.parameter_count + 1,)
+    f, _ = readout(SPEC, x)
     assert np.linalg.norm(f - target) / np.linalg.norm(target) < 1e-3
 
 
@@ -145,8 +158,7 @@ def test_fit_field_batched_equals_one_row_at_a_time(monkeypatch):
     monkeypatch.setattr(evolve, "minimize", one_row_minimize)
     single = fit_field(SPEC, LAY, target, np.random.default_rng(5))
     assert max(calls) > 1
-    assert np.array_equal(batched.lam, single.lam)
-    assert batched.lam0 == single.lam0
+    assert np.array_equal(batched, single)
 
 
 def test_fit_field_warns_when_the_encoding_is_missed():
@@ -167,18 +179,19 @@ def test_fit_field_warns_when_the_encoding_is_missed():
 
 
 def test_fit_field_zero_field_shortcut():
-    vs = fit_field(SPEC, LAY, np.zeros(8), np.random.default_rng(0))
-    assert vs.lam0 == 0.0
+    x = fit_field(SPEC, LAY, np.zeros(8), np.random.default_rng(0))
+    assert x.shape == (SPEC.parameter_count + 1,)
+    assert x[-1] == 0.0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exact_cost_matches_direct_at_fit_field_optimum(seed):
     target = np.sin(2 * np.pi * XS / 8) + 1.1
-    vs = fit_field(SPEC, LAY, target, np.random.default_rng(seed))
+    x = fit_field(SPEC, LAY, target, np.random.default_rng(seed))
     cost = CostFunction("encode", LAY, SPEC, OpExpr.identity(),
                         (Source(OpExpr.identity(), target, "f"),), {})
-    direct = direct_cost(cost, vs.lam, vs.lam0)
-    rows = cost.evaluate_rows(np.append(vs.lam, vs.lam0)[None, :])[0]
+    direct = direct_cost(cost, x[:-1], x[-1])
+    rows = cost.cost_rows(prepare_batch(SPEC, x[None, :-1]), x[None, -1:])[0]
     assert direct <= 1e-12 * cost.offset
     assert abs(rows - direct) <= 1e-6 * direct
 
@@ -198,7 +211,8 @@ def test_reported_cost_matches_direct_at_converged_steps():
         # takes the program's psi and b (each checked against a dense
         # reference elsewhere) and the dense operator in place of m_form
         m = dense_reference(part.m_op, LAY, part.bindings)
-        r = rec.lam0 * (m @ prepare(SPEC, rec.lam).amplitudes) - part.b_vector
+        r = rec.x[-1] * (m @ prepare(SPEC, rec.x[:-1]).amplitudes) \
+            - part.b_vector
         direct = float(np.vdot(r, r).real)
         assert abs(rec.cost - direct) <= 1e-6 * direct
 
@@ -219,12 +233,11 @@ def test_shot_mode_spsa_step_is_one_call_per_iteration(monkeypatch, iters):
     spec = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y",))
     u = 1.0 + 0.2 * np.sin(2 * np.pi * XS / 8)
     rng = np.random.default_rng(8)
-    warm = [VariationalState(spec, rng.normal(size=spec.parameter_count),
-                             float(np.linalg.norm(u)))]
+    x0 = np.append(rng.normal(size=spec.parameter_count), np.linalg.norm(u))
     cfg = EvolutionConfig(tau=0.01, n_steps=1,
                           optimizer=SPSA(max_iters=iters, seed=2),
                           mode="shots", shots=500)
-    _, info = step(CamassaHolm(1.0), [u, u], warm, cfg, lay, rng)
+    _, info = step(CamassaHolm(1.0), [u, u], x0, cfg, lay, spec, rng)
     assert len(calls) == iters + 1
     assert sum(calls) == info["n_evals"] == 3 * iters + 1
 
@@ -247,12 +260,11 @@ def test_exact_gd_step_prepares_once_per_evaluation(monkeypatch, restarts):
     monkeypatch.setattr(costlib, "prepare_batch", counted)
     u = np.sin(2 * np.pi * XS / 8) + 1.2
     rng = np.random.default_rng(5)
-    warm = [VariationalState(SPEC, rng.normal(size=SPEC.parameter_count),
-                             float(np.linalg.norm(u)))]
+    x0 = np.append(rng.normal(size=SPEC.parameter_count), np.linalg.norm(u))
     cfg = EvolutionConfig(tau=0.05, n_steps=1, restarts=restarts,
                           optimizer=GradientDescent(eta=0.2, max_iters=10,
                                                     grad_tol=0.0))
-    _, info = step(NavierStokes(nu=1.0), [u], warm, cfg, LAY, rng)
+    _, info = step(NavierStokes(nu=1.0), [u], x0, cfg, LAY, SPEC, rng)
     assert info["n_evals"] > 10 * restarts
     assert len(calls) == info["n_evals"] + 1 + 2 * restarts
     assert calls.count(SPEC.parameter_count + 1) == len(calls) - 1 - restarts
@@ -273,11 +285,10 @@ def test_exact_gd_step_above_the_fused_size_takes_one_row_candidates(
 
     monkeypatch.setattr(costlib, "prepare_batch", counted)
     u = np.sin(2 * np.pi * XS / 8) + 1.2
-    warm = [VariationalState(SPEC, np.full(SPEC.parameter_count, 0.3),
-                             float(np.linalg.norm(u)))]
+    x0 = np.append(np.full(SPEC.parameter_count, 0.3), np.linalg.norm(u))
     cfg = EvolutionConfig(tau=0.05, n_steps=1, optimizer=GradientDescent(
         eta=0.2, max_iters=10, grad_tol=0.0))
-    args = (NavierStokes(nu=1.0), [u], warm, cfg, LAY)
+    args = (NavierStokes(nu=1.0), [u], x0, cfg, LAY, SPEC)
     x_fused, info_fused = step(*args, np.random.default_rng(5))
     n_fused = len(calls)
     calls.clear()
@@ -352,8 +363,23 @@ def test_joint_system_records_both_components():
                           seed=2)
     traj = run(DSW(), [u0, v0], cfg, LAY, SPEC)
     assert len(traj) == 2
-    assert set(traj.records[1].fields) == {"u", "v"}
-    assert np.isfinite(traj.records[1].cost)
+    rec = traj.records[1]
+    assert set(rec.fields) == {"u", "v"}
+    assert np.isfinite(rec.cost)
+    # the record keeps the whole row, one (lam, lam0) block per component
+    assert rec.x.shape == (2 * (SPEC.parameter_count + 1),)
+    for name, row in zip(("u", "v"), np.split(rec.x, 2)):
+        assert np.array_equal(readout(SPEC, row)[0], rec.fields[name])
+
+
+@pytest.mark.parametrize("size", [SPEC.parameter_count,
+                                  2 * (SPEC.parameter_count + 1)])
+def test_step_rejects_a_row_of_the_wrong_length(size):
+    u = np.sin(2 * np.pi * XS / 8) + 1.2
+    cfg = EvolutionConfig(tau=0.05, n_steps=1, optimizer=GD)
+    with pytest.raises(EvolutionError, match="row of 13 parameters"):
+        step(NavierStokes(nu=1.0), [u], np.zeros(size), cfg, LAY, SPEC,
+             np.random.default_rng(0))
 
 
 def test_second_order_from_rest_equals_repeated_level():
@@ -376,10 +402,21 @@ def test_coupled_system_needs_both_fields():
 
 
 def test_run_rejects_wrong_grid_size():
-    from vqpde.statevec import SimulationError
     cfg = EvolutionConfig(tau=0.1, n_steps=1, optimizer=GD)
     with pytest.raises(SimulationError):
         run(NavierStokes(nu=1.0), [np.ones(4)], cfg, LAY, SPEC)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_rejects_non_finite_initial_data(bad):
+    """A non-finite sample fails at the boundary, before the encoding."""
+    cfg = EvolutionConfig(tau=0.02, n_steps=1, optimizer=GD)
+    u = np.ones(8)
+    u[3] = bad
+    with pytest.raises(SimulationError, match="not finite"):
+        run(NavierStokes(nu=1.0), [u], cfg, LAY, SPEC)
+    with pytest.raises(SimulationError, match="not finite"):
+        run(DSW(), [np.ones(8), u], cfg, LAY, SPEC)
 
 
 def test_trajectory_rows_deterministic_and_complete():

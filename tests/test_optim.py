@@ -8,6 +8,7 @@ from vqpde.ansatz import AnsatzSpec
 from vqpde.costlib import CamassaHolm, Maxwell, NavierStokes, build_cost
 from vqpde.optim import (
     CMAES,
+    CONFIGS,
     DifferentialEvolution,
     GradientDescent,
     NelderMead,
@@ -139,7 +140,7 @@ def test_spsa_matches_three_call_reference(iters):
     cost = build_cost(CamassaHolm(1.0), [u, 1.01 * u], lay, 0.01, spec)
     lam = np.random.default_rng(4).normal(scale=0.5,
                                           size=spec.parameter_count)
-    x0 = np.append(lam, cost.parts[0].best_scale(lam))
+    x0 = cost.rescale(np.append(lam, 0.0))
     cfg = SPSA(a=0.05, c=0.05, max_iters=iters, seed=11)
     runs = []
     for run in (spsa_two_calls_per_iteration, minimize):
@@ -348,7 +349,7 @@ def test_shot_mode_gradient_descent_matches_reference_loop():
     cost = build_cost(CamassaHolm(1.0), [u, 1.01 * u], lay, 0.01, spec)
     lam = np.random.default_rng(4).normal(scale=0.5,
                                           size=spec.parameter_count)
-    x0 = np.append(lam, cost.parts[0].best_scale(lam))
+    x0 = cost.rescale(np.append(lam, 0.0))
     cfg = GradientDescent(eta=0.05, max_iters=8, grad_tol=0.0)
     runs = []
     for run in (gradient_descent_reference, None):
@@ -420,16 +421,15 @@ def test_zero_gradient_at_exact_minimum():
     lay = layout_1d(3, 1.0)
     spec = AnsatzSpec(n_qubits=3, layers=1, rotation_axes=("Y",))
     u = np.full(8, 1.3)
-    cost = build_cost(NavierStokes(nu=1.0), [u], lay, 0.1, spec).parts[0]
+    cost = build_cost(NavierStokes(nu=1.0), [u], lay, 0.1, spec)
     # constant field is a fixed point; the exact encoding is reachable with
     # all-zero angles after a basis rotation trick is unnecessary: uniform
     # state = RY(pi/2) on each qubit
-    lam = np.full(3, np.pi / 2)
-    lam0 = cost.best_scale(lam)
-    assert cost.evaluate_rows(np.append(lam, lam0)[None, :])[0] < 1e-10
-    g = cost.grad_vec(np.append(lam, lam0))
-    assert np.max(np.abs(g)) < 1e-8
-    assert np.max(np.abs(shift_rule_grad(cost, lam, lam0))) < 1e-8
+    x = cost.rescale(np.append(np.full(3, np.pi / 2), 0.0))
+    assert cost.evaluate_rows(x[None, :])[0] < 1e-10
+    assert np.max(np.abs(cost.grad_vec(x))) < 1e-8
+    assert np.max(np.abs(shift_rule_grad(cost.parts[0], x[:-1],
+                                         x[-1]))) < 1e-8
 
 
 def test_shift_rule_matches_finite_differences_on_pde_cost():
@@ -439,11 +439,12 @@ def test_shift_rule_matches_finite_differences_on_pde_cost():
                       entangler="ring")
     xs = np.arange(8.0)
     u = np.sin(2 * np.pi * xs / 8)
-    cost = build_cost(CamassaHolm(1.0), [0.9 * u, u], lay, 0.05, spec).parts[0]
+    cost = build_cost(CamassaHolm(1.0), [0.9 * u, u], lay, 0.05, spec)
     for _ in range(5):
         x = rng.normal(size=spec.parameter_count + 1)
         fd = finite_diff_grad(cost.evaluate_rows, x)
-        for g in (cost.grad_vec(x), shift_rule_grad(cost, x[:-1], x[-1])):
+        for g in (cost.grad_vec(x),
+                  shift_rule_grad(cost.parts[0], x[:-1], x[-1])):
             assert np.max(np.abs(g - fd)) < 1e-6
 
 
@@ -475,6 +476,18 @@ def test_shift_rule_matches_finite_differences_on_pde_cost():
 def test_configs_reject_bad_fields(cls, bad):
     with pytest.raises(OptimizationError):
         cls(**bad)
+
+
+def test_minimize_runs_every_config_class_and_nothing_else():
+    """``CONFIGS`` is what ``minimize`` dispatches on: each class runs, and
+    a name, None or a class rather than an instance is rejected."""
+    assert set(CONFIGS) == {type(c) for c in ALL_CONFIGS}
+    for cls in CONFIGS:
+        trace = minimize(quadratic, np.zeros(2), cls(max_iters=1))
+        assert trace.n_evals >= 1
+    for bad in ("gd", None, GradientDescent):
+        with pytest.raises(OptimizationError, match="unknown optimizer"):
+            minimize(quadratic, np.zeros(2), bad)
 
 
 def test_configs_accept_edge_values():

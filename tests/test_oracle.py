@@ -188,6 +188,16 @@ def test_classical_run_second_order_from_rest_repeats_the_level():
     assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classical_run_rejects_non_finite_initial_data(bad):
+    u = U.copy()
+    u[2] = bad
+    with pytest.raises(ProblemError, match="not finite"):
+        orc.classical_run(NavierStokes(nu=1.0), [u], LAY, 0.05, 2)
+    with pytest.raises(ProblemError, match="not finite"):
+        orc.classical_run(DSW(), [u, V + 1.5], LAY, 0.02, 1)
+
+
 def test_classical_step_rejects_short_history():
     with pytest.raises(ProblemError):
         orc.classical_step(CamassaHolm(), [U], LAY, 0.05)

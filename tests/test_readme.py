@@ -1,0 +1,19 @@
+"""The README's Python examples run against the package as it is."""
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                    flags=re.S | re.M)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS,
+                         ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(code, capsys):
+    exec(compile(code, str(README), "exec"), {"__name__": "readme"})

@@ -24,7 +24,7 @@ from vqpde.opexpr import (
 )
 from vqpde.statevec import hadamard_test, layout_1d
 
-from reference import dense_reference, direct_cost, tagged_state
+from reference import dense_reference, direct_cost, split_row, tagged_state
 
 KINDS = ["couette", "navier-stokes", "einstein", "maxwell", "boussinesq",
          "lin-tsien", "camassa-holm", "dsw", "hunter-saxton"]
@@ -150,7 +150,7 @@ def reference_rows(joint, xs, shots=None, rng=None) -> list:
     values, totals = [], []
     for x in xs:
         total = 0.0
-        for p, (lam, lam0) in zip(joint.parts, joint.split(x)):
+        for p, (lam, lam0) in zip(joint.parts, split_row(joint, x)):
             values.append(reference_values(p, lam, shots, rng))
             total = total + reference_total(p, values[-1], lam0)
         totals.append(total)
