@@ -17,8 +17,8 @@ unitary and shot-estimable; nonlinear frozen-field factors live in b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-from functools import cache, cached_property
+from dataclasses import dataclass, field as dfield, replace
+from functools import cache, cached_property, reduce
 from math import pi, sqrt
 
 import numpy as np
@@ -35,6 +35,7 @@ from .opexpr import (
     adjoint,
     apply_expr,
     apply_term,  # noqa: F401  unused here; perfbench/tracing.py patches it
+    block_diagonal,
     compile_monomials,
     diag,
     expand_product,
@@ -42,7 +43,7 @@ from .opexpr import (
     laplacian_op,
     shift,
 )
-from .statevec import RegisterLayout, hadamard_test
+from .statevec import RegisterLayout, hadamard_test, is_real
 
 _IDENT = OpExpr.identity()
 # amplitudes per (rows, term-table rows, dim) work array of one
@@ -58,7 +59,7 @@ class ProblemError(ValueError):
 def _require_positive(problem, *names) -> None:
     for name in names:
         v = getattr(problem, name)
-        if not (np.isfinite(v) and v > 0):
+        if not (is_real(v) and np.isfinite(v) and v > 0):
             raise ProblemError(f"{name} must be positive and finite")
 
 
@@ -213,19 +214,11 @@ def components(problem) -> tuple:
 
 
 def grid_coordinates(layout: RegisterLayout) -> dict:
-    """Per-axis coordinate arrays over the flattened grid."""
-    shape = layout.grid_shape()
-    out = {}
-    for pos, (label, _, delta) in enumerate(layout.axes):
-        idx = np.arange(shape[pos]) * delta
-        # first axis occupies the lowest qubits, i.e. the fastest index
-        full = np.ones(shape[::-1])
-        full = full * idx.reshape(
-            [shape[pos] if a == len(shape) - 1 - pos else 1
-             for a in range(len(shape))]
-        )
-        out[label] = full.reshape(-1)
-    return out
+    """Per-axis coordinate arrays over the flattened grid, whose fastest
+    index is the first axis (it occupies the lowest qubits)."""
+    idx = np.indices(layout.grid_shape()[::-1])[::-1]
+    return {label: (i * delta).reshape(-1)
+            for i, (label, _, delta) in zip(idx, layout.axes)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,36 +236,33 @@ class Source:
 
 @dataclass(frozen=True)
 class TermTable:
-    """A cost's term list compiled for one batched evaluation.  Term k adds
-    lam0^p coeff[k] Re<bra_k|T_k|psi> to the offset, p = 2 for bra_k = psi
-    and 1 for a normalized source row; (T_k psi)[j] = weight[k, j]
-    psi[perm[k, j]] and the bra is psi where ``quadratic[k]``, else
-    ``source[k]``."""
+    """A cost's term list compiled for one batched evaluation: term t adds
+    lam0^p coeff[t] Re<bra_t|T_t|psi> to the offset (p = 2 where the bra is
+    part ``part[t]``'s amplitudes, else 1), psi the row's K dim amplitudes
+    and (T_t psi)[j] = weight[t, j] psi[perm[t, j]]."""
 
     coeff: np.ndarray        # (T,) real
-    quadratic: np.ndarray    # (T,) bool: bra_k = psi
+    quadratic: np.ndarray    # (T,) bool: bra_t = psi
     sampled: np.ndarray      # (T,) bool: shift-only term, shot-estimable
-    perm: np.ndarray         # (T, dim) source indices
+    perm: np.ndarray         # (T, dim) source indices into the K dim row
     weight: np.ndarray       # (T, dim) complex, unit term coefficients
     source: np.ndarray       # (T, dim) complex normalized bra; 0 for psi
+    part: np.ndarray         # (T,) part whose amplitudes term t reads
 
 
 @cache
 def _pi_shifts(p: int) -> np.ndarray:
-    """[-0.0; pi I] (P + 1, P): lam + it is lam bitwise, then lam + pi e_k."""
-    shifts = np.vstack([np.full(p, -0.0), pi * np.eye(p)])
+    """[-0.0; pi I] as (P + 1, 1, P): (K, P) angles plus it are the angles
+    bitwise, then the angles + pi e_j, for every part."""
+    shifts = np.vstack([np.full(p, -0.0), pi * np.eye(p)])[:, None]
     shifts.setflags(write=False)  # one array, shared by every caller
     return shifts
 
 
-def _sq_norms(r) -> np.ndarray:
-    """Squared norm of every residual row r (B, dim)."""
-    return np.einsum("bi,bi->b", r.conj(), r).real
-
-
 @dataclass(frozen=True)
 class CostFunction:
-    """Frozen-history residual ||M c - b||^2 over candidates c = lam0 Psi(lam)."""
+    """Frozen-history residual ||M c - b||^2 over candidates c = lam0 Psi(lam):
+    one part of a ``JointCost``, which evaluates it."""
 
     name: str
     layout: RegisterLayout
@@ -288,54 +278,30 @@ class CostFunction:
         b = np.zeros(self.layout.dim, dtype=complex)
         for s in self.sources:
             b = b + apply_expr(s.expr, s.samples, self.layout, self.bindings)
-        b = np.real_if_close(b, tol=1e6)
-        b = b.copy()
+        b = np.real_if_close(b, tol=1e6).copy()
         b.setflags(write=False)
         object.__setattr__(self, "b_vector", b)
         object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
         object.__setattr__(self, "m_form", compile_monomials(
             self.m_op, self.layout, self.bindings))
 
-    # -- candidate-side pieces ----------------------------------------------
-
     @property
     def n_params(self) -> int:
         return self.spec.parameter_count + 1
 
-    def split_rows(self, psi) -> tuple:
-        """Arrays (q, l) over prepared rows psi (B, dim), with
-        C = lam0^2 q - 2 lam0 l + offset for each row: what a device
-        measures, read from the rows M psi."""
-        mpsi = self.m_form.apply(psi)
-        q = np.einsum("bi,bi->b", mpsi.conj(), mpsi).real
-        l = np.einsum("bi,i->b", mpsi, np.conj(self.b_vector)).real
-        return q, l
+    @cached_property
+    def joint(self) -> "JointCost":
+        """This part alone as the ``JointCost`` that evaluates it."""
+        return JointCost(self.name, (self,))
 
     def shift_split_eval(self, lams) -> tuple:
-        """``split_rows`` of the angle rows lams (B, P)."""
-        return self.split_rows(prepare_batch(self.spec, lams))
-
-    def cost_rows(self, psi, lam0) -> np.ndarray:
-        """Cost of prepared rows psi (B, dim) at scales lam0 (B, 1): the
-        squared norm of the residual row lam0 M psi - b, never negative."""
-        return _sq_norms(lam0 * self.m_form.apply(psi) - self.b_vector)
-
-    def grad_rows(self, psi, lam0) -> tuple:
-        """Cost ||r||^2 and gradient from r = lam0 M psi_0 - b and the rows
-        psi (P + 1, dim) at lam + ``_pi_shifts``.  Each angle sits in one
-        exp(-i t G / 2) with G^2 = I, so d psi_0 / d lam_k = psi_k / 2:
-        dC/d lam_k = lam0 Re<r|M psi_k> and dC/d lam0 = 2 Re<M psi_0|r>."""
-        mpsi = self.m_form.apply(psi)
-        r = lam0 * mpsi[:1] - self.b_vector
-        g = (mpsi @ r[0].conj()).real
-        return float(_sq_norms(r)[0]), np.concatenate((lam0 * g[1:],
-                                                       [2.0 * g[0]]))
+        """``JointCost.split`` of this part alone over angle rows (B, P)."""
+        q, l = self.joint.split(np.asarray(lams)[:, None])
+        return q[0], l[0]
 
     def grad_vec(self, x) -> np.ndarray:
         """``JointCost.value_and_grad``'s gradient of this part alone."""
-        return JointCost(self.name, (self,)).value_and_grad(x)[1]
-
-    # -- term list ----------------------------------------------------------
+        return self.joint.value_and_grad(x)[1]
 
     def term_list(self) -> tuple:
         """(coeff, bra, unit-coefficient OpTerm) entries, the bra 0 for psi
@@ -357,36 +323,11 @@ class CostFunction:
                          OpTerm(1.0, t.atoms)) for t in cross.terms]
         return tuple(entries)
 
-    @cached_property
-    def term_table(self) -> TermTable:
-        """``term_list()`` compiled on first use; costs that are only
-        evaluated in closed form never build it."""
-        coeff, bra, terms = zip(*self.term_list())
-        coeff, bra = np.array(coeff), np.array(bra)
-        if np.any(coeff.imag != 0):
-            raise ProblemError(
-                f"{self.name}: the term list has a complex coefficient; a "
-                "Hadamard test measures Re<bra|T|psi> only")
-        # row 0 stands for psi, row i + 1 for source i
-        sources = np.zeros((len(self.sources) + 1, self.layout.dim),
-                           dtype=complex)
-        for si, s in enumerate(self.sources):
-            samples = np.asarray(s.samples, dtype=float)
-            norm = np.linalg.norm(samples)
-            if norm > 0.0:
-                sources[si + 1] = samples / norm
-        form = compile_monomials(terms, self.layout, self.bindings)
-        return TermTable(
-            coeff=coeff.real, quadratic=bra == 0,
-            sampled=np.array([t.is_unitary_product() for t in terms]),
-            perm=form.perm, weight=form.weight, source=sources[bra])
-
     def evaluate_terms(self, lam, lam0: float, shots: int | None = None,
                        rng: np.random.Generator | None = None) -> float:
         """``JointCost.estimate_rows`` of this part alone at one point."""
-        x = np.append(np.asarray(lam, dtype=float), lam0)[None, :]
-        return float(JointCost(self.name, (self,)).estimate_rows(
-            x, shots, rng)[0])
+        return float(self.joint.estimate_rows(np.append(lam, lam0)[None, :],
+                                              shots, rng)[0])
 
     def serialize_terms(self) -> str:
         lines = [f"offset {self.offset:+.12g}"]
@@ -397,134 +338,153 @@ class CostFunction:
         return "\n".join(lines)
 
 
-def _cat(arrays: list, axis: int = 0) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis)
-
-
 @dataclass(frozen=True)
 class JointCost:
-    """Per-step cost of a problem: the sum of its component costs (one part
-    per evolved field), optimized over the concatenated vector
-    (lam_1, lam0_1, lam_2, lam0_2, ...), equal weights.  The parts share
-    one ansatz, so the cost rows, the closed-form scales, the gradient and
-    the term-list estimates prepare the states of all parts in one
-    ``prepare_batch`` call."""
+    """Per-step cost of a problem: one residual over its K component costs
+    (one part per evolved field) on one ansatz, over the row
+    (lam_1, lam0_1, lam_2, lam0_2, ...) read as (K, P + 1).  The parts'
+    operators are stacked once into a block-diagonal ``m_form`` over K dim
+    amplitudes and their targets into ``b`` (K, dim); B rows are prepared as
+    B K angle rows, row-major and part-minor, in one ``prepare_batch``."""
 
     name: str
     parts: tuple
+    m_form: MonomialForm = dfield(init=False, repr=False, compare=False)
+    b: np.ndarray = dfield(init=False, repr=False, compare=False)
+    offset: float = dfield(init=False, compare=False)  # ||b||^2
+
+    def __post_init__(self):
+        if any(p.spec != self.parts[0].spec for p in self.parts):
+            raise ProblemError(f"{self.name}: the parts must share one ansatz")
+        b = np.array([p.b_vector for p in self.parts])
+        b.setflags(write=False)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
+        object.__setattr__(self, "m_form", block_diagonal(
+            [p.m_form for p in self.parts], b.shape[1]))
 
     @property
     def n_params(self) -> int:
-        return sum(p.n_params for p in self.parts)
+        return len(self.parts) * self.parts[0].n_params
 
-    def _blocks(self, xs) -> list:
-        """Per part, its angle columns and its scale column of xs."""
-        out, k = [], 0
-        for p in self.parts:
-            k += p.n_params
-            out.append((xs[..., k - p.n_params:k - 1], xs[..., k - 1:k]))
-        return out
+    def _rows(self, xs) -> np.ndarray:
+        """Rows xs (B, n_params) as (B, K, P + 1)."""
+        return np.asarray(xs, float).reshape(len(xs), len(self.parts),
+                                             self.parts[0].n_params)
 
-    def _states(self, lams: list) -> list:
-        """Each part's states at its angle rows (one (B, P) block per part),
-        all from one ``prepare_batch`` call."""
-        psi, b = prepare_batch(self.parts[0].spec, _cat(lams)), len(lams[0])
-        return [psi[i * b:(i + 1) * b] for i in range(len(lams))]
+    def _mpsi(self, lams) -> np.ndarray:
+        """M psi of the angle rows lams (B, K, P) as (K, dim, B), from one
+        ``prepare_batch``: each part's rows column-major, as summed."""
+        psi = prepare_batch(self.parts[0].spec, lams.reshape(
+            -1, lams.shape[-1])).reshape(len(lams), self.b.size)
+        return self.m_form.apply(psi).T.reshape(*self.b.shape, len(lams))
+
+    def split(self, lams) -> tuple:
+        """(q, l), each (K, B), of the angle rows lams (B, K, P): part k's
+        cost is lam0^2 q - 2 lam0 l + ||b_k||^2, read from M psi."""
+        mpsi = self._mpsi(lams)
+        return (np.einsum("kib,kib->kb", mpsi.conj(), mpsi).real,
+                np.einsum("kib,ki->kb", mpsi, self.b.conj()).real)
 
     def evaluate_rows(self, xs) -> np.ndarray:
-        """Sum of the parts' exact costs over their column blocks."""
-        xs = np.asarray(xs, dtype=float)
-        if len(self.parts) == 1:  # skips the blocks' glue
-            p = self.parts[0]
-            return p.cost_rows(prepare_batch(p.spec, xs[:, :-1]), xs[:, -1:])
-        blocks = self._blocks(xs)
-        states = self._states([lams for lams, _ in blocks])
-        return sum(p.cost_rows(psi, lam0) for p, psi, (_, lam0)
-                   in zip(self.parts, states, blocks))
+        """Exact cost of every row of xs (B, n_params): the squared norms
+        of the parts' residual rows lam0 M psi - b, summed; never
+        negative."""
+        x = self._rows(xs)
+        r = x[:, :, -1:].transpose(1, 2, 0) * self._mpsi(x[:, :, :-1]) \
+            - self.b[:, :, None]
+        return reduce(np.add, np.einsum("kib,kib->kb", r.conj(), r).real)
 
     def rescale(self, x) -> np.ndarray:
         """Copy of x with every part's lam0 at its exact quadratic's
         minimum l / q at x's angles (0 where q vanishes): one batch."""
         x = np.array(x, dtype=float)
-        blocks = self._blocks(x)  # views into x
-        states = self._states([lam[None, :] for lam, _ in blocks])
-        for p, psi, (_, lam0) in zip(self.parts, states, blocks):
-            q, l = p.split_rows(psi)
-            lam0[:] = l / q if q[0] > 1e-300 else 0.0
+        rows = x.reshape(len(self.parts), -1)  # a view into x
+        q, l = self.split(rows[None, :, :-1])
+        ok = q[:, 0] > 1e-300
+        rows[:, -1] = np.where(ok, l[:, 0], 0.0) / np.where(ok, q[:, 0], 1.0)
         return x
 
     def value_and_grad(self, x) -> tuple:
-        """Cost and exact gradient at x: each part's ``grad_rows`` at its
-        angles plus ``_pi_shifts`` (P + 1 rows), all in one batch."""
-        x = np.asarray(x, dtype=float)
-        if len(self.parts) == 1:  # skips the blocks' glue
-            p = self.parts[0]
-            lam = x[:-1] + _pi_shifts(x.size - 1)
-            return p.grad_rows(prepare_batch(p.spec, lam), x[-1])
-        blocks = self._blocks(x)
-        states = self._states([lam + _pi_shifts(lam.size)
-                               for lam, _ in blocks])
-        pairs = [p.grad_rows(psi, lam0[0]) for p, psi, (_, lam0)
-                 in zip(self.parts, states, blocks)]
-        return sum(c for c, _ in pairs), np.concatenate([g for _, g in pairs])
+        """Cost and exact gradient at x from every part's P + 1 rows lam +
+        ``_pi_shifts``, one batch.  Each exp(-i t G / 2) has G^2 = I, so
+        d psi_0 / d lam_j = psi_j / 2: per part, r = lam0 M psi_0 - b gives
+        dC/d lam_j = lam0 Re<r|M psi_j> and dC/d lam0 = 2 Re<M psi_0|r>."""
+        x = np.asarray(x, dtype=float).reshape(len(self.parts), -1)
+        lam0 = x[:, -1:]
+        mpsi = self._mpsi(x[:, :-1] + _pi_shifts(x.shape[1] - 1))
+        r = lam0 * mpsi[:, :, 0] - self.b
+        rc = r.conj()
+        g = (rc[:, None, :] @ mpsi)[:, 0].real
+        cost = reduce(np.add, np.einsum("ki,ki->k", rc, r).real)
+        return float(cost), np.concatenate((lam0 * g[:, 1:], 2.0 * g[:, :1]),
+                                           axis=1).ravel()
 
     def grad_vec(self, x) -> np.ndarray:
         return self.value_and_grad(x)[1]
 
-    def term_values(self, lams: list, shots: int | None = None,
-                    rng: np.random.Generator | None = None) -> list:
-        """Re<bra_k|T_k|psi> for the term-list entries of every part over
-        its angle rows (one (B, P) block per part): one (B, T) array per
-        part.  The rows are measured in blocks of at most ``TERM_BLOCK``
-        amplitudes per work array, one ``hadamard_test`` call per block; in
-        shot mode it samples the fully unitary terms and contracts the
-        others exactly.  Shots are drawn row by row, then part by part, in
-        term-list order: the order of one call per row and part, so
-        batching does not change the draws."""
-        tabs = [p.term_table for p in self.parts]
-        states = self._states(lams)
-        sampled = _cat([t.sampled for t in tabs])
-        block = max(1, TERM_BLOCK // (sampled.size * states[0].shape[1]))
+    @cached_property
+    def term_table(self) -> TermTable:
+        """Every part's ``term_list()`` compiled on first use, in part
+        order, part k's terms reading columns [k dim, (k + 1) dim) of a row;
+        costs that are only evaluated in closed form never build it."""
+        dim, cols = self.b.shape[1], []
+        for k, p in enumerate(self.parts):
+            coeff, bra, terms = zip(*p.term_list())
+            # row 0 stands for psi, row i + 1 for source i
+            src = np.zeros((len(p.sources) + 1, dim), dtype=complex)
+            for si, s in enumerate(p.sources):
+                norm = np.linalg.norm(s.samples)
+                if norm > 0.0:
+                    src[si + 1] = np.asarray(s.samples, dtype=float) / norm
+            form = compile_monomials(terms, p.layout, p.bindings)
+            cols.append((coeff, np.array(bra) == 0,
+                         [t.is_unitary_product() for t in terms],
+                         form.perm + k * dim, form.weight, src[list(bra)],
+                         np.full(len(terms), k)))
+        table = TermTable(*map(np.concatenate, zip(*cols)))
+        if np.any(table.coeff.imag != 0):
+            raise ProblemError(
+                f"{self.name}: the term list has a complex coefficient; a "
+                "Hadamard test measures Re<bra|T|psi> only")
+        return replace(table, coeff=table.coeff.real)
+
+    def term_values(self, xs, shots: int | None = None,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+        """Re<bra_t|T_t|psi> of every ``term_table`` term over the rows xs
+        (B, n_params), scales unread: (B, T), one ``hadamard_test`` call per
+        block of at most ``TERM_BLOCK`` work-array amplitudes.  Shot mode
+        samples the fully unitary terms and contracts the others exactly,
+        drawing row by row, then part by part, in term-list order: the
+        order of one call per row and part, so batching keeps the draws."""
+        t, x = self.term_table, self._rows(xs)
+        psi = prepare_batch(self.parts[0].spec, x[:, :, :-1].reshape(
+            -1, x.shape[2] - 1)).reshape(len(x), len(self.parts), -1)
+        block = max(1, TERM_BLOCK // t.perm.size)
         est = []
-        for r in range(0, len(states[0]), block):
-            rows = [psi[r:r + block] for psi in states]
-            kets = [t.weight * psi[:, t.perm] for t, psi in zip(tabs, rows)]
-            bras = [np.where(t.quadratic[:, None], psi[:, None, :], t.source)
-                    for t, psi in zip(tabs, rows)]
-            est.append(hadamard_test(_cat(bras, 1), _cat(kets, 1),
-                                     sampled=sampled, shots=shots, rng=rng))
-        est = _cat(est)
-        ends = np.cumsum([t.coeff.size for t in tabs])
-        return np.split(est, ends[:-1], axis=1)
+        for r in range(0, len(psi), block):
+            rows = psi[r:r + block]
+            kets = t.weight * rows.reshape(len(rows), -1)[:, t.perm]
+            bras = np.where(t.quadratic[:, None], rows[:, t.part], t.source)
+            est.append(hadamard_test(bras, kets, sampled=t.sampled,
+                                     shots=shots, rng=rng))
+        return np.concatenate(est)
 
     def estimate_rows(self, xs, shots: int | None = None,
                       rng: np.random.Generator | None = None) -> np.ndarray:
-        """Cost of every row of xs (B, n_params) from the parts' term lists:
-        offset + sum over terms of lam0^p coeff Re<bra|T|psi>, with the
-        values of ``term_values``; in shot mode what a device sees."""
-        blocks = self._blocks(np.asarray(xs, dtype=float))
-        values = self.term_values([lams for lams, _ in blocks], shots, rng)
-        total = 0.0
-        for p, v, (_, lam0) in zip(self.parts, values, blocks):
-            t = p.term_table
-            scale = np.where(t.quadratic, lam0 * lam0, lam0)
-            total = total + (p.offset + (t.coeff * v * scale).sum(axis=1))
-        return total
+        """Cost of every row of xs (B, n_params) from the stacked term
+        list: ||b||^2 + sum over terms of lam0^p coeff Re<bra|T|psi>, with
+        the values of ``term_values``; in shot mode what a device sees."""
+        t = self.term_table
+        lam0 = self._rows(xs)[:, :, -1][:, t.part]
+        scale = np.where(t.quadratic, lam0 * lam0, lam0)
+        return self.offset + (t.coeff * self.term_values(xs, shots, rng)
+                              * scale).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
-
-def _history_fields(history, layout: RegisterLayout) -> list:
-    out = []
-    for h in history:
-        f = np.asarray(h, dtype=float)
-        if f.size != layout.dim:
-            raise ProblemError("history field does not match the grid")
-        out.append(f)
-    return out
-
 
 def _diag_expr(key: str) -> OpExpr:
     return OpExpr((OpTerm(1.0, (diag(key),)),))
@@ -716,7 +676,9 @@ def build_cost(problem, history, layout: RegisterLayout, tau: float,
         raise ProblemError("time step must be positive")
     if type(problem) not in _BUILDERS:
         raise ProblemError(f"unsupported problem {problem!r}")
-    fields = _history_fields(history, layout)
+    fields = [np.asarray(h, dtype=float) for h in history]
+    if any(f.size != layout.dim for f in fields):
+        raise ProblemError("history field does not match the grid")
     if len(fields) < problem.history_depth:
         raise ProblemError(
             f"{problem.name} needs {problem.history_depth} history levels, "

@@ -21,7 +21,6 @@ import numpy as np
 from .ansatz import AnsatzSpec, prepare
 from .costlib import (
     CostFunction,
-    JointCost,
     Source,
     build_cost,
     components,
@@ -29,7 +28,7 @@ from .costlib import (
 )
 from .opexpr import OpExpr
 from .optim import CMAES, CONFIGS, minimize
-from .statevec import RegisterLayout, SimulationError
+from .statevec import RegisterLayout, SimulationError, is_real
 
 # largest imaginary part, relative to the amplitudes' norm, that readout
 # drops without a warning
@@ -56,8 +55,7 @@ class EvolutionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.tau, (bool, np.bool_)) or not (
-                np.isfinite(self.tau) and self.tau > 0):
+        if not (is_real(self.tau) and np.isfinite(self.tau) and self.tau > 0):
             raise EvolutionError("time step must be positive and finite")
         if type(self.optimizer) not in CONFIGS:
             raise EvolutionError(f"unknown optimizer {self.optimizer!r}")
@@ -134,6 +132,8 @@ def step(problem, history, x0, cfg: EvolutionConfig, layout: RegisterLayout,
     if x0.shape != (cost.n_params,):
         raise EvolutionError(f"expected a row of {cost.n_params} parameters, "
                              f"got shape {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise EvolutionError("warm-start row x0 is not finite")
     x0 = cost.rescale(x0)
 
     objective, fused = cost.evaluate_rows, None
@@ -172,19 +172,20 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
     start.  A residual above ``ENCODE_TOL`` of the squared norm is returned
     with a warning that names it."""
     field = np.asarray(field, dtype=float)
+    if not np.isfinite(field).all():
+        raise SimulationError("field to encode is not finite")
     if np.linalg.norm(field) == 0.0:
         return np.zeros(spec.parameter_count + 1)
-    part = CostFunction("encode", layout, spec, OpExpr.identity(),
-                        (Source(OpExpr.identity(), field, "f"),), {})
-    cost = JointCost(part.name, (part,))
+    cost = CostFunction("encode", layout, spec, OpExpr.identity(),
+                        (Source(OpExpr.identity(), field, "f"),), {}).joint
     x0 = rng.normal(scale=0.1, size=cost.n_params)
     x0[-1] = float(np.linalg.norm(field))
     search = minimize(cost.evaluate_rows, x0,
                       CMAES(sigma0=0.3, max_iters=400,
-                            f_tol=1e-15 * part.offset,
+                            f_tol=1e-15 * cost.offset,
                             seed=int(rng.integers(2 ** 31))))
     x = cost.rescale(search.x_best)
-    rel = cost.evaluate_rows(x[None, :])[0] / part.offset
+    rel = cost.evaluate_rows(x[None, :])[0] / cost.offset
     if rel > ENCODE_TOL:
         warnings.warn(f"field encoding missed: residual {rel:.3g} of "
                       f"||field||^2 (tolerance {ENCODE_TOL:g})",

@@ -266,6 +266,21 @@ def compile_monomials(expr, layout: RegisterLayout,
     return MonomialForm(perm, weight, terms == (OpTerm(1.0),))
 
 
+def block_diagonal(forms, dim: int) -> MonomialForm:
+    """One form over K dim amplitudes that applies forms[k] to columns
+    [k dim, (k + 1) dim); a shorter form is padded with weight-0 identity
+    rows, which add exact zeros after its own terms."""
+    rows = max(len(f.perm) for f in forms)
+    perm = np.tile(np.arange(len(forms) * dim), (rows, 1))
+    weight = np.zeros(perm.shape, dtype=complex)
+    for k, f in enumerate(forms):
+        perm[:len(f.perm), k * dim:(k + 1) * dim] = f.perm + k * dim
+        weight[:len(f.perm), k * dim:(k + 1) * dim] = f.weight
+    for a in (perm, weight):
+        a.setflags(write=False)
+    return MonomialForm(perm, weight, all(f.identity for f in forms))
+
+
 def apply_expr(expr, amplitudes, layout: RegisterLayout,
                bindings=None) -> np.ndarray:
     """``expr`` applied to one vector of grid amplitudes (real or complex)."""

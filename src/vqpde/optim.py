@@ -10,9 +10,11 @@ starting from the initial point, and are therefore non-increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import inf, isfinite, isnan, sqrt
 
 import numpy as np
+
+from .statevec import is_real
 
 F_TOL_DEFAULT = 1e-10
 GRAD_TOL_DEFAULT = 1e-8
@@ -26,22 +28,23 @@ def _check(cfg, counts=None, positive=(), nonneg=(), tols=()) -> None:
     """Reject a config whose named fields are out of range.  ``counts`` maps
     an integer field to its least value; ``positive`` fields (step sizes and
     scales) are positive and finite, ``nonneg`` fields finite and >= 0, and
-    ``tols`` None or >= 0."""
+    ``tols`` None or >= 0.  A bool is not a number here."""
     for name, least in (counts or {}).items():
         v = getattr(cfg, name)
-        if not (isinstance(v, (int, np.integer)) and v >= least):
+        if isinstance(v, bool) or not (isinstance(v, (int, np.integer))
+                                       and v >= least):
             raise OptimizationError(f"{name} must be an integer >= {least}")
     for name in positive:
         v = getattr(cfg, name)
-        if not (np.isfinite(v) and v > 0):
+        if not (is_real(v) and np.isfinite(v) and v > 0):
             raise OptimizationError(f"{name} must be positive and finite")
     for name in nonneg:
         v = getattr(cfg, name)
-        if not (np.isfinite(v) and v >= 0):
+        if not (is_real(v) and np.isfinite(v) and v >= 0):
             raise OptimizationError(f"{name} must be non-negative and finite")
     for name in tols:
         v = getattr(cfg, name)
-        if v is not None and not v >= 0:
+        if v is not None and not (is_real(v) and v >= 0):
             raise OptimizationError(f"{name} must be None or non-negative")
 
 
@@ -126,7 +129,7 @@ class DifferentialEvolution:
 
     def __post_init__(self):
         _check(self, {"population": 4, "max_iters": 0, "seed": 0}, ("f",))
-        if not 0.0 <= self.cr <= 1.0:
+        if not (is_real(self.cr) and 0.0 <= self.cr <= 1.0):
             raise OptimizationError("cr must lie in [0, 1]")
 
 
@@ -158,10 +161,15 @@ def _tally(vals, n: int, trace: OptimizationTrace) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
     if vals.shape != (n,):
         raise OptimizationError("objective must return one value per row")
-    if trace.n_evals == 0 and not np.isfinite(vals[0]):
+    _count(vals, n, trace)
+    return np.fmin(vals, np.inf)  # NaN -> +inf; fmin ignores a NaN
+
+
+def _count(vals, n: int, trace: OptimizationTrace) -> None:
+    """Count n values; the first value of the first call must be finite."""
+    if trace.n_evals == 0 and not isfinite(vals[0]):
         raise OptimizationError("objective is not finite at the start point")
     trace.n_evals += n
-    return np.fmin(vals, np.inf)  # NaN -> +inf; fmin ignores a NaN
 
 
 def _counted(objective, trace: OptimizationTrace):
@@ -201,8 +209,8 @@ def _gradient_descent(fg, x, cfg: GradientDescent, grad, trace):
     eta = cfg.eta
     for _ in range(cfg.max_iters):
         g = np.asarray(grad(x) if g is None else g, dtype=float)
-        gn = np.linalg.norm(g)
-        if not (np.isfinite(gn) and gn > cfg.grad_tol):
+        gn = sqrt(g.dot(g))  # np.linalg.norm's sum, without its checks
+        if not (isfinite(gn) and gn > cfg.grad_tol):
             trace.stop = "converged" if gn <= cfg.grad_tol else "non-finite"
             break
         # backtracking: shrink the step until the value decreases
@@ -321,7 +329,8 @@ def _cmaes(f, x0, cfg: CMAES, trace):
         mean = w @ sel
         y = (mean - old_mean) / sigma
         ps = (1 - cs) * ps + sqrt(cs * (2 - cs) * mueff) * inv_sqrt_c @ y
-        hsig = (np.linalg.norm(ps)
+        ps_norm = sqrt(ps.dot(ps))  # np.linalg.norm's sum, without its checks
+        hsig = (ps_norm
                 / sqrt(1 - (1 - cs) ** (2 * (g + 1))) / chi_n) < 1.4 + 2 / (n + 1)
         pc = (1 - cc) * pc + hsig * sqrt(cc * (2 - cc) * mueff) * y
         artmp = (sel - old_mean) / sigma
@@ -329,7 +338,7 @@ def _cmaes(f, x0, cfg: CMAES, trace):
                + c1 * (np.outer(pc, pc) + (not hsig) * cc * (2 - cc) * cov)
                + (cmu * artmp.T * w) @ artmp)
         cov = (cov + cov.T) / 2
-        sigma *= np.exp((cs / damps) * (np.linalg.norm(ps) / chi_n - 1))
+        sigma *= np.exp((cs / damps) * (ps_norm / chi_n - 1))
         if sigma < 1e-16:
             trace.stop = "converged"
             break
@@ -419,7 +428,8 @@ def minimize(objective, x0, config, grad=None,
             if value_and_grad is None:
                 return f(x), None
             v, g = value_and_grad(x)
-            return float(_tally([v], 1, trace)[0]), g
+            _count((v,), 1, trace)  # one value: _tally without the arrays
+            return inf if isnan(v) else float(v), g
         return _gradient_descent(fg, x0, config, grad or (
             lambda x: finite_diff_grad(objective, x)), trace)
     return _DISPATCH[kind](f, x0, config, trace)

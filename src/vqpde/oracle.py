@@ -215,6 +215,8 @@ def classical_step(problem, fields, layout: RegisterLayout, tau: float):
             f"{problem.name} needs {problem.history_depth} history levels")
     if any(f.size != layout.dim for f in fields):
         raise ProblemError("field does not match the grid")
+    if not all(np.isfinite(f).all() for f in fields):
+        raise ProblemError("history field is not finite")
     return _STEPPERS[type(problem)](problem, fields, layout, tau)
 
 
@@ -228,8 +230,6 @@ def classical_run(problem, fields, layout: RegisterLayout, tau: float,
     history = [np.asarray(f, dtype=float) for f in fields]
     if not history or len(history) % k:
         raise ProblemError(f"{problem.name} needs whole time levels")
-    if not all(np.isfinite(f).all() for f in history):
-        raise ProblemError("initial field is not finite")
     while len(history) < problem.history_depth:
         history = [f.copy() for f in history[:k]] + history
     out = [history[-1].copy()]

@@ -21,6 +21,12 @@ class SimulationError(ValueError):
     """Raised for invalid gate targets, axis labels, or dimension mismatches."""
 
 
+def is_real(v) -> bool:
+    """A real scalar that is not a bool: what every numeric setting takes."""
+    return isinstance(v, (int, float, np.integer, np.floating)) \
+        and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Immutable vector of 2^n complex amplitudes."""

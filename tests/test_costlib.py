@@ -87,6 +87,15 @@ def demo_costs(kind):
 
 # -- problem validation -------------------------------------------------------
 
+@pytest.mark.parametrize("nu", [-1.0, 0.0, np.nan, np.inf, True, np.bool_(1),
+                                "1", None])
+def test_problem_rejects_a_bad_coefficient(nu):
+    """A coefficient is a positive, finite real: a bool or a string is
+    rejected by name, not by a numpy TypeError."""
+    with pytest.raises(ProblemError, match="nu must be positive"):
+        NavierStokes(nu=nu)
+
+
 def test_problem_validation():
     with pytest.raises(ProblemError):
         NavierStokes(nu=-1.0)
@@ -148,6 +157,7 @@ def test_term_sum_equals_direct_residual_norm(name):
 def test_rows_evaluation_equals_one_row_bitwise(kind):
     rng = np.random.default_rng(zlib.crc32(kind.encode()))
     for cost in demo_costs(kind):
+        assert cost.evaluate_rows(np.zeros((0, cost.n_params))).shape == (0,)
         for b in (1, 2, 11):
             xs = rng.normal(size=(b, cost.n_params))
             rows = cost.evaluate_rows(xs)
@@ -159,22 +169,55 @@ def test_rows_evaluation_equals_one_row_bitwise(kind):
 
 @pytest.mark.parametrize("kind", DEMO_KINDS)
 def test_joint_calls_equal_per_part_calls_bitwise(kind):
-    """The joint cost prepares every part's rows in one call; its rows,
-    scales and gradient equal those of the parts evaluated one by one."""
+    """The joint cost stacks its parts into one block-diagonal residual; its
+    rows, cost, scales and gradient equal those of one-part costs over each
+    part's columns, summed or concatenated."""
     joint = _demo_cost(kind)
+    singles = [JointCost(p.name, (p,)) for p in joint.parts]
     rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
     xs = rng.normal(size=(5, joint.n_params))
     ends = np.cumsum([p.n_params for p in joint.parts])[:-1]
     want = 0.0
-    for p, b in zip(joint.parts, np.split(xs, ends, axis=1)):
-        want = want + p.cost_rows(prepare_batch(p.spec, b[:, :-1]), b[:, -1:])
+    for one, b in zip(singles, np.split(xs, ends, axis=1)):
+        want = want + one.evaluate_rows(b)
     assert np.array_equal(joint.evaluate_rows(xs), want)
     blocks = np.split(xs[0], ends)
     assert np.array_equal(joint.rescale(xs[0]), np.concatenate([
-        JointCost(p.name, (p,)).rescale(x) for p, x in zip(joint.parts,
-                                                            blocks)]))
+        one.rescale(x) for one, x in zip(singles, blocks)]))
+    pairs = [one.value_and_grad(x) for one, x in zip(singles, blocks)]
+    f, g = joint.value_and_grad(xs[0])
+    assert f == sum(c for c, _ in pairs)
+    assert np.array_equal(g, np.concatenate([d for _, d in pairs]))
     assert np.array_equal(joint.grad_vec(xs[0]), np.concatenate([
         p.grad_vec(x) for p, x in zip(joint.parts, blocks)]))
+
+
+def test_joint_cost_rejects_parts_with_different_ansatze():
+    """Every part is prepared with one ansatz, so parts built on different
+    ones cannot be stacked."""
+    a = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC).parts[0]
+    b = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC_Y).parts[0]
+    with pytest.raises(ProblemError, match="one ansatz"):
+        JointCost("mixed", (a, b))
+    assert JointCost("same", (a, a)).n_params == 2 * a.n_params
+
+
+def test_block_diagonal_operator_pads_shorter_parts():
+    """dsw's u part (M = 1) is padded with weight-0 identity rows to the
+    v part's term count; each part's columns see only its own operator."""
+    joint = _demo_cost("dsw")
+    u, v = joint.parts
+    dim = u.layout.dim
+    form = joint.m_form
+    assert not form.identity and form.perm.shape == (len(v.m_form.perm),
+                                                     2 * dim)
+    assert np.array_equal(form.perm[:, dim:], v.m_form.perm + dim)
+    assert np.array_equal(form.weight[:, dim:], v.m_form.weight)
+    assert np.array_equal(form.perm[:1, :dim], u.m_form.perm)
+    assert np.array_equal(form.weight[:1, :dim], u.m_form.weight)
+    assert np.all(form.perm[1:, :dim] == np.arange(dim))
+    assert np.all(form.weight[1:, :dim] == 0)
+    assert np.array_equal(joint.b, np.stack([u.b_vector, v.b_vector]))
 
 
 @pytest.mark.parametrize("kind", DEMO_KINDS)
@@ -255,8 +298,8 @@ def test_cost_is_nonnegative_at_an_exact_fit(seed, lam0):
     field = lam0 * prepare(SPEC_Y, lam).amplitudes.real
     cost = CostFunction("encode", LAY, SPEC_Y, OpExpr.identity(),
                         (Source(OpExpr.identity(), field, "f"),), {})
-    psi = prepare_batch(SPEC_Y, lam[None, :])
-    assert cost.cost_rows(psi, np.array([[lam0]]))[0] >= 0.0
+    row = np.append(lam, lam0)[None, :]
+    assert JointCost("encode", (cost,)).evaluate_rows(row)[0] >= 0.0
 
 
 def test_zero_at_truth_for_invertible_updates():
@@ -336,8 +379,8 @@ def test_shot_mode_unbiased_within_four_sigma():
     rng = np.random.default_rng(77)
     lam = rng.normal(size=SPEC.parameter_count)
     lam0 = 0.8
-    exact = cost.cost_rows(prepare_batch(SPEC, lam[None, :]),
-                           np.array([[lam0]]))[0]
+    exact = JointCost(cost.name, (cost,)).evaluate_rows(
+        np.append(lam, lam0)[None, :])[0]
     vals = [cost.evaluate_terms(lam, lam0, shots=10 ** 5, rng=rng)
             for _ in range(20)]
     spread = np.std(vals)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
+from vqpde.ansatz import AnsatzSpec, prepare
 from vqpde.costlib import (
     DSW,
     CamassaHolm,
@@ -59,7 +59,7 @@ def test_config_rejects_what_is_not_an_optimizer_config(optimizer):
         EvolutionConfig(tau=0.1, n_steps=1, optimizer=optimizer)
 
 
-@pytest.mark.parametrize("tau", [True, np.True_])
+@pytest.mark.parametrize("tau", [True, np.True_, "0.1", None])
 def test_config_rejects_a_bool_time_step(tau):
     with pytest.raises(EvolutionError, match="time step"):
         EvolutionConfig(tau=tau, n_steps=1, optimizer=GD)
@@ -191,7 +191,7 @@ def test_exact_cost_matches_direct_at_fit_field_optimum(seed):
     cost = CostFunction("encode", LAY, SPEC, OpExpr.identity(),
                         (Source(OpExpr.identity(), target, "f"),), {})
     direct = direct_cost(cost, x[:-1], x[-1])
-    rows = cost.cost_rows(prepare_batch(SPEC, x[None, :-1]), x[None, -1:])[0]
+    rows = JointCost(cost.name, (cost,)).evaluate_rows(x[None, :])[0]
     assert direct <= 1e-12 * cost.offset
     assert abs(rows - direct) <= 1e-6 * direct
 
@@ -380,6 +380,26 @@ def test_step_rejects_a_row_of_the_wrong_length(size):
     with pytest.raises(EvolutionError, match="row of 13 parameters"):
         step(NavierStokes(nu=1.0), [u], np.zeros(size), cfg, LAY, SPEC,
              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_rejects_a_non_finite_row(bad):
+    """The warm start is rejected by name before any objective call."""
+    u = np.sin(2 * np.pi * XS / 8) + 1.2
+    cfg = EvolutionConfig(tau=0.05, n_steps=1, optimizer=GD)
+    x0 = np.full(SPEC.parameter_count + 1, 0.3)
+    x0[4] = bad
+    with pytest.raises(EvolutionError, match="x0 is not finite"):
+        step(NavierStokes(nu=1.0), [u], x0, cfg, LAY, SPEC,
+             np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_field_rejects_a_non_finite_field(bad):
+    field = np.sin(2 * np.pi * XS / 8) + 1.1
+    field[2] = bad
+    with pytest.raises(SimulationError, match="field to encode"):
+        fit_field(SPEC, LAY, field, np.random.default_rng(0))
 
 
 def test_second_order_from_rest_equals_repeated_level():

@@ -478,6 +478,29 @@ def test_configs_reject_bad_fields(cls, bad):
         cls(**bad)
 
 
+@pytest.mark.parametrize("cls,bad", [
+    (GradientDescent, {"max_iters": True}),
+    (GradientDescent, {"eta": "0.1"}),
+    (GradientDescent, {"eta": True}),
+    (GradientDescent, {"grad_tol": "0"}),
+    (GradientDescent, {"f_tol": np.True_}),
+    (SPSA, {"seed": True}),
+    (SPSA, {"stability": "10"}),
+    (NelderMead, {"scale": None}),
+    (CMAES, {"popsize": True}),
+    (CMAES, {"sigma0": "0.3"}),
+    (ParticleSwarm, {"inertia": False}),
+    (DifferentialEvolution, {"cr": "0.5"}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_configs_reject_bools_and_non_numbers(cls, bad):
+    """A bool is not a count or a step size (``max_iters=True`` would run
+    one iteration), and a string or None is rejected by name, not by a
+    numpy TypeError."""
+    name = next(iter(bad))
+    with pytest.raises(OptimizationError, match=name):
+        cls(**bad)
+
+
 def test_minimize_runs_every_config_class_and_nothing_else():
     """``CONFIGS`` is what ``minimize`` dispatches on: each class runs, and
     a name, None or a class rather than an instance is rejected."""

@@ -198,6 +198,17 @@ def test_classical_run_rejects_non_finite_initial_data(bad):
         orc.classical_run(DSW(), [u, V + 1.5], LAY, 0.02, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classical_step_rejects_non_finite_history(bad):
+    """One check in the step serves the run and direct callers alike."""
+    u = U.copy()
+    u[5] = bad
+    with pytest.raises(ProblemError, match="history field is not finite"):
+        orc.classical_step(NavierStokes(nu=1.0), [u], LAY, 0.05)
+    with pytest.raises(ProblemError, match="history field is not finite"):
+        orc.classical_step(DSW(), [U, u], LAY, 0.02)
+
+
 def test_classical_step_rejects_short_history():
     with pytest.raises(ProblemError):
         orc.classical_step(CamassaHolm(), [U], LAY, 0.05)

@@ -3,7 +3,8 @@
 The reference applies every term-list entry to the prepared amplitudes
 through its dense matrix (``reference.dense_reference``) and estimates it
 with its own one-row ``hadamard_test`` call, in term-list order, row by row
-and part by part (the draw order ``JointCost.term_values`` documents).
+and part by part (the draw order ``JointCost.term_values`` documents), and
+sums a row's total over the parts' term lists stacked in part order.
 """
 import zlib
 
@@ -71,13 +72,19 @@ def reference_values(cost, lam, shots=None, rng=None) -> np.ndarray:
     return values
 
 
-def reference_total(cost, values, lam0: float) -> float:
-    """offset + sum of lam0^p coeff Re<bra|T|psi>, combined in the same
-    order as ``evaluate_terms`` so that shot totals compare bit for bit."""
-    entries = cost.term_list()
-    coeff = np.array([e[0].real for e in entries])
-    scale = np.array([lam0 if bra else lam0 * lam0 for _, bra, _ in entries])
-    return float(cost.offset + np.sum(coeff * values * scale))
+def reference_total(costs, values, lam0s) -> float:
+    """||b||^2 + sum of lam0^p coeff Re<bra|T|psi> over the parts' term
+    lists stacked in part order, each term scaled by its own part's lam0,
+    combined in the same order as ``JointCost.estimate_rows`` so that shot
+    totals compare bit for bit."""
+    coeff, scale = [], []
+    for cost, lam0 in zip(costs, lam0s):
+        for c, bra, _ in cost.term_list():
+            coeff.append(c.real)
+            scale.append(lam0 if bra else lam0 * lam0)
+    b = np.concatenate([cost.b_vector for cost in costs])
+    return float(np.real(np.vdot(b, b)) + np.sum(
+        np.array(coeff) * np.concatenate(values) * np.array(scale)))
 
 
 def draws(name: str, cost):
@@ -89,11 +96,12 @@ def draws(name: str, cost):
 def test_exact_term_values_match_per_term_loop(name, cost):
     for _ in range(5):
         lam, lam0 = draws(name, cost)
-        got = JointCost(name, (cost,)).term_values([lam[None, :]])[0]
+        got = JointCost(name, (cost,)).term_values(
+            np.append(lam, lam0)[None, :])
         want = reference_values(cost, lam)
         assert np.max(np.abs(got[0] - want)) <= 1e-12
         assert abs(cost.evaluate_terms(lam, lam0)
-                   - reference_total(cost, want, lam0)) <= 1e-12
+                   - reference_total([cost], [want], [lam0])) <= 1e-12
 
 
 @pytest.mark.parametrize("name,cost", CASES, ids=IDS)
@@ -111,7 +119,7 @@ def test_shot_draws_match_per_term_loop(name, cost):
     for _ in range(3):
         got = cost.evaluate_terms(lam, lam0, shots=SHOTS, rng=rng_a)
         want = reference_total(
-            cost, reference_values(cost, lam, SHOTS, rng_b), lam0)
+            [cost], [reference_values(cost, lam, SHOTS, rng_b)], [lam0])
         assert np.array_equal(got, want)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -120,7 +128,7 @@ def test_complex_cost_has_complex_and_nonunitary_terms():
     """The Y+Z cost's term values <bra|T|psi> have imaginary parts that the
     table drops, and it mixes unitary and non-unitary terms."""
     cost = complex_cost()
-    table = cost.term_table
+    table = JointCost(cost.name, (cost,)).term_table
     psi = prepare(cost.spec, draws("complex", cost)[0]).amplitudes
     imag = []
     for _, bra, term in cost.term_list():
@@ -134,7 +142,7 @@ def test_complex_coefficient_is_rejected():
     """A Hadamard test measures only the real part of a term, so a term
     list with a complex coefficient has no table."""
     with pytest.raises(costlib.ProblemError, match="complex coefficient"):
-        complex_cost(0.1j).term_table
+        JointCost("complex", (complex_cost(0.1j),)).term_table
 
 
 # -- batched objective calls --------------------------------------------------
@@ -144,17 +152,19 @@ JOINTS = [(kind, _demo_cost(kind)) for kind in KINDS] + [
 JOINT_IDS = [name for name, _ in JOINTS]
 
 
-def reference_rows(joint, xs, shots=None, rng=None) -> list:
-    """Per row, per part, the per-term loop and its total: the order of one
-    objective call per row and part."""
+def reference_rows(joint, xs, shots=None, rng=None) -> tuple:
+    """Per row, per part, the per-term loop (the order of one objective
+    call per row and part); per row its values in stacked-table order (B, T)
+    and its total (B,)."""
     values, totals = [], []
     for x in xs:
-        total = 0.0
-        for p, (lam, lam0) in zip(joint.parts, split_row(joint, x)):
-            values.append(reference_values(p, lam, shots, rng))
-            total = total + reference_total(p, values[-1], lam0)
-        totals.append(total)
-    return values, np.array(totals)
+        blocks = split_row(joint, x)
+        row = [reference_values(p, lam, shots, rng)
+               for p, (lam, _) in zip(joint.parts, blocks)]
+        values.append(np.concatenate(row))
+        totals.append(reference_total(joint.parts, row,
+                                      [lam0 for _, lam0 in blocks]))
+    return np.array(values), np.array(totals)
 
 
 @pytest.mark.parametrize("shots", [None, SHOTS])
@@ -166,14 +176,9 @@ def test_batched_rows_match_row_by_row_reference(name, joint, b, shots):
     state."""
     seed = zlib.crc32(name.encode()) + b
     xs = np.random.default_rng(seed).normal(size=(b, joint.n_params))
-    lams = [lam for lam, _ in joint._blocks(xs)]
     rngs = [np.random.default_rng(seed) for _ in range(4)]
     want_values, _ = reference_rows(joint, xs, shots, rngs[0])
-    got = joint.term_values(lams, shots, rngs[1])
-    got_values = [got[k][i] for i in range(b)
-                  for k in range(len(joint.parts))]
-    for g, w in zip(got_values, want_values):
-        assert np.array_equal(g, w)
+    assert np.array_equal(joint.term_values(xs, shots, rngs[1]), want_values)
     _, want = reference_rows(joint, xs, shots, rngs[2])
     assert np.array_equal(joint.estimate_rows(xs, shots, rngs[3]), want)
     states = [r.bit_generator.state for r in rngs]
@@ -186,7 +191,7 @@ def test_batched_contraction_reduces_rows_of_a_2d_view():
     (B, T, dim) product rounds differently for these rows, so this pins
     the reduction."""
     part = _demo_cost("camassa-holm").parts[0]
-    t = part.term_table
+    t = JointCost(part.name, (part,)).term_table
     lams = np.random.default_rng(3).normal(size=(3, part.spec.parameter_count))
     psi = prepare_batch(part.spec, lams)
     kets = t.weight * psi[:, t.perm]
@@ -197,6 +202,21 @@ def test_batched_contraction_reduces_rows_of_a_2d_view():
             bras[i], kets[i], sampled=t.sampled))
 
 
+def test_stacked_table_reads_each_part_columns():
+    """dsw's table is its parts' one-part tables in part order; a v term
+    reads the columns [dim, 2 dim) of a row, where the stacked rows keep
+    part v's amplitudes."""
+    joint = _demo_cost("dsw")
+    u, v = (JointCost(p.name, (p,)).term_table for p in joint.parts)
+    t, dim = joint.term_table, joint.parts[0].layout.dim
+    assert np.array_equal(t.part, np.repeat([0, 1], [u.part.size,
+                                                     v.part.size]))
+    assert np.array_equal(t.perm, np.concatenate((u.perm, v.perm + dim)))
+    for name in ("coeff", "quadratic", "sampled", "weight", "source"):
+        assert np.array_equal(getattr(t, name), np.concatenate(
+            (getattr(u, name), getattr(v, name))))
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 2])
 @pytest.mark.parametrize("name,joint", JOINTS, ids=JOINT_IDS)
 def test_blocked_rows_match_row_by_row_reference(name, joint, rows_per_block,
@@ -204,9 +224,8 @@ def test_blocked_rows_match_row_by_row_reference(name, joint, rows_per_block,
     """A call cut into blocks of consecutive rows (5 rows as 1+1+1+1+1 or
     2+2+1) still gives the row-by-row totals bit for bit and leaves the
     generator in the same state."""
-    n = sum(p.term_table.coeff.size for p in joint.parts)
     monkeypatch.setattr(costlib, "TERM_BLOCK",
-                        rows_per_block * n * joint.parts[0].layout.dim)
+                        rows_per_block * joint.term_table.perm.size)
     seed = zlib.crc32(name.encode()) + 7
     xs = np.random.default_rng(seed).normal(size=(5, joint.n_params))
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
