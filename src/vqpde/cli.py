@@ -51,6 +51,7 @@ from .optim import (
     CMAES,
     DifferentialEvolution,
     GradientDescent,
+    LevenbergMarquardt,
     NelderMead,
     ParticleSwarm,
     SPSA,
@@ -277,6 +278,8 @@ def _parse_initial(cfg, layout, problem) -> list:
 _OPTIMIZERS = {
     "gradient-descent": GradientDescent,
     "gd": GradientDescent,
+    "levenberg-marquardt": LevenbergMarquardt,
+    "lm": LevenbergMarquardt,
     "spsa": SPSA,
     "nelder-mead": NelderMead,
     "cmaes": CMAES,

@@ -423,6 +423,26 @@ class JointCost:
     def grad_vec(self, x) -> np.ndarray:
         return self.value_and_grad(x)[1]
 
+    def residual_jacobian(self, x) -> tuple:
+        """Residual r = lam0 M psi_0 - b of x, the parts stacked, and its
+        Jacobian (r.size, n_params), block-diagonal over the parts, from the
+        P + 1 rows of ``value_and_grad``: dr/d lam_j = lam0 M psi_j / 2 and
+        dr/d lam0 = M psi_0.  A complex r and J come back real as [Re; Im]
+        rows (real ones drop their zero Im rows), so r.r is the cost and
+        2 J^T r its gradient."""
+        x = np.asarray(x, dtype=float).reshape(len(self.parts), -1)
+        lam0 = x[:, -1:]
+        mpsi = self._mpsi(x[:, :-1] + _pi_shifts(x.shape[1] - 1))
+        r = (lam0 * mpsi[:, :, 0] - self.b).ravel()
+        blocks = np.concatenate((0.5 * lam0[:, :, None] * mpsi[:, :, 1:],
+                                 mpsi[:, :, :1]), axis=2)
+        jac = (np.eye(len(self.parts))[:, None, :, None]
+               * blocks[:, :, None, :]).reshape(r.size, -1)
+        if r.imag.any() or jac.imag.any():
+            return (np.concatenate((r.real, r.imag)),
+                    np.concatenate((jac.real, jac.imag)))
+        return r.real, jac.real
+
     @cached_property
     def term_table(self) -> TermTable:
         """Every part's ``term_list()`` compiled on first use, in part

@@ -27,7 +27,7 @@ from .costlib import (
     grid_coordinates,
 )
 from .opexpr import OpExpr
-from .optim import CMAES, CONFIGS, minimize
+from .optim import CONFIGS, LevenbergMarquardt, minimize
 from .statevec import RegisterLayout, SimulationError, is_real
 
 # largest imaginary part, relative to the amplitudes' norm, that readout
@@ -37,6 +37,9 @@ IMAG_LEAK_TOL = 1e-6
 # without a warning: a relative L2 error of 1e-3
 ENCODE_TOL = 1e-6
 RESTART_SIGMA = 0.1  # spread of the perturbed restarts around the warm start
+ENCODE_FIT = 1e-15  # encoding residual, relative to ||field||^2, that ends it
+ENCODE_STARTS = 8  # most Levenberg-Marquardt starts of one encoding
+ENCODE_SPREAD = 1.0  # angle spread of the encoding's later starts
 FUSED_MAX_AMPS = 2 ** 10  # largest n_params * dim of a fused GD call
 
 
@@ -76,6 +79,10 @@ class EvolutionConfig:
             raise EvolutionError("shot mode needs a positive shot count")
         if self.mode != "shots" and self.shots is not None:
             raise EvolutionError("a shot count needs mode 'shots'")
+        if self.mode == "shots" and type(self.optimizer) is LevenbergMarquardt:
+            # a device does not measure the overlaps between states at
+            # different angles that the Jacobian's J^T J holds
+            raise EvolutionError("Levenberg-Marquardt needs mode 'exact'")
         if self.seed < 0:
             raise EvolutionError("seed must be nonnegative")
 
@@ -150,7 +157,8 @@ def step(problem, history, x0, cfg: EvolutionConfig, layout: RegisterLayout,
     best_x, best_f, n_evals = None, np.inf, 0
     for s in starts:
         trace = minimize(objective, s, cfg.optimizer, grad=cost.grad_vec,
-                         value_and_grad=fused)
+                         value_and_grad=fused,
+                         residual_jacobian=cost.residual_jacobian)
         n_evals += trace.n_evals
         cand = cost.rescale(trace.x_best)
         f, g = cost.value_and_grad(cand)
@@ -166,11 +174,14 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
               rng: np.random.Generator) -> np.ndarray:
     """Variational encoding of a classical field as a row (lam, lam0):
     minimize ||lam0 Psi(lam) - field||^2 (a residual cost with identity
-    operator) by CMA-ES, down to 1e-15 of the field's squared norm, then
-    take the closed-form lam0.  Zero angles are a stationary saddle whenever
-    the field has no overlap with the reference state, hence the randomized
-    start.  A residual above ``ENCODE_TOL`` of the squared norm is returned
-    with a warning that names it."""
+    operator) by Levenberg-Marquardt down to ``ENCODE_FIT`` of the field's
+    squared norm, then take the closed-form lam0.  Zero angles are a
+    stationary saddle whenever the field has no overlap with the reference
+    state, hence the randomized start.  A start that misses is followed by
+    others, up to ``ENCODE_STARTS`` in all, drawn from a generator seeded by
+    one draw of ``rng``; the best is kept.  ``rng`` gives exactly one
+    normal row and one integer.  A residual above ``ENCODE_TOL`` of the
+    squared norm is returned with a warning that names it."""
     field = np.asarray(field, dtype=float)
     if not np.isfinite(field).all():
         raise SimulationError("field to encode is not finite")
@@ -180,11 +191,17 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
                         (Source(OpExpr.identity(), field, "f"),), {}).joint
     x0 = rng.normal(scale=0.1, size=cost.n_params)
     x0[-1] = float(np.linalg.norm(field))
-    search = minimize(cost.evaluate_rows, x0,
-                      CMAES(sigma0=0.3, max_iters=400,
-                            f_tol=1e-15 * cost.offset,
-                            seed=int(rng.integers(2 ** 31))))
-    x = cost.rescale(search.x_best)
+    starts = np.random.default_rng(int(rng.integers(2 ** 31)))
+    lm = LevenbergMarquardt(f_tol=ENCODE_FIT * cost.offset)
+    searches = []
+    for _ in range(ENCODE_STARTS):
+        searches.append(minimize(cost.evaluate_rows, x0, lm,
+                                 residual_jacobian=cost.residual_jacobian))
+        if searches[-1].f_best <= lm.f_tol:
+            break
+        x0 = np.append(starts.normal(scale=ENCODE_SPREAD, size=x0.size - 1),
+                       x0[-1])
+    x = cost.rescale(min(searches, key=lambda t: t.f_best).x_best)
     rel = cost.evaluate_rows(x[None, :])[0] / cost.offset
     if rel > ENCODE_TOL:
         warnings.warn(f"field encoding missed: residual {rel:.3g} of "

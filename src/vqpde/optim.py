@@ -18,6 +18,11 @@ from .statevec import is_real
 
 F_TOL_DEFAULT = 1e-10
 GRAD_TOL_DEFAULT = 1e-8
+# Levenberg-Marquardt's stops: a relative descent of r.r, a relative step
+# size, and a damping relative to the start's largest diag J^T J
+LM_STALL = 1e-6
+LM_STEP_TOL = 1e-14
+LM_MU_CAP = 1e16
 
 
 class OptimizationError(RuntimeError):
@@ -62,6 +67,19 @@ class GradientDescent:
 
     def __post_init__(self):
         _check(self, {"max_iters": 0}, ("eta",), tols=("grad_tol", "f_tol"))
+
+
+@dataclass(frozen=True)
+class LevenbergMarquardt:
+    """Damped Gauss-Newton on a residual; ``max_iters`` counts candidates,
+    each one call of ``residual_jacobian``."""
+    mu0: float = 1e-3  # start damping, relative to the largest diag J^T J
+    max_iters: int = 100
+    # absolute stop target on r.r
+    f_tol: float | None = None
+
+    def __post_init__(self):
+        _check(self, {"max_iters": 0}, ("mu0",), tols=("f_tol",))
 
 
 @dataclass(frozen=True)
@@ -137,8 +155,9 @@ class DifferentialEvolution:
 class OptimizationTrace:
     """Best-so-far values per iteration, the row count and why the method
     stopped: "converged", "max-iters" (the default: out of iterations),
-    "no-descent" (gradient descent's backtracking ran out) or "non-finite"
-    (a non-finite SPSA +/- estimate or gradient-descent gradient)."""
+    "no-descent" (gradient descent's backtracking or Levenberg-Marquardt's
+    damping ran out) or "non-finite" (a non-finite SPSA +/- estimate,
+    gradient-descent gradient or Levenberg-Marquardt step)."""
     best_values: list = field(default_factory=list)
     n_evals: int = 0
     x_best: np.ndarray | None = None
@@ -228,6 +247,53 @@ def _gradient_descent(fg, x, cfg: GradientDescent, grad, trace):
             break
         if cfg.f_tol is not None and fx <= cfg.f_tol:
             trace.stop = "converged"
+            break
+    return trace
+
+
+def _levenberg_marquardt(rj, x, cfg: LevenbergMarquardt, trace):
+    """``rj(x)`` is (r, J) of one call; the candidate x - (J^T J + mu I)^-1
+    J^T r is kept when r.r falls, and mu shrinks 3x, else mu grows 4x.
+    Converged at r.r <= ``f_tol``, at a descent of at most ``LM_STALL`` of
+    r.r, or when the step proposed at a new point is at most
+    ``LM_STEP_TOL`` of |x| (the residual is at rounding level); no descent
+    once mu passes ``LM_MU_CAP`` times the start's largest diag J^T J."""
+    r, jac = rj(x)
+    fx = float(r.dot(r))
+    _count((fx,), 1, trace)
+    trace.record(x, fx)
+    a, g = jac.T @ jac, jac.T @ r
+    scale = max(float(a.diagonal().max()), 1e-300)
+    mu, eye, fresh = cfg.mu0 * scale, np.eye(x.size), True
+    for _ in range(cfg.max_iters):
+        if cfg.f_tol is not None and fx <= cfg.f_tol:
+            trace.stop = "converged"
+            break
+        delta = np.linalg.solve(a + mu * eye, g)
+        step = sqrt(delta.dot(delta))
+        if not isfinite(step):
+            trace.stop = "non-finite"
+            break
+        if fresh and step <= LM_STEP_TOL * sqrt(x.dot(x)):
+            trace.stop = "converged"
+            break
+        cand = x - delta
+        rc, jc = rj(cand)
+        fc = float(rc.dot(rc))
+        _count((fc,), 1, trace)
+        fresh = fc < fx  # NaN: rejected
+        if fresh:
+            stalled = fx - fc <= LM_STALL * fx
+            x, fx, a, g = cand, fc, jc.T @ jc, jc.T @ rc
+            mu /= 3.0
+        else:
+            mu *= 4.0
+        trace.record(x, fx)
+        if fresh and stalled:
+            trace.stop = "converged"
+            break
+        if mu > LM_MU_CAP * scale:
+            trace.stop = "no-descent"
             break
     return trace
 
@@ -408,21 +474,28 @@ _DISPATCH = {
     DifferentialEvolution: _differential_evolution,
 }
 # every config class ``minimize`` runs
-CONFIGS = (GradientDescent, *_DISPATCH)
+CONFIGS = (GradientDescent, LevenbergMarquardt, *_DISPATCH)
 
 
-def minimize(objective, x0, config, grad=None,
-             value_and_grad=None) -> OptimizationTrace:
+def minimize(objective, x0, config, grad=None, value_and_grad=None,
+             residual_jacobian=None) -> OptimizationTrace:
     """Run the configured method on the rows objective (X of shape (B, n)
     to B values); stochastic methods are seeded and reproducible.  Gradient
     descent calls ``value_and_grad(x)`` instead when given, else ``grad``
-    (finite differences when absent) at accepted points.  Owns its x0 copy."""
+    (finite differences when absent) at accepted points.  Levenberg-
+    Marquardt calls only ``residual_jacobian(x)``, (r, J) with the objective
+    r.r, which it needs.  Owns its x0 copy."""
     trace = OptimizationTrace()
     f = _counted(objective, trace)
     x0 = np.array(x0, dtype=float)
     kind = type(config)
     if kind not in CONFIGS:
         raise OptimizationError(f"unknown optimizer config {config!r}")
+    if kind is LevenbergMarquardt:
+        if residual_jacobian is None:
+            raise OptimizationError("Levenberg-Marquardt needs a residual "
+                                    "and its Jacobian")
+        return _levenberg_marquardt(residual_jacobian, x0, config, trace)
     if kind is GradientDescent:
         def fg(x):
             if value_and_grad is None:

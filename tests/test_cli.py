@@ -197,6 +197,9 @@ XS8 = np.arange(8.0)
     {"grid": {"axes": [{"label": "x", "qubits": 3, "delta": 5e-324}]}},
     # a shot count without shot mode would run exact
     {"evolution": {"tau": 0.1, "n_steps": 1, "shots": 1000}},
+    # Levenberg-Marquardt reads overlaps a device does not measure
+    {"optimizer": {"method": "lm"},
+     "evolution": {"tau": 0.1, "n_steps": 1, "mode": "shots", "shots": 100}},
 ])
 def test_config_errors_exit_2(tmp_path, overrides):
     path = write_cfg(tmp_path, overrides=overrides)

@@ -1,4 +1,5 @@
 import zlib
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -258,6 +259,41 @@ def test_fused_call_equals_evaluate_rows_and_shift_rule(kind):
                 want.append(shift_rule_grad(p, x[k - p.n_params:k - 1],
                                             x[k - 1]))
             assert np.max(np.abs(g - np.concatenate(want))) <= 1e-10
+
+
+JACOBIAN_ANSATZE = {
+    "Y": {"rotation_axes": ("Y",)},
+    "Y+Z": {"rotation_axes": ("Y", "Z")},
+    "qft_block": {"rotation_axes": ("Y", "Z"), "qft_block": True},
+}
+
+
+@pytest.mark.parametrize("ansatz", sorted(JACOBIAN_ANSATZE))
+@pytest.mark.parametrize("kind", DEMO_KINDS)
+def test_residual_jacobian_matches_differences_and_gradient(kind, ansatz):
+    """On every demo part and joint cost, on a real and two complex
+    ansatze: r.r is the cost, J the central differences of r to 1e-8, and
+    2 J^T r ``value_and_grad``'s gradient to 1e-12 max(1, |g|).  A complex
+    residual comes as [Re; Im] rows, a real one as its real rows."""
+    rng = np.random.default_rng(zlib.crc32((kind + ansatz).encode()))
+    for demo in demo_costs(kind):
+        spec = AnsatzSpec(n_qubits=demo.parts[0].spec.n_qubits, layers=2,
+                          **JACOBIAN_ANSATZE[ansatz])
+        cost = JointCost(demo.name, tuple(replace(p, spec=spec)
+                                          for p in demo.parts))
+        x = rng.normal(size=cost.n_params)
+        r, jac = cost.residual_jacobian(x)
+        assert r.size == (1 if ansatz == "Y" else 2) * cost.b.size
+        assert jac.shape == (r.size, cost.n_params)
+        h = 1e-5
+        diff = np.stack([cost.residual_jacobian(x + e)[0]
+                         - cost.residual_jacobian(x - e)[0]
+                         for e in h * np.eye(x.size)], axis=1) / (2 * h)
+        assert np.max(np.abs(jac - diff)) <= 1e-8
+        f, g = cost.value_and_grad(x)
+        assert abs(r.dot(r) - f) <= 1e-12 * f
+        assert np.max(np.abs(2.0 * jac.T @ r - g)) <= 1e-12 * max(
+            1.0, np.linalg.norm(g))
 
 
 def test_joint_gradient_is_one_prepare_batch_call(monkeypatch):

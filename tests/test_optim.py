@@ -11,6 +11,7 @@ from vqpde.optim import (
     CONFIGS,
     DifferentialEvolution,
     GradientDescent,
+    LevenbergMarquardt,
     NelderMead,
     OptimizationError,
     OptimizationTrace,
@@ -462,6 +463,10 @@ def test_shift_rule_matches_finite_differences_on_pde_cost():
     (SPSA, {"max_iters": 2.5}),
     (NelderMead, {"scale": 0.0}),
     (NelderMead, {"f_tol": -1.0}),
+    (LevenbergMarquardt, {"mu0": 0.0}),
+    (LevenbergMarquardt, {"mu0": float("inf")}),
+    (LevenbergMarquardt, {"max_iters": -1}),
+    (LevenbergMarquardt, {"f_tol": -1.0}),
     (CMAES, {"popsize": 0}),
     (CMAES, {"popsize": 1}),
     (CMAES, {"sigma0": -1.0}),
@@ -487,6 +492,8 @@ def test_configs_reject_bad_fields(cls, bad):
     (SPSA, {"seed": True}),
     (SPSA, {"stability": "10"}),
     (NelderMead, {"scale": None}),
+    (LevenbergMarquardt, {"mu0": "1e-3"}),
+    (LevenbergMarquardt, {"max_iters": True}),
     (CMAES, {"popsize": True}),
     (CMAES, {"sigma0": "0.3"}),
     (ParticleSwarm, {"inertia": False}),
@@ -504,13 +511,111 @@ def test_configs_reject_bools_and_non_numbers(cls, bad):
 def test_minimize_runs_every_config_class_and_nothing_else():
     """``CONFIGS`` is what ``minimize`` dispatches on: each class runs, and
     a name, None or a class rather than an instance is rejected."""
-    assert set(CONFIGS) == {type(c) for c in ALL_CONFIGS}
+    assert set(CONFIGS) == {type(c) for c in ALL_CONFIGS} | {
+        LevenbergMarquardt}
     for cls in CONFIGS:
-        trace = minimize(quadratic, np.zeros(2), cls(max_iters=1))
+        trace = minimize(quadratic, np.zeros(2), cls(max_iters=1),
+                         residual_jacobian=parabola_rj)
         assert trace.n_evals >= 1
     for bad in ("gd", None, GradientDescent):
         with pytest.raises(OptimizationError, match="unknown optimizer"):
             minimize(quadratic, np.zeros(2), bad)
+
+
+# -- Levenberg-Marquardt --------------------------------------------------------
+
+def parabola_rj(x):
+    """Residual x_0 - 2 of ``quadratic`` and its Jacobian."""
+    return np.array([x[0] - 2.0]), np.eye(1, x.size)
+
+
+def offset_rj(x):
+    """A residual whose least r.r is 1, at x_0 = 2."""
+    return np.array([x[0] - 2.0, 1.0]), np.eye(2, x.size) * [[1.0], [0.0]]
+
+
+def test_lm_solves_the_parabola_one_call_per_candidate():
+    calls = []
+
+    def rj(x):
+        calls.append(x.copy())
+        return parabola_rj(x)
+
+    trace = minimize(quadratic, np.array([0.0]), LevenbergMarquardt(),
+                     residual_jacobian=rj)
+    assert trace.stop == "converged"
+    assert abs(trace.x_best[0] - 2.0) <= 1e-12
+    assert trace.n_evals == len(calls) == len(trace.best_values)
+    vals = trace.best_values
+    assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def test_lm_damping_shrinks_on_descent_and_grows_on_ascent():
+    """mu starts at mu0 max diag J^T J, is divided by 3 after a descent and
+    multiplied by 4 after an ascent: on r = x - 2 the steps are 2/(1 + mu)
+    of the distance left."""
+    steps = []
+
+    def rj(x):
+        steps.append(x[0])
+        return parabola_rj(x)
+
+    minimize(quadratic, np.array([0.0]), LevenbergMarquardt(mu0=1.0,
+                                                            max_iters=2),
+             residual_jacobian=rj)
+    assert steps[1] == pytest.approx(2.0 / 2.0)
+    assert steps[2] == pytest.approx(1.0 + 1.0 / (1.0 + 1.0 / 3.0))
+    steps.clear()
+    uphill = lambda x: (rj(x)[0], -np.eye(1))  # every candidate ascends
+    minimize(quadratic, np.array([0.0]), LevenbergMarquardt(max_iters=3),
+             residual_jacobian=uphill)
+    assert steps[1:] == pytest.approx([-2.0 / (1.0 + 1e-3 * 4 ** k)
+                                       for k in range(3)])
+
+
+LM_STOPS = [
+    (LevenbergMarquardt(f_tol=1e-20), parabola_rj, "converged"),
+    # reaches the least r.r, 1
+    (LevenbergMarquardt(), offset_rj, "converged"),
+    # mu so large that the first descent is below 1e-6 of r.r
+    (LevenbergMarquardt(mu0=1e9), offset_rj, "converged"),
+    # the start is the least r.r: the first step is 0
+    (LevenbergMarquardt(), lambda x: offset_rj(x + 2.0), "converged"),
+    (LevenbergMarquardt(max_iters=1), parabola_rj, "max-iters"),
+    # the Jacobian points uphill, so no damping finds a lower point
+    (LevenbergMarquardt(), lambda x: (parabola_rj(x)[0], -np.eye(1)),
+     "no-descent"),
+    (LevenbergMarquardt(), lambda x: (parabola_rj(x)[0], np.full((1, 1),
+                                                                 np.nan)),
+     "non-finite"),
+]
+
+
+@pytest.mark.parametrize("cfg, rj, stop", LM_STOPS,
+                         ids=[f"{c[2]}-{i}" for i, c in enumerate(LM_STOPS)])
+def test_lm_records_why_it_stopped(cfg, rj, stop):
+    trace = minimize(quadratic, np.array([0.0]), cfg, residual_jacobian=rj)
+    assert trace.stop == stop
+    assert trace.n_evals == len(trace.best_values)
+
+
+def test_lm_start_must_be_finite_and_later_nan_is_rejected():
+    with pytest.raises(OptimizationError, match="start point"):
+        minimize(quadratic, np.array([0.0]), LevenbergMarquardt(),
+                 residual_jacobian=lambda x: (np.array([np.nan]),
+                                              np.eye(1)))
+    nan_after_start = lambda x: ((parabola_rj(x)[0] if x[0] == 0.0
+                                  else np.array([np.nan])), np.eye(1))
+    trace = minimize(quadratic, np.array([0.0]),
+                     LevenbergMarquardt(max_iters=5),
+                     residual_jacobian=nan_after_start)
+    assert trace.n_evals == 6
+    assert trace.f_best == 4.0 and trace.x_best[0] == 0.0
+
+
+def test_lm_needs_a_residual_and_jacobian():
+    with pytest.raises(OptimizationError, match="Jacobian"):
+        minimize(quadratic, np.array([0.0]), LevenbergMarquardt())
 
 
 def test_configs_accept_edge_values():
