@@ -17,7 +17,7 @@ unitary and shot-estimable; nonlinear frozen-field factors live in b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield
 from functools import cache, cached_property, reduce
 from math import pi, sqrt
 
@@ -30,10 +30,11 @@ from .ansatz import (
 )
 from .opexpr import (
     MonomialForm,
+    MonomialTemplate,
     OpExpr,
     OpTerm,
     adjoint,
-    apply_expr,
+    apply_expr,  # noqa: F401  unused here; perfbench/tracing.py patches it
     apply_term,  # noqa: F401  unused here; perfbench/tracing.py patches it
     block_diagonal,
     compile_monomials,
@@ -43,7 +44,7 @@ from .opexpr import (
     laplacian_op,
     shift,
 )
-from .statevec import RegisterLayout, hadamard_test, is_real
+from .statevec import RegisterLayout, SimulationError, hadamard_test, is_real
 
 _IDENT = OpExpr.identity()
 # amplitudes per (rows, term-table rows, dim) work array of one
@@ -259,10 +260,53 @@ def _pi_shifts(p: int) -> np.ndarray:
     return shifts
 
 
+@dataclass(frozen=True, eq=False)
+class PartTemplate:
+    """One part's operators compiled once: M and every source expression as
+    ``MonomialTemplate``s, and on first use its term list.  A step binds only
+    the frozen fields (``CostFunction``): the diagonal weights and the
+    samples.  A kind's template names where a step's values go: source i
+    reads ``values[tags[i]]`` and the diagonal atoms the fields ``binds``."""
+
+    layout: RegisterLayout
+    m_op: OpExpr
+    exprs: tuple  # source expressions, in order
+    name: str = ""
+    tags: tuple = ()
+    binds: tuple = ()
+    m: MonomialTemplate = dfield(init=False, repr=False)
+    sources: tuple = dfield(init=False, repr=False)  # of MonomialTemplate
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", MonomialTemplate.compile(
+            self.m_op, self.layout))
+        object.__setattr__(self, "sources", tuple(
+            MonomialTemplate.compile(e, self.layout) for e in self.exprs))
+
+    @cached_property
+    def expansions(self) -> tuple:
+        """adjoint(M) M, then adjoint(S_i) M for every source i."""
+        return tuple(expand_product([adjoint(e), self.m_op])
+                     for e in (self.m_op, *self.exprs))
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The term list with every source kept, compiled: (coefficient
+        (T,) complex, bra (T,), unit-coefficient ``MonomialTemplate``,
+        shift-only (T,)), a source's rows still unscaled by its norm."""
+        rows = [(t.coeff, bra, OpTerm(1.0, t.atoms))
+                for bra, e in enumerate(self.expansions) for t in e.terms]
+        coeff, bra, terms = zip(*rows)
+        return (np.array(coeff, dtype=complex), np.array(bra),
+                MonomialTemplate.compile(terms, self.layout),
+                np.array([t.is_unitary_product() for t in terms]))
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Frozen-history residual ||M c - b||^2 over candidates c = lam0 Psi(lam):
-    one part of a ``JointCost``, which evaluates it."""
+    one part of a ``JointCost``, which evaluates it.  It is bound from
+    ``template``, one compiled from its own operators when none is given."""
 
     name: str
     layout: RegisterLayout
@@ -270,20 +314,30 @@ class CostFunction:
     m_op: OpExpr
     sources: tuple
     bindings: dict
+    template: PartTemplate = dfield(default=None, repr=False, compare=False)
     b_vector: np.ndarray = dfield(init=False)
     offset: float = dfield(init=False)
     m_form: MonomialForm = dfield(init=False, repr=False)  # compiled m_op
 
     def __post_init__(self):
+        t = self.template
+        if t is None:
+            t = PartTemplate(self.layout, self.m_op,
+                             tuple(s.expr for s in self.sources))
+            object.__setattr__(self, "template", t)
         b = np.zeros(self.layout.dim, dtype=complex)
-        for s in self.sources:
-            b = b + apply_expr(s.expr, s.samples, self.layout, self.bindings)
+        for s, form in zip(self.sources, t.sources):
+            amps = np.asarray(s.samples)
+            if amps.shape != b.shape:
+                raise SimulationError(
+                    f"samples {s.tag!r} of length {amps.size} do not match "
+                    f"{self.layout.total_qubits} qubits")
+            b = b + form.bind(self.bindings).apply(amps[None, :])[0]
         b = np.real_if_close(b, tol=1e6).copy()
         b.setflags(write=False)
         object.__setattr__(self, "b_vector", b)
         object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
-        object.__setattr__(self, "m_form", compile_monomials(
-            self.m_op, self.layout, self.bindings))
+        object.__setattr__(self, "m_form", t.m.bind(self.bindings))
 
     @property
     def n_params(self) -> int:
@@ -311,16 +365,15 @@ class CostFunction:
         p = 2 for bra psi and 1 for a source reproduces the cost.  Source
         states are normalized; their norms are folded into the coefficients.
         """
-        quad = expand_product([adjoint(self.m_op), self.m_op])
+        quad, *cross = self.template.expansions
         entries = [(complex(t.coeff), 0, OpTerm(1.0, t.atoms))
                    for t in quad.terms]
-        for si, s in enumerate(self.sources):
+        for si, (s, expr) in enumerate(zip(self.sources, cross)):
             norm = float(np.linalg.norm(s.samples))
             if norm == 0.0:
                 continue
-            cross = expand_product([adjoint(s.expr), self.m_op])
             entries += [(-2.0 * norm * complex(t.coeff), si + 1,
-                         OpTerm(1.0, t.atoms)) for t in cross.terms]
+                         OpTerm(1.0, t.atoms)) for t in expr.terms]
         return tuple(entries)
 
     def evaluate_terms(self, lam, lam0: float, shots: int | None = None,
@@ -338,17 +391,69 @@ class CostFunction:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True, eq=False)
+class CostTemplate:
+    """A problem's step cost compiled once per (layout, tau): its parts'
+    templates and ``values``, which reads a step's named arrays (samples and
+    diagonal fields) off the history.  ``bind`` makes the step's
+    ``JointCost``.  The stacked M and the term table's step-independent
+    columns are built here once, the table's only on first use."""
+
+    name: str
+    parts: tuple  # of PartTemplate
+    values: object = None  # history fields -> {name: array}
+    # the block-diagonal M, or None when a part's M reads a field and each
+    # cost must stack its own
+    m_form: MonomialForm = dfield(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        forms = [p.m.constant for p in self.parts]
+        if all(f is not None for f in forms):
+            object.__setattr__(self, "m_form", block_diagonal(
+                forms, self.parts[0].layout.dim))
+
+    def bind(self, fields, spec: AnsatzSpec) -> "JointCost":
+        vals = self.values(fields)
+        return JointCost(self.name, tuple(
+            CostFunction(p.name, p.layout, spec, p.m_op,
+                         tuple(Source(e, vals[t], t)
+                               for e, t in zip(p.exprs, p.tags)),
+                         {k: vals[k] for k in p.binds}, p)
+            for p in self.parts), self)
+
+    @cached_property
+    def table(self) -> tuple:
+        """The term table's columns that no step changes, every source's
+        rows kept, in part order: (coefficient unscaled by its source's
+        norm, quadratic, sampled, perm into the K dim row, source index
+        over all parts (-1 for psi), part)."""
+        dim, cols, first = self.parts[0].layout.dim, [], 0
+        for k, p in enumerate(self.parts):
+            coeff, bra, form, sampled = p.terms
+            cols.append((coeff, bra == 0, sampled, form.perm + k * dim,
+                         np.where(bra == 0, -1, bra - 1 + first),
+                         np.full(len(bra), k)))
+            first += len(p.exprs)
+        table = tuple(map(np.concatenate, zip(*cols)))
+        for a in table:
+            a.setflags(write=False)
+        return table
+
+
 @dataclass(frozen=True)
 class JointCost:
     """Per-step cost of a problem: one residual over its K component costs
     (one part per evolved field) on one ansatz, over the row
     (lam_1, lam0_1, lam_2, lam0_2, ...) read as (K, P + 1).  The parts'
-    operators are stacked once into a block-diagonal ``m_form`` over K dim
-    amplitudes and their targets into ``b`` (K, dim); B rows are prepared as
-    B K angle rows, row-major and part-minor, in one ``prepare_batch``."""
+    operators are stacked into a block-diagonal ``m_form`` over K dim
+    amplitudes, once per ``template``, and their targets into ``b``
+    (K, dim); B rows are prepared as B K angle rows, row-major and
+    part-minor, in one ``prepare_batch``.  Without a template (parts joined
+    by hand), one is made from the parts' own."""
 
     name: str
     parts: tuple
+    template: CostTemplate = dfield(default=None, repr=False, compare=False)
     m_form: MonomialForm = dfield(init=False, repr=False, compare=False)
     b: np.ndarray = dfield(init=False, repr=False, compare=False)
     offset: float = dfield(init=False, compare=False)  # ||b||^2
@@ -356,12 +461,17 @@ class JointCost:
     def __post_init__(self):
         if any(p.spec != self.parts[0].spec for p in self.parts):
             raise ProblemError(f"{self.name}: the parts must share one ansatz")
+        if self.template is None:
+            object.__setattr__(self, "template", CostTemplate(
+                self.name, tuple(p.template for p in self.parts)))
         b = np.array([p.b_vector for p in self.parts])
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
-        object.__setattr__(self, "m_form", block_diagonal(
-            [p.m_form for p in self.parts], b.shape[1]))
+        m_form = self.template.m_form
+        if m_form is None:
+            m_form = block_diagonal([p.m_form for p in self.parts], b.shape[1])
+        object.__setattr__(self, "m_form", m_form)
 
     @property
     def n_params(self) -> int:
@@ -447,27 +557,30 @@ class JointCost:
     def term_table(self) -> TermTable:
         """Every part's ``term_list()`` compiled on first use, in part
         order, part k's terms reading columns [k dim, (k + 1) dim) of a row;
-        costs that are only evaluated in closed form never build it."""
-        dim, cols = self.b.shape[1], []
-        for k, p in enumerate(self.parts):
-            coeff, bra, terms = zip(*p.term_list())
-            # row 0 stands for psi, row i + 1 for source i
-            src = np.zeros((len(p.sources) + 1, dim), dtype=complex)
-            for si, s in enumerate(p.sources):
-                norm = np.linalg.norm(s.samples)
-                if norm > 0.0:
-                    src[si + 1] = np.asarray(s.samples, dtype=float) / norm
-            form = compile_monomials(terms, p.layout, p.bindings)
-            cols.append((coeff, np.array(bra) == 0,
-                         [t.is_unitary_product() for t in terms],
-                         form.perm + k * dim, form.weight, src[list(bra)],
-                         np.full(len(terms), k)))
-        table = TermTable(*map(np.concatenate, zip(*cols)))
-        if np.any(table.coeff.imag != 0):
+        costs that are only evaluated in closed form never build it.  The
+        template holds every column a step does not change; this binds the
+        weights, scales each source's rows by its norm (dropping a zero
+        source's) and normalizes the source bras."""
+        coeff, quadratic, sampled, perm, src, part = self.template.table
+        samples = [np.asarray(s.samples, dtype=float)
+                   for p in self.parts for s in p.sources]
+        norms = np.array([np.linalg.norm(s) for s in samples] + [1.0])
+        bras = np.zeros((len(norms), self.b.shape[1]), dtype=complex)
+        for i, s in enumerate(samples):  # the last row, psi's, stays 0
+            if norms[i] > 0.0:
+                bras[i] = s / norms[i]
+        coeff = np.where(quadratic, coeff, (-2.0 * norms)[src] * coeff)
+        weight = np.concatenate([p.template.terms[2].bind(p.bindings).weight
+                                 for p in self.parts])
+        cols = (coeff, quadratic, sampled, perm, weight, bras[src], part)
+        keep = norms[src] != 0.0
+        if not keep.all():
+            cols = tuple(a[keep] for a in cols)
+        if np.any(cols[0].imag != 0):
             raise ProblemError(
                 f"{self.name}: the term list has a complex coefficient; a "
                 "Hadamard test measures Re<bra|T|psi> only")
-        return replace(table, coeff=table.coeff.real)
+        return TermTable(cols[0].real, *cols[1:])
 
     def term_values(self, xs, shots: int | None = None,
                     rng: np.random.Generator | None = None) -> np.ndarray:
@@ -503,172 +616,173 @@ class JointCost:
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Builders: each compiles its kind's template once per (layout, tau)
 # ---------------------------------------------------------------------------
 
 def _diag_expr(key: str) -> OpExpr:
     return OpExpr((OpTerm(1.0, (diag(key),)),))
 
 
-def _build_navier_stokes(problem: NavierStokes, fields, layout, tau, spec):
-    u = fields[-1]
-    bindings = {}
+def _part(name, layout, m_op, sources, binds=()) -> PartTemplate:
+    """A part whose sources are (expression, tag) pairs."""
+    exprs, tags = zip(*sources)
+    return PartTemplate(layout, m_op, exprs, name, tags, binds)
+
+
+def _derivative(op: OpExpr, layout):
+    """The real part of op applied to a field, op compiled once."""
+    form = compile_monomials(op, layout)
+    return lambda f: form.apply(f[None, :])[0].real
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # shared by every step's cost
+    return a
+
+
+def _build_navier_stokes(problem: NavierStokes, layout, tau):
+    ax = problem.component
+    binds = ()
     rhs = _IDENT  # acting on u
-    if problem.pressure is not None and layout.has_axis(problem.component):
-        bindings["adv_self"] = u
+    if problem.pressure is not None and layout.has_axis(ax):
+        binds = ("adv_self",)
         rhs = rhs - (_diag_expr("adv_self")
-                     * grad_op(problem.component,
-                               layout.spacing(problem.component))).scale(tau)
-    for ax in layout.axis_labels():
-        rhs = rhs + laplacian_op(ax, layout.spacing(ax)).scale(problem.nu * tau)
-    sources = [Source(rhs, u, "u")]
+                     * grad_op(ax, layout.spacing(ax))).scale(tau)
+    for label in layout.axis_labels():
+        rhs = rhs + laplacian_op(label, layout.spacing(label)).scale(
+            problem.nu * tau)
+    sources, fixed = [(rhs, "u")], {}
     if problem.pressure is not None:
         kind, val = problem.pressure
         if kind == "uniform":
-            sources.append(Source(
-                OpExpr.identity(-tau / problem.rho),
-                float(val) * np.ones(layout.dim), "pgrad"))
+            sources.append((OpExpr.identity(-tau / problem.rho), "pgrad"))
+            fixed["pgrad"] = _frozen(float(val) * np.ones(layout.dim))
         elif kind == "field":
-            sources.append(Source(
-                grad_op(problem.component,
-                        layout.spacing(problem.component)).scale(-tau / problem.rho),
-                np.asarray(val, dtype=float), "p"))
+            sources.append((grad_op(ax, layout.spacing(ax)).scale(
+                -tau / problem.rho), "p"))
+            fixed["p"] = np.asarray(val, dtype=float)
         else:
             raise ProblemError(f"unknown pressure model {kind!r}")
-    return (CostFunction(problem.name, layout, spec, _IDENT, tuple(sources),
-                         bindings),)
+    return (_part(problem.name, layout, _IDENT, sources, binds),), \
+        lambda f: {**fixed, "u": f[-1], "adv_self": f[-1]}
 
 
-def _build_einstein(problem: Einstein, fields, layout, tau, spec):
-    g = fields[-1]
+def _build_einstein(problem: Einstein, layout, tau):
     ax_i, ax_n = problem.axes
     for ax in (ax_i, ax_n):
         if not layout.has_axis(ax):
             raise ProblemError(f"derivative axis {ax!r} missing from the grid")
-    m_op = OpExpr.single(shift(ax_i))
     k = 8.0 * pi * problem.G * layout.spacing(ax_i) * layout.spacing(ax_n) \
         / problem.c ** 4
-    t_field = problem.tensor.samples(layout, ax_i)
-    sources = (
-        Source(OpExpr.single(shift(ax_i)), g, "g"),
-        Source(OpExpr.identity(k), t_field, "T"),
-    )
-    return (CostFunction(problem.name, layout, spec, m_op, sources, {}),)
+    t_field = _frozen(problem.tensor.samples(layout, ax_i))
+    sources = ((OpExpr.single(shift(ax_i)), "g"), (OpExpr.identity(k), "T"))
+    return (_part(problem.name, layout, OpExpr.single(shift(ax_i)),
+                  sources),), lambda f: {"g": f[-1], "T": t_field}
 
 
 _CYCLIC = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
 
 
-def _build_maxwell(problem: Maxwell, fields, layout, tau, spec):
-    f = fields[-1]
+def _build_maxwell(problem: Maxwell, layout, tau):
     i = problem.component
     j, k = _CYCLIC[i]
     ext = problem.ext_fields or {}
     other = "E" if problem.which == "B" else "B"
+    own = problem.which.lower()
     # dB_i/dt = -(curl E)_i ; dE_i/dt = +(curl B)_i / (mu0 eps0)
     sign = -tau if problem.which == "B" else tau / (problem.mu0 * problem.eps0)
-    sources = [Source(_IDENT, f, problem.which.lower())]
+    sources, fixed = [(_IDENT, own)], {}
     for d_ax, comp_ax, s in ((j, k, 1.0), (k, j, -1.0)):
         key = f"{other}_{comp_ax}"
         if key not in ext or not layout.has_axis(d_ax):
             continue
-        sources.append(Source(
-            grad_op(d_ax, layout.spacing(d_ax)).scale(sign * s),
-            np.asarray(ext[key], dtype=float), key))
-    return (CostFunction(problem.name, layout, spec, _IDENT, tuple(sources),
-                         {}),)
+        sources.append((grad_op(d_ax, layout.spacing(d_ax)).scale(sign * s),
+                        key))
+        fixed[key] = np.asarray(ext[key], dtype=float)
+    return (_part(problem.name, layout, _IDENT, sources),), \
+        lambda f: {**fixed, own: f[-1]}
 
 
-def _build_boussinesq(problem: Boussinesq, fields, layout, tau, spec):
-    if len(fields) < 2:
-        raise ProblemError("second-order time stepping needs two history levels")
-    u, u_prev = fields[-1], fields[-2]
+def _build_boussinesq(problem: Boussinesq, layout, tau):
     ax = layout.axes[0][0]
     dx = layout.spacing(ax)
     lap = laplacian_op(ax, dx)
     gr = grad_op(ax, dx)
     m_op = _IDENT - lap.scale(problem.beta)
-    bindings = {"bq_u": u}
     expr_u = m_op.scale(2.0) + lap.scale(tau * tau) \
         + (gr * _diag_expr("bq_u") * gr).scale(2.0 * problem.alpha * tau * tau)
-    expr_prev = m_op.scale(-1.0)
-    sources = (Source(expr_u, u, "u"), Source(expr_prev, u_prev, "u_prev"))
-    return (CostFunction(problem.name, layout, spec, m_op, sources, bindings),)
+    sources = ((expr_u, "u"), (m_op.scale(-1.0), "u_prev"))
+    return (_part(problem.name, layout, m_op, sources, ("bq_u",)),), \
+        lambda f: {"u": f[-1], "u_prev": f[-2], "bq_u": f[-1]}
 
 
-def _build_lin_tsien(problem: LinTsien, fields, layout, tau, spec):
-    u = fields[-1]
+def _build_lin_tsien(problem: LinTsien, layout, tau):
     if not (layout.has_axis("x") and layout.has_axis("y")):
         raise ProblemError("this equation needs x and y axes")
     gx = grad_op("x", layout.spacing("x"))
     lx = laplacian_op("x", layout.spacing("x"))
     ly = laplacian_op("y", layout.spacing("y"))
-    bindings = {"lt_ux": apply_expr(gx, u, layout).real}
+    ux = _derivative(gx, layout)
     expr_u = gx + (ly - _diag_expr("lt_ux") * lx).scale(0.5 * tau)
-    return (CostFunction(problem.name, layout, spec, gx,
-                         (Source(expr_u, u, "u"),), bindings),)
+    return (_part(problem.name, layout, gx, ((expr_u, "u"),), ("lt_ux",)),), \
+        lambda f: {"u": f[-1], "lt_ux": ux(f[-1])}
 
 
-def _build_camassa_holm(problem: CamassaHolm, fields, layout, tau, spec):
-    if len(fields) < 2:
-        raise ProblemError("the mixed-derivative term needs two history levels")
-    u, u_prev = fields[-1], fields[-2]
+def _build_camassa_holm(problem: CamassaHolm, layout, tau):
     ax = layout.axes[0][0]
     dx = layout.spacing(ax)
     gr = grad_op(ax, dx)
     lap = laplacian_op(ax, dx)
     m_op = _IDENT - lap.scale(0.5)
-    bindings = {
-        "ch_ux": apply_expr(gr, u, layout).real,
-        "ch_u": u,
-        "ch_lin": 3.0 * u + 2.0 * problem.kappa,
-    }
+    ux = _derivative(gr, layout)
     expr_u = _IDENT + (
         (_diag_expr("ch_ux") * lap).scale(2.0)
         + _diag_expr("ch_u") * gr * lap
         - _diag_expr("ch_lin") * gr
     ).scale(tau)
-    expr_prev = lap.scale(-0.5)
-    sources = (Source(expr_u, u, "u"), Source(expr_prev, u_prev, "u_prev"))
-    return (CostFunction(problem.name, layout, spec, m_op, sources, bindings),)
+    sources = ((expr_u, "u"), (lap.scale(-0.5), "u_prev"))
+    return (_part(problem.name, layout, m_op, sources,
+                  ("ch_ux", "ch_u", "ch_lin")),), \
+        lambda f: {"u": f[-1], "u_prev": f[-2], "ch_ux": ux(f[-1]),
+                   "ch_u": f[-1], "ch_lin": 3.0 * f[-1] + 2.0 * problem.kappa}
 
 
-def _build_dsw(problem: DSW, fields, layout, tau, spec):
+def _build_dsw(problem: DSW, layout, tau):
     """Coupled pair: fields = [u, v] at the current step; one part each."""
-    if len(fields) < 2:
-        raise ProblemError("the coupled system needs both current fields")
-    u, v = fields[-2], fields[-1]
     ax = layout.axes[0][0]
     dx = layout.spacing(ax)
     gr = grad_op(ax, dx)
     lap = laplacian_op(ax, dx)
-    u_bind = {"dsw_v": v}
-    expr_uu = _IDENT
     expr_uv = (_diag_expr("dsw_v") * gr).scale(-3.0 * tau)
-    cost_u = CostFunction(problem.name + "-u", layout, spec, _IDENT,
-                          (Source(expr_uu, u, "u"), Source(expr_uv, v, "v")),
-                          u_bind)
-    v_bind = {"dsw_u": u}
+    cost_u = _part(problem.name + "-u", layout, _IDENT,
+                   ((_IDENT, "u"), (expr_uv, "v")), ("dsw_v",))
     m_v = _IDENT - (gr * lap).scale(2.0 * tau)
     expr_vv = _IDENT + (_diag_expr("dsw_u") * gr).scale(2.0 * tau)
-    expr_vu = gr.scale(tau)
-    cost_v = CostFunction(problem.name + "-v", layout, spec, m_v,
-                          (Source(expr_vv, v, "v"), Source(expr_vu, u, "u")),
-                          v_bind)
-    return cost_u, cost_v
+    cost_v = _part(problem.name + "-v", layout, m_v,
+                   ((expr_vv, "v"), (gr.scale(tau), "u")), ("dsw_u",))
+    return (cost_u, cost_v), \
+        lambda f: {"u": f[-2], "v": f[-1], "dsw_u": f[-2], "dsw_v": f[-1]}
 
 
-def _build_hunter_saxton(problem: HunterSaxton, fields, layout, tau, spec):
-    u = fields[-1]
+def _build_hunter_saxton(problem: HunterSaxton, layout, tau):
     ax = layout.axes[0][0]
     dx = layout.spacing(ax)
     gr = grad_op(ax, dx)
-    bindings = {"hs_ux": apply_expr(gr, u, layout).real, "hs_u": u}
+    ux = _derivative(gr, layout)
     expr_u = gr + (
         _diag_expr("hs_ux").scale(0.5) * gr - gr * _diag_expr("hs_u") * gr
     ).scale(tau)
-    return (CostFunction(problem.name, layout, spec, gr,
-                         (Source(expr_u, u, "u"),), bindings),)
+    return (_part(problem.name, layout, gr, ((expr_u, "u"),),
+                  ("hs_ux", "hs_u")),), \
+        lambda f: {"u": f[-1], "hs_ux": ux(f[-1]), "hs_u": f[-1]}
+
+
+class _Templates(dict):
+    """A problem's compiled cost templates, by (layout, tau).  They hold
+    closures, so a pickled or deep-copied problem starts without them."""
+
+    def __reduce__(self):
+        return _Templates, ()
 
 
 _BUILDERS = {
@@ -690,15 +804,22 @@ def build_cost(problem, history, layout: RegisterLayout, tau: float,
 
     ``history`` holds field arrays ordered oldest to newest; depth must match
     the equation's time order.  For the coupled system the two entries are
-    the current (u, v) pair and the parts are optimized jointly.
+    the current (u, v) pair and the parts are optimized jointly.  The kind's
+    ``CostTemplate`` is compiled by the first call for a (layout, tau) and
+    kept on the problem instance (problems are frozen), so later steps only
+    bind the history.
     """
-    if tau <= 0:
-        raise ProblemError("time step must be positive")
+    if not (is_real(tau) and np.isfinite(tau) and tau > 0):
+        raise ProblemError(f"time step tau must be positive and finite, "
+                           f"got {tau!r}")
     if type(problem) not in _BUILDERS:
         raise ProblemError(f"unsupported problem {problem!r}")
     fields = [np.asarray(h, dtype=float) for h in history]
     if any(f.size != layout.dim for f in fields):
         raise ProblemError("history field does not match the grid")
+    for i, f in enumerate(fields):
+        if not np.isfinite(f).all():
+            raise ProblemError(f"history field {i} is not finite")
     if len(fields) < problem.history_depth:
         raise ProblemError(
             f"{problem.name} needs {problem.history_depth} history levels, "
@@ -706,6 +827,9 @@ def build_cost(problem, history, layout: RegisterLayout, tau: float,
         )
     if 2 ** spec.n_qubits != layout.dim:
         raise ProblemError("ansatz size does not match the grid")
-    parts = _BUILDERS[type(problem)](problem, fields, layout, tau, spec)
-    return JointCost(problem.name, parts)
-
+    templates = problem.__dict__.setdefault("_cost_templates", _Templates())
+    key = (layout, float(tau))
+    if key not in templates:
+        parts, values = _BUILDERS[type(problem)](problem, layout, tau)
+        templates[key] = CostTemplate(problem.name, parts, values)
+    return templates[key].bind(fields, spec)

@@ -9,7 +9,8 @@ diagonal atoms against a field-binding table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, field as dfield
 from itertools import product
 
 import numpy as np
@@ -103,7 +104,7 @@ class OpTerm:
     def __post_init__(self):
         object.__setattr__(self, "coeff", complex(self.coeff))
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not np.isfinite(self.coeff):
+        if not cmath.isfinite(self.coeff):
             raise ValueError("term coefficient must be finite")
 
     def is_unitary_product(self) -> bool:
@@ -230,40 +231,95 @@ class MonomialForm:
         return (self.weight * psi[:, self.perm]).sum(axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class MonomialTemplate:
+    """An expression's monomials resolved against a layout once, before any
+    field is bound: each term's permutation and coefficient and, depth by
+    depth from its rightmost diagonal atom, the field that atom reads and
+    the gather that carries the field to the term's output index."""
+
+    perm: np.ndarray     # (T, dim) source indices
+    coeff: np.ndarray    # (T,) complex
+    fields: tuple        # names the diagonal atoms read, in first-use order
+    depths: tuple        # per depth: (rows, field index (R,), gather (R, dim))
+    identity: bool       # expr is 1
+    # the one form of a template that reads no field, built once
+    constant: MonomialForm = dfield(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if not self.fields:
+            object.__setattr__(self, "constant", self._form(None))
+
+    @classmethod
+    def compile(cls, expr, layout: RegisterLayout) -> "MonomialTemplate":
+        """``expr`` is an ``OpExpr`` or a sequence of ``OpTerm``s, compiled
+        one row each (a term list repeats operators that an ``OpExpr``
+        would merge)."""
+        terms = expr.terms if isinstance(expr, OpExpr) else tuple(expr)
+        dim = layout.dim
+        perms, factors, srcs = [], [], {}
+        for term in terms:
+            perm, diags = np.arange(dim), []
+            for atom in reversed(term.atoms):  # rightmost atom acts first
+                if atom.kind == "diag":
+                    diags.append((atom.field, np.arange(dim)))
+                    continue
+                if atom not in srcs:
+                    srcs[atom] = shift_permutation(
+                        layout, atom.axis,
+                        "forward" if atom.kind == "shift" else "backward")
+                src = srcs[atom]
+                perm = perm[src]
+                diags = [(f, g[src]) for f, g in diags]
+            perms.append(perm)
+            factors.append(diags)
+        fields = tuple(dict.fromkeys(f for diags in factors for f, _ in diags))
+        depths = []
+        for d in range(max(map(len, factors), default=0)):
+            rows = [t for t, diags in enumerate(factors) if len(diags) > d]
+            depths.append((
+                slice(None) if len(rows) == len(terms) else np.array(rows),
+                np.array([fields.index(factors[t][d][0]) for t in rows]),
+                np.array([factors[t][d][1] for t in rows])))
+        perm = np.array(perms, dtype=np.intp).reshape(len(perms), dim)
+        perm.setflags(write=False)
+        return cls(perm, np.array([t.coeff for t in terms], dtype=complex),
+                   fields, tuple(depths), terms == (OpTerm(1.0),))
+
+    def bind(self, bindings=None) -> MonomialForm:
+        """The form with every diagonal atom resolved against ``bindings``."""
+        if self.constant is not None:
+            return self.constant
+        dim = self.perm.shape[1]
+        values = []
+        for name in self.fields:
+            if bindings is None or name not in bindings:
+                raise SimulationError(f"unresolved field reference {name!r}")
+            v = np.asarray(bindings[name], dtype=float)
+            if v.shape != (dim,):
+                raise SimulationError(
+                    f"diagonal of length {v.size} does not match state of "
+                    f"dimension {dim}")
+            values.append(v)
+        return self._form(np.array(values))
+
+    def _form(self, values) -> MonomialForm:
+        """weight = coeff * (d_1 * (... * (d_n * 1))), each d_i a gathered
+        field: the order ``compile_monomials`` has always multiplied in, so
+        the weights are bitwise those of a form compiled anew."""
+        weight = np.ones(self.perm.shape, dtype=complex)
+        for rows, field, gather in self.depths:
+            weight[rows] = values[field[:, None], gather] * weight[rows]
+        weight = self.coeff[:, None] * weight
+        weight.setflags(write=False)
+        return MonomialForm(self.perm, weight, self.identity)
+
+
 def compile_monomials(expr, layout: RegisterLayout,
                       bindings=None) -> MonomialForm:
     """Resolve shift atoms against the layout and diagonal atoms against the
-    bindings once, for ``apply``.  ``expr`` is an ``OpExpr`` or a sequence
-    of ``OpTerm``s, compiled one row each (a term list repeats operators
-    that an ``OpExpr`` would merge)."""
-    terms = expr.terms if isinstance(expr, OpExpr) else tuple(expr)
-    dim = layout.dim
-    perms, weights = [], []
-    for term in terms:
-        perm = np.arange(dim)
-        weight = np.ones(dim, dtype=complex)
-        for atom in reversed(term.atoms):  # rightmost atom acts first
-            if atom.kind == "diag":
-                if bindings is None or atom.field not in bindings:
-                    raise SimulationError(
-                        f"unresolved field reference {atom.field!r}")
-                values = np.asarray(bindings[atom.field], dtype=float)
-                if values.shape != (dim,):
-                    raise SimulationError(
-                        f"diagonal of length {values.size} does not match "
-                        f"state of dimension {dim}")
-                weight = values * weight
-            else:
-                direction = "forward" if atom.kind == "shift" else "backward"
-                src = shift_permutation(layout, atom.axis, direction)
-                perm, weight = perm[src], weight[src]
-        perms.append(perm)
-        weights.append(term.coeff * weight)
-    perm = np.array(perms, dtype=np.intp).reshape(len(perms), dim)
-    weight = np.array(weights, dtype=complex).reshape(len(weights), dim)
-    perm.setflags(write=False)
-    weight.setflags(write=False)
-    return MonomialForm(perm, weight, terms == (OpTerm(1.0),))
+    bindings once, for ``apply``: a ``MonomialTemplate`` bound at once."""
+    return MonomialTemplate.compile(expr, layout).bind(bindings)
 
 
 def block_diagonal(forms, dim: int) -> MonomialForm:
