@@ -449,7 +449,8 @@ class JointCost:
     amplitudes, once per ``template``, and their targets into ``b``
     (K, dim); B rows are prepared as B K angle rows, row-major and
     part-minor, in one ``prepare_batch``.  Without a template (parts joined
-    by hand), one is made from the parts' own."""
+    by hand), M is stacked from the parts' own forms, and the term table's
+    template is made from theirs on first use."""
 
     name: str
     parts: tuple
@@ -461,14 +462,11 @@ class JointCost:
     def __post_init__(self):
         if any(p.spec != self.parts[0].spec for p in self.parts):
             raise ProblemError(f"{self.name}: the parts must share one ansatz")
-        if self.template is None:
-            object.__setattr__(self, "template", CostTemplate(
-                self.name, tuple(p.template for p in self.parts)))
         b = np.array([p.b_vector for p in self.parts])
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
-        m_form = self.template.m_form
+        m_form = self.template and self.template.m_form
         if m_form is None:
             m_form = block_diagonal([p.m_form for p in self.parts], b.shape[1])
         object.__setattr__(self, "m_form", m_form)
@@ -561,7 +559,9 @@ class JointCost:
         template holds every column a step does not change; this binds the
         weights, scales each source's rows by its norm (dropping a zero
         source's) and normalizes the source bras."""
-        coeff, quadratic, sampled, perm, src, part = self.template.table
+        template = self.template or CostTemplate(
+            self.name, tuple(p.template for p in self.parts))
+        coeff, quadratic, sampled, perm, src, part = template.table
         samples = [np.asarray(s.samples, dtype=float)
                    for p in self.parts for s in p.sources]
         norms = np.array([np.linalg.norm(s) for s in samples] + [1.0])
@@ -785,6 +785,13 @@ class _Templates(dict):
         return _Templates, ()
 
 
+def release_templates(problem) -> None:
+    """Drop the cost templates ``build_cost`` keeps on ``problem``.  A run
+    ends with this, so the next run on the same instance compiles its own
+    and no run's work depends on an earlier one's."""
+    problem.__dict__.pop("_cost_templates", None)
+
+
 _BUILDERS = {
     NavierStokes: _build_navier_stokes,
     Einstein: _build_einstein,
@@ -806,8 +813,9 @@ def build_cost(problem, history, layout: RegisterLayout, tau: float,
     the equation's time order.  For the coupled system the two entries are
     the current (u, v) pair and the parts are optimized jointly.  The kind's
     ``CostTemplate`` is compiled by the first call for a (layout, tau) and
-    kept on the problem instance (problems are frozen), so later steps only
-    bind the history.
+    kept on the problem instance (problems are frozen) until
+    ``release_templates``, which ends every ``evolve.run``; the steps in
+    between only bind the history.
     """
     if not (is_real(tau) and np.isfinite(tau) and tau > 0):
         raise ProblemError(f"time step tau must be positive and finite, "

@@ -25,6 +25,7 @@ from .costlib import (
     build_cost,
     components,
     grid_coordinates,
+    release_templates,
 )
 from .opexpr import OpExpr
 from .optim import CONFIGS, LevenbergMarquardt, minimize
@@ -220,7 +221,9 @@ def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
     level starts from rest: that level is repeated.  Each step appends the new
     level to the history and sees its last ``problem.history_depth`` fields.
     Deterministic for a fixed config seed; an ``EvolutionError`` from a step
-    propagates, so no partial trajectory is returned.
+    propagates, so no partial trajectory is returned.  The cost template
+    the steps bind from is released with the run, returned or raised: the
+    next run on the same problem instance compiles its own.
     """
     rng = np.random.default_rng(cfg.seed)
     names = components(problem)
@@ -240,15 +243,18 @@ def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
         0.0, {c: f.copy() for c, f in zip(names, history[-len(names):])}))
     x = np.concatenate([fit_field(spec, layout, f, rng)
                         for f in history[-len(names):]])
-    for k in range(cfg.n_steps):
-        x, info = step(problem, history[-problem.history_depth:], x, cfg,
-                       layout, spec, rng)
-        fields, leaks = zip(*(readout(spec, row)
-                              for row in np.split(x, len(names))))
-        history += fields
-        traj.records.append(StepRecord(
-            (k + 1) * cfg.tau, dict(zip(names, fields)), info["cost"], x,
-            info["grad_norm"], info["n_evals"], max(leaks), info["stop"]))
+    try:
+        for k in range(cfg.n_steps):
+            x, info = step(problem, history[-problem.history_depth:], x, cfg,
+                           layout, spec, rng)
+            fields, leaks = zip(*(readout(spec, row)
+                                  for row in np.split(x, len(names))))
+            history += fields
+            traj.records.append(StepRecord(
+                (k + 1) * cfg.tau, dict(zip(names, fields)), info["cost"], x,
+                info["grad_norm"], info["n_evals"], max(leaks), info["stop"]))
+    finally:  # the first step's compile serves this run only
+        release_templates(problem)
     return traj
 
 

@@ -325,7 +325,10 @@ def compile_monomials(expr, layout: RegisterLayout,
 def block_diagonal(forms, dim: int) -> MonomialForm:
     """One form over K dim amplitudes that applies forms[k] to columns
     [k dim, (k + 1) dim); a shorter form is padded with weight-0 identity
-    rows, which add exact zeros after its own terms."""
+    rows, which add exact zeros after its own terms.  One form is its own
+    stack."""
+    if len(forms) == 1:
+        return forms[0]
     rows = max(len(f.perm) for f in forms)
     perm = np.tile(np.arange(len(forms) * dim), (rows, 1))
     weight = np.zeros(perm.shape, dtype=complex)

@@ -9,7 +9,7 @@ an axis register encodes grid point ``x_j = j * delta``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
@@ -57,6 +57,8 @@ class RegisterLayout:
     """Ordered axis registers: (label, qubit count, grid spacing)."""
 
     axes: tuple  # of (label: str, n_qubits: int, delta: float)
+    total_qubits: int = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)  # 2^total_qubits
 
     def __post_init__(self):
         if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
@@ -78,14 +80,8 @@ class RegisterLayout:
                 raise SimulationError(f"duplicate axis label {label!r}")
             seen.add(label)
         object.__setattr__(self, "axes", axes)
-
-    @property
-    def total_qubits(self) -> int:
-        return sum(n for _, n, _ in self.axes)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.total_qubits
+        object.__setattr__(self, "total_qubits", sum(n for _, n, _ in axes))
+        object.__setattr__(self, "dim", 2 ** self.total_qubits)
 
     def axis_labels(self) -> tuple:
         return tuple(label for label, _, _ in self.axes)
