@@ -12,8 +12,9 @@ norm gives
     C = lam0^2 <Psi|M'M|Psi> - 2 lam0 Re<b|M|Psi> + <b|b>,
 
 a term list of expectation values with classical coefficients.  M contains
-only shift atoms for every equation here, so the quadratic block is fully
-unitary and shot-estimable; nonlinear frozen-field factors live in b.
+only shift atoms (``PartTemplate`` rejects one that reads a field), so the
+quadratic block is fully unitary and shot-estimable; nonlinear frozen-field
+factors live in b.
 """
 from __future__ import annotations
 
@@ -227,15 +228,6 @@ def grid_coordinates(layout: RegisterLayout) -> dict:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Source:
-    """One additive contribution expr(field) to the Euler image b."""
-
-    expr: OpExpr
-    samples: np.ndarray
-    tag: str
-
-
-@dataclass(frozen=True)
 class TermTable:
     """A cost's term list compiled for one batched evaluation: term t adds
     lam0^p coeff[t] Re<bra_t|T_t|psi> to the offset (p = 2 where the bra is
@@ -262,41 +254,43 @@ def _pi_shifts(p: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PartTemplate:
-    """One part's operators compiled once: M and every source expression as
-    ``MonomialTemplate``s, and on first use its term list.  A step binds only
-    the frozen fields (``CostFunction``): the diagonal weights and the
-    samples.  A kind's template names where a step's values go: source i
-    reads ``values[tags[i]]`` and the diagonal atoms the fields ``binds``."""
+    """One part's operators compiled once: M, which reads no field, and
+    every source expression as ``MonomialTemplate``s, and on first use its
+    term rows.  A step binds only the frozen fields (``CostFunction``):
+    source i reads the step's array ``tags[i]`` and the diagonal atoms the
+    fields ``binds``."""
 
+    name: str
     layout: RegisterLayout
     m_op: OpExpr
     exprs: tuple  # source expressions, in order
-    name: str = ""
-    tags: tuple = ()
+    tags: tuple  # the step's array each source reads
     binds: tuple = ()
     m: MonomialTemplate = dfield(init=False, repr=False)
     sources: tuple = dfield(init=False, repr=False)  # of MonomialTemplate
 
     def __post_init__(self):
-        object.__setattr__(self, "m", MonomialTemplate.compile(
-            self.m_op, self.layout))
+        m = MonomialTemplate.compile(self.m_op, self.layout)
+        if m.constant is None:
+            raise ProblemError(f"{self.name}: M reads {', '.join(m.fields)}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "sources", tuple(
             MonomialTemplate.compile(e, self.layout) for e in self.exprs))
 
     @cached_property
-    def expansions(self) -> tuple:
-        """adjoint(M) M, then adjoint(S_i) M for every source i."""
-        return tuple(expand_product([adjoint(e), self.m_op])
-                     for e in (self.m_op, *self.exprs))
+    def rows(self) -> tuple:
+        """(coeff, bra, unit-coefficient OpTerm) of adjoint(M) M, bra 0,
+        then of adjoint(S_i) M, bra i + 1, for every source i."""
+        return tuple((complex(t.coeff), bra, OpTerm(1.0, t.atoms))
+                     for bra, e in enumerate((self.m_op, *self.exprs))
+                     for t in expand_product([adjoint(e), self.m_op]).terms)
 
     @cached_property
     def terms(self) -> tuple:
-        """The term list with every source kept, compiled: (coefficient
-        (T,) complex, bra (T,), unit-coefficient ``MonomialTemplate``,
-        shift-only (T,)), a source's rows still unscaled by its norm."""
-        rows = [(t.coeff, bra, OpTerm(1.0, t.atoms))
-                for bra, e in enumerate(self.expansions) for t in e.terms]
-        coeff, bra, terms = zip(*rows)
+        """``rows`` compiled: (coefficient (T,) complex, bra (T,),
+        unit-coefficient ``MonomialTemplate``, shift-only (T,)), a source's
+        rows still unscaled by its norm."""
+        coeff, bra, terms = zip(*self.rows)
         return (np.array(coeff, dtype=complex), np.array(bra),
                 MonomialTemplate.compile(terms, self.layout),
                 np.array([t.is_unitary_product() for t in terms]))
@@ -305,39 +299,38 @@ class PartTemplate:
 @dataclass(frozen=True)
 class CostFunction:
     """Frozen-history residual ||M c - b||^2 over candidates c = lam0 Psi(lam):
-    one part of a ``JointCost``, which evaluates it.  It is bound from
-    ``template``, one compiled from its own operators when none is given."""
+    one part of a ``JointCost``, which evaluates it.  It is its compiled
+    ``template`` plus one step's values: ``samples``, one array per source
+    of the template in order, and ``bindings``, the diagonal fields."""
 
-    name: str
-    layout: RegisterLayout
+    template: PartTemplate
     spec: AnsatzSpec
-    m_op: OpExpr
-    sources: tuple
+    samples: tuple
     bindings: dict
-    template: PartTemplate = dfield(default=None, repr=False, compare=False)
     b_vector: np.ndarray = dfield(init=False)
     offset: float = dfield(init=False)
-    m_form: MonomialForm = dfield(init=False, repr=False)  # compiled m_op
 
     def __post_init__(self):
         t = self.template
-        if t is None:
-            t = PartTemplate(self.layout, self.m_op,
-                             tuple(s.expr for s in self.sources))
-            object.__setattr__(self, "template", t)
-        b = np.zeros(self.layout.dim, dtype=complex)
-        for s, form in zip(self.sources, t.sources):
-            amps = np.asarray(s.samples)
+        if len(self.samples) != len(t.sources):
+            raise ProblemError(f"{t.name}: {len(self.samples)} samples for "
+                               f"{len(t.sources)} sources")
+        b = np.zeros(t.layout.dim, dtype=complex)
+        for tag, amps, form in zip(t.tags, self.samples, t.sources):
+            amps = np.asarray(amps)
             if amps.shape != b.shape:
                 raise SimulationError(
-                    f"samples {s.tag!r} of length {amps.size} do not match "
-                    f"{self.layout.total_qubits} qubits")
+                    f"samples {tag!r} of length {amps.size} do not match "
+                    f"{t.layout.total_qubits} qubits")
             b = b + form.bind(self.bindings).apply(amps[None, :])[0]
         b = np.real_if_close(b, tol=1e6).copy()
         b.setflags(write=False)
         object.__setattr__(self, "b_vector", b)
         object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
-        object.__setattr__(self, "m_form", t.m.bind(self.bindings))
+
+    @property
+    def name(self) -> str:
+        return self.template.name
 
     @property
     def n_params(self) -> int:
@@ -358,23 +351,14 @@ class CostFunction:
         return self.joint.value_and_grad(x)[1]
 
     def term_list(self) -> tuple:
-        """(coeff, bra, unit-coefficient OpTerm) entries, the bra 0 for psi
-        and i + 1 for source i; every ket is psi.
-
-        offset + sum over entries of lam0^p Re(coeff <bra|T|psi>) with
-        p = 2 for bra psi and 1 for a source reproduces the cost.  Source
-        states are normalized; their norms are folded into the coefficients.
-        """
-        quad, *cross = self.template.expansions
-        entries = [(complex(t.coeff), 0, OpTerm(1.0, t.atoms))
-                   for t in quad.terms]
-        for si, (s, expr) in enumerate(zip(self.sources, cross)):
-            norm = float(np.linalg.norm(s.samples))
-            if norm == 0.0:
-                continue
-            entries += [(-2.0 * norm * complex(t.coeff), si + 1,
-                         OpTerm(1.0, t.atoms)) for t in expr.terms]
-        return tuple(entries)
+        """The template's ``rows`` with every ket psi, a source's coefficients
+        times -2 ||samples|| and its rows dropped when that is 0: offset +
+        sum of lam0^p Re(coeff <bra|T|psi>), p = 2 for bra psi and 1 for a
+        source's normalized samples, reproduces the cost."""
+        norms = [1.0] + [float(np.linalg.norm(s)) for s in self.samples]
+        return tuple((c if bra == 0 else -2.0 * norms[bra] * c, bra, term)
+                     for c, bra, term in self.template.rows
+                     if norms[bra] != 0.0)
 
     def evaluate_terms(self, lam, lam0: float, shots: int | None = None,
                        rng: np.random.Generator | None = None) -> float:
@@ -383,10 +367,10 @@ class CostFunction:
                                               shots, rng)[0])
 
     def serialize_terms(self) -> str:
-        lines = [f"offset {self.offset:+.12g}"]
+        lines, tags = [f"offset {self.offset:+.12g}"], self.template.tags
         for coeff, bra, term in self.term_list():
             cs = f"({coeff.real:+.12g}{coeff.imag:+.12g}j)"
-            tag = f"src{bra - 1}:{self.sources[bra - 1].tag}" if bra else "psi"
+            tag = f"src{bra - 1}:{tags[bra - 1]}" if bra else "psi"
             lines.append(f"{cs} * <{tag}| {term.label()} |psi>")
         return "\n".join(lines)
 
@@ -402,23 +386,17 @@ class CostTemplate:
     name: str
     parts: tuple  # of PartTemplate
     values: object = None  # history fields -> {name: array}
-    # the block-diagonal M, or None when a part's M reads a field and each
-    # cost must stack its own
-    m_form: MonomialForm = dfield(init=False, default=None, repr=False)
+    m_form: MonomialForm = dfield(init=False, repr=False)  # M, stacked
 
     def __post_init__(self):
-        forms = [p.m.constant for p in self.parts]
-        if all(f is not None for f in forms):
-            object.__setattr__(self, "m_form", block_diagonal(
-                forms, self.parts[0].layout.dim))
+        object.__setattr__(self, "m_form", block_diagonal(
+            [p.m.constant for p in self.parts], self.parts[0].layout.dim))
 
     def bind(self, fields, spec: AnsatzSpec) -> "JointCost":
         vals = self.values(fields)
         return JointCost(self.name, tuple(
-            CostFunction(p.name, p.layout, spec, p.m_op,
-                         tuple(Source(e, vals[t], t)
-                               for e, t in zip(p.exprs, p.tags)),
-                         {k: vals[k] for k in p.binds}, p)
+            CostFunction(p, spec, tuple(vals[t] for t in p.tags),
+                         {k: vals[k] for k in p.binds})
             for p in self.parts), self)
 
     @cached_property
@@ -448,9 +426,8 @@ class JointCost:
     operators are stacked into a block-diagonal ``m_form`` over K dim
     amplitudes, once per ``template``, and their targets into ``b``
     (K, dim); B rows are prepared as B K angle rows, row-major and
-    part-minor, in one ``prepare_batch``.  Without a template (parts joined
-    by hand), M is stacked from the parts' own forms, and the term table's
-    template is made from theirs on first use."""
+    part-minor, in one ``prepare_batch``.  Parts joined by hand get a
+    template of their own parts' templates."""
 
     name: str
     parts: tuple
@@ -466,10 +443,10 @@ class JointCost:
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
-        m_form = self.template and self.template.m_form
-        if m_form is None:
-            m_form = block_diagonal([p.m_form for p in self.parts], b.shape[1])
-        object.__setattr__(self, "m_form", m_form)
+        if self.template is None:
+            object.__setattr__(self, "template", CostTemplate(
+                self.name, tuple(p.template for p in self.parts)))
+        object.__setattr__(self, "m_form", self.template.m_form)
 
     @property
     def n_params(self) -> int:
@@ -513,15 +490,20 @@ class JointCost:
         rows[:, -1] = np.where(ok, l[:, 0], 0.0) / np.where(ok, q[:, 0], 1.0)
         return x
 
-    def value_and_grad(self, x) -> tuple:
-        """Cost and exact gradient at x from every part's P + 1 rows lam +
-        ``_pi_shifts``, one batch.  Each exp(-i t G / 2) has G^2 = I, so
-        d psi_0 / d lam_j = psi_j / 2: per part, r = lam0 M psi_0 - b gives
-        dC/d lam_j = lam0 Re<r|M psi_j> and dC/d lam0 = 2 Re<M psi_0|r>."""
+    def _pi_rows(self, x) -> tuple:
+        """(lam0 (K, 1), M psi (K, dim, P + 1), r (K, dim)) at x: M psi of
+        every part's P + 1 rows lam + ``_pi_shifts``, one batch, and the
+        residual r = lam0 M psi_0 - b."""
         x = np.asarray(x, dtype=float).reshape(len(self.parts), -1)
         lam0 = x[:, -1:]
         mpsi = self._mpsi(x[:, :-1] + _pi_shifts(x.shape[1] - 1))
-        r = lam0 * mpsi[:, :, 0] - self.b
+        return lam0, mpsi, lam0 * mpsi[:, :, 0] - self.b
+
+    def value_and_grad(self, x) -> tuple:
+        """Cost and exact gradient at x from ``_pi_rows``: each exp(-i t G / 2)
+        has G^2 = I, so d psi_0 / d lam_j = psi_j / 2, and per part
+        dC/d lam_j = lam0 Re<r|M psi_j> and dC/d lam0 = 2 Re<M psi_0|r>."""
+        lam0, mpsi, r = self._pi_rows(x)
         rc = r.conj()
         g = (rc[:, None, :] @ mpsi)[:, 0].real
         cost = reduce(np.add, np.einsum("ki,ki->k", rc, r).real)
@@ -533,15 +515,13 @@ class JointCost:
 
     def residual_jacobian(self, x) -> tuple:
         """Residual r = lam0 M psi_0 - b of x, the parts stacked, and its
-        Jacobian (r.size, n_params), block-diagonal over the parts, from the
-        P + 1 rows of ``value_and_grad``: dr/d lam_j = lam0 M psi_j / 2 and
-        dr/d lam0 = M psi_0.  A complex r and J come back real as [Re; Im]
-        rows (real ones drop their zero Im rows), so r.r is the cost and
-        2 J^T r its gradient."""
-        x = np.asarray(x, dtype=float).reshape(len(self.parts), -1)
-        lam0 = x[:, -1:]
-        mpsi = self._mpsi(x[:, :-1] + _pi_shifts(x.shape[1] - 1))
-        r = (lam0 * mpsi[:, :, 0] - self.b).ravel()
+        Jacobian (r.size, n_params), block-diagonal over the parts, from
+        ``_pi_rows``: dr/d lam_j = lam0 M psi_j / 2 and dr/d lam0 = M psi_0.
+        A complex r and J come back real as [Re; Im] rows (real ones drop
+        their zero Im rows), so r.r is the cost and 2 J^T r its
+        gradient."""
+        lam0, mpsi, r = self._pi_rows(x)
+        r = r.ravel()
         blocks = np.concatenate((0.5 * lam0[:, :, None] * mpsi[:, :, 1:],
                                  mpsi[:, :, :1]), axis=2)
         jac = (np.eye(len(self.parts))[:, None, :, None]
@@ -559,11 +539,9 @@ class JointCost:
         template holds every column a step does not change; this binds the
         weights, scales each source's rows by its norm (dropping a zero
         source's) and normalizes the source bras."""
-        template = self.template or CostTemplate(
-            self.name, tuple(p.template for p in self.parts))
-        coeff, quadratic, sampled, perm, src, part = template.table
-        samples = [np.asarray(s.samples, dtype=float)
-                   for p in self.parts for s in p.sources]
+        coeff, quadratic, sampled, perm, src, part = self.template.table
+        samples = [np.asarray(s, dtype=float)
+                   for p in self.parts for s in p.samples]
         norms = np.array([np.linalg.norm(s) for s in samples] + [1.0])
         bras = np.zeros((len(norms), self.b.shape[1]), dtype=complex)
         for i, s in enumerate(samples):  # the last row, psi's, stays 0
@@ -626,7 +604,7 @@ def _diag_expr(key: str) -> OpExpr:
 def _part(name, layout, m_op, sources, binds=()) -> PartTemplate:
     """A part whose sources are (expression, tag) pairs."""
     exprs, tags = zip(*sources)
-    return PartTemplate(layout, m_op, exprs, name, tags, binds)
+    return PartTemplate(name, layout, m_op, exprs, tags, binds)
 
 
 def _derivative(op: OpExpr, layout):
@@ -815,7 +793,8 @@ def build_cost(problem, history, layout: RegisterLayout, tau: float,
     ``CostTemplate`` is compiled by the first call for a (layout, tau) and
     kept on the problem instance (problems are frozen) until
     ``release_templates``, which ends every ``evolve.run``; the steps in
-    between only bind the history.
+    between only bind the history: each part is its ``PartTemplate`` plus
+    the step's samples and diagonal fields.
     """
     if not (is_real(tau) and np.isfinite(tau) and tau > 0):
         raise ProblemError(f"time step tau must be positive and finite, "

@@ -21,7 +21,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, prepare
 from .costlib import (
     CostFunction,
-    Source,
+    PartTemplate,
     build_cost,
     components,
     grid_coordinates,
@@ -188,8 +188,9 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
         raise SimulationError("field to encode is not finite")
     if np.linalg.norm(field) == 0.0:
         return np.zeros(spec.parameter_count + 1)
-    cost = CostFunction("encode", layout, spec, OpExpr.identity(),
-                        (Source(OpExpr.identity(), field, "f"),), {}).joint
+    part = PartTemplate("encode", layout, OpExpr.identity(),
+                        (OpExpr.identity(),), ("f",))
+    cost = CostFunction(part, spec, (field,), {}).joint
     x0 = rng.normal(scale=0.1, size=cost.n_params)
     x0[-1] = float(np.linalg.norm(field))
     starts = np.random.default_rng(int(rng.integers(2 ** 31)))

@@ -98,9 +98,11 @@ def _residual_operators(part) -> tuple:
     """(R, b) of a cost part, built once per part; the cache holds the part
     itself so that its id stays unique."""
     if id(part) not in _RESIDUALS:
-        r = dense_reference(part.m_op, part.layout, part.bindings)
-        b = sum(dense_reference(s.expr, part.layout, part.bindings)
-                @ np.asarray(s.samples, dtype=float) for s in part.sources)
+        t = part.template
+        r = dense_reference(t.m_op, t.layout, part.bindings)
+        b = sum(dense_reference(e, t.layout, part.bindings)
+                @ np.asarray(s, dtype=float)
+                for e, s in zip(t.exprs, part.samples))
         _RESIDUALS[id(part)] = (part, r, b)
     return _RESIDUALS[id(part)][1:]
 
@@ -156,5 +158,5 @@ def tagged_state(cost, bra: int, psi: np.ndarray) -> np.ndarray:
     normalized samples of source bra - 1."""
     if bra == 0:
         return psi
-    samples = np.asarray(cost.sources[bra - 1].samples, dtype=float)
+    samples = np.asarray(cost.samples[bra - 1], dtype=float)
     return samples / np.linalg.norm(samples)

@@ -30,7 +30,6 @@ from vqpde.costlib import (
     PartTemplate,
     PointParticle,
     ProblemError,
-    Source,
     build_cost,
 )
 from vqpde.evolve import EvolutionConfig, EvolutionError
@@ -117,7 +116,7 @@ def arrays(cost) -> dict:
         out["table_" + name] = getattr(t, name)
     for k, p in enumerate(cost.parts):
         out[f"part{k}_b"] = p.b_vector
-        out[f"part{k}_m_weight"] = p.m_form.weight
+        out[f"part{k}_m_weight"] = p.template.m.constant.weight
     return out
 
 
@@ -216,9 +215,9 @@ def test_load_config_primes_the_first_jobs_template(tmp_path, monkeypatch):
                       {"method": "gd", "eta": 0.2, "max_iters": 2}],
     }))
     cfg = load_config(path)
-    compiled = Counter()
-    monkeypatch.setattr(costlib, "CostTemplate",
-                        compiled.wrap(costlib.CostTemplate))
+    compiled = Counter()  # one call per compile of the kind's template
+    monkeypatch.setitem(costlib._BUILDERS, DSW,
+                        compiled.wrap(costlib._BUILDERS[DSW]))
     per_job = []
     for ev in cfg["evolutions"]:
         run_evolution(cfg["problem"], cfg["initial"], ev, cfg["layout"],
@@ -271,27 +270,36 @@ def test_a_failed_run_releases_its_template(monkeypatch):
     assert "_cost_templates" not in problem.__dict__
 
 
-def test_an_m_that_reads_a_field_is_stacked_per_cost():
-    """No kind's M reads a field, but a hand-built one may: then the
-    template keeps no stacked M, and each bound cost's M, b and term table
-    are the block-diagonal stack of its parts compiled anew, bitwise, as
-    are those of the same parts joined by hand."""
+def test_an_m_that_reads_a_field_is_rejected_by_name():
+    """M is the same at every step: a part whose M reads a field is
+    rejected when it is compiled, naming the part and the field."""
     m_op = OpExpr.identity() + OpExpr((OpTerm(0.3, (diag("w"), shift("x"))),))
+    with pytest.raises(ProblemError, match="hand-b: M reads w"):
+        PartTemplate("hand-b", LAY, m_op, (grad_op("x", 1.0),), ("u",),
+                     ("w",))
+
+
+def hand_parts(m_op, src) -> tuple:
+    """Two parts compiled anew, whose sources read the diagonal field w."""
+    return (PartTemplate("a", LAY, m_op, (src,), ("u",), ("w",)),
+            PartTemplate("b", LAY, m_op, (src, m_op), ("v", "u"), ("w",)))
+
+
+def test_parts_joined_by_hand_equal_a_template_bind():
+    """Parts bound by hand from templates compiled anew and joined into a
+    ``JointCost`` equal the template's bind: M, b and the term table are
+    the block-diagonal stack of the parts compiled anew, bitwise."""
+    m_op = OpExpr.identity() + OpExpr.single(shift("x"), 0.3)
     src = grad_op("x", 1.0) + OpExpr((OpTerm(0.5, (diag("w"),)),))
-    template = CostTemplate("hand", (
-        PartTemplate(LAY, m_op, (src,), "a", ("u",), ("w",)),
-        PartTemplate(LAY, m_op, (src, m_op), "b", ("v", "u"), ("w",))),
-        lambda f: {"u": f[0], "v": f[1], "w": f[1] + 1.5})
-    assert template.m_form is None
+    template = CostTemplate("hand", hand_parts(m_op, src),
+                            lambda f: {"u": f[0], "v": f[1], "w": f[1] + 1.5})
     for step in range(3):
         u, v = history("dsw", step)
         binds = {"w": v + 1.5}
         cost = template.bind([u, v], SPEC)
-        parts = (CostFunction("a", LAY, SPEC, m_op, (Source(src, u, "u"),),
-                              binds),
-                 CostFunction("b", LAY, SPEC, m_op, (Source(src, v, "v"),
-                                                     Source(m_op, u, "u")),
-                              binds))
+        a, b = hand_parts(m_op, src)
+        parts = (CostFunction(a, SPEC, (u,), binds),
+                 CostFunction(b, SPEC, (v, u), binds))
         by_hand = JointCost("hand", parts)
         m = block_diagonal([compile_monomials(m_op, LAY, binds)] * 2, 8)
         b = [np.real_if_close(compile_monomials(src, LAY, binds).apply(
@@ -314,6 +322,17 @@ def test_an_m_that_reads_a_field_is_stacked_per_cost():
             assert np.array_equal(t.perm, [f.perm[0] + 8 * k for (k, _), f
                                            in zip(rows, forms)])
             assert np.array_equal(t.weight, [f.weight[0] for f in forms])
+
+
+@pytest.mark.parametrize("samples", [(), (U, V)])
+def test_samples_must_match_the_templates_sources(samples):
+    """One array per source of the template: a tuple of another length is
+    rejected by the part's name rather than dropping a source from b."""
+    part = PartTemplate("one-source", LAY, OpExpr.identity(),
+                        (OpExpr.identity(),), ("u",))
+    with pytest.raises(ProblemError,
+                       match=f"one-source: {len(samples)} samples for 1 "):
+        CostFunction(part, SPEC, samples, {})
 
 
 def test_a_problem_with_templates_still_pickles():

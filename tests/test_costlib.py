@@ -21,9 +21,9 @@ from vqpde.costlib import (
     LinTsien,
     Maxwell,
     NavierStokes,
+    PartTemplate,
     PointParticle,
     ProblemError,
-    Source,
     build_cost,
     components,
     grid_coordinates,
@@ -208,14 +208,14 @@ def test_block_diagonal_operator_pads_shorter_parts():
     v part's term count; each part's columns see only its own operator."""
     joint = _demo_cost("dsw")
     u, v = joint.parts
-    dim = u.layout.dim
+    dim = u.template.layout.dim
     form = joint.m_form
-    assert not form.identity and form.perm.shape == (len(v.m_form.perm),
-                                                     2 * dim)
-    assert np.array_equal(form.perm[:, dim:], v.m_form.perm + dim)
-    assert np.array_equal(form.weight[:, dim:], v.m_form.weight)
-    assert np.array_equal(form.perm[:1, :dim], u.m_form.perm)
-    assert np.array_equal(form.weight[:1, :dim], u.m_form.weight)
+    um, vm = (p.template.m.constant for p in joint.parts)
+    assert not form.identity and form.perm.shape == (len(vm.perm), 2 * dim)
+    assert np.array_equal(form.perm[:, dim:], vm.perm + dim)
+    assert np.array_equal(form.weight[:, dim:], vm.weight)
+    assert np.array_equal(form.perm[:1, :dim], um.perm)
+    assert np.array_equal(form.weight[:1, :dim], um.weight)
     assert np.all(form.perm[1:, :dim] == np.arange(dim))
     assert np.all(form.weight[1:, :dim] == 0)
     assert np.array_equal(joint.b, np.stack([u.b_vector, v.b_vector]))
@@ -332,8 +332,9 @@ def test_cost_is_nonnegative_at_an_exact_fit(seed, lam0):
     that row is zero up to rounding and must not read negative."""
     lam = np.random.default_rng(seed).normal(size=SPEC_Y.parameter_count)
     field = lam0 * prepare(SPEC_Y, lam).amplitudes.real
-    cost = CostFunction("encode", LAY, SPEC_Y, OpExpr.identity(),
-                        (Source(OpExpr.identity(), field, "f"),), {})
+    cost = CostFunction(PartTemplate("encode", LAY, OpExpr.identity(),
+                                     (OpExpr.identity(),), ("f",)),
+                        SPEC_Y, (field,), {})
     row = np.append(lam, lam0)[None, :]
     assert JointCost("encode", (cost,)).evaluate_rows(row)[0] >= 0.0
 
@@ -350,7 +351,7 @@ def test_zero_at_truth_for_invertible_updates():
     for prob, hist in cases:
         cost = build_cost(prob, hist, LAY, TAU, SPEC).parts[0]
         nxt = orc.classical_step(prob, hist, LAY, TAU)
-        mc = dense_reference(cost.m_op, LAY, cost.bindings) @ nxt
+        mc = dense_reference(cost.template.m_op, LAY, cost.bindings) @ nxt
         assert np.vdot(mc - cost.b_vector, mc - cost.b_vector).real <= 1e-10
 
 
@@ -396,8 +397,9 @@ def test_couette_term_list_structure():
 
 
 def test_identity_residual_single_quadratic_term():
-    cost = CostFunction("plain", LAY, SPEC, OpExpr.identity(),
-                        (Source(OpExpr.identity(), U, "u"),), {})
+    cost = CostFunction(PartTemplate("plain", LAY, OpExpr.identity(),
+                                     (OpExpr.identity(),), ("u",)),
+                        SPEC, (U,), {})
     quad = [e for e in cost.term_list() if e[1] == 0]
     assert len(quad) == 1 and quad[0][2].label() == "1"
 

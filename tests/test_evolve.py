@@ -11,7 +11,7 @@ from vqpde.costlib import (
     CostFunction,
     JointCost,
     NavierStokes,
-    Source,
+    PartTemplate,
     build_cost,
 )
 from vqpde.evolve import (
@@ -161,8 +161,9 @@ def test_fit_field_recovers_profile():
 
 def encoding_cost(field, spec=SPEC, lay=LAY):
     """The M = I residual ``fit_field`` minimizes, as its ``JointCost``."""
-    return CostFunction("encode", lay, spec, OpExpr.identity(),
-                        (Source(OpExpr.identity(), field, "f"),), {}).joint
+    return CostFunction(PartTemplate("encode", lay, OpExpr.identity(),
+                                     (OpExpr.identity(),), ("f",)),
+                        spec, (field,), {}).joint
 
 
 def test_cmaes_on_the_encoding_cost_batched_equals_one_row_at_a_time():
@@ -250,8 +251,9 @@ def test_exact_cost_matches_direct_at_fit_field_optimum(seed):
     the returned row, where the cost is about 1e-6 of the offset."""
     target = np.sin(2 * np.pi * XS / 8) + 1.1
     x = fit_field(SPEC, LAY, target, np.random.default_rng(seed))
-    cost = CostFunction("encode", LAY, SPEC, OpExpr.identity(),
-                        (Source(OpExpr.identity(), target, "f"),), {})
+    cost = CostFunction(PartTemplate("encode", LAY, OpExpr.identity(),
+                                     (OpExpr.identity(),), ("f",)),
+                        SPEC, (target,), {})
     assert direct_cost(cost, x[:-1], x[-1]) <= 1e-12 * cost.offset
     y = x + 1e-3 * np.cos(np.arange(x.size))
     direct = direct_cost(cost, y[:-1], y[-1])
@@ -274,7 +276,7 @@ def test_reported_cost_matches_direct_at_converged_steps():
         # step in psi or b moves its squared norm by ~1e-5: the direct norm
         # takes the program's psi and b (each checked against a dense
         # reference elsewhere) and the dense operator in place of m_form
-        m = dense_reference(part.m_op, LAY, part.bindings)
+        m = dense_reference(part.template.m_op, LAY, part.bindings)
         r = rec.x[-1] * (m @ prepare(SPEC, rec.x[:-1]).amplitudes) \
             - part.b_vector
         direct = float(np.vdot(r, r).real)

@@ -146,10 +146,11 @@ def _parts(n: int) -> list:
 def test_compiled_m_op_equals_dense_matrix(n, rows, seed):
     rng = np.random.default_rng(seed)
     for cost in _parts(n):
-        shape = (rows, cost.layout.dim)
+        t = cost.template
+        shape = (rows, t.layout.dim)
         psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        dense = dense_reference(cost.m_op, cost.layout, cost.bindings)
-        got = cost.m_form.apply(psi)
+        dense = dense_reference(t.m_op, t.layout, cost.bindings)
+        got = t.m.constant.apply(psi)
         scale = max(np.max(np.abs(dense)), 1.0) * np.max(np.abs(psi))
         assert np.max(np.abs(got - psi @ dense.T)) <= 1e-13 * scale, cost.name
 

@@ -115,7 +115,7 @@ def test_step_satisfies_symbolic_update_equation(name):
     # one next field per part: the (u, v) pair or a single array
     fields = np.reshape(nxt, (len(cost.parts), -1))
     for field, part in zip(fields, cost.parts):
-        m = dense_reference(part.m_op, lay, part.bindings)
+        m = dense_reference(part.template.m_op, lay, part.bindings)
         mc = m @ field
         if name in ("lin-tsien", "hunter-saxton"):
             # singular implicit operator: the least-squares solution zeroes

@@ -14,7 +14,7 @@ import pytest
 from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
 from vqpde.cli import _demo_cost
 from vqpde import costlib
-from vqpde.costlib import CostFunction, JointCost, Source
+from vqpde.costlib import CostFunction, JointCost, PartTemplate
 from vqpde.opexpr import (
     OpExpr,
     OpTerm,
@@ -45,8 +45,9 @@ def complex_cost(c=0.1) -> CostFunction:
     expr = OpExpr.identity() + (
         OpExpr((OpTerm(1.0, (diag("w"),)),)) * grad_op("x", 1.0)).scale(c) \
         + laplacian_op("x", 1.0).scale(0.05)
-    return CostFunction("complex", lay, spec, m_op, (Source(expr, u, "u"),),
-                        {"w": np.cos(2 * np.pi * xs / 8)})
+    return CostFunction(PartTemplate("complex", lay, m_op, (expr,), ("u",),
+                                     ("w",)),
+                        spec, (u,), {"w": np.cos(2 * np.pi * xs / 8)})
 
 
 def cases():
@@ -65,7 +66,7 @@ def reference_values(cost, lam, shots=None, rng=None) -> np.ndarray:
     values = np.zeros(len(entries))
     for i, (_, bra, term) in enumerate(entries):
         unitary = term.is_unitary_product()
-        op = dense_reference([term], cost.layout, cost.bindings)
+        op = dense_reference([term], cost.template.layout, cost.bindings)
         values[i] = hadamard_test(
             tagged_state(cost, bra, psi)[None, :], (op @ psi)[None, :],
             sampled=unitary, shots=shots if unitary else None, rng=rng)[0]
@@ -132,7 +133,7 @@ def test_complex_cost_has_complex_and_nonunitary_terms():
     psi = prepare(cost.spec, draws("complex", cost)[0]).amplitudes
     imag = []
     for _, bra, term in cost.term_list():
-        op = dense_reference([term], cost.layout, cost.bindings)
+        op = dense_reference([term], cost.template.layout, cost.bindings)
         imag.append(np.vdot(tagged_state(cost, bra, psi), op @ psi).imag)
     assert np.max(np.abs(imag)) > 1e-3
     assert not np.all(table.sampled) and np.any(table.sampled)
@@ -208,7 +209,7 @@ def test_stacked_table_reads_each_part_columns():
     part v's amplitudes."""
     joint = _demo_cost("dsw")
     u, v = (JointCost(p.name, (p,)).term_table for p in joint.parts)
-    t, dim = joint.term_table, joint.parts[0].layout.dim
+    t, dim = joint.term_table, joint.parts[0].template.layout.dim
     assert np.array_equal(t.part, np.repeat([0, 1], [u.part.size,
                                                      v.part.size]))
     assert np.array_equal(t.perm, np.concatenate((u.perm, v.perm + dim)))
