@@ -19,7 +19,7 @@ factors live in b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from math import pi, sqrt
 
 import numpy as np
@@ -28,6 +28,7 @@ from .ansatz import (
     AnsatzSpec,
     prepare,  # noqa: F401  unused here; perfbench/tracing.py patches it
     prepare_batch,
+    prepare_pi_rows,
 )
 from .opexpr import (
     MonomialForm,
@@ -243,15 +244,6 @@ class TermTable:
     part: np.ndarray         # (T,) part whose amplitudes term t reads
 
 
-@cache
-def _pi_shifts(p: int) -> np.ndarray:
-    """[-0.0; pi I] as (P + 1, 1, P): (K, P) angles plus it are the angles
-    bitwise, then the angles + pi e_j, for every part."""
-    shifts = np.vstack([np.full(p, -0.0), pi * np.eye(p)])[:, None]
-    shifts.setflags(write=False)  # one array, shared by every caller
-    return shifts
-
-
 @dataclass(frozen=True, eq=False)
 class PartTemplate:
     """One part's operators compiled once: M, which reads no field, and
@@ -296,7 +288,7 @@ class PartTemplate:
                 np.array([t.is_unitary_product() for t in terms]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostFunction:
     """Frozen-history residual ||M c - b||^2 over candidates c = lam0 Psi(lam):
     one part of a ``JointCost``, which evaluates it.  It is its compiled
@@ -418,7 +410,7 @@ class CostTemplate:
         return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointCost:
     """Per-step cost of a problem: one residual over its K component costs
     (one part per evolved field) on one ansatz, over the row
@@ -431,10 +423,10 @@ class JointCost:
 
     name: str
     parts: tuple
-    template: CostTemplate = dfield(default=None, repr=False, compare=False)
-    m_form: MonomialForm = dfield(init=False, repr=False, compare=False)
-    b: np.ndarray = dfield(init=False, repr=False, compare=False)
-    offset: float = dfield(init=False, compare=False)  # ||b||^2
+    template: CostTemplate = dfield(default=None, repr=False)
+    m_form: MonomialForm = dfield(init=False, repr=False)
+    b: np.ndarray = dfield(init=False, repr=False)
+    offset: float = dfield(init=False)  # ||b||^2
 
     def __post_init__(self):
         if any(p.spec != self.parts[0].spec for p in self.parts):
@@ -459,10 +451,15 @@ class JointCost:
 
     def _mpsi(self, lams) -> np.ndarray:
         """M psi of the angle rows lams (B, K, P) as (K, dim, B), from one
-        ``prepare_batch``: each part's rows column-major, as summed."""
-        psi = prepare_batch(self.parts[0].spec, lams.reshape(
-            -1, lams.shape[-1])).reshape(len(lams), self.b.size)
-        return self.m_form.apply(psi).T.reshape(*self.b.shape, len(lams))
+        ``prepare_batch``."""
+        return self._m_cols(prepare_batch(self.parts[0].spec, lams.reshape(
+            -1, lams.shape[-1])))
+
+    def _m_cols(self, psi) -> np.ndarray:
+        """M psi of prepared rows psi (B K, dim), part-minor, as
+        (K, dim, B): each part's rows column-major, as summed."""
+        psi = psi.reshape(-1, self.b.size)
+        return self.m_form.apply(psi).T.reshape(*self.b.shape, len(psi))
 
     def split(self, lams) -> tuple:
         """(q, l), each (K, B), of the angle rows lams (B, K, P): part k's
@@ -492,11 +489,11 @@ class JointCost:
 
     def _pi_rows(self, x) -> tuple:
         """(lam0 (K, 1), M psi (K, dim, P + 1), r (K, dim)) at x: M psi of
-        every part's P + 1 rows lam + ``_pi_shifts``, one batch, and the
+        every part's ``prepare_pi_rows``, lam then lam + pi e_j, and the
         residual r = lam0 M psi_0 - b."""
         x = np.asarray(x, dtype=float).reshape(len(self.parts), -1)
         lam0 = x[:, -1:]
-        mpsi = self._mpsi(x[:, :-1] + _pi_shifts(x.shape[1] - 1))
+        mpsi = self._m_cols(prepare_pi_rows(self.parts[0].spec, x[:, :-1]))
         return lam0, mpsi, lam0 * mpsi[:, :, 0] - self.b
 
     def value_and_grad(self, x) -> tuple:

@@ -161,14 +161,14 @@ class Gate:
 
 def rotate(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     """Apply a 2**k x 2**k matrix to qubits ``qubit .. qubit+k-1`` of every
-    row, in one matmul; ``u`` is one matrix or one per row, (B, 2**k, 2**k),
-    and one ``psi`` row broadcasts against B matrices.  Returns a new
-    (B, 2**n) array."""
-    b, dim = psi.shape
+    row, in one matmul; ``u`` is one matrix or one per row, (..., 2**k,
+    2**k) for rows psi (..., 2**n), and rows and matrices broadcast.
+    Returns a new (..., 2**n) array."""
+    *rows, dim = psi.shape
     size, low = u.shape[-1], 1 << qubit
-    v = psi.reshape(b, dim // (size * low), size, low)
-    out = np.matmul(np.reshape(u, (-1, 1, size, size)), v)
-    return out.reshape(-1, dim)
+    v = psi.reshape(*rows, dim // (size * low), size, low)
+    out = np.matmul(u[..., None, :, :], v)
+    return out.reshape(*out.shape[:-3], dim)
 
 
 def basis_permutation(kind: str, targets, n_qubits: int) -> np.ndarray:

@@ -24,6 +24,15 @@ def test_spec_validation():
         AnsatzSpec(n_qubits=2, rotation_axes=("X",))
 
 
+@pytest.mark.parametrize("axes", [("Y", "Y", "Z"), ("Z", "Z"),
+                                  ("Y", "Z", "Y")])
+def test_spec_rejects_a_repeated_axis(axes):
+    """A repeated axis would give two angles that act as one rotation."""
+    twice = "Y" if axes.count("Y") > 1 else "Z"
+    with pytest.raises(SimulationError, match=f"'{twice}' is repeated"):
+        AnsatzSpec(n_qubits=2, rotation_axes=axes)
+
+
 @pytest.mark.parametrize("field", ["n_qubits", "layers"])
 @pytest.mark.parametrize("value", [3.0, True, "3", None])
 def test_spec_rejects_non_integer_sizes(field, value):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vqpde import costlib
-from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
+from vqpde import ansatz
+from vqpde.ansatz import AnsatzSpec, prepare
 from vqpde.cli import _demo_cost
 from vqpde.costlib import (
     Boussinesq,
@@ -296,18 +296,30 @@ def test_residual_jacobian_matches_differences_and_gradient(kind, ansatz):
             1.0, np.linalg.norm(g))
 
 
+def test_costs_compare_and_hash_by_identity():
+    """A bound part and its joint cost hold arrays: they compare and hash
+    as objects, not field by field."""
+    cost = build_cost(CamassaHolm(1.0), [0.9 * U, U], LAY, TAU, SPEC_Y)
+    part = cost.parts[0]
+    copy = replace(part)
+    assert part == part and part != copy and cost != replace(cost)
+    assert len({part, copy, cost}) == 3
+
+
 def test_joint_gradient_is_one_prepare_batch_call(monkeypatch):
-    """dsw's two parts take their P + 1 rows each from one call."""
+    """dsw's two parts take their P + 1 rows each from one build of the
+    block matrices, for the two base rows."""
     joint = build_cost(DSW(), [U, V + 1.5], LAY, TAU, SPEC_Y)
     rows = []
+    axis_factors = ansatz.axis_factors
 
     def counted(spec, lams):
         rows.append(len(lams))
-        return prepare_batch(spec, lams)
+        return axis_factors(spec, lams)
 
-    monkeypatch.setattr(costlib, "prepare_batch", counted)
+    monkeypatch.setattr(ansatz, "axis_factors", counted)
     joint.grad_vec(np.zeros(joint.n_params))
-    assert rows == [2 * (SPEC_Y.parameter_count + 1)]
+    assert rows == [2]
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_KINDS))

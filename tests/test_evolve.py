@@ -308,22 +308,37 @@ def test_shot_mode_spsa_step_is_one_call_per_iteration(monkeypatch, iters):
     assert sum(calls) == info["n_evals"] == 3 * iters + 1
 
 
+def count_preparations(monkeypatch) -> list:
+    """Patch costlib's two state preparations to record, per call, the
+    rows it prepares: a ``prepare_batch`` call's rows, or the P + 1 rows
+    per base row of a ``prepare_pi_rows`` call."""
+    from vqpde import costlib
+
+    calls = []
+    prepare_batch, prepare_pi_rows = (costlib.prepare_batch,
+                                      costlib.prepare_pi_rows)
+
+    def counted(spec, lams):
+        calls.append(len(lams))
+        return prepare_batch(spec, lams)
+
+    def counted_pi(spec, lams):
+        rows = prepare_pi_rows(spec, lams)
+        calls.append(rows.shape[0] * rows.shape[1])
+        return rows
+
+    monkeypatch.setattr(costlib, "prepare_batch", counted)
+    monkeypatch.setattr(costlib, "prepare_pi_rows", counted_pi)
+    return calls
+
+
 @pytest.mark.parametrize("restarts", [1, 2])
 def test_exact_gd_step_prepares_once_per_evaluation(monkeypatch, restarts):
     """An exact-mode gradient-descent step prepares one batch per counted
     evaluation, each candidate's gradient included, plus the closed-form
     scales at the warm start and, per start, at its best point and the
     fused cost and gradient reported there."""
-    from vqpde import costlib
-
-    calls = []
-    prepare_batch = costlib.prepare_batch
-
-    def counted(spec, lams):
-        calls.append(len(lams))
-        return prepare_batch(spec, lams)
-
-    monkeypatch.setattr(costlib, "prepare_batch", counted)
+    calls = count_preparations(monkeypatch)
     u = np.sin(2 * np.pi * XS / 8) + 1.2
     rng = np.random.default_rng(5)
     x0 = np.append(rng.normal(size=SPEC.parameter_count), np.linalg.norm(u))
@@ -340,16 +355,9 @@ def test_exact_gd_step_above_the_fused_size_takes_one_row_candidates(
         monkeypatch):
     """Above ``FUSED_MAX_AMPS`` a candidate is one row and a gradient is
     taken only where one is accepted; the step is the same bit for bit."""
-    from vqpde import costlib, evolve
+    from vqpde import evolve
 
-    calls = []
-    prepare_batch = costlib.prepare_batch
-
-    def counted(spec, lams):
-        calls.append(len(lams))
-        return prepare_batch(spec, lams)
-
-    monkeypatch.setattr(costlib, "prepare_batch", counted)
+    calls = count_preparations(monkeypatch)
     u = np.sin(2 * np.pi * XS / 8) + 1.2
     x0 = np.append(np.full(SPEC.parameter_count, 0.3), np.linalg.norm(u))
     cfg = EvolutionConfig(tau=0.05, n_steps=1, optimizer=GradientDescent(
@@ -370,15 +378,11 @@ def test_lm_steps_take_few_calls_and_match_the_oracle(monkeypatch):
     step prepares at most 10 batches (the warm start's scale, the
     candidates, and the winner's scale and reported cost) and ends within
     1e-12 of the oracle."""
-    from vqpde import costlib, evolve
+    from vqpde import evolve
     from vqpde import oracle as orc
 
-    calls, per_step = [], []
-    prepare_batch, one_step = costlib.prepare_batch, evolve.step
-
-    def counted(spec, lams):
-        calls.append(len(lams))
-        return prepare_batch(spec, lams)
+    calls, per_step = count_preparations(monkeypatch), []
+    one_step = evolve.step
 
     def step_counted(*args, **kwargs):
         calls.clear()
@@ -386,7 +390,6 @@ def test_lm_steps_take_few_calls_and_match_the_oracle(monkeypatch):
         per_step.append(len(calls))
         return out
 
-    monkeypatch.setattr(costlib, "prepare_batch", counted)
     monkeypatch.setattr(evolve, "step", step_counted)
     u0 = np.sin(2 * np.pi * XS / 8) + 1.2
     cfg = EvolutionConfig(tau=0.05, n_steps=3,

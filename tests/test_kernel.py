@@ -11,6 +11,7 @@ from vqpde.ansatz import (
     block_matrices,
     prepare,
     prepare_batch,
+    prepare_pi_rows,
 )
 from vqpde.costlib import (
     Boussinesq,
@@ -104,6 +105,32 @@ def test_one_block_path_equals_rotate_loop(n, layers, rows, entangler, axes,
     got = prepare_batch(spec, lams)
     assert got.shape == (rows, 2 ** n)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), layers=st.integers(1, 3),
+       entangler=st.sampled_from(["chain", "ring", "none"]),
+       axes=st.sampled_from([("Y",), ("Z",), ("Y", "Z"), ("Z", "Y")]),
+       qft_block=st.booleans(), parts=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pi_rows_equal_shifted_batches(n, layers, entangler, axes, qft_block,
+                                       parts, seed):
+    """Row 0 of prepare_pi_rows is prepare_batch of the base rows bit for
+    bit, and row j that of the base rows with angle j - 1 shifted by pi
+    (several blocks from 4 qubits)."""
+    spec = AnsatzSpec(n_qubits=n, layers=layers, entangler=entangler,
+                      qft_block=qft_block, rotation_axes=axes)
+    p = spec.parameter_count
+    lams = np.random.default_rng(seed).normal(scale=2.0, size=(parts, p))
+    rows = prepare_pi_rows(spec, lams)
+    assert rows.shape == (p + 1, parts, 2 ** n)
+    assert rows.dtype == np.complex128
+    assert np.array_equal(rows[0], prepare_batch(spec, lams))
+    for j in range(p):
+        shifted = lams.copy()
+        shifted[:, j] += np.pi
+        assert np.max(np.abs(rows[j + 1] - prepare_batch(spec, shifted))) \
+            <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)

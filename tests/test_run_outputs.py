@@ -51,11 +51,11 @@ CONFIGS = {
 # why in CHANGES.md.
 CSV_SHA256 = {
     "couette-gd":
-        "8ba14bb3416b4fb0691d29b3981bd30ef87c5423faa4b78942734e2982f432cc",
+        "92e1562801cd3bf68d18c2fe9b4515aeb31a0599c9d2e56d29e7f31636798d97",
     "dsw-gd":
-        "09611380d41fd715620127b4c3c1bd7a1f0abc2588a2b7037b97fe092e54ca8c",
+        "8eee86bb9b2243ab3f5494b4c46dc05c6613830fe48649cf8c9fb064806ecdbc",
     "camassa-holm-spsa-shots":
-        "c9ac6af958fc6253e73d3306498af5dbff55ecc2378e63496afbbf1224c22006",
+        "83a5b8486ea7379b79d76b932b8bd76b61411551e2cc52927dede37a679a347d",
 }
 
 
