@@ -66,6 +66,20 @@ def _require_positive(problem, *names) -> None:
             raise ProblemError(f"{name} must be positive and finite")
 
 
+def _require_finite(problem, *names) -> None:
+    for name in names:
+        v = getattr(problem, name)
+        if not (is_real(v) and np.isfinite(v)):
+            raise ProblemError(f"{name} must be a finite number")
+
+
+def _require_samples(name: str, samples) -> None:
+    """Grid samples are one row of finite real numbers (no bools)."""
+    a = np.asarray(samples)
+    if a.ndim != 1 or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+        raise ProblemError(f"{name} must be a row of finite numbers")
+
+
 # ---------------------------------------------------------------------------
 # Problem definitions
 # ---------------------------------------------------------------------------
@@ -83,6 +97,18 @@ class NavierStokes:
 
     def __post_init__(self):
         _require_positive(self, "nu", "rho")
+        if self.pressure is None:
+            return
+        if not (isinstance(self.pressure, tuple) and len(self.pressure) == 2):
+            raise ProblemError("pressure must be None or a (model, value) pair")
+        kind, val = self.pressure
+        if kind == "field":
+            _require_samples("pressure field", val)
+        elif kind != "uniform":
+            raise ProblemError(f"unknown pressure model {kind!r}")
+        elif not (is_real(val) and np.isfinite(val)):
+            raise ProblemError("uniform pressure gradient must be a finite "
+                               "number")
 
     name = "navier-stokes"
     history_depth = 1
@@ -97,6 +123,8 @@ class PointParticle:
     c: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "m", "v_mu", "v_nu", "position")
+        _require_positive(self, "c")
         speed = max(abs(self.v_mu), abs(self.v_nu))
         if speed >= self.c:
             raise ProblemError("particle speed must stay below c")
@@ -121,6 +149,10 @@ class EquilibriumFluid:
     eta: float = 1.0  # flat-metric component for the (mu, nu) slot
     c: float = 1.0
 
+    def __post_init__(self):
+        _require_finite(self, "rho_e", "p", "u_mu", "u_nu", "eta")
+        _require_positive(self, "c")
+
     def samples(self, layout: RegisterLayout, axis: str) -> np.ndarray:
         val = (self.rho_e + self.p / self.c ** 2) * self.u_mu * self.u_nu \
             + self.p * self.eta
@@ -138,6 +170,10 @@ class Einstein:
     axes: tuple = ("x", "x")  # derivative axes (i, n)
 
     def __post_init__(self):
+        if not isinstance(self.tensor, (EquilibriumFluid, PointParticle)):
+            raise ProblemError("tensor must be an EquilibriumFluid or a "
+                               "PointParticle")
+        _require_finite(self, "G")
         _require_positive(self, "c")
         if len(self.axes) != 2:
             raise ProblemError("axes must name two derivative axes")
@@ -167,6 +203,8 @@ class Maxwell:
         read = {f"{other}_{a}" for a in "xyz" if a != self.component}
         if set(self.ext_fields or ()) - read:
             raise ProblemError(f"external fields must be among {sorted(read)}")
+        for key, samples in (self.ext_fields or {}).items():
+            _require_samples(key, samples)
         _require_positive(self, "mu0", "eps0")
 
     name = "maxwell"
@@ -177,6 +215,9 @@ class Maxwell:
 class Boussinesq:
     alpha: float = 1.0
     beta: float = 1.0
+
+    def __post_init__(self):
+        _require_finite(self, "alpha", "beta")
 
     name = "boussinesq"
     history_depth = 2
@@ -191,6 +232,9 @@ class LinTsien:
 @dataclass(frozen=True)
 class CamassaHolm:
     kappa: float = 1.0
+
+    def __post_init__(self):
+        _require_finite(self, "kappa")
 
     name = "camassa-holm"
     history_depth = 2
@@ -369,7 +413,7 @@ class CostFunction:
 
 @dataclass(frozen=True, eq=False)
 class CostTemplate:
-    """A problem's step cost compiled once per (layout, tau): its parts'
+    """A problem's step cost compiled for one (layout, tau): its parts'
     templates and ``values``, which reads a step's named arrays (samples and
     diagonal fields) off the history.  ``bind`` makes the step's
     ``JointCost``.  The stacked M and the term table's step-independent
@@ -378,13 +422,27 @@ class CostTemplate:
     name: str
     parts: tuple  # of PartTemplate
     values: object = None  # history fields -> {name: array}
+    depth: int = 1  # history levels a step reads: the kind's history_depth
     m_form: MonomialForm = dfield(init=False, repr=False)  # M, stacked
 
     def __post_init__(self):
         object.__setattr__(self, "m_form", block_diagonal(
             [p.m.constant for p in self.parts], self.parts[0].layout.dim))
 
-    def bind(self, fields, spec: AnsatzSpec) -> "JointCost":
+    def bind(self, history, spec: AnsatzSpec) -> "JointCost":
+        """The step's cost from its frozen history fields, oldest first."""
+        dim = self.parts[0].layout.dim
+        fields = [np.asarray(h, dtype=float) for h in history]
+        if any(f.size != dim for f in fields):
+            raise ProblemError("history field does not match the grid")
+        for i, f in enumerate(fields):
+            if not np.isfinite(f).all():
+                raise ProblemError(f"history field {i} is not finite")
+        if len(fields) < self.depth:
+            raise ProblemError(f"{self.name} needs {self.depth} history "
+                               f"levels, got {len(fields)}")
+        if 2 ** spec.n_qubits != dim:
+            raise ProblemError("ansatz size does not match the grid")
         vals = self.values(fields)
         return JointCost(self.name, tuple(
             CostFunction(p, spec, tuple(vals[t] for t in p.tags),
@@ -632,12 +690,10 @@ def _build_navier_stokes(problem: NavierStokes, layout, tau):
         if kind == "uniform":
             sources.append((OpExpr.identity(-tau / problem.rho), "pgrad"))
             fixed["pgrad"] = _frozen(float(val) * np.ones(layout.dim))
-        elif kind == "field":
+        else:
             sources.append((grad_op(ax, layout.spacing(ax)).scale(
                 -tau / problem.rho), "p"))
             fixed["p"] = np.asarray(val, dtype=float)
-        else:
-            raise ProblemError(f"unknown pressure model {kind!r}")
     return (_part(problem.name, layout, _IDENT, sources, binds),), \
         lambda f: {**fixed, "u": f[-1], "adv_self": f[-1]}
 
@@ -752,21 +808,6 @@ def _build_hunter_saxton(problem: HunterSaxton, layout, tau):
         lambda f: {"u": f[-1], "hs_ux": ux(f[-1]), "hs_u": f[-1]}
 
 
-class _Templates(dict):
-    """A problem's compiled cost templates, by (layout, tau).  They hold
-    closures, so a pickled or deep-copied problem starts without them."""
-
-    def __reduce__(self):
-        return _Templates, ()
-
-
-def release_templates(problem) -> None:
-    """Drop the cost templates ``build_cost`` keeps on ``problem``.  A run
-    ends with this, so the next run on the same instance compiles its own
-    and no run's work depends on an earlier one's."""
-    problem.__dict__.pop("_cost_templates", None)
-
-
 _BUILDERS = {
     NavierStokes: _build_navier_stokes,
     Einstein: _build_einstein,
@@ -779,6 +820,18 @@ _BUILDERS = {
 }
 
 
+def compile_cost(problem, layout: RegisterLayout, tau: float) -> CostTemplate:
+    """The kind's step cost compiled for one (layout, tau): every step of a
+    run binds its history to the one template (``CostTemplate.bind``)."""
+    if not (is_real(tau) and np.isfinite(tau) and tau > 0):
+        raise ProblemError(f"time step tau must be positive and finite, "
+                           f"got {tau!r}")
+    if type(problem) not in _BUILDERS:
+        raise ProblemError(f"unsupported problem {problem!r}")
+    parts, values = _BUILDERS[type(problem)](problem, layout, tau)
+    return CostTemplate(problem.name, parts, values, problem.history_depth)
+
+
 def build_cost(problem, history, layout: RegisterLayout, tau: float,
                spec: AnsatzSpec):
     """Assemble the per-step cost from frozen history fields: a JointCost
@@ -786,34 +839,8 @@ def build_cost(problem, history, layout: RegisterLayout, tau: float,
 
     ``history`` holds field arrays ordered oldest to newest; depth must match
     the equation's time order.  For the coupled system the two entries are
-    the current (u, v) pair and the parts are optimized jointly.  The kind's
-    ``CostTemplate`` is compiled by the first call for a (layout, tau) and
-    kept on the problem instance (problems are frozen) until
-    ``release_templates``, which ends every ``evolve.run``; the steps in
-    between only bind the history: each part is its ``PartTemplate`` plus
-    the step's samples and diagonal fields.
+    the current (u, v) pair and the parts are optimized jointly.  Each call
+    compiles the kind's cost anew; a run compiles once and binds each step
+    (``evolve.run``).
     """
-    if not (is_real(tau) and np.isfinite(tau) and tau > 0):
-        raise ProblemError(f"time step tau must be positive and finite, "
-                           f"got {tau!r}")
-    if type(problem) not in _BUILDERS:
-        raise ProblemError(f"unsupported problem {problem!r}")
-    fields = [np.asarray(h, dtype=float) for h in history]
-    if any(f.size != layout.dim for f in fields):
-        raise ProblemError("history field does not match the grid")
-    for i, f in enumerate(fields):
-        if not np.isfinite(f).all():
-            raise ProblemError(f"history field {i} is not finite")
-    if len(fields) < problem.history_depth:
-        raise ProblemError(
-            f"{problem.name} needs {problem.history_depth} history levels, "
-            f"got {len(fields)}"
-        )
-    if 2 ** spec.n_qubits != layout.dim:
-        raise ProblemError("ansatz size does not match the grid")
-    templates = problem.__dict__.setdefault("_cost_templates", _Templates())
-    key = (layout, float(tau))
-    if key not in templates:
-        parts, values = _BUILDERS[type(problem)](problem, layout, tau)
-        templates[key] = CostTemplate(problem.name, parts, values)
-    return templates[key].bind(fields, spec)
+    return compile_cost(problem, layout, tau).bind(history, spec)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field as dfield
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .ansatz import AnsatzSpec, prepare
 from .costlib import (
     CostFunction,
     PartTemplate,
-    build_cost,
+    build_cost,  # noqa: F401  unused here; perfbench/tracing.py patches it
+    compile_cost,
     components,
     grid_coordinates,
-    release_templates,
 )
 from .opexpr import OpExpr
 from .optim import CONFIGS, LevenbergMarquardt, minimize
@@ -130,12 +130,13 @@ def readout(spec: AnsatzSpec, row):
     return np.real(amps), leak
 
 
-def step(problem, history, x0, cfg: EvolutionConfig, layout: RegisterLayout,
-         spec: AnsatzSpec, rng: np.random.Generator):
-    """Minimize the frozen-history cost from the warm start row x0 plus
-    perturbed restarts; returns (best row, diagnostics dict with the
-    winner's stop reason)."""
-    cost = build_cost(problem, history, layout, cfg.tau, spec)
+def step(template, history, x0, cfg: EvolutionConfig, spec: AnsatzSpec,
+         rng: np.random.Generator):
+    """Minimize the frozen-history cost, bound from the compiled cost that
+    ``template()`` returns, from the warm start row x0 plus perturbed
+    restarts; returns (best row, diagnostics dict with the winner's stop
+    reason)."""
+    cost = template().bind(history, spec)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cost.n_params,):
         raise EvolutionError(f"expected a row of {cost.n_params} parameters, "
@@ -148,7 +149,7 @@ def step(problem, history, x0, cfg: EvolutionConfig, layout: RegisterLayout,
     if cfg.mode == "shots":
         eval_rng = np.random.default_rng(rng.integers(2 ** 63))
         objective = partial(cost.estimate_rows, shots=cfg.shots, rng=eval_rng)
-    elif cost.n_params * layout.dim <= FUSED_MAX_AMPS:
+    elif cost.n_params * cost.b.shape[1] <= FUSED_MAX_AMPS:
         fused = cost.value_and_grad
 
     starts = [x0]
@@ -183,6 +184,8 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
     one draw of ``rng``; the best is kept.  ``rng`` gives exactly one
     normal row and one integer.  A residual above ``ENCODE_TOL`` of the
     squared norm is returned with a warning that names it."""
+    if 2 ** spec.n_qubits != layout.dim:
+        raise SimulationError("ansatz size does not match the grid")
     field = np.asarray(field, dtype=float)
     if not np.isfinite(field).all():
         raise SimulationError("field to encode is not finite")
@@ -222,9 +225,8 @@ def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
     level starts from rest: that level is repeated.  Each step appends the new
     level to the history and sees its last ``problem.history_depth`` fields.
     Deterministic for a fixed config seed; an ``EvolutionError`` from a step
-    propagates, so no partial trajectory is returned.  The cost template
-    the steps bind from is released with the run, returned or raised: the
-    next run on the same problem instance compiles its own.
+    propagates, so no partial trajectory is returned.  The run compiles
+    the kind's cost once, at its first step, and every step binds from it.
     """
     rng = np.random.default_rng(cfg.seed)
     names = components(problem)
@@ -244,18 +246,16 @@ def run(problem, initial_fields, cfg: EvolutionConfig, layout: RegisterLayout,
         0.0, {c: f.copy() for c, f in zip(names, history[-len(names):])}))
     x = np.concatenate([fit_field(spec, layout, f, rng)
                         for f in history[-len(names):]])
-    try:
-        for k in range(cfg.n_steps):
-            x, info = step(problem, history[-problem.history_depth:], x, cfg,
-                           layout, spec, rng)
-            fields, leaks = zip(*(readout(spec, row)
-                                  for row in np.split(x, len(names))))
-            history += fields
-            traj.records.append(StepRecord(
-                (k + 1) * cfg.tau, dict(zip(names, fields)), info["cost"], x,
-                info["grad_norm"], info["n_evals"], max(leaks), info["stop"]))
-    finally:  # the first step's compile serves this run only
-        release_templates(problem)
+    template = cache(partial(compile_cost, problem, layout, cfg.tau))
+    for k in range(cfg.n_steps):
+        x, info = step(template, history[-problem.history_depth:], x, cfg,
+                       spec, rng)
+        fields, leaks = zip(*(readout(spec, row)
+                              for row in np.split(x, len(names))))
+        history += fields
+        traj.records.append(StepRecord(
+            (k + 1) * cfg.tau, dict(zip(names, fields)), info["cost"], x,
+            info["grad_norm"], info["n_evals"], max(leaks), info["stop"]))
     return traj
 
 

@@ -33,7 +33,8 @@ def _check(cfg, counts=None, positive=(), nonneg=(), tols=()) -> None:
     """Reject a config whose named fields are out of range.  ``counts`` maps
     an integer field to its least value; ``positive`` fields (step sizes and
     scales) are positive and finite, ``nonneg`` fields finite and >= 0, and
-    ``tols`` None or >= 0.  A bool is not a number here."""
+    ``tols`` (the optional tolerances) None or >= 0.  A bool is not a number
+    here."""
     for name, least in (counts or {}).items():
         v = getattr(cfg, name)
         if isinstance(v, bool) or not (isinstance(v, (int, np.integer))
@@ -66,7 +67,7 @@ class GradientDescent:
     f_tol: float | None = None
 
     def __post_init__(self):
-        _check(self, {"max_iters": 0}, ("eta",), tols=("grad_tol", "f_tol"))
+        _check(self, {"max_iters": 0}, ("eta",), ("grad_tol",), ("f_tol",))
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class NelderMead:
     f_tol: float = F_TOL_DEFAULT
 
     def __post_init__(self):
-        _check(self, {"max_iters": 0}, ("scale",), tols=("f_tol",))
+        _check(self, {"max_iters": 0}, ("scale",), ("f_tol",))
 
 
 @dataclass(frozen=True)

@@ -100,11 +100,9 @@ def _ns_step(problem: NavierStokes, fields, layout, tau):
         kind, val = problem.pressure
         if kind == "uniform":
             b -= (tau / problem.rho) * float(val) * np.ones(layout.dim)
-        elif kind == "field":
+        else:
             b -= (tau / problem.rho) * (
                 grad_matrix(layout, problem.component) @ np.asarray(val, dtype=float))
-        else:
-            raise ProblemError(f"unknown pressure model {kind!r}")
     return b
 
 

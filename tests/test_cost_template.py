@@ -1,11 +1,9 @@
 """The per-step cost is compiled once per run for a (problem, layout, tau)
 and rebound from the history at every step: the rebound cost equals one
-compiled anew, bitwise; later binds leave earlier costs alone, no step after
-the first redoes the operator algebra, and no run inherits an earlier run's
-template."""
+compiled anew, bitwise; later binds leave earlier costs alone, no bind
+redoes the operator algebra, and the compiled cost belongs to the run that
+made it, never to the problem instance."""
 import hashlib
-import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +29,7 @@ from vqpde.costlib import (
     PointParticle,
     ProblemError,
     build_cost,
+    compile_cost,
 )
 from vqpde.evolve import EvolutionConfig, EvolutionError
 from vqpde.opexpr import (
@@ -96,13 +95,19 @@ def history(case: str, step: int) -> list:
             for f in hist]
 
 
-def fresh(case: str):
-    """A copy of the case's problem: equal fields, no compiled template."""
-    return replace(CASES[case][0])
+def compiled(case: str) -> CostTemplate:
+    """The case's cost compiled once, as a run's first step compiles it."""
+    problem, _, layout, _ = CASES[case]
+    return compile_cost(problem, layout, TAU)
 
 
-def build(problem, case: str, step: int):
-    _, _, layout, spec = CASES[case]
+def bind(template: CostTemplate, case: str, step: int):
+    return template.bind(history(case, step), CASES[case][3])
+
+
+def build(case: str, step: int):
+    """The cost of step ``step`` compiled anew."""
+    problem, _, layout, spec = CASES[case]
     return build_cost(problem, history(case, step), layout, TAU, spec)
 
 
@@ -129,9 +134,9 @@ def snapshot(cost) -> dict:
 def test_rebound_cost_equals_a_fresh_compile_bitwise(case):
     """Five consecutive steps bound from one template equal, array by array
     and bit by bit, the same steps each compiled anew."""
-    problem = fresh(case)
+    template = compiled(case)
     for step in range(5):
-        cost, anew = build(problem, case, step), build(fresh(case), case, step)
+        cost, anew = bind(template, case, step), build(case, step)
         assert snapshot(cost) == snapshot(anew), (case, step)
         assert cost.offset == anew.offset
         assert [p.serialize_terms() for p in cost.parts] \
@@ -142,11 +147,11 @@ def test_rebound_cost_equals_a_fresh_compile_bitwise(case):
 def test_later_binds_leave_an_earlier_cost_unchanged(case):
     """A cost bound at step k keeps its b, M and term table bitwise while
     steps k + 1 to k + 4 bind from the same template."""
-    problem = fresh(case)
-    build(problem, case, 0).term_table  # compiles every part of the template
-    kept = build(problem, case, 1)
+    template = compiled(case)
+    bind(template, case, 0).term_table  # compiles the table's fixed columns
+    kept = bind(template, case, 1)
     before = snapshot(kept)
-    later = [build(problem, case, step) for step in range(2, 6)]
+    later = [bind(template, case, step) for step in range(2, 6)]
     for cost in later:
         cost.term_table
     assert snapshot(kept) == before
@@ -166,9 +171,10 @@ class Counter:
 
 @pytest.mark.parametrize("case", IDS)
 def test_only_the_first_build_compiles(case, monkeypatch):
-    """Across five consecutive builds, term table included, the first
-    expands and compiles the kind's operators; the other four make no
-    ``expand_product``, ``compile_monomials`` or template compile call."""
+    """Across five consecutive steps bound from one compile, term table
+    included, the compile expands and compiles the kind's operators; the
+    binds after the first make no ``expand_product``, ``compile_monomials``
+    or template compile call."""
     counts = {name: Counter() for name in ("expand", "monomials", "template")}
     for mod in (opexpr, costlib):
         monkeypatch.setattr(mod, "expand_product",
@@ -177,33 +183,30 @@ def test_only_the_first_build_compiles(case, monkeypatch):
                             counts["monomials"].wrap(mod.compile_monomials))
     monkeypatch.setattr(MonomialTemplate, "compile", staticmethod(
         counts["template"].wrap(MonomialTemplate.compile)))
-    problem = fresh(case)
-    build(problem, case, 0).term_table
+    template = compiled(case)
+    bind(template, case, 0).term_table
     first = {name: c.calls for name, c in counts.items()}
     assert first["expand"] > 0 and first["template"] > 0
     for step in range(1, 5):
-        build(problem, case, step).term_table
+        bind(template, case, step).term_table
     assert {name: c.calls for name, c in counts.items()} == first
 
 
 def test_one_template_serves_every_ansatz(monkeypatch):
     """The template does not depend on the ansatz: a second spec binds from
-    the first one's."""
-    problem = fresh("dsw")
-    build_cost(problem, history("dsw", 0), LAY, TAU, SPEC)
+    the one the first bound from."""
+    template = compiled("dsw")
+    bind(template, "dsw", 0)
     calls = Counter()
     monkeypatch.setattr(MonomialTemplate, "compile", staticmethod(
         calls.wrap(MonomialTemplate.compile)))
-    cost = build_cost(problem, history("dsw", 1), LAY, TAU,
-                      AnsatzSpec(3, 4, rotation_axes=("Y", "Z")))
+    cost = template.bind(history("dsw", 1),
+                         AnsatzSpec(3, 4, rotation_axes=("Y", "Z")))
     assert calls.calls == 0 and cost.parts[0].spec.layers == 4
 
 
-@ENCODE_MISS
-def test_load_config_primes_the_first_jobs_template(tmp_path, monkeypatch):
-    """``load_config``'s validating build compiles the template, so the
-    first job of the sweep only binds; that run releases it, and the second
-    job compiles its own at its first step."""
+def dsw_sweep(tmp_path):
+    """A config of two one-step dsw jobs, and its path."""
     path = tmp_path / "dsw.yaml"
     path.write_text(yaml.safe_dump({
         "problem": {"kind": "dsw"},
@@ -214,16 +217,78 @@ def test_load_config_primes_the_first_jobs_template(tmp_path, monkeypatch):
         "optimizer": [{"method": "gd", "eta": 0.1, "max_iters": 2},
                       {"method": "gd", "eta": 0.2, "max_iters": 2}],
     }))
-    cfg = load_config(path)
-    compiled = Counter()  # one call per compile of the kind's template
-    monkeypatch.setitem(costlib._BUILDERS, DSW,
-                        compiled.wrap(costlib._BUILDERS[DSW]))
+    return path
+
+
+def count_compiles(monkeypatch, kind) -> Counter:
+    """Counts the compiles of ``kind``'s cost: one builder call each."""
+    compiles = Counter()
+    monkeypatch.setitem(costlib._BUILDERS, kind,
+                        compiles.wrap(costlib._BUILDERS[kind]))
+    return compiles
+
+
+@ENCODE_MISS
+def test_each_job_of_a_sweep_compiles_its_own_cost(tmp_path, monkeypatch):
+    """``load_config``'s validating build leaves nothing behind for the
+    sweep: each job compiles its cost once, at its first step."""
+    cfg = load_config(dsw_sweep(tmp_path))
+    compiles = count_compiles(monkeypatch, DSW)
     per_job = []
     for ev in cfg["evolutions"]:
         run_evolution(cfg["problem"], cfg["initial"], ev, cfg["layout"],
                       cfg["specs"][0])
-        per_job.append(compiled.calls - sum(per_job))
-    assert per_job == [0, 1]
+        per_job.append(compiles.calls - sum(per_job))
+    assert per_job == [1, 1]
+
+
+@ENCODE_MISS
+@pytest.mark.parametrize("n_steps, n_compiles", [(0, 0), (1, 1), (3, 1)])
+def test_a_run_compiles_once_at_its_first_step(n_steps, n_compiles,
+                                               monkeypatch):
+    """A run of no steps compiles nothing; any other compiles exactly
+    once."""
+    problem, hist, layout, spec = CASES["dsw"]
+    compiles = count_compiles(monkeypatch, DSW)
+    cfg = EvolutionConfig(tau=TAU, n_steps=n_steps,
+                          optimizer=SPSA(max_iters=1))
+    assert len(evolve.run(problem, hist, cfg, layout, spec)) == n_steps + 1
+    assert compiles.calls == n_compiles
+
+
+def state(problem) -> list:
+    """A problem instance's attributes, by name and identity."""
+    return [(k, id(v)) for k, v in vars(problem).items()]
+
+
+@ENCODE_MISS
+def test_no_build_or_run_stores_anything_on_the_problem(tmp_path,
+                                                        monkeypatch):
+    """A build, a run, a failed run and a config's sweep leave the problem
+    instance as constructed: the compiled cost is the caller's."""
+    problem, hist, layout, spec = CASES["ns-pressure-field"]
+    before = state(problem)
+    build_cost(problem, hist, layout, TAU, spec)
+    assert state(problem) == before
+    cfg = EvolutionConfig(tau=TAU, n_steps=2, optimizer=SPSA(max_iters=1))
+    evolve.run(problem, hist, cfg, layout, spec)
+    assert state(problem) == before
+
+    def fail(spec, row):
+        raise EvolutionError("readout failed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(evolve, "readout", fail)
+        with pytest.raises(EvolutionError, match="readout failed"):
+            evolve.run(problem, hist, cfg, layout, spec)
+    assert state(problem) == before
+
+    cfg = load_config(dsw_sweep(tmp_path))
+    assert vars(cfg["problem"]) == vars(DSW()) == {}
+    for ev in cfg["evolutions"]:
+        run_evolution(cfg["problem"], cfg["initial"], ev, cfg["layout"],
+                      cfg["specs"][0])
+        assert vars(cfg["problem"]) == {}
 
 
 def shots_config(seed: int) -> EvolutionConfig:
@@ -237,37 +302,20 @@ def shots_config(seed: int) -> EvolutionConfig:
 def test_a_run_does_not_inherit_an_earlier_runs_template(monkeypatch):
     """Two shot-mode runs on one problem instance each compile the template
     and its term table at their first step: their operator algebra, their
-    trajectories and their costs repeat, and each run leaves the instance
-    without a template."""
+    trajectories and their costs repeat."""
     expand = Counter()
     for mod in (opexpr, costlib):
         monkeypatch.setattr(mod, "expand_product",
                             expand.wrap(mod.expand_product))
     problem, hist, layout, spec = CASES["camassa-holm"]
-    problem = replace(problem)
     seen = []
     for _ in range(2):
         before = expand.calls
         traj = evolve.run(problem, hist, shots_config(3), layout, spec)
-        assert "_cost_templates" not in problem.__dict__
         seen.append((expand.calls - before,
                      [r.cost for r in traj.records[1:]],
                      np.concatenate(traj.fields("u")).tobytes()))
     assert seen[0][0] > 0 and seen[0] == seen[1]
-
-
-@ENCODE_MISS
-def test_a_failed_run_releases_its_template(monkeypatch):
-    def fail(spec, row):
-        raise EvolutionError("readout failed")
-
-    monkeypatch.setattr(evolve, "readout", fail)
-    problem, hist, layout, spec = CASES["dsw"]
-    problem = replace(problem)
-    cfg = EvolutionConfig(tau=TAU, n_steps=2, optimizer=SPSA(max_iters=1))
-    with pytest.raises(EvolutionError, match="readout failed"):
-        evolve.run(problem, hist, cfg, layout, spec)
-    assert "_cost_templates" not in problem.__dict__
 
 
 def test_an_m_that_reads_a_field_is_rejected_by_name():
@@ -335,22 +383,10 @@ def test_samples_must_match_the_templates_sources(samples):
         CostFunction(part, SPEC, samples, {})
 
 
-def test_a_problem_with_templates_still_pickles():
-    """The templates hold closures; a pickled problem leaves them behind
-    and compiles its own."""
-    problem = fresh("camassa-holm")
-    build(problem, "camassa-holm", 0)
-    copy = pickle.loads(pickle.dumps(problem))
-    assert copy == problem and not copy.__dict__["_cost_templates"]
-    assert snapshot(build(copy, "camassa-holm", 1)) \
-        == snapshot(build(problem, "camassa-holm", 1))
-
-
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, True, np.bool_(1),
                                  "0.05", 0.05 + 0j, None])
 def test_tau_must_be_a_positive_finite_real(tau):
-    """A bool, a non-real or a non-finite tau is rejected by name (a nan
-    key would also never find its template)."""
+    """A bool, a non-real or a non-finite tau is rejected by name."""
     with pytest.raises(ProblemError, match="tau must be positive and finite"):
         build_cost(Einstein(), [U], LAY, tau, SPEC)
 

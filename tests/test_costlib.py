@@ -1,3 +1,4 @@
+import re
 import zlib
 from dataclasses import replace
 from functools import lru_cache
@@ -95,6 +96,61 @@ def test_problem_rejects_a_bad_coefficient(nu):
     rejected by name, not by a numpy TypeError."""
     with pytest.raises(ProblemError, match="nu must be positive"):
         NavierStokes(nu=nu)
+
+
+NAN_FIELD = np.where(XS == 3, np.nan, U)
+
+
+# (problem class, bad fields, the error's text)
+BAD_PROBLEMS = {
+    "boussinesq-alpha-nan": (Boussinesq, {"alpha": np.nan},
+                             "alpha must be a finite number"),
+    "boussinesq-alpha-bool": (Boussinesq, {"alpha": True},
+                              "alpha must be a finite number"),
+    "boussinesq-beta-str": (Boussinesq, {"beta": "1"},
+                            "beta must be a finite number"),
+    "camassa-holm-kappa-inf": (CamassaHolm, {"kappa": np.inf},
+                               "kappa must be a finite number"),
+    "particle-m-nan": (PointParticle, {"m": np.nan, "v_mu": 0.5,
+                                       "v_nu": 0.5},
+                       "m must be a finite number"),
+    "particle-c-zero": (PointParticle, {"m": 1.0, "v_mu": 0.5, "v_nu": 0.5,
+                                        "c": 0.0}, "c must be positive"),
+    "fluid-rho-nan": (EquilibriumFluid, {"rho_e": np.nan, "p": 0.1,
+                                         "u_mu": 1.0, "u_nu": 1.0},
+                      "rho_e must be a finite number"),
+    "fluid-c-zero": (EquilibriumFluid, {"rho_e": 1.0, "p": 0.1, "u_mu": 1.0,
+                                        "u_nu": 1.0, "c": 0.0},
+                     "c must be positive"),
+    "einstein-g-nan": (Einstein, {"G": np.nan}, "G must be a finite number"),
+    "einstein-tensor": (Einstein, {"tensor": "fluid"},
+                        "tensor must be an EquilibriumFluid or a "
+                        "PointParticle"),
+    "pressure-pair": (NavierStokes, {"pressure": ("uniform",)},
+                      "pressure must be None or a (model, value) pair"),
+    "pressure-model": (NavierStokes, {"pressure": ("bogus", 1)},
+                       "unknown pressure model 'bogus'"),
+    "pressure-uniform-nan": (NavierStokes, {"pressure": ("uniform", np.nan)},
+                             "uniform pressure gradient must be a finite "
+                             "number"),
+    "pressure-field-nan": (NavierStokes, {"pressure": ("field", NAN_FIELD)},
+                           "pressure field must be a row of finite numbers"),
+    "pressure-field-bool": (NavierStokes, {"pressure": ("field", U > 0)},
+                            "pressure field must be a row of finite "
+                            "numbers"),
+    "maxwell-ext-field-nan": (Maxwell, {"ext_fields": {"E_y": NAN_FIELD}},
+                              "E_y must be a row of finite numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROBLEMS))
+def test_problems_reject_bad_inputs_when_constructed(case):
+    """A non-finite or non-numeric coefficient, an unknown pressure model
+    and NaN samples fail by name when the problem is made, not as a
+    non-finite objective in the optimizer or at the first compile."""
+    cls, fields, message = BAD_PROBLEMS[case]
+    with pytest.raises(ProblemError, match=re.escape(message)):
+        cls(**fields)
 
 
 def test_problem_validation():

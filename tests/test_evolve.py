@@ -1,5 +1,6 @@
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vqpde.costlib import (
     NavierStokes,
     PartTemplate,
     build_cost,
+    compile_cost,
 )
 from vqpde.evolve import (
     ENCODE_TOL,
@@ -44,6 +46,12 @@ LAY = layout_1d(3, 1.0)
 SPEC = AnsatzSpec(n_qubits=3, layers=4, rotation_axes=("Y",))
 XS = np.arange(8.0)
 GD = GradientDescent(eta=0.2, max_iters=150, grad_tol=1e-10)
+
+
+def couette(cfg: EvolutionConfig):
+    """``step``'s template argument for couette flow on ``LAY``: the compiled
+    cost, as ``run`` hands it over."""
+    return partial(compile_cost, NavierStokes(nu=1.0), LAY, cfg.tau)
 
 
 def test_config_validation():
@@ -303,7 +311,8 @@ def test_shot_mode_spsa_step_is_one_call_per_iteration(monkeypatch, iters):
     cfg = EvolutionConfig(tau=0.01, n_steps=1,
                           optimizer=SPSA(max_iters=iters, seed=2),
                           mode="shots", shots=500)
-    _, info = step(CamassaHolm(1.0), [u, u], x0, cfg, lay, spec, rng)
+    _, info = step(partial(compile_cost, CamassaHolm(1.0), lay, cfg.tau),
+                   [u, u], x0, cfg, spec, rng)
     assert len(calls) == iters + 1
     assert sum(calls) == info["n_evals"] == 3 * iters + 1
 
@@ -345,7 +354,7 @@ def test_exact_gd_step_prepares_once_per_evaluation(monkeypatch, restarts):
     cfg = EvolutionConfig(tau=0.05, n_steps=1, restarts=restarts,
                           optimizer=GradientDescent(eta=0.2, max_iters=10,
                                                     grad_tol=0.0))
-    _, info = step(NavierStokes(nu=1.0), [u], x0, cfg, LAY, SPEC, rng)
+    _, info = step(couette(cfg), [u], x0, cfg, SPEC, rng)
     assert info["n_evals"] > 10 * restarts
     assert len(calls) == info["n_evals"] + 1 + 2 * restarts
     assert calls.count(SPEC.parameter_count + 1) == len(calls) - 1 - restarts
@@ -362,7 +371,7 @@ def test_exact_gd_step_above_the_fused_size_takes_one_row_candidates(
     x0 = np.append(np.full(SPEC.parameter_count, 0.3), np.linalg.norm(u))
     cfg = EvolutionConfig(tau=0.05, n_steps=1, optimizer=GradientDescent(
         eta=0.2, max_iters=10, grad_tol=0.0))
-    args = (NavierStokes(nu=1.0), [u], x0, cfg, LAY, SPEC)
+    args = (couette(cfg), [u], x0, cfg, SPEC)
     x_fused, info_fused = step(*args, np.random.default_rng(5))
     n_fused = len(calls)
     calls.clear()
@@ -481,7 +490,7 @@ def test_step_rejects_a_row_of_the_wrong_length(size):
     u = np.sin(2 * np.pi * XS / 8) + 1.2
     cfg = EvolutionConfig(tau=0.05, n_steps=1, optimizer=GD)
     with pytest.raises(EvolutionError, match="row of 13 parameters"):
-        step(NavierStokes(nu=1.0), [u], np.zeros(size), cfg, LAY, SPEC,
+        step(couette(cfg), [u], np.zeros(size), cfg, SPEC,
              np.random.default_rng(0))
 
 
@@ -493,8 +502,18 @@ def test_step_rejects_a_non_finite_row(bad):
     x0 = np.full(SPEC.parameter_count + 1, 0.3)
     x0[4] = bad
     with pytest.raises(EvolutionError, match="x0 is not finite"):
-        step(NavierStokes(nu=1.0), [u], x0, cfg, LAY, SPEC,
-             np.random.default_rng(0))
+        step(couette(cfg), [u], x0, cfg, SPEC, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4])
+def test_run_rejects_an_ansatz_of_another_size_by_name(n_qubits):
+    """An ansatz of 2 or 4 qubits on an 8-point grid fails by name in the
+    encoding, not inside numpy."""
+    cfg = EvolutionConfig(tau=0.05, n_steps=1, optimizer=GD)
+    with pytest.raises(SimulationError,
+                       match="ansatz size does not match the grid"):
+        run(NavierStokes(), [np.sin(2 * np.pi * XS / 8)], cfg, LAY,
+            AnsatzSpec(n_qubits, 2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -613,6 +613,18 @@ def test_lm_start_must_be_finite_and_later_nan_is_rejected():
     assert trace.f_best == 4.0 and trace.x_best[0] == 0.0
 
 
+@pytest.mark.parametrize("cls, name", [(GradientDescent, "grad_tol"),
+                                       (NelderMead, "f_tol")])
+@pytest.mark.parametrize("bad", [None, np.inf])
+def test_tolerances_without_a_none_must_be_finite_reals(cls, name, bad):
+    """These tolerances have no off switch: None (which would raise a
+    TypeError at the first comparison) is rejected by name, as in the
+    config file."""
+    with pytest.raises(OptimizationError,
+                       match=f"{name} must be non-negative and finite"):
+        cls(**{name: bad})
+
+
 def test_lm_needs_a_residual_and_jacobian():
     with pytest.raises(OptimizationError, match="Jacobian"):
         minimize(quadratic, np.array([0.0]), LevenbergMarquardt())

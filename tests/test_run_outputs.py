@@ -75,6 +75,28 @@ def test_trajectory_csv_is_pinned(name, tmp_path):
     assert digest == CSV_SHA256[name]
 
 
+# a two-job sweep: each job is its own run, and errors.csv scores both
+SWEEP = {**CONFIGS["dsw-gd"], "optimizer": [
+    {"method": "gd", "eta": 0.1, "max_iters": 30},
+    {"method": "gd", "eta": 0.2, "max_iters": 20}]}
+SWEEP_SHA256 = {
+    "vqa_000.csv":
+        "8eee86bb9b2243ab3f5494b4c46dc05c6613830fe48649cf8c9fb064806ecdbc",
+    "vqa_001.csv":
+        "5edde177acac11e92562edaf2f36ae380b86096673ed075dc06bdd4642d5e916",
+    "errors.csv":
+        "73f22c35e0874c4d6c4c48b58cec5dc56037f1cae721e795051aa78215ae9056",
+}
+
+
+@pytest.mark.filterwarnings("ignore:field encoding missed")
+def test_sweep_outputs_are_pinned(tmp_path):
+    out = run(tmp_path, SWEEP)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in SWEEP_SHA256}
+    assert digests == SWEEP_SHA256
+
+
 def lm_config(kind: str) -> dict:
     """Two LM steps of ``kind`` from u = 1 + 0.3 sin(2 pi x / N) on 3
     qubits (lin-tsien: 2 + 2) under 4 Y-layers."""
