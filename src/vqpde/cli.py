@@ -447,12 +447,15 @@ def cmd_compare(run_dir, against) -> int:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
 
+    # the manifest lists paths relative to where ``run`` ran: read each file
+    # by its name in the run directory
     out_rows = []
     for run_path in manifest["files"]["runs"]:
-        vqa, xs = _read_csv_fields(run_path)
+        vqa, xs = _read_csv_fields(run_dir / Path(run_path).name)
         ts = sorted(vqa)
         if against == "oracle":
-            ref, _ = _read_csv_fields(manifest["files"]["oracle"])
+            ref, _ = _read_csv_fields(
+                run_dir / Path(manifest["files"]["oracle"]).name)
         elif against.startswith("exact:"):
             name = against.split(":", 1)[1]
             if name not in _EXACT_REFS:

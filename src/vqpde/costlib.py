@@ -73,6 +73,13 @@ def _require_finite(problem, *names) -> None:
             raise ProblemError(f"{name} must be a finite number")
 
 
+def check_tau(tau) -> None:
+    """A time step is a positive, finite real number."""
+    if not (is_real(tau) and np.isfinite(tau) and tau > 0):
+        raise ProblemError(f"time step tau must be positive and finite, "
+                           f"got {tau!r}")
+
+
 def _require_samples(name: str, samples) -> None:
     """Grid samples are one row of finite real numbers (no bools)."""
     a = np.asarray(samples)
@@ -823,9 +830,7 @@ _BUILDERS = {
 def compile_cost(problem, layout: RegisterLayout, tau: float) -> CostTemplate:
     """The kind's step cost compiled for one (layout, tau): every step of a
     run binds its history to the one template (``CostTemplate.bind``)."""
-    if not (is_real(tau) and np.isfinite(tau) and tau > 0):
-        raise ProblemError(f"time step tau must be positive and finite, "
-                           f"got {tau!r}")
+    check_tau(tau)
     if type(problem) not in _BUILDERS:
         raise ProblemError(f"unsupported problem {problem!r}")
     parts, values = _BUILDERS[type(problem)](problem, layout, tau)

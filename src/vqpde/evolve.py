@@ -187,6 +187,9 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
     if 2 ** spec.n_qubits != layout.dim:
         raise SimulationError("ansatz size does not match the grid")
     field = np.asarray(field, dtype=float)
+    if field.shape != (layout.dim,):
+        raise SimulationError(f"field to encode must be one row of "
+                              f"{layout.dim} samples, got shape {field.shape}")
     if not np.isfinite(field).all():
         raise SimulationError("field to encode is not finite")
     if np.linalg.norm(field) == 0.0:

@@ -4,8 +4,9 @@ The objective takes rows: X of shape (B, n) in, B values out.  Population
 methods pass a whole population in one call, and each SPSA iteration is one
 call on the current point and its +/- pair; single points pass one row.
 All stochastic methods draw from a seeded numpy Generator so runs are
-bit-reproducible.  Traces record the best-so-far value per iteration,
-starting from the initial point, and are therefore non-increasing.
+bit-reproducible.  A method yields (x, value) per iteration from the start
+point on and returns why it stopped; ``minimize`` alone counts calls and
+records the best-so-far values, so a trace is non-increasing.
 """
 from __future__ import annotations
 
@@ -222,17 +223,16 @@ def finite_diff_grad(objective, x, h: float = 1e-5) -> np.ndarray:
 # Methods
 # ---------------------------------------------------------------------------
 
-def _gradient_descent(fg, x, cfg: GradientDescent, grad, trace):
+def _gradient_descent(fg, x, cfg: GradientDescent, grad):
     """``fg(x)`` is (value, gradient or None for ``grad`` to take later)."""
     fx, g = fg(x)
-    trace.record(x, fx)
+    yield x, fx
     eta = cfg.eta
     for _ in range(cfg.max_iters):
         g = np.asarray(grad(x) if g is None else g, dtype=float)
         gn = sqrt(g.dot(g))  # np.linalg.norm's sum, without its checks
         if not (isfinite(gn) and gn > cfg.grad_tol):
-            trace.stop = "converged" if gn <= cfg.grad_tol else "non-finite"
-            break
+            return "converged" if gn <= cfg.grad_tol else "non-finite"
         # backtracking: shrink the step until the value decreases
         while eta > 1e-14:
             cand = x - eta * g
@@ -242,46 +242,36 @@ def _gradient_descent(fg, x, cfg: GradientDescent, grad, trace):
                 eta = min(eta * 1.3, cfg.eta * 100)
                 break
             eta *= 0.5
-        trace.record(x, fx)
+        yield x, fx
         if eta <= 1e-14:  # ran out: an accepted step leaves eta above this
-            trace.stop = "no-descent"
-            break
+            return "no-descent"
         if cfg.f_tol is not None and fx <= cfg.f_tol:
-            trace.stop = "converged"
-            break
-    return trace
+            return "converged"
 
 
-def _levenberg_marquardt(rj, x, cfg: LevenbergMarquardt, trace):
-    """``rj(x)`` is (r, J) of one call; the candidate x - (J^T J + mu I)^-1
-    J^T r is kept when r.r falls, and mu shrinks 3x, else mu grows 4x.
+def _levenberg_marquardt(rj, x, cfg: LevenbergMarquardt):
+    """``rj(x)`` is one call's (r, J, r.r); x - (J^T J + mu I)^-1 J^T r is
+    kept when r.r falls, and mu shrinks 3x, else mu grows 4x.
     Converged at r.r <= ``f_tol``, at a descent of at most ``LM_STALL`` of
     r.r, or when the step proposed at a new point is at most
     ``LM_STEP_TOL`` of |x| (the residual is at rounding level); no descent
     once mu passes ``LM_MU_CAP`` times the start's largest diag J^T J."""
-    r, jac = rj(x)
-    fx = float(r.dot(r))
-    _count((fx,), 1, trace)
-    trace.record(x, fx)
+    r, jac, fx = rj(x)
+    yield x, fx
     a, g = jac.T @ jac, jac.T @ r
     scale = max(float(a.diagonal().max()), 1e-300)
     mu, eye, fresh = cfg.mu0 * scale, np.eye(x.size), True
     for _ in range(cfg.max_iters):
         if cfg.f_tol is not None and fx <= cfg.f_tol:
-            trace.stop = "converged"
-            break
+            return "converged"
         delta = np.linalg.solve(a + mu * eye, g)
         step = sqrt(delta.dot(delta))
         if not isfinite(step):
-            trace.stop = "non-finite"
-            break
+            return "non-finite"
         if fresh and step <= LM_STEP_TOL * sqrt(x.dot(x)):
-            trace.stop = "converged"
-            break
+            return "converged"
         cand = x - delta
-        rc, jc = rj(cand)
-        fc = float(rc.dot(rc))
-        _count((fc,), 1, trace)
+        rc, jc, fc = rj(cand)
         fresh = fc < fx  # NaN: rejected
         if fresh:
             stalled = fx - fc <= LM_STALL * fx
@@ -289,17 +279,14 @@ def _levenberg_marquardt(rj, x, cfg: LevenbergMarquardt, trace):
             mu /= 3.0
         else:
             mu *= 4.0
-        trace.record(x, fx)
+        yield x, fx
         if fresh and stalled:
-            trace.stop = "converged"
-            break
+            return "converged"
         if mu > LM_MU_CAP * scale:
-            trace.stop = "no-descent"
-            break
-    return trace
+            return "no-descent"
 
 
-def _spsa(f, x, cfg: SPSA, trace):
+def _spsa(f, x, cfg: SPSA):
     """One call per iteration on the rows [x_k, x_k + c_k d, x_k - c_k d],
     then x_K alone: the rows, and so the draws of a shot objective, come in
     the order of a loop that evaluates each new point by itself."""
@@ -309,29 +296,26 @@ def _spsa(f, x, cfg: SPSA, trace):
         ck = cfg.c / (k + 1) ** cfg.gamma
         delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
         fx, fp, fm = f(np.array([x, x + ck * delta, x - ck * delta]))
-        trace.record(x, fx)
+        yield x, fx
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            trace.stop = "non-finite"  # no gradient estimate to step along
-            return trace
+            return "non-finite"  # no gradient estimate to step along
         gk = (fp - fm) / (2 * ck) / delta
         x = x - ak * gk
-    trace.record(x, f(x))
-    return trace
+    yield x, f(x)
 
 
-def _nelder_mead(f, x0, cfg: NelderMead, trace):
+def _nelder_mead(f, x0, cfg: NelderMead):
     simplex = np.tile(x0, (x0.size + 1, 1))
     i = np.arange(x0.size)
     simplex[i + 1, i] += np.where(x0 == 0, cfg.scale,
                                   0.1 * cfg.scale * (1 + np.abs(x0)))
     values = f(simplex)
-    trace.record(simplex[np.argmin(values)], values.min())
+    yield simplex[np.argmin(values)], values.min()
     for _ in range(cfg.max_iters):
         order = np.argsort(values)
         simplex, values = simplex[order], values[order]
         if values[-1] - values[0] < cfg.f_tol:
-            trace.stop = "converged"
-            break
+            return "converged"
         centroid = np.mean(simplex[:-1], axis=0)
         xr = centroid + (centroid - simplex[-1])
         fr = f(xr)
@@ -352,11 +336,10 @@ def _nelder_mead(f, x0, cfg: NelderMead, trace):
             else:
                 simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
                 values[1:] = f(simplex[1:])
-        trace.record(simplex[np.argmin(values)], values.min())
-    return trace
+        yield simplex[np.argmin(values)], values.min()
 
 
-def _cmaes(f, x0, cfg: CMAES, trace):
+def _cmaes(f, x0, cfg: CMAES):
     """Covariance matrix adaptation with cumulative step-size control."""
     rng = np.random.default_rng(cfg.seed)
     n = x0.size
@@ -377,7 +360,7 @@ def _cmaes(f, x0, cfg: CMAES, trace):
     pc = np.zeros(n)
     ps = np.zeros(n)
     cov = np.eye(n)
-    trace.record(mean, f(mean))
+    yield mean, f(mean)
     for g in range(cfg.max_iters):
         vals, diag = np.linalg.eigh(cov)
         vals = np.maximum(vals, 1e-20)
@@ -387,10 +370,9 @@ def _cmaes(f, x0, cfg: CMAES, trace):
         xs = mean + sigma * z @ sqrt_c.T
         fs = f(xs)
         order = np.argsort(fs)
-        trace.record(xs[order[0]], fs[order[0]])
+        yield xs[order[0]], fs[order[0]]
         if cfg.f_tol is not None and fs[order[0]] <= cfg.f_tol:
-            trace.stop = "converged"
-            break
+            return "converged"
         old_mean = mean
         sel = xs[order[:mu]]
         mean = w @ sel
@@ -407,12 +389,10 @@ def _cmaes(f, x0, cfg: CMAES, trace):
         cov = (cov + cov.T) / 2
         sigma *= np.exp((cs / damps) * (ps_norm / chi_n - 1))
         if sigma < 1e-16:
-            trace.stop = "converged"
-            break
-    return trace
+            return "converged"
 
 
-def _particle_swarm(f, x0, cfg: ParticleSwarm, trace):
+def _particle_swarm(f, x0, cfg: ParticleSwarm):
     rng = np.random.default_rng(cfg.seed)
     n = x0.size
     pos = x0 + rng.normal(scale=1.0, size=(cfg.particles, n))
@@ -421,7 +401,7 @@ def _particle_swarm(f, x0, cfg: ParticleSwarm, trace):
     pvals = f(pos)
     pbest = pos.copy()
     gi = int(np.argmin(pvals))
-    trace.record(pbest[gi], pvals[gi])
+    yield pbest[gi], pvals[gi]
     gbest, gval = pbest[gi].copy(), pvals[gi]
     for _ in range(cfg.max_iters):
         r1 = rng.random((cfg.particles, n))
@@ -437,11 +417,10 @@ def _particle_swarm(f, x0, cfg: ParticleSwarm, trace):
         gi = int(np.argmin(pvals))
         if pvals[gi] < gval:
             gbest, gval = pbest[gi].copy(), pvals[gi]
-        trace.record(gbest, gval)
-    return trace
+        yield gbest, gval
 
 
-def _differential_evolution(f, x0, cfg: DifferentialEvolution, trace):
+def _differential_evolution(f, x0, cfg: DifferentialEvolution):
     rng = np.random.default_rng(cfg.seed)
     n = x0.size
     np_ = cfg.population
@@ -449,7 +428,7 @@ def _differential_evolution(f, x0, cfg: DifferentialEvolution, trace):
     pop[0] = x0
     vals = f(pop)
     bi = int(np.argmin(vals))
-    trace.record(pop[bi], vals[bi])
+    yield pop[bi], vals[bi]
     for _ in range(cfg.max_iters):
         # one trial at a time: an accepted trial changes pop for the next
         for i in range(np_):
@@ -463,8 +442,7 @@ def _differential_evolution(f, x0, cfg: DifferentialEvolution, trace):
             if ft <= vals[i]:
                 pop[i], vals[i] = trial, ft
         bi = int(np.argmin(vals))
-        trace.record(pop[bi], vals[bi])
-    return trace
+        yield pop[bi], vals[bi]
 
 
 _DISPATCH = {
@@ -485,25 +463,42 @@ def minimize(objective, x0, config, grad=None, value_and_grad=None,
     descent calls ``value_and_grad(x)`` instead when given, else ``grad``
     (finite differences when absent) at accepted points.  Levenberg-
     Marquardt calls only ``residual_jacobian(x)``, (r, J) with the objective
-    r.r, which it needs.  Owns its x0 copy."""
-    trace = OptimizationTrace()
-    f = _counted(objective, trace)
+    r.r, which it needs.  Owns its x0 copy; counts and records each step."""
     x0 = np.array(x0, dtype=float)
+    if x0.ndim != 1 or x0.size == 0:
+        raise OptimizationError(f"x0 must be a non-empty 1-D row, got shape "
+                                f"{x0.shape}")
     kind = type(config)
     if kind not in CONFIGS:
         raise OptimizationError(f"unknown optimizer config {config!r}")
+    trace = OptimizationTrace()
+    f = _counted(objective, trace)
     if kind is LevenbergMarquardt:
         if residual_jacobian is None:
             raise OptimizationError("Levenberg-Marquardt needs a residual "
                                     "and its Jacobian")
-        return _levenberg_marquardt(residual_jacobian, x0, config, trace)
-    if kind is GradientDescent:
+
+        def rj(x):
+            r, jac = residual_jacobian(x)
+            fx = float(r.dot(r))
+            _count((fx,), 1, trace)
+            return r, jac, fx
+        steps = _levenberg_marquardt(rj, x0, config)
+    elif kind is GradientDescent:
         def fg(x):
             if value_and_grad is None:
                 return f(x), None
             v, g = value_and_grad(x)
             _count((v,), 1, trace)  # one value: _tally without the arrays
             return inf if isnan(v) else float(v), g
-        return _gradient_descent(fg, x0, config, grad or (
-            lambda x: finite_diff_grad(objective, x)), trace)
-    return _DISPATCH[kind](f, x0, config, trace)
+        steps = _gradient_descent(fg, x0, config, grad or (
+            lambda x: finite_diff_grad(objective, x)))
+    else:
+        steps = _DISPATCH[kind](f, x0, config)
+    while True:
+        try:
+            x, fx = next(steps)
+        except StopIteration as end:
+            trace.stop = end.value or trace.stop
+            return trace
+        trace.record(x, fx)

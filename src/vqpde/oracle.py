@@ -23,6 +23,7 @@ from .costlib import (
     Maxwell,
     NavierStokes,
     ProblemError,
+    check_tau,
     components,
 )
 from .statevec import RegisterLayout
@@ -207,6 +208,7 @@ def classical_step(problem, fields, layout: RegisterLayout, tau: float):
     ``fields`` is the history, oldest first; the coupled system takes the
     (u, v) pair and returns a pair.
     """
+    check_tau(tau)
     fields = [np.asarray(f, dtype=float) for f in fields]
     if len(fields) < problem.history_depth:
         raise ProblemError(
@@ -224,6 +226,10 @@ def classical_run(problem, fields, layout: RegisterLayout, tau: float,
     ``components(problem)`` each, oldest first); returns the last component's
     fields (n_steps + 1 entries including the initial one).  A second-order
     kind given one level starts from rest, as in ``evolve.run``."""
+    if isinstance(n_steps, bool) or not (isinstance(n_steps, (int, np.integer))
+                                         and n_steps >= 0):
+        raise ProblemError(f"step count must be a non-negative integer, "
+                           f"got {n_steps!r}")
     k = len(components(problem))
     history = [np.asarray(f, dtype=float) for f in fields]
     if not history or len(history) % k:

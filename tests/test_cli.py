@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +418,24 @@ def test_compare_against_oracle(tmp_path):
     assert len(lines) == 3  # two time levels, one component
     final_rel = float(lines[-1].split(",")[3])
     assert final_rel < 1e-3
+
+
+def test_compare_from_another_directory(tmp_path, monkeypatch):
+    """The manifest lists its files relative to where ``run`` ran; compare
+    finds them in the run directory from any working directory."""
+    (tmp_path / "work").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    path = write_cfg(tmp_path, output_dir="out")
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads(Path("out/manifest.json").read_text())
+    assert manifest["files"]["runs"] == ["out/vqa_000.csv"]
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    out = tmp_path / "work" / "out"
+    assert main(["compare", str(out), "--against", "oracle"]) == 0
+    lines = (out / "compare.csv").read_text().strip().splitlines()
+    assert len(lines) == 3
+    assert float(lines[-1].split(",")[3]) < 1e-3
 
 
 def test_compare_exact_uses_grid_coordinates(tmp_path):

@@ -252,6 +252,16 @@ def test_fit_field_zero_field_shortcut():
     assert x[-1] == 0.0
 
 
+@pytest.mark.parametrize("field", [np.zeros(5), np.zeros((2, 4)),
+                                   np.zeros((1, 8)), np.ones(5), 0.0],
+                         ids=["zeros5", "zeros2x4", "zeros1x8", "ones5",
+                              "scalar"])
+def test_fit_field_rejects_a_field_off_the_grid_before_the_zero_shortcut(
+        field):
+    with pytest.raises(SimulationError, match="one row of 8 samples"):
+        fit_field(SPEC, LAY, field, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exact_cost_matches_direct_at_fit_field_optimum(seed):
     """The encoding reaches the direct cost's rounding level; there both

@@ -1,9 +1,13 @@
+import ast
 from dataclasses import replace
 from functools import partial
+import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
+from vqpde import optim
 from vqpde.ansatz import AnsatzSpec
 from vqpde.costlib import CamassaHolm, Maxwell, NavierStokes, build_cost
 from vqpde.optim import (
@@ -637,3 +641,175 @@ def test_configs_accept_edge_values():
     DifferentialEvolution(cr=1.0)
     GradientDescent(grad_tol=0.0, f_tol=0.0)
     SPSA(seed=np.int64(3))
+
+
+# -- Trace pins -------------------------------------------------------------
+
+def nan_valley(xs):
+    """A bent 2-D valley, least near (2, -1), that is NaN where x_0 > 2.2:
+    a method that oversteps meets NaN rows."""
+    vals = ((xs[:, 0] - 2.0) ** 2 + 0.5 * (xs[:, 1] + 1.0) ** 2
+            + 0.1 * np.sin(3.0 * xs[:, 0] * xs[:, 1]))
+    vals[xs[:, 0] > 2.2] = np.nan
+    return vals
+
+
+def nan_valley_fused(x):
+    """``nan_valley`` at one point, with its gradient."""
+    s = 0.3 * np.cos(3.0 * x[0] * x[1])
+    g = np.array([2.0 * (x[0] - 2.0) + s * x[1], (x[1] + 1.0) + s * x[0]])
+    return nan_valley(x[None, :])[0], g
+
+
+def nan_valley_rj(x):
+    """A bent residual, NaN where x_0 > 2.2, and its Jacobian."""
+    r = np.array([x[0] - 2.0 + 0.3 * np.sin(x[1]),
+                  x[1] + 1.0 + 0.2 * x[0] ** 2])
+    jac = np.array([[1.0, 0.3 * np.cos(x[1])], [0.4 * x[0], 1.0]])
+    return (np.full(2, np.nan) if x[0] > 2.2 else r), jac
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256(np.array(trace.best_values, dtype=float).tobytes())
+    h.update(np.asarray(trace.x_best, dtype=float).tobytes())
+    h.update(repr((trace.f_best, trace.n_evals, trace.stop)).encode())
+    return h.hexdigest()
+
+
+PIN_X0 = np.array([0.0, 0.5])
+PIN_CASES = {
+    **{f"{type(cfg).__name__}-{obj.__name__}": (cfg, obj, {})
+       for cfg in ALL_CONFIGS for obj in (nan_valley, later_rows_nan)},
+    # steps long enough to reach the NaN region
+    "GradientDescent-long": (GradientDescent(eta=1.5, max_iters=300),
+                             nan_valley, {}),
+    "GradientDescent-fused": (GradientDescent(eta=1.5, max_iters=300),
+                              nan_valley, {"value_and_grad":
+                                           nan_valley_fused}),
+    "SPSA-long": (SPSA(a=1.0, c=0.5, max_iters=100, seed=5), nan_valley, {}),
+    "LevenbergMarquardt": (LevenbergMarquardt(), nan_valley,
+                           {"residual_jacobian": nan_valley_rj}),
+    "LevenbergMarquardt-f_tol": (LevenbergMarquardt(mu0=10.0, f_tol=1e-3),
+                                 nan_valley,
+                                 {"residual_jacobian": nan_valley_rj}),
+    "LevenbergMarquardt-max_iters": (LevenbergMarquardt(max_iters=4),
+                                     nan_valley,
+                                     {"residual_jacobian": nan_valley_rj}),
+}
+# sha256 of each case's best_values, x_best, f_best, n_evals and stop.  A
+# change that moves them updates them and says why in CHANGES.md.
+TRACE_SHA256 = {
+    "CMAES-later_rows_nan":
+        "0ef0511269bdef6342d2ad27e2c180dca2b14d843eafba7d6ee6848c097e5aa6",
+    "CMAES-nan_valley":
+        "40b4f9197c6c979e6df6ea9777593def6a55266d588e612e2c75382e79a4d1ec",
+    "DifferentialEvolution-later_rows_nan":
+        "efe09e92e3223c06003f0f0491a54d68ab3a2311b2b1e3326f4bc0280789222e",
+    "DifferentialEvolution-nan_valley":
+        "f7a0d276dbedc6fea1b45a3f41a1cb4d1486f982f646468ca593ffafb17e145d",
+    "GradientDescent-fused":
+        "b5c27fc4f4af01933204badc4820ddf44e9320fe53d1b30d369453170047b1f1",
+    "GradientDescent-later_rows_nan":
+        "451eaef9966aa5790d718b36b55085dc8ccd7131b5c468f8028b90c576560218",
+    "GradientDescent-long":
+        "371054147d2ba1f0251e8870a6d789169818026f9917bc813453d14f5c4767ec",
+    "GradientDescent-nan_valley":
+        "09e2a37ebc7d654cba9e408f884a0a3e76fd043cf204cdafa587821b4952a1fa",
+    "LevenbergMarquardt":
+        "f4d21e16e0ec35ac59e4c7bca6b99ea37690d089b8778ac1d86b2e295f127201",
+    "LevenbergMarquardt-f_tol":
+        "e4628e5ad986dcd21388c82345380c337158303fee28633a9b97e283af3d2708",
+    "LevenbergMarquardt-max_iters":
+        "de530808ad09deee503561665cc928a75aecec28df1e49db2a56d32dae7547ae",
+    "NelderMead-later_rows_nan":
+        "017e26680cbd80165fd1b6a6c038f505c65146162129dab6c293df020037985b",
+    "NelderMead-nan_valley":
+        "9681db2f215042fd5a3f640bbb30037e9e02673dc3d89f33eb5f422f25aed4df",
+    "ParticleSwarm-later_rows_nan":
+        "a866b79d3d8bc9839dc9424770a0213069397102fb6fb787f57a829f734b71ff",
+    "ParticleSwarm-nan_valley":
+        "f5ce178d999ad6d21b35033323705b65bbcac40a7f26f2b327821a5bcf24d22a",
+    "SPSA-later_rows_nan":
+        "f264f817fe02b6c3c2be51dbafc130845b6bbfbcb6f71627a7ad4db15bf48964",
+    "SPSA-long":
+        "81e5c8597f94640a055622780183c2c0df1dfab99b46ab55831b9800a210a4ef",
+    "SPSA-nan_valley":
+        "01ca931a6c4bcecc997901c0253d59750601cb39342464353f71defb6698b217",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CASES))
+def test_traces_are_pinned(name):
+    cfg, objective, kwargs = PIN_CASES[name]
+    trace = minimize(objective, PIN_X0, cfg, **kwargs)
+    assert trace_digest(trace) == TRACE_SHA256[name]
+
+
+# -- Only minimize writes a trace ---------------------------------------------
+
+TRACE_WRITERS = {"minimize"}
+COUNTERS = {"_tally", "_count", "_counted"}
+
+
+def trace_writes(tree):
+    """(top-level function, what) for every ``.record(`` call, ``.stop``
+    assignment and ``trace`` parameter in a module."""
+    found = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record"):
+                found.append((top.name, "record"))
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AugAssign,
+                                                          ast.AnnAssign))
+                       else [])
+            found += [(top.name, "stop") for t in targets
+                      if isinstance(t, ast.Attribute) and t.attr == "stop"]
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                found += [(top.name, "trace") for a in (
+                    args.posonlyargs + args.args + args.kwonlyargs)
+                    if a.arg == "trace"]
+    return found
+
+
+def test_only_minimize_writes_the_trace():
+    """Each method yields its steps and returns why it stopped: no function
+    but ``minimize`` records or sets a stop, and only it and the counting
+    helpers take a trace."""
+    tree = ast.parse(inspect.getsource(optim))
+    found = trace_writes(tree)
+    assert {name for name, what in found if what != "trace"} \
+        == TRACE_WRITERS
+    assert {name for name, what in found if what == "trace"} \
+        <= TRACE_WRITERS | COUNTERS
+
+
+def test_trace_writes_finds_each_kind_of_write():
+    tree = ast.parse("def m(f, trace):\n    trace.record(0, f)\n"
+                     "    trace.stop = 'x'\n"
+                     "def g(x):\n    h = lambda trace: trace.record(x, 0)\n")
+    assert sorted(trace_writes(tree)) == [
+        ("g", "record"), ("g", "trace"),
+        ("m", "record"), ("m", "stop"), ("m", "trace")]
+
+
+@pytest.mark.parametrize("x0", [np.zeros((2, 2)), np.zeros(0), np.float64(1.0),
+                                [], 0.5], ids=["2x2", "empty", "scalar",
+                                               "empty-list", "float"])
+@pytest.mark.parametrize("cfg", [*ALL_CONFIGS, LevenbergMarquardt()],
+                         ids=lambda c: type(c).__name__)
+def test_start_must_be_a_non_empty_row(cfg, x0):
+    calls = []
+
+    def objective(xs):
+        calls.append(xs)
+        return quadratic(xs)
+
+    with pytest.raises(OptimizationError, match="x0"):
+        minimize(objective, x0, cfg, residual_jacobian=parabola_rj)
+    assert calls == []

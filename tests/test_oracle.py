@@ -154,6 +154,18 @@ def test_large_scale_singular_system_takes_least_squares():
     assert np.max(np.abs(orc._solve(1e3 * p, b) - p @ b / 1e3)) <= 1e-12
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.05, np.nan, np.inf, True, "0.1"])
+def test_classical_step_rejects_a_bad_tau(tau):
+    with pytest.raises(ProblemError, match="tau must be positive"):
+        orc.classical_step(NavierStokes(), [U], LAY, tau)
+
+
+@pytest.mark.parametrize("n_steps", [-3, 2.5, 2.0, True, "2", None])
+def test_classical_run_rejects_a_bad_step_count(n_steps):
+    with pytest.raises(ProblemError, match="step count"):
+        orc.classical_run(NavierStokes(), [U], LAY, 0.05, n_steps)
+
+
 def test_classical_run_lengths_and_start():
     traj = orc.classical_run(NavierStokes(nu=1.0), [U], LAY, 0.05, 5)
     assert len(traj) == 6
