@@ -447,11 +447,12 @@ def cmd_compare(run_dir, against) -> int:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
 
-    # the manifest lists paths relative to where ``run`` ran: read each file
-    # by its name in the run directory
+    # the manifest lists paths relative to where ``run`` ran: read and name
+    # each file by its name in the run directory
     out_rows = []
     for run_path in manifest["files"]["runs"]:
-        vqa, xs = _read_csv_fields(run_dir / Path(run_path).name)
+        run_name = Path(run_path).name
+        vqa, xs = _read_csv_fields(run_dir / run_name)
         ts = sorted(vqa)
         if against == "oracle":
             ref, _ = _read_csv_fields(
@@ -482,7 +483,7 @@ def cmd_compare(run_dir, against) -> int:
                 rel = float(np.linalg.norm(v - r)
                             / max(np.linalg.norm(r), 1e-12))
                 linf = float(np.max(np.abs(v - r)))
-                out_rows.append([run_path, f"{t:.17g}", comp,
+                out_rows.append([run_name, f"{t:.17g}", comp,
                                  f"{rel:.17g}", f"{linf:.17g}"])
     out_path = run_dir / "compare.csv"
     with open(out_path, "w", newline="") as fh:

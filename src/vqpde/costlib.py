@@ -11,10 +11,18 @@ norm gives
 
     C = lam0^2 <Psi|M'M|Psi> - 2 lam0 Re<b|M|Psi> + <b|b>,
 
-a term list of expectation values with classical coefficients.  M contains
-only shift atoms (``PartTemplate`` rejects one that reads a field), so the
-quadratic block is fully unitary and shot-estimable; nonlinear frozen-field
-factors live in b.
+a term list of expectation values with classical coefficients, which
+``vqpde terms`` prints.  M contains only shift atoms (``PartTemplate``
+rejects one that reads a field); nonlinear frozen-field factors live in b.
+So M is a constant multi-level circulant, diagonal in the grid's Fourier
+basis: with m_hat the FFT of M's first column, Psi_hat the unitary FFT of
+Psi and beta = M'b / ||M'b||,
+
+    C = <b|b> - 2 lam0 ||M'b|| Re<beta|Psi> + lam0^2 sum_p |m_hat_p|^2
+        |Psi_hat_p|^2,
+
+which shot mode estimates per part from two measured circuits: a Hadamard
+test against beta and a computational-basis sample of QFT Psi.
 """
 from __future__ import annotations
 
@@ -49,10 +57,10 @@ from .opexpr import (
 from .statevec import RegisterLayout, SimulationError, hadamard_test, is_real
 
 _IDENT = OpExpr.identity()
-# amplitudes per (rows, term-table rows, dim) work array of one
-# ``JointCost.term_values`` block: 128 KiB of complex, or one row when a row
-# alone needs more
-TERM_BLOCK = 1 << 13
+# relative size below which a family's psi-dependent part counts as 0: of
+# ||M'b|| against max |m_hat| ||b||, and of the spread of |m_hat|^2 against
+# its largest value
+FLAT = 1e-12
 
 
 class ProblemError(ValueError):
@@ -267,6 +275,20 @@ def components(problem) -> tuple:
     return getattr(problem, "components", ("u",))
 
 
+def grid_fft(rows: np.ndarray, layout: RegisterLayout,
+             norm: str = "backward", inverse: bool = False) -> np.ndarray:
+    """n-dimensional FFT of rows (..., dim) over the layout's axis
+    registers: each row is read as the grid, first axis fastest, and the
+    transform comes back in the same flat order.  One 1-D transform per
+    axis: ``np.fft.fftn`` costs twice as much per call at these sizes."""
+    shape = layout.grid_shape()[::-1]
+    out = rows.reshape(*rows.shape[:-1], *shape)
+    fft = np.fft.ifft if inverse else np.fft.fft
+    for axis in range(-len(shape), 0):
+        out = fft(out, axis=axis, norm=norm)
+    return out.reshape(rows.shape)
+
+
 def grid_coordinates(layout: RegisterLayout) -> dict:
     """Per-axis coordinate arrays over the flattened grid, whose fastest
     index is the first axis (it occupies the lowest qubits)."""
@@ -278,22 +300,6 @@ def grid_coordinates(layout: RegisterLayout) -> dict:
 # ---------------------------------------------------------------------------
 # Cost function
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TermTable:
-    """A cost's term list compiled for one batched evaluation: term t adds
-    lam0^p coeff[t] Re<bra_t|T_t|psi> to the offset (p = 2 where the bra is
-    part ``part[t]``'s amplitudes, else 1), psi the row's K dim amplitudes
-    and (T_t psi)[j] = weight[t, j] psi[perm[t, j]]."""
-
-    coeff: np.ndarray        # (T,) real
-    quadratic: np.ndarray    # (T,) bool: bra_t = psi
-    sampled: np.ndarray      # (T,) bool: shift-only term, shot-estimable
-    perm: np.ndarray         # (T, dim) source indices into the K dim row
-    weight: np.ndarray       # (T, dim) complex, unit term coefficients
-    source: np.ndarray       # (T, dim) complex normalized bra; 0 for psi
-    part: np.ndarray         # (T,) part whose amplitudes term t reads
-
 
 @dataclass(frozen=True, eq=False)
 class PartTemplate:
@@ -327,16 +333,6 @@ class PartTemplate:
         return tuple((complex(t.coeff), bra, OpTerm(1.0, t.atoms))
                      for bra, e in enumerate((self.m_op, *self.exprs))
                      for t in expand_product([adjoint(e), self.m_op]).terms)
-
-    @cached_property
-    def terms(self) -> tuple:
-        """``rows`` compiled: (coefficient (T,) complex, bra (T,),
-        unit-coefficient ``MonomialTemplate``, shift-only (T,)), a source's
-        rows still unscaled by its norm."""
-        coeff, bra, terms = zip(*self.rows)
-        return (np.array(coeff, dtype=complex), np.array(bra),
-                MonomialTemplate.compile(terms, self.layout),
-                np.array([t.is_unitary_product() for t in terms]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,8 +419,8 @@ class CostTemplate:
     """A problem's step cost compiled for one (layout, tau): its parts'
     templates and ``values``, which reads a step's named arrays (samples and
     diagonal fields) off the history.  ``bind`` makes the step's
-    ``JointCost``.  The stacked M and the term table's step-independent
-    columns are built here once, the table's only on first use."""
+    ``JointCost``.  The stacked M is built here once, and M's Fourier
+    transform on first use."""
 
     name: str
     parts: tuple  # of PartTemplate
@@ -457,22 +453,16 @@ class CostTemplate:
             for p in self.parts), self)
 
     @cached_property
-    def table(self) -> tuple:
-        """The term table's columns that no step changes, every source's
-        rows kept, in part order: (coefficient unscaled by its source's
-        norm, quadratic, sampled, perm into the K dim row, source index
-        over all parts (-1 for psi), part)."""
-        dim, cols, first = self.parts[0].layout.dim, [], 0
-        for k, p in enumerate(self.parts):
-            coeff, bra, form, sampled = p.terms
-            cols.append((coeff, bra == 0, sampled, form.perm + k * dim,
-                         np.where(bra == 0, -1, bra - 1 + first),
-                         np.full(len(bra), k)))
-            first += len(p.exprs)
-        table = tuple(map(np.concatenate, zip(*cols)))
-        for a in table:
-            a.setflags(write=False)
-        return table
+    def m_hat(self) -> np.ndarray:
+        """Every part's M in the grid's Fourier basis, (K, dim): M is a
+        constant multi-level circulant, so its eigenvalues are the FFT of
+        its first column, M = F' diag(m_hat) F for the unitary DFT F."""
+        layout = self.parts[0].layout
+        e0 = np.eye(1, layout.dim)
+        m_hat = grid_fft(np.array([p.m.constant.apply(e0)[0]
+                                   for p in self.parts]), layout)
+        m_hat.setflags(write=False)
+        return m_hat
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,8 +570,8 @@ class JointCost:
         Jacobian (r.size, n_params), block-diagonal over the parts, from
         ``_pi_rows``: dr/d lam_j = lam0 M psi_j / 2 and dr/d lam0 = M psi_0.
         A complex r and J come back real as [Re; Im] rows (real ones drop
-        their zero Im rows), so r.r is the cost and 2 J^T r its
-        gradient."""
+        their zero Im rows), so r.r, returned third, is the cost and 2 J^T r
+        its gradient."""
         lam0, mpsi, r = self._pi_rows(x)
         r = r.ravel()
         blocks = np.concatenate((0.5 * lam0[:, :, None] * mpsi[:, :, 1:],
@@ -589,70 +579,75 @@ class JointCost:
         jac = (np.eye(len(self.parts))[:, None, :, None]
                * blocks[:, :, None, :]).reshape(r.size, -1)
         if r.imag.any() or jac.imag.any():
-            return (np.concatenate((r.real, r.imag)),
-                    np.concatenate((jac.real, jac.imag)))
-        return r.real, jac.real
+            r, jac = (np.concatenate((r.real, r.imag)),
+                      np.concatenate((jac.real, jac.imag)))
+        else:
+            r, jac = r.real, jac.real
+        return r, jac, float(r.dot(r))
 
     @cached_property
-    def term_table(self) -> TermTable:
-        """Every part's ``term_list()`` compiled on first use, in part
-        order, part k's terms reading columns [k dim, (k + 1) dim) of a row;
-        costs that are only evaluated in closed form never build it.  The
-        template holds every column a step does not change; this binds the
-        weights, scales each source's rows by its norm (dropping a zero
-        source's) and normalizes the source bras."""
-        coeff, quadratic, sampled, perm, src, part = self.template.table
-        samples = [np.asarray(s, dtype=float)
-                   for p in self.parts for s in p.samples]
-        norms = np.array([np.linalg.norm(s) for s in samples] + [1.0])
-        bras = np.zeros((len(norms), self.b.shape[1]), dtype=complex)
-        for i, s in enumerate(samples):  # the last row, psi's, stays 0
-            if norms[i] > 0.0:
-                bras[i] = s / norms[i]
-        coeff = np.where(quadratic, coeff, (-2.0 * norms)[src] * coeff)
-        weight = np.concatenate([p.template.terms[2].bind(p.bindings).weight
-                                 for p in self.parts])
-        cols = (coeff, quadratic, sampled, perm, weight, bras[src], part)
-        keep = norms[src] != 0.0
-        if not keep.all():
-            cols = tuple(a[keep] for a in cols)
-        if np.any(cols[0].imag != 0):
-            raise ProblemError(
-                f"{self.name}: the term list has a complex coefficient; a "
-                "Hadamard test measures Re<bra|T|psi> only")
-        return TermTable(cols[0].real, *cols[1:])
-
-    def term_values(self, xs, shots: int | None = None,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-        """Re<bra_t|T_t|psi> of every ``term_table`` term over the rows xs
-        (B, n_params), scales unread: (B, T), one ``hadamard_test`` call per
-        block of at most ``TERM_BLOCK`` work-array amplitudes.  Shot mode
-        samples the fully unitary terms and contracts the others exactly,
-        drawing row by row, then part by part, in term-list order: the
-        order of one call per row and part, so batching keeps the draws."""
-        t, x = self.term_table, self._rows(xs)
-        psi = prepare_batch(self.parts[0].spec, x[:, :, :-1].reshape(
-            -1, x.shape[2] - 1)).reshape(len(x), len(self.parts), -1)
-        block = max(1, TERM_BLOCK // t.perm.size)
-        est = []
-        for r in range(0, len(psi), block):
-            rows = psi[r:r + block]
-            kets = t.weight * rows.reshape(len(rows), -1)[:, t.perm]
-            bras = np.where(t.quadratic[:, None], rows[:, t.part], t.source)
-            est.append(hadamard_test(bras, kets, sampled=t.sampled,
-                                     shots=shots, rng=rng))
-        return np.concatenate(est)
+    def families(self) -> tuple:
+        """Each part's two measured families, built on first use: (beta
+        (K, dim), ||M'b|| (K,), |m_hat|^2 (K, dim), measured: K pairs of bool)
+        with M'b = ifftn(conj(m_hat) fftn(b)) and beta = M'b / ||M'b||.
+        A family whose value cannot depend on psi is not measured: the
+        overlap where M'b = 0, the Fourier family where every |m_hat_p| is
+        equal (M = I or a shift)."""
+        layout, m_hat = self.parts[0].template.layout, self.template.m_hat
+        mtb = grid_fft(m_hat.conj() * grid_fft(self.b, layout), layout,
+                       inverse=True)
+        norm = np.linalg.norm(mtb, axis=1)
+        weight = np.abs(m_hat) ** 2
+        top = weight.max(axis=1)
+        measured = np.stack((
+            norm > FLAT * np.sqrt(top) * np.linalg.norm(self.b, axis=1),
+            np.ptp(weight, axis=1) > FLAT * top), axis=1).tolist()
+        return mtb / np.where(norm > 0.0, norm, 1.0)[:, None], norm, \
+            weight, measured
 
     def estimate_rows(self, xs, shots: int | None = None,
                       rng: np.random.Generator | None = None) -> np.ndarray:
-        """Cost of every row of xs (B, n_params) from the stacked term
-        list: ||b||^2 + sum over terms of lam0^p coeff Re<bra|T|psi>, with
-        the values of ``term_values``; in shot mode what a device sees."""
-        t = self.term_table
-        lam0 = self._rows(xs)[:, :, -1][:, t.part]
-        scale = np.where(t.quadratic, lam0 * lam0, lam0)
-        return self.offset + (t.coeff * self.term_values(xs, shots, rng)
-                              * scale).sum(axis=1)
+        """Cost of every row of xs (B, n_params) from each part's two
+        ``families``: ||b||^2 - 2 lam0 ||M'b|| Re<beta|psi> + lam0^2
+        sum_p |m_hat_p|^2 |psi_hat_p|^2, psi_hat the unitary grid FFT of
+        psi.  Exact mode contracts both.  Shot mode measures each family
+        with one circuit of ``shots`` shots: the overlap by a Hadamard test
+        against beta, the Fourier family by one multinomial draw over
+        |psi_hat_p|^2.  It draws row by row, part by part, overlap first:
+        the order of one call per row, so batching keeps the draws."""
+        beta, norm, weight, measured = self.families
+        x = self._rows(xs)
+        psi = prepare_batch(self.parts[0].spec, x[:, :, :-1].reshape(
+            -1, x.shape[2] - 1)).reshape(len(x), *self.b.shape)
+        probs = np.abs(grid_fft(psi, self.parts[0].template.layout,
+                                "ortho")) ** 2
+        if shots is None:
+            overlap = hadamard_test(np.broadcast_to(beta, psi.shape), psi)
+        elif rng is None:
+            raise SimulationError("shot mode needs the caller's random "
+                                  "generator")
+        else:  # an overlap left unmeasured is 0 to within FLAT
+            overlap = np.zeros((len(x), len(norm)))
+            # rounding can push a row's sum above 1; one sum per row of a
+            # 2-D view, so a row's value does not depend on its batch
+            flat = probs.reshape(-1, probs.shape[2])
+            flat /= flat.sum(axis=1, keepdims=True)
+            for r, (row, p) in enumerate(zip(psi, probs)):
+                for k, (ov, fourier) in enumerate(measured):
+                    if ov:
+                        overlap[r, k] = hadamard_test(
+                            beta[None, k], row[None, k], shots=shots,
+                            rng=rng)[0]
+                    if fourier:
+                        p[k] = rng.multinomial(shots, p[k])
+            # a measured Fourier row holds counts: weight / shots reads them
+            # as frequencies
+            weight = weight / np.array([[shots if f else 1.0]
+                                        for _, f in measured])
+        lam0 = x[:, :, -1]
+        # vecdot reduces each row by itself, as one call per row would
+        return self.offset + np.vecdot(lam0, lam0 * np.vecdot(
+            probs, weight) - 2.0 * norm * overlap)
 
 
 # ---------------------------------------------------------------------------

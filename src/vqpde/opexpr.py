@@ -107,9 +107,6 @@ class OpTerm:
         if not cmath.isfinite(self.coeff):
             raise ValueError("term coefficient must be finite")
 
-    def is_unitary_product(self) -> bool:
-        return all(a.is_unitary() for a in self.atoms)
-
     def label(self) -> str:
         return "*".join(a.label() for a in self.atoms) if self.atoms else "1"
 

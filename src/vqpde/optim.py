@@ -462,8 +462,9 @@ def minimize(objective, x0, config, grad=None, value_and_grad=None,
     to B values); stochastic methods are seeded and reproducible.  Gradient
     descent calls ``value_and_grad(x)`` instead when given, else ``grad``
     (finite differences when absent) at accepted points.  Levenberg-
-    Marquardt calls only ``residual_jacobian(x)``, (r, J) with the objective
-    r.r, which it needs.  Owns its x0 copy; counts and records each step."""
+    Marquardt calls only ``residual_jacobian(x)``, (r, J, r.r) with the
+    objective r.r, which it needs.  Owns its x0 copy; counts and records
+    each step."""
     x0 = np.array(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise OptimizationError(f"x0 must be a non-empty 1-D row, got shape "
@@ -473,17 +474,12 @@ def minimize(objective, x0, config, grad=None, value_and_grad=None,
         raise OptimizationError(f"unknown optimizer config {config!r}")
     trace = OptimizationTrace()
     f = _counted(objective, trace)
-    if kind is LevenbergMarquardt:
+    lm = kind is LevenbergMarquardt
+    if lm:
         if residual_jacobian is None:
             raise OptimizationError("Levenberg-Marquardt needs a residual "
                                     "and its Jacobian")
-
-        def rj(x):
-            r, jac = residual_jacobian(x)
-            fx = float(r.dot(r))
-            _count((fx,), 1, trace)
-            return r, jac, fx
-        steps = _levenberg_marquardt(rj, x0, config)
+        steps = _levenberg_marquardt(residual_jacobian, x0, config)
     elif kind is GradientDescent:
         def fg(x):
             if value_and_grad is None:
@@ -501,4 +497,6 @@ def minimize(objective, x0, config, grad=None, value_and_grad=None,
         except StopIteration as end:
             trace.stop = end.value or trace.stop
             return trace
+        if lm:  # one residual_jacobian call per step it yields
+            _count((fx,), 1, trace)
         trace.record(x, fx)

@@ -226,6 +226,7 @@ def classical_run(problem, fields, layout: RegisterLayout, tau: float,
     ``components(problem)`` each, oldest first); returns the last component's
     fields (n_steps + 1 entries including the initial one).  A second-order
     kind given one level starts from rest, as in ``evolve.run``."""
+    check_tau(tau)
     if isinstance(n_steps, bool) or not (isinstance(n_steps, (int, np.integer))
                                          and n_steps >= 0):
         raise ProblemError(f"step count must be a non-negative integer, "

@@ -1,8 +1,10 @@
 """Independent dense references for the tests: the circuit as a product of
 np.kron matrices, every operator expression as a product of the oracle's
-np.roll circulants and np.diag matrices, and the residual cost and its
-parameter-shift gradient formed from them.  None of this shares code with
-``prepare_batch`` or ``compile_monomials``."""
+np.roll circulants and np.diag matrices, the grid's Fourier transform as an
+np.kron of per-axis DFT matrices, and the residual cost, its term list, its
+two measured families and its parameter-shift gradient formed from them.
+None of this shares code with ``prepare_batch``, ``compile_monomials`` or
+``numpy.fft``."""
 from functools import lru_cache, reduce
 from math import sqrt
 
@@ -160,3 +162,55 @@ def tagged_state(cost, bra: int, psi: np.ndarray) -> np.ndarray:
         return psi
     samples = np.asarray(cost.samples[bra - 1], dtype=float)
     return samples / np.linalg.norm(samples)
+
+
+def grid_dft(layout) -> np.ndarray:
+    """The unitary forward DFT over the layout's axis registers, numpy's
+    sign exp(-2 pi i jk / N): one conjugated ``dft_matrix`` per axis, the
+    first axis the least significant np.kron factor."""
+    return reduce(np.kron, [dft_matrix(2 ** n).conj()
+                            for _, n, _ in reversed(layout.axes)])
+
+
+def two_families(part, psi) -> tuple:
+    """The dense two-family reference of a cost part at prepared rows psi
+    (B, dim): (Re<beta|psi> (B,), ||M'b||, |F psi|^2 (B, dim),
+    |diag(F M F')|^2 (dim,)) with M dense, F = ``grid_dft`` and
+    beta = M'b / ||M'b||; the cost is ||b||^2 - 2 lam0 ||M'b|| Re<beta|psi>
+    + lam0^2 |F psi|^2 . |diag(F M F')|^2."""
+    m, b = _residual_operators(part)
+    f = grid_dft(part.template.layout)
+    mtb = m.conj().T @ b
+    norm = float(np.linalg.norm(mtb))
+    beta = mtb / norm if norm else mtb
+    weight = np.abs(np.diag(f @ m @ f.conj().T)) ** 2
+    return (psi @ beta.conj()).real, norm, np.abs(psi @ f.T) ** 2, weight
+
+
+def family_cost(part, psi, lam0s) -> np.ndarray:
+    """The part's exact cost at rows psi (B, dim) from ``two_families``."""
+    overlap, norm, probs, weight = two_families(part, psi)
+    lam0s = np.asarray(lam0s, dtype=float)
+    return part.offset - 2.0 * lam0s * norm * overlap \
+        + lam0s ** 2 * (probs @ weight)
+
+
+def term_list_cost(part, psi, lam0s) -> np.ndarray:
+    """offset + sum of lam0^p Re(coeff <bra|T|psi>) over the part's
+    ``term_list()`` at rows psi (B, dim), each term's dense matrix applied
+    to every row at once (p = 2 for bra psi, else 1)."""
+    lam0s = np.asarray(lam0s, dtype=float)
+    total = np.full(len(psi), part.offset)
+    for coeff, bra, term in part.term_list():
+        op = dense_reference([term], part.template.layout, part.bindings)
+        bras = psi if bra == 0 else tagged_state(part, bra, psi[0])
+        value = np.real(coeff * np.sum(np.conj(bras) * (psi @ op.T), axis=1))
+        total += value * (lam0s ** 2 if bra == 0 else lam0s)
+    return total
+
+
+def direct_cost_rows(part, psi, lam0s) -> np.ndarray:
+    """``direct_cost`` at rows psi (B, dim), every row at once."""
+    r, b = _residual_operators(part)
+    res = np.asarray(lam0s, dtype=float)[:, None] * (psi @ r.T) - b
+    return np.sum(np.abs(res) ** 2, axis=1)

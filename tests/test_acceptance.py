@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vqpde import oracle as orc
-from vqpde.ansatz import AnsatzSpec, prepare
+from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
 from vqpde.costlib import (
     Boussinesq,
     CamassaHolm,
@@ -39,9 +39,10 @@ from vqpde.statevec import RegisterLayout, hadamard_test, layout_1d
 
 from reference import (
     dense_reference,
+    direct_cost_rows,
     direct_joint_cost,
-    split_row,
     tagged_state,
+    term_list_cost,
 )
 
 
@@ -86,8 +87,10 @@ def pde_instances(n_qubits_1d: int, two_axis: tuple = (2, 1)):
 
 
 def test_term_sum_matches_direct_residual_norms(capsys):
-    """All 8 residual costs: term-by-term evaluation vs direct squared norm,
-    1000 random candidates each, grids up to 6 qubits, within 1e-10."""
+    """All 8 residual costs: the term list that ``vqpde terms`` prints,
+    summed term by term, vs the direct squared norm, 1000 random candidates
+    each, grids up to 6 qubits, within 1e-10; both from the batched dense
+    reference at the same prepared states."""
     t0 = time.time()
     worst = 0.0
     insts = dict(pde_instances(3, two_axis=(2, 1)))
@@ -100,12 +103,14 @@ def test_term_sum_matches_direct_residual_norms(capsys):
     insts["lin-tsien-16pt"] = pde_instances(3, two_axis=(2, 2))["lin-tsien"]
     for name, cost in insts.items():
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        for _ in range(1000):
-            x = rng.normal(size=cost.n_params)
-            dev = abs(sum(p.evaluate_terms(lam, lam0) for p, (lam, lam0)
-                          in zip(cost.parts, split_row(cost, x)))
-                      - direct_joint_cost(cost, x))
-            worst = max(worst, dev)
+        xs = rng.normal(size=(1000, cost.n_params))
+        terms = direct = 0.0
+        for p, block in zip(cost.parts, np.split(
+                xs, len(cost.parts), axis=1)):
+            psi = prepare_batch(p.spec, block[:, :-1])
+            terms = terms + term_list_cost(p, psi, block[:, -1])
+            direct = direct + direct_cost_rows(p, psi, block[:, -1])
+        worst = max(worst, float(np.max(np.abs(terms - direct))))
     elapsed = time.time() - t0
     report(capsys, worst <= 1e-10 and elapsed < 120.0,
            "term-sum cost equals direct residual norm",
@@ -167,7 +172,8 @@ def test_shot_estimates_consistent_with_exact_values(capsys):
     spec = AnsatzSpec(n_qubits=3, layers=2, rotation_axes=("Y", "Z"))
     u = np.sin(2 * np.pi * np.arange(8.0) / 8) + 1.2
     cost = build_cost(NavierStokes(nu=1.0), [u], lay, 0.05, spec).parts[0]
-    terms = [e for e in cost.term_list() if e[2].is_unitary_product()]
+    terms = [e for e in cost.term_list()
+             if all(a.is_unitary() for a in e[2].atoms)]
     assert terms
     good = 0
     for trial in range(100):
@@ -178,9 +184,8 @@ def test_shot_estimates_consistent_with_exact_values(capsys):
         for _, bra, term in terms:
             bra = tagged_state(cost, bra, psi)[None, :]
             ket = (dense_reference([term], lay, cost.bindings) @ psi)[None, :]
-            exact = hadamard_test(bra, ket, sampled=True)[0]
-            est = hadamard_test(bra, ket, sampled=True, shots=10 ** 5,
-                                rng=rng)[0]
+            exact = hadamard_test(bra, ket)[0]
+            est = hadamard_test(bra, ket, shots=10 ** 5, rng=rng)[0]
             sigma = np.sqrt(max(1.0 - exact ** 2, 0.0) / 10 ** 5)
             if abs(est - exact) > 4.0 * sigma + 1e-12:
                 ok = False

@@ -438,6 +438,20 @@ def test_compare_from_another_directory(tmp_path, monkeypatch):
     assert float(lines[-1].split(",")[3]) < 1e-3
 
 
+def test_compare_names_each_run_file_as_it_sits_in_the_run_directory(
+        tmp_path, monkeypatch):
+    """compare.csv sits in the run directory, so its ``run`` column names
+    each trajectory file by its name there, wherever ``run`` ran."""
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, output_dir="out")
+    assert main(["run", str(path)]) == 0
+    assert main(["compare", "out", "--against", "oracle"]) == 0
+    with open(tmp_path / "out" / "compare.csv", newline="") as fh:
+        runs = {row["run"] for row in csv.DictReader(fh)}
+    assert runs == {"vqa_000.csv"}
+    assert all((tmp_path / "out" / run).is_file() for run in runs)
+
+
 def test_compare_exact_uses_grid_coordinates(tmp_path):
     # at t = 0 the run holds the initial profile -x exactly; the reference
     # must be evaluated at x = 0, 0.5, 1, ... rather than at the indices

@@ -112,13 +112,13 @@ def build(case: str, step: int):
 
 
 def arrays(cost) -> dict:
-    """Every array a step's cost is evaluated from, by name."""
-    t = cost.term_table
+    """Every array a step's cost is evaluated from, by name, the shot
+    families included."""
+    beta, norm, weight, measured = cost.families
     out = {"b": cost.b, "m_perm": cost.m_form.perm,
-           "m_weight": cost.m_form.weight}
-    for name in ("coeff", "quadratic", "sampled", "perm", "weight", "source",
-                 "part"):
-        out["table_" + name] = getattr(t, name)
+           "m_weight": cost.m_form.weight, "m_hat": cost.template.m_hat,
+           "beta": beta, "norm": norm, "weight": weight,
+           "measured": np.array(measured)}
     for k, p in enumerate(cost.parts):
         out[f"part{k}_b"] = p.b_vector
         out[f"part{k}_m_weight"] = p.template.m.constant.weight
@@ -145,15 +145,15 @@ def test_rebound_cost_equals_a_fresh_compile_bitwise(case):
 
 @pytest.mark.parametrize("case", IDS)
 def test_later_binds_leave_an_earlier_cost_unchanged(case):
-    """A cost bound at step k keeps its b, M and term table bitwise while
+    """A cost bound at step k keeps its b, M and families bitwise while
     steps k + 1 to k + 4 bind from the same template."""
     template = compiled(case)
-    bind(template, case, 0).term_table  # compiles the table's fixed columns
+    bind(template, case, 0).families  # transforms the template's M
     kept = bind(template, case, 1)
     before = snapshot(kept)
     later = [bind(template, case, step) for step in range(2, 6)]
     for cost in later:
-        cost.term_table
+        cost.families
     assert snapshot(kept) == before
     assert not any(np.array_equal(kept.b, c.b) for c in later[1::2])
 
@@ -171,10 +171,10 @@ class Counter:
 
 @pytest.mark.parametrize("case", IDS)
 def test_only_the_first_build_compiles(case, monkeypatch):
-    """Across five consecutive steps bound from one compile, term table
-    included, the compile expands and compiles the kind's operators; the
-    binds after the first make no ``expand_product``, ``compile_monomials``
-    or template compile call."""
+    """Across five consecutive steps bound from one compile, shot families
+    and term lists included, the compile expands and compiles the kind's
+    operators; the binds after the first make no ``expand_product``,
+    ``compile_monomials`` or template compile call."""
     counts = {name: Counter() for name in ("expand", "monomials", "template")}
     for mod in (opexpr, costlib):
         monkeypatch.setattr(mod, "expand_product",
@@ -184,11 +184,13 @@ def test_only_the_first_build_compiles(case, monkeypatch):
     monkeypatch.setattr(MonomialTemplate, "compile", staticmethod(
         counts["template"].wrap(MonomialTemplate.compile)))
     template = compiled(case)
-    bind(template, case, 0).term_table
+    for p in bind(template, case, 0).parts:
+        p.joint.families, p.term_list()
     first = {name: c.calls for name, c in counts.items()}
     assert first["expand"] > 0 and first["template"] > 0
     for step in range(1, 5):
-        bind(template, case, step).term_table
+        for p in bind(template, case, step).parts:
+            p.joint.families, p.term_list()
     assert {name: c.calls for name, c in counts.items()} == first
 
 
@@ -301,7 +303,7 @@ def shots_config(seed: int) -> EvolutionConfig:
 @ENCODE_MISS
 def test_a_run_does_not_inherit_an_earlier_runs_template(monkeypatch):
     """Two shot-mode runs on one problem instance each compile the template
-    and its term table at their first step: their operator algebra, their
+    and its transform of M at their first step: their operator algebra, their
     trajectories and their costs repeat."""
     expand = Counter()
     for mod in (opexpr, costlib):
@@ -335,8 +337,9 @@ def hand_parts(m_op, src) -> tuple:
 
 def test_parts_joined_by_hand_equal_a_template_bind():
     """Parts bound by hand from templates compiled anew and joined into a
-    ``JointCost`` equal the template's bind: M, b and the term table are
-    the block-diagonal stack of the parts compiled anew, bitwise."""
+    ``JointCost`` equal the template's bind: M and b are the block-diagonal
+    stack of the parts compiled anew, and the families those of the parts
+    alone, bitwise."""
     m_op = OpExpr.identity() + OpExpr.single(shift("x"), 0.3)
     src = grad_op("x", 1.0) + OpExpr((OpTerm(0.5, (diag("w"),)),))
     template = CostTemplate("hand", hand_parts(m_op, src),
@@ -356,20 +359,14 @@ def test_parts_joined_by_hand_equal_a_template_bind():
             compile_monomials(src, LAY, binds).apply(v[None, :])[0]
             + compile_monomials(m_op, LAY, binds).apply(u[None, :])[0],
             tol=1e6))
-        rows = [(k, entry) for k, p in enumerate(parts)
-                for entry in p.term_list()]
-        forms = [compile_monomials([t], LAY, binds) for _, (_, _, t) in rows]
+        alone = [p.joint.families for p in parts]
         for c in (cost, by_hand):
             assert snapshot(c) == snapshot(by_hand)
             assert np.array_equal(c.m_form.perm, m.perm)
             assert np.array_equal(c.m_form.weight, m.weight)
             assert np.array_equal(c.b, np.array(b))
-            t = c.term_table
-            assert np.array_equal(t.coeff, [e[0].real for _, e in rows])
-            assert np.array_equal(t.part, [k for k, _ in rows])
-            assert np.array_equal(t.perm, [f.perm[0] + 8 * k for (k, _), f
-                                           in zip(rows, forms)])
-            assert np.array_equal(t.weight, [f.weight[0] for f in forms])
+            for got, *want in zip(c.families, *alone):
+                assert np.array_equal(got, np.concatenate(want))
 
 
 @pytest.mark.parametrize("samples", [(), (U, V)])

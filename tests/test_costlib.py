@@ -328,9 +328,10 @@ JACOBIAN_ANSATZE = {
 @pytest.mark.parametrize("kind", DEMO_KINDS)
 def test_residual_jacobian_matches_differences_and_gradient(kind, ansatz):
     """On every demo part and joint cost, on a real and two complex
-    ansatze: r.r is the cost, J the central differences of r to 1e-8, and
-    2 J^T r ``value_and_grad``'s gradient to 1e-12 max(1, |g|).  A complex
-    residual comes as [Re; Im] rows, a real one as its real rows."""
+    ansatze: r.r, returned third, is the cost, J the central differences
+    of r to 1e-8, and 2 J^T r ``value_and_grad``'s gradient to 1e-12
+    max(1, |g|).  A complex residual comes as [Re; Im] rows, a real one as
+    its real rows."""
     rng = np.random.default_rng(zlib.crc32((kind + ansatz).encode()))
     for demo in demo_costs(kind):
         spec = AnsatzSpec(n_qubits=demo.parts[0].spec.n_qubits, layers=2,
@@ -338,7 +339,8 @@ def test_residual_jacobian_matches_differences_and_gradient(kind, ansatz):
         cost = JointCost(demo.name, tuple(replace(p, spec=spec)
                                           for p in demo.parts))
         x = rng.normal(size=cost.n_params)
-        r, jac = cost.residual_jacobian(x)
+        r, jac, rr = cost.residual_jacobian(x)
+        assert rr == float(r.dot(r))
         assert r.size == (1 if ansatz == "Y" else 2) * cost.b.size
         assert jac.shape == (r.size, cost.n_params)
         h = 1e-5
@@ -461,7 +463,8 @@ def test_couette_term_list_structure():
     # implicit side is the identity; shifts enter only through the explicit
     # diffusion stencil, so every term is a unitary product
     assert labels == {"1", "A[x]", "Adag[x]"}
-    assert all(t.is_unitary_product() for _, _, t in cost.term_list())
+    assert all(a.is_unitary() for _, _, t in cost.term_list()
+               for a in t.atoms)
 
 
 def test_identity_residual_single_quadratic_term():

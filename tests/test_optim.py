@@ -528,14 +528,20 @@ def test_minimize_runs_every_config_class_and_nothing_else():
 
 # -- Levenberg-Marquardt --------------------------------------------------------
 
+def with_rr(r, jac) -> tuple:
+    """(r, J, r.r): what ``residual_jacobian`` returns."""
+    return r, jac, float(r.dot(r))
+
+
 def parabola_rj(x):
     """Residual x_0 - 2 of ``quadratic`` and its Jacobian."""
-    return np.array([x[0] - 2.0]), np.eye(1, x.size)
+    return with_rr(np.array([x[0] - 2.0]), np.eye(1, x.size))
 
 
 def offset_rj(x):
     """A residual whose least r.r is 1, at x_0 = 2."""
-    return np.array([x[0] - 2.0, 1.0]), np.eye(2, x.size) * [[1.0], [0.0]]
+    return with_rr(np.array([x[0] - 2.0, 1.0]),
+                   np.eye(2, x.size) * [[1.0], [0.0]])
 
 
 def test_lm_solves_the_parabola_one_call_per_candidate():
@@ -570,7 +576,7 @@ def test_lm_damping_shrinks_on_descent_and_grows_on_ascent():
     assert steps[1] == pytest.approx(2.0 / 2.0)
     assert steps[2] == pytest.approx(1.0 + 1.0 / (1.0 + 1.0 / 3.0))
     steps.clear()
-    uphill = lambda x: (rj(x)[0], -np.eye(1))  # every candidate ascends
+    uphill = lambda x: with_rr(rj(x)[0], -np.eye(1))  # always ascends
     minimize(quadratic, np.array([0.0]), LevenbergMarquardt(max_iters=3),
              residual_jacobian=uphill)
     assert steps[1:] == pytest.approx([-2.0 / (1.0 + 1e-3 * 4 ** k)
@@ -587,10 +593,10 @@ LM_STOPS = [
     (LevenbergMarquardt(), lambda x: offset_rj(x + 2.0), "converged"),
     (LevenbergMarquardt(max_iters=1), parabola_rj, "max-iters"),
     # the Jacobian points uphill, so no damping finds a lower point
-    (LevenbergMarquardt(), lambda x: (parabola_rj(x)[0], -np.eye(1)),
+    (LevenbergMarquardt(), lambda x: with_rr(parabola_rj(x)[0], -np.eye(1)),
      "no-descent"),
-    (LevenbergMarquardt(), lambda x: (parabola_rj(x)[0], np.full((1, 1),
-                                                                 np.nan)),
+    (LevenbergMarquardt(), lambda x: with_rr(parabola_rj(x)[0],
+                                             np.full((1, 1), np.nan)),
      "non-finite"),
 ]
 
@@ -606,10 +612,10 @@ def test_lm_records_why_it_stopped(cfg, rj, stop):
 def test_lm_start_must_be_finite_and_later_nan_is_rejected():
     with pytest.raises(OptimizationError, match="start point"):
         minimize(quadratic, np.array([0.0]), LevenbergMarquardt(),
-                 residual_jacobian=lambda x: (np.array([np.nan]),
-                                              np.eye(1)))
-    nan_after_start = lambda x: ((parabola_rj(x)[0] if x[0] == 0.0
-                                  else np.array([np.nan])), np.eye(1))
+                 residual_jacobian=lambda x: with_rr(np.array([np.nan]),
+                                                     np.eye(1)))
+    nan_after_start = lambda x: with_rr(
+        parabola_rj(x)[0] if x[0] == 0.0 else np.array([np.nan]), np.eye(1))
     trace = minimize(quadratic, np.array([0.0]),
                      LevenbergMarquardt(max_iters=5),
                      residual_jacobian=nan_after_start)
@@ -666,7 +672,7 @@ def nan_valley_rj(x):
     r = np.array([x[0] - 2.0 + 0.3 * np.sin(x[1]),
                   x[1] + 1.0 + 0.2 * x[0] ** 2])
     jac = np.array([[1.0, 0.3 * np.cos(x[1])], [0.4 * x[0], 1.0]])
-    return (np.full(2, np.nan) if x[0] > 2.2 else r), jac
+    return with_rr(np.full(2, np.nan) if x[0] > 2.2 else r, jac)
 
 
 def trace_digest(trace) -> str:

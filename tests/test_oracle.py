@@ -160,6 +160,14 @@ def test_classical_step_rejects_a_bad_tau(tau):
         orc.classical_step(NavierStokes(), [U], LAY, tau)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), 0.0, -0.1, float("inf")])
+def test_classical_run_rejects_a_bad_tau_before_any_step(tau):
+    """A run of 0 steps never reaches ``classical_step``; the run checks
+    tau at entry."""
+    with pytest.raises(ProblemError, match="tau must be positive"):
+        orc.classical_run(NavierStokes(), [U], LAY, tau, 0)
+
+
 @pytest.mark.parametrize("n_steps", [-3, 2.5, 2.0, True, "2", None])
 def test_classical_run_rejects_a_bad_step_count(n_steps):
     with pytest.raises(ProblemError, match="step count"):

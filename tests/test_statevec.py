@@ -194,14 +194,13 @@ def test_qft_of_delta_is_uniform():
 def test_hadamard_test_identity():
     rng = np.random.default_rng(7)
     s = random_state(rng, 3).amplitudes[None, :]
-    assert abs(hadamard_test(s, s, sampled=True)[0] - 1.0) < 1e-12
+    assert abs(hadamard_test(s, s)[0] - 1.0) < 1e-12
 
 
 def test_hadamard_test_pauli_z_on_plus():
     plus = QuantumState(np.array([SQ2, SQ2]), 1)
     z_plus = apply_gate(plus, Gate("Z"), (0,))
-    est = hadamard_test(plus.amplitudes[None, :], z_plus.amplitudes[None, :],
-                        sampled=True)
+    est = hadamard_test(plus.amplitudes[None, :], z_plus.amplitudes[None, :])
     assert abs(est[0]) < 1e-12
 
 
@@ -209,8 +208,7 @@ def test_hadamard_test_shift_off_diagonal():
     lay = layout_1d(2, 1.0)
     z = QuantumState.zero(2)
     shifted = apply_shift(z, lay, "x")
-    est = hadamard_test(z.amplitudes[None, :], shifted.amplitudes[None, :],
-                        sampled=True)
+    est = hadamard_test(z.amplitudes[None, :], shifted.amplitudes[None, :])
     assert abs(est[0]) < 1e-12
 
 
@@ -226,17 +224,16 @@ def test_hadamard_exact_equals_inner(seed=0):
     op_ket = apply_shift(ket, lay, "x").amplitudes
     want = np.vdot(bra.amplitudes, op_ket)
     for part, phase in PHASES.items():
-        est = hadamard_test(bra.amplitudes[None, :], phase * op_ket[None, :],
-                            sampled=True)
+        est = hadamard_test(bra.amplitudes[None, :], phase * op_ket[None, :])
         assert abs(est[0] - getattr(want, part)) < 1e-12
 
 
 def test_hadamard_shot_mode_needs_the_callers_generator():
     s = QuantumState.zero(2).amplitudes[None, :]
     with pytest.raises(SimulationError, match="random generator"):
-        hadamard_test(s, s, sampled=True, shots=100)
+        hadamard_test(s, s, shots=100)
     # exact mode draws nothing
-    assert hadamard_test(s, s, sampled=True)[0] == 1.0
+    assert hadamard_test(s, s)[0] == 1.0
 
 
 def test_hadamard_shot_mode_within_four_sigma():
@@ -248,7 +245,7 @@ def test_hadamard_shot_mode_within_four_sigma():
         bra = random_state(rng, 3).amplitudes
         ket = apply_shift(random_state(rng, 3), lay, "x").amplitudes
         exact = np.real(np.vdot(bra, ket))
-        est = hadamard_test(bra[None, :], ket[None, :], sampled=True,
+        est = hadamard_test(bra[None, :], ket[None, :],
                             shots=shots, rng=rng)
         sigma = np.sqrt((1.0 - exact ** 2) / shots)
         if abs(est[0] - exact) <= 4 * max(sigma, 1e-12):
@@ -269,8 +266,8 @@ def _rows(seed, t=6, n=3):
 def test_hadamard_rows_equal_scalar_calls_exact(part):
     bra_rows, ket_rows = _rows(11)
     ket_rows = PHASES[part] * ket_rows
-    rows = hadamard_test(bra_rows, ket_rows, sampled=True)
-    single = [hadamard_test(b[None, :], k[None, :], sampled=True)[0]
+    rows = hadamard_test(bra_rows, ket_rows)
+    single = [hadamard_test(b[None, :], k[None, :])[0]
               for b, k in zip(bra_rows, ket_rows)]
     assert np.array_equal(rows, single)
     want = [getattr(np.vdot(b, k / PHASES[part]), part)
@@ -283,9 +280,9 @@ def test_hadamard_rows_equal_scalar_calls_shots(part):
     bra_rows, ket_rows = _rows(12)
     ket_rows = PHASES[part] * ket_rows
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    rows = hadamard_test(bra_rows, ket_rows, sampled=True, shots=500,
+    rows = hadamard_test(bra_rows, ket_rows, shots=500,
                          rng=rng_a)
-    single = [hadamard_test(b[None, :], k[None, :], sampled=True,
+    single = [hadamard_test(b[None, :], k[None, :],
                             shots=500, rng=rng_b)[0]
               for b, k in zip(bra_rows, ket_rows)]
     assert np.array_equal(rows, single)
@@ -295,24 +292,23 @@ def test_hadamard_rows_equal_scalar_calls_shots(part):
 def test_hadamard_rows_shape_mismatch():
     bra_rows, ket_rows = _rows(14, t=3)
     with pytest.raises(SimulationError):
-        hadamard_test(bra_rows, ket_rows[:2], sampled=True)
+        hadamard_test(bra_rows, ket_rows[:2])
     with pytest.raises(SimulationError):
-        hadamard_test(bra_rows[0], ket_rows[0], sampled=True)
+        hadamard_test(bra_rows[0], ket_rows[0])
 
 
 def test_hadamard_rows_mix_parts_and_sampled_rows():
-    """Rows of both parts (kets with and without the -i phase) and a
-    sampled mask in one call: the values and draws of one call per row,
-    exact where a row is not sampled."""
+    """Rows of both parts (kets with and without the -i phase), sampled in
+    one call over a 2-D leading shape: the values and draws of one call per
+    row, taken in C order of the leading shape."""
     bra_rows, ket_rows = _rows(15)
     imag = np.array([False, True, True, False, True, False])
     ket_rows = np.where(imag[:, None], -1j, 1.0) * ket_rows
-    sampled = np.array([True, True, False, False, True, True])
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-    rows = hadamard_test(bra_rows, ket_rows, sampled=sampled, shots=500,
-                         rng=rng_a)
+    rows = hadamard_test(bra_rows.reshape(2, 3, -1),
+                         ket_rows.reshape(2, 3, -1), shots=500, rng=rng_a)
+    assert rows.shape == (2, 3)
     for i, (b, k) in enumerate(zip(bra_rows, ket_rows)):
-        one = hadamard_test(b[None, :], k[None, :], sampled=True,
-                            shots=500 if sampled[i] else None, rng=rng_b)
-        assert rows[i] == one[0]
+        one = hadamard_test(b[None, :], k[None, :], shots=500, rng=rng_b)
+        assert rows.ravel()[i] == one[0]
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
