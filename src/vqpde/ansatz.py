@@ -196,8 +196,8 @@ def _angle_rows(spec: AnsatzSpec, lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2 or lams.shape[1] != spec.parameter_count:
         raise SimulationError(
-            f"expected rows of {spec.parameter_count} parameters, "
-            f"got shape {lams.shape}"
+            f"expected {spec.parameter_count} parameters per row, got "
+            f"shape {lams.shape}"
         )
     return lams
 

@@ -37,7 +37,8 @@ from .costlib import (
     Maxwell,
     NavierStokes,
     PointParticle,
-    build_cost,
+    build_cost,  # noqa: F401  unused here; perfbench/tracing.py patches it
+    compile_cost,
     components,
     grid_coordinates,
 )
@@ -330,8 +331,8 @@ def load_config(path) -> dict:
     # fails here, as does a spacing so small that a stencil coefficient
     # divides by zero or is not finite
     try:
-        build_cost(problem, initial * problem.history_depth, layout,
-                   evolutions[0].tau, specs[0])
+        compile_cost(problem, layout, evolutions[0].tau).bind(
+            initial * problem.history_depth, specs[0])
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"problem: {exc}") from exc
     return {
@@ -524,7 +525,7 @@ def _demo_cost(pde: str):
         spec = AnsatzSpec(n_qubits=4, layers=2)
         xs16 = np.arange(16, dtype=float)
         history = [np.sin(2 * np.pi * xs16 / 16)]
-    return build_cost(problem, history, layout, tau, spec)
+    return compile_cost(problem, layout, tau).bind(history, spec)
 
 
 def cmd_terms(pde: str) -> int:

@@ -305,16 +305,15 @@ def grid_coordinates(layout: RegisterLayout) -> dict:
 class PartTemplate:
     """One part's operators compiled once: M, which reads no field, and
     every source expression as ``MonomialTemplate``s, and on first use its
-    term rows.  A step binds only the frozen fields (``CostFunction``):
-    source i reads the step's array ``tags[i]`` and the diagonal atoms the
-    fields ``binds``."""
+    term rows.  A step's values are its named arrays: source i is applied
+    to the array ``tags[i]``, and its diagonal atoms read the arrays that
+    its template's ``fields`` name (``target``)."""
 
     name: str
     layout: RegisterLayout
     m_op: OpExpr
     exprs: tuple  # source expressions, in order
     tags: tuple  # the step's array each source reads
-    binds: tuple = ()
     m: MonomialTemplate = dfield(init=False, repr=False)
     sources: tuple = dfield(init=False, repr=False)  # of MonomialTemplate
 
@@ -334,51 +333,40 @@ class PartTemplate:
                      for bra, e in enumerate((self.m_op, *self.exprs))
                      for t in expand_product([adjoint(e), self.m_op]).terms)
 
+    def target(self, arrays) -> np.ndarray:
+        """This part's b at one step: the sum of every source, its diagonal
+        atoms bound to ``arrays``, applied to the array it reads."""
+        b = np.zeros(self.layout.dim, dtype=complex)
+        for tag, form in zip(self.tags, self.sources):
+            amps = np.asarray(arrays.get(tag, ()))
+            if amps.shape != b.shape:
+                raise ProblemError(f"{self.name}: array {tag!r} of "
+                                   f"{amps.size} samples for {b.size} grid "
+                                   f"points")
+            b = b + form.bind(arrays).apply(amps[None, :])[0]
+        return np.real_if_close(b, tol=1e6)
+
 
 @dataclass(frozen=True, eq=False)
 class CostFunction:
-    """Frozen-history residual ||M c - b||^2 over candidates c = lam0 Psi(lam):
-    one part of a ``JointCost``, which evaluates it.  It is its compiled
-    ``template`` plus one step's values: ``samples``, one array per source
-    of the template in order, and ``bindings``, the diagonal fields."""
+    """One part of a step's cost, ||M c - b||^2 over candidates
+    c = lam0 Psi(lam), viewed alone: its compiled ``template`` and the
+    step's ``arrays``.  Its ``joint``, the part as a one-part ``JointCost``,
+    holds b and evaluates it."""
 
     template: PartTemplate
     spec: AnsatzSpec
-    samples: tuple
-    bindings: dict
-    b_vector: np.ndarray = dfield(init=False)
-    offset: float = dfield(init=False)
-
-    def __post_init__(self):
-        t = self.template
-        if len(self.samples) != len(t.sources):
-            raise ProblemError(f"{t.name}: {len(self.samples)} samples for "
-                               f"{len(t.sources)} sources")
-        b = np.zeros(t.layout.dim, dtype=complex)
-        for tag, amps, form in zip(t.tags, self.samples, t.sources):
-            amps = np.asarray(amps)
-            if amps.shape != b.shape:
-                raise SimulationError(
-                    f"samples {tag!r} of length {amps.size} do not match "
-                    f"{t.layout.total_qubits} qubits")
-            b = b + form.bind(self.bindings).apply(amps[None, :])[0]
-        b = np.real_if_close(b, tol=1e6).copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "b_vector", b)
-        object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
+    arrays: dict
 
     @property
     def name(self) -> str:
         return self.template.name
 
-    @property
-    def n_params(self) -> int:
-        return self.spec.parameter_count + 1
-
     @cached_property
     def joint(self) -> "JointCost":
         """This part alone as the ``JointCost`` that evaluates it."""
-        return JointCost(self.name, (self,))
+        return JointCost(CostTemplate(self.name, (self.template,)), self.spec,
+                         self.arrays)
 
     def shift_split_eval(self, lams) -> tuple:
         """``JointCost.split`` of this part alone over angle rows (B, P)."""
@@ -394,7 +382,8 @@ class CostFunction:
         times -2 ||samples|| and its rows dropped when that is 0: offset +
         sum of lam0^p Re(coeff <bra|T|psi>), p = 2 for bra psi and 1 for a
         source's normalized samples, reproduces the cost."""
-        norms = [1.0] + [float(np.linalg.norm(s)) for s in self.samples]
+        norms = [1.0] + [float(np.linalg.norm(self.arrays[t]))
+                         for t in self.template.tags]
         return tuple((c if bra == 0 else -2.0 * norms[bra] * c, bra, term)
                      for c, bra, term in self.template.rows
                      if norms[bra] != 0.0)
@@ -406,7 +395,7 @@ class CostFunction:
                                               shots, rng)[0])
 
     def serialize_terms(self) -> str:
-        lines, tags = [f"offset {self.offset:+.12g}"], self.template.tags
+        lines, tags = [f"offset {self.joint.offset:+.12g}"], self.template.tags
         for coeff, bra, term in self.term_list():
             cs = f"({coeff.real:+.12g}{coeff.imag:+.12g}j)"
             tag = f"src{bra - 1}:{tags[bra - 1]}" if bra else "psi"
@@ -446,11 +435,7 @@ class CostTemplate:
                                f"levels, got {len(fields)}")
         if 2 ** spec.n_qubits != dim:
             raise ProblemError("ansatz size does not match the grid")
-        vals = self.values(fields)
-        return JointCost(self.name, tuple(
-            CostFunction(p, spec, tuple(vals[t] for t in p.tags),
-                         {k: vals[k] for k in p.binds})
-            for p in self.parts), self)
+        return JointCost(self, spec, self.values(fields))
 
     @cached_property
     def m_hat(self) -> np.ndarray:
@@ -467,54 +452,53 @@ class CostTemplate:
 
 @dataclass(frozen=True, eq=False)
 class JointCost:
-    """Per-step cost of a problem: one residual over its K component costs
-    (one part per evolved field) on one ansatz, over the row
-    (lam_1, lam0_1, lam_2, lam0_2, ...) read as (K, P + 1).  The parts'
-    operators are stacked into a block-diagonal ``m_form`` over K dim
-    amplitudes, once per ``template``, and their targets into ``b``
-    (K, dim); B rows are prepared as B K angle rows, row-major and
-    part-minor, in one ``prepare_batch``.  Parts joined by hand get a
-    template of their own parts' templates."""
+    """Per-step cost of a problem: one residual over the K parts of its
+    ``template`` (one per evolved field) on one ansatz ``spec``, over the
+    row (lam_1, lam0_1, lam_2, lam0_2, ...) read as (K, P + 1).  The step's
+    named ``arrays`` give the parts' targets, stacked into ``b`` (K, dim);
+    the template's block-diagonal ``m_form`` holds M over K dim amplitudes.
+    B rows are prepared as B K angle rows, row-major and part-minor, in one
+    ``prepare_batch``."""
 
-    name: str
-    parts: tuple
-    template: CostTemplate = dfield(default=None, repr=False)
-    m_form: MonomialForm = dfield(init=False, repr=False)
+    template: CostTemplate
+    spec: AnsatzSpec
+    arrays: dict  # the step's samples and diagonal fields, by name
     b: np.ndarray = dfield(init=False, repr=False)
     offset: float = dfield(init=False)  # ||b||^2
 
     def __post_init__(self):
-        if any(p.spec != self.parts[0].spec for p in self.parts):
-            raise ProblemError(f"{self.name}: the parts must share one ansatz")
-        b = np.array([p.b_vector for p in self.parts])
+        b = np.array([p.target(self.arrays) for p in self.template.parts])
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "offset", float(np.real(np.vdot(b, b))))
-        if self.template is None:
-            object.__setattr__(self, "template", CostTemplate(
-                self.name, tuple(p.template for p in self.parts)))
-        object.__setattr__(self, "m_form", self.template.m_form)
+
+    @cached_property
+    def parts(self) -> tuple:
+        """Each part viewed alone, a ``CostFunction``, built on first use."""
+        return tuple(CostFunction(p, self.spec, self.arrays)
+                     for p in self.template.parts)
 
     @property
     def n_params(self) -> int:
-        return len(self.parts) * self.parts[0].n_params
+        return len(self.b) * (self.spec.parameter_count + 1)
 
     def _rows(self, xs) -> np.ndarray:
         """Rows xs (B, n_params) as (B, K, P + 1)."""
-        return np.asarray(xs, float).reshape(len(xs), len(self.parts),
-                                             self.parts[0].n_params)
+        return np.asarray(xs, float).reshape(len(xs), len(self.b),
+                                             self.spec.parameter_count + 1)
 
     def _mpsi(self, lams) -> np.ndarray:
         """M psi of the angle rows lams (B, K, P) as (K, dim, B), from one
         ``prepare_batch``."""
-        return self._m_cols(prepare_batch(self.parts[0].spec, lams.reshape(
+        return self._m_cols(prepare_batch(self.spec, lams.reshape(
             -1, lams.shape[-1])))
 
     def _m_cols(self, psi) -> np.ndarray:
         """M psi of prepared rows psi (B K, dim), part-minor, as
         (K, dim, B): each part's rows column-major, as summed."""
         psi = psi.reshape(-1, self.b.size)
-        return self.m_form.apply(psi).T.reshape(*self.b.shape, len(psi))
+        return self.template.m_form.apply(psi).T.reshape(*self.b.shape,
+                                                         len(psi))
 
     def split(self, lams) -> tuple:
         """(q, l), each (K, B), of the angle rows lams (B, K, P): part k's
@@ -536,7 +520,7 @@ class JointCost:
         """Copy of x with every part's lam0 at its exact quadratic's
         minimum l / q at x's angles (0 where q vanishes): one batch."""
         x = np.array(x, dtype=float)
-        rows = x.reshape(len(self.parts), -1)  # a view into x
+        rows = x.reshape(len(self.b), -1)  # a view into x
         q, l = self.split(rows[None, :, :-1])
         ok = q[:, 0] > 1e-300
         rows[:, -1] = np.where(ok, l[:, 0], 0.0) / np.where(ok, q[:, 0], 1.0)
@@ -546,9 +530,9 @@ class JointCost:
         """(lam0 (K, 1), M psi (K, dim, P + 1), r (K, dim)) at x: M psi of
         every part's ``prepare_pi_rows``, lam then lam + pi e_j, and the
         residual r = lam0 M psi_0 - b."""
-        x = np.asarray(x, dtype=float).reshape(len(self.parts), -1)
+        x = np.asarray(x, dtype=float).reshape(len(self.b), -1)
         lam0 = x[:, -1:]
-        mpsi = self._m_cols(prepare_pi_rows(self.parts[0].spec, x[:, :-1]))
+        mpsi = self._m_cols(prepare_pi_rows(self.spec, x[:, :-1]))
         return lam0, mpsi, lam0 * mpsi[:, :, 0] - self.b
 
     def value_and_grad(self, x) -> tuple:
@@ -576,7 +560,7 @@ class JointCost:
         r = r.ravel()
         blocks = np.concatenate((0.5 * lam0[:, :, None] * mpsi[:, :, 1:],
                                  mpsi[:, :, :1]), axis=2)
-        jac = (np.eye(len(self.parts))[:, None, :, None]
+        jac = (np.eye(len(self.b))[:, None, :, None]
                * blocks[:, :, None, :]).reshape(r.size, -1)
         if r.imag.any() or jac.imag.any():
             r, jac = (np.concatenate((r.real, r.imag)),
@@ -593,7 +577,7 @@ class JointCost:
         A family whose value cannot depend on psi is not measured: the
         overlap where M'b = 0, the Fourier family where every |m_hat_p| is
         equal (M = I or a shift)."""
-        layout, m_hat = self.parts[0].template.layout, self.template.m_hat
+        layout, m_hat = self.template.parts[0].layout, self.template.m_hat
         mtb = grid_fft(m_hat.conj() * grid_fft(self.b, layout), layout,
                        inverse=True)
         norm = np.linalg.norm(mtb, axis=1)
@@ -617,9 +601,9 @@ class JointCost:
         the order of one call per row, so batching keeps the draws."""
         beta, norm, weight, measured = self.families
         x = self._rows(xs)
-        psi = prepare_batch(self.parts[0].spec, x[:, :, :-1].reshape(
+        psi = prepare_batch(self.spec, x[:, :, :-1].reshape(
             -1, x.shape[2] - 1)).reshape(len(x), *self.b.shape)
-        probs = np.abs(grid_fft(psi, self.parts[0].template.layout,
+        probs = np.abs(grid_fft(psi, self.template.parts[0].layout,
                                 "ortho")) ** 2
         if shots is None:
             overlap = hadamard_test(np.broadcast_to(beta, psi.shape), psi)
@@ -658,10 +642,10 @@ def _diag_expr(key: str) -> OpExpr:
     return OpExpr((OpTerm(1.0, (diag(key),)),))
 
 
-def _part(name, layout, m_op, sources, binds=()) -> PartTemplate:
+def _part(name, layout, m_op, sources) -> PartTemplate:
     """A part whose sources are (expression, tag) pairs."""
     exprs, tags = zip(*sources)
-    return PartTemplate(name, layout, m_op, exprs, tags, binds)
+    return PartTemplate(name, layout, m_op, exprs, tags)
 
 
 def _derivative(op: OpExpr, layout):
@@ -677,10 +661,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _build_navier_stokes(problem: NavierStokes, layout, tau):
     ax = problem.component
-    binds = ()
     rhs = _IDENT  # acting on u
     if problem.pressure is not None and layout.has_axis(ax):
-        binds = ("adv_self",)
         rhs = rhs - (_diag_expr("adv_self")
                      * grad_op(ax, layout.spacing(ax))).scale(tau)
     for label in layout.axis_labels():
@@ -696,7 +678,7 @@ def _build_navier_stokes(problem: NavierStokes, layout, tau):
             sources.append((grad_op(ax, layout.spacing(ax)).scale(
                 -tau / problem.rho), "p"))
             fixed["p"] = np.asarray(val, dtype=float)
-    return (_part(problem.name, layout, _IDENT, sources, binds),), \
+    return (_part(problem.name, layout, _IDENT, sources),), \
         lambda f: {**fixed, "u": f[-1], "adv_self": f[-1]}
 
 
@@ -745,7 +727,7 @@ def _build_boussinesq(problem: Boussinesq, layout, tau):
     expr_u = m_op.scale(2.0) + lap.scale(tau * tau) \
         + (gr * _diag_expr("bq_u") * gr).scale(2.0 * problem.alpha * tau * tau)
     sources = ((expr_u, "u"), (m_op.scale(-1.0), "u_prev"))
-    return (_part(problem.name, layout, m_op, sources, ("bq_u",)),), \
+    return (_part(problem.name, layout, m_op, sources),), \
         lambda f: {"u": f[-1], "u_prev": f[-2], "bq_u": f[-1]}
 
 
@@ -757,7 +739,7 @@ def _build_lin_tsien(problem: LinTsien, layout, tau):
     ly = laplacian_op("y", layout.spacing("y"))
     ux = _derivative(gx, layout)
     expr_u = gx + (ly - _diag_expr("lt_ux") * lx).scale(0.5 * tau)
-    return (_part(problem.name, layout, gx, ((expr_u, "u"),), ("lt_ux",)),), \
+    return (_part(problem.name, layout, gx, ((expr_u, "u"),)),), \
         lambda f: {"u": f[-1], "lt_ux": ux(f[-1])}
 
 
@@ -774,8 +756,7 @@ def _build_camassa_holm(problem: CamassaHolm, layout, tau):
         - _diag_expr("ch_lin") * gr
     ).scale(tau)
     sources = ((expr_u, "u"), (lap.scale(-0.5), "u_prev"))
-    return (_part(problem.name, layout, m_op, sources,
-                  ("ch_ux", "ch_u", "ch_lin")),), \
+    return (_part(problem.name, layout, m_op, sources),), \
         lambda f: {"u": f[-1], "u_prev": f[-2], "ch_ux": ux(f[-1]),
                    "ch_u": f[-1], "ch_lin": 3.0 * f[-1] + 2.0 * problem.kappa}
 
@@ -788,11 +769,11 @@ def _build_dsw(problem: DSW, layout, tau):
     lap = laplacian_op(ax, dx)
     expr_uv = (_diag_expr("dsw_v") * gr).scale(-3.0 * tau)
     cost_u = _part(problem.name + "-u", layout, _IDENT,
-                   ((_IDENT, "u"), (expr_uv, "v")), ("dsw_v",))
+                   ((_IDENT, "u"), (expr_uv, "v")))
     m_v = _IDENT - (gr * lap).scale(2.0 * tau)
     expr_vv = _IDENT + (_diag_expr("dsw_u") * gr).scale(2.0 * tau)
     cost_v = _part(problem.name + "-v", layout, m_v,
-                   ((expr_vv, "v"), (gr.scale(tau), "u")), ("dsw_u",))
+                   ((expr_vv, "v"), (gr.scale(tau), "u")))
     return (cost_u, cost_v), \
         lambda f: {"u": f[-2], "v": f[-1], "dsw_u": f[-2], "dsw_v": f[-1]}
 
@@ -805,8 +786,7 @@ def _build_hunter_saxton(problem: HunterSaxton, layout, tau):
     expr_u = gr + (
         _diag_expr("hs_ux").scale(0.5) * gr - gr * _diag_expr("hs_u") * gr
     ).scale(tau)
-    return (_part(problem.name, layout, gr, ((expr_u, "u"),),
-                  ("hs_ux", "hs_u")),), \
+    return (_part(problem.name, layout, gr, ((expr_u, "u"),)),), \
         lambda f: {"u": f[-1], "hs_ux": ux(f[-1]), "hs_u": f[-1]}
 
 

@@ -18,9 +18,14 @@ from functools import cache, partial
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, prepare
+from .ansatz import (
+    AnsatzSpec,
+    prepare,  # noqa: F401  unused here; perfbench/tracing.py patches it
+    prepare_batch,
+)
 from .costlib import (
-    CostFunction,
+    CostTemplate,
+    JointCost,
     PartTemplate,
     build_cost,  # noqa: F401  unused here; perfbench/tracing.py patches it
     compile_cost,
@@ -113,14 +118,15 @@ class Trajectory:
 
 
 def readout(spec: AnsatzSpec, row):
-    """Field of one component's row (lam, lam0): the real part of
-    lam0 * prepare(spec, lam), plus the relative imaginary leakage
-    diagnostic.  A leak above ``IMAG_LEAK_TOL`` is returned with a warning
-    that names it; a non-finite row raises ``SimulationError``."""
+    """Field of one component's row (lam, lam0): the real part of lam0
+    times row 0 of ``prepare_batch(spec, [lam])``, plus the relative
+    imaginary leakage diagnostic.  A leak above ``IMAG_LEAK_TOL`` is
+    returned with a warning that names it; a non-finite row raises
+    ``SimulationError``."""
     row = np.asarray(row, dtype=float)
     if not np.isfinite(row).all():
         raise SimulationError("parameters and scale must be finite")
-    amps = row[-1] * prepare(spec, row[:-1]).amplitudes
+    amps = row[-1] * prepare_batch(spec, row[None, :-1])[0]
     norm = max(np.linalg.norm(amps), 1e-300)
     leak = float(np.linalg.norm(np.imag(amps)) / norm)
     if leak > IMAG_LEAK_TOL:
@@ -196,7 +202,7 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
         return np.zeros(spec.parameter_count + 1)
     part = PartTemplate("encode", layout, OpExpr.identity(),
                         (OpExpr.identity(),), ("f",))
-    cost = CostFunction(part, spec, (field,), {}).joint
+    cost = JointCost(CostTemplate("encode", (part,)), spec, {"f": field})
     x0 = rng.normal(scale=0.1, size=cost.n_params)
     x0[-1] = float(np.linalg.norm(field))
     starts = np.random.default_rng(int(rng.integers(2 ** 31)))

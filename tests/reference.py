@@ -101,10 +101,10 @@ def _residual_operators(part) -> tuple:
     itself so that its id stays unique."""
     if id(part) not in _RESIDUALS:
         t = part.template
-        r = dense_reference(t.m_op, t.layout, part.bindings)
-        b = sum(dense_reference(e, t.layout, part.bindings)
-                @ np.asarray(s, dtype=float)
-                for e, s in zip(t.exprs, part.samples))
+        r = dense_reference(t.m_op, t.layout, part.arrays)
+        b = sum(dense_reference(e, t.layout, part.arrays)
+                @ np.asarray(part.arrays[tag], dtype=float)
+                for e, tag in zip(t.exprs, t.tags))
         _RESIDUALS[id(part)] = (part, r, b)
     return _RESIDUALS[id(part)][1:]
 
@@ -144,9 +144,8 @@ def shift_rule_grad(part, lam, lam0: float) -> np.ndarray:
 
 def split_row(cost, x) -> list:
     """A ``JointCost`` row x cut into one (angles, scale) pair per part."""
-    ends = np.cumsum([p.n_params for p in cost.parts])
     return [(b[:-1], float(b[-1]))
-            for b in np.split(np.asarray(x, dtype=float), ends[:-1])]
+            for b in np.split(np.asarray(x, dtype=float), len(cost.parts))]
 
 
 def direct_joint_cost(cost, x) -> float:
@@ -160,7 +159,8 @@ def tagged_state(cost, bra: int, psi: np.ndarray) -> np.ndarray:
     normalized samples of source bra - 1."""
     if bra == 0:
         return psi
-    samples = np.asarray(cost.samples[bra - 1], dtype=float)
+    samples = np.asarray(cost.arrays[cost.template.tags[bra - 1]],
+                         dtype=float)
     return samples / np.linalg.norm(samples)
 
 
@@ -191,7 +191,7 @@ def family_cost(part, psi, lam0s) -> np.ndarray:
     """The part's exact cost at rows psi (B, dim) from ``two_families``."""
     overlap, norm, probs, weight = two_families(part, psi)
     lam0s = np.asarray(lam0s, dtype=float)
-    return part.offset - 2.0 * lam0s * norm * overlap \
+    return part.joint.offset - 2.0 * lam0s * norm * overlap \
         + lam0s ** 2 * (probs @ weight)
 
 
@@ -200,9 +200,9 @@ def term_list_cost(part, psi, lam0s) -> np.ndarray:
     ``term_list()`` at rows psi (B, dim), each term's dense matrix applied
     to every row at once (p = 2 for bra psi, else 1)."""
     lam0s = np.asarray(lam0s, dtype=float)
-    total = np.full(len(psi), part.offset)
+    total = np.full(len(psi), part.joint.offset)
     for coeff, bra, term in part.term_list():
-        op = dense_reference([term], part.template.layout, part.bindings)
+        op = dense_reference([term], part.template.layout, part.arrays)
         bras = psi if bra == 0 else tagged_state(part, bra, psi[0])
         value = np.real(coeff * np.sum(np.conj(bras) * (psi @ op.T), axis=1))
         total += value * (lam0s ** 2 if bra == 0 else lam0s)

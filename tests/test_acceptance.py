@@ -183,7 +183,7 @@ def test_shot_estimates_consistent_with_exact_values(capsys):
         ok = True
         for _, bra, term in terms:
             bra = tagged_state(cost, bra, psi)[None, :]
-            ket = (dense_reference([term], lay, cost.bindings) @ psi)[None, :]
+            ket = (dense_reference([term], lay, cost.arrays) @ psi)[None, :]
             exact = hadamard_test(bra, ket)[0]
             est = hadamard_test(bra, ket, shots=10 ** 5, rng=rng)[0]
             sigma = np.sqrt(max(1.0 - exact ** 2, 0.0) / 10 ** 5)

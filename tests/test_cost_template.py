@@ -16,7 +16,6 @@ from vqpde.costlib import (
     DSW,
     Boussinesq,
     CamassaHolm,
-    CostFunction,
     CostTemplate,
     Einstein,
     EquilibriumFluid,
@@ -115,12 +114,13 @@ def arrays(cost) -> dict:
     """Every array a step's cost is evaluated from, by name, the shot
     families included."""
     beta, norm, weight, measured = cost.families
-    out = {"b": cost.b, "m_perm": cost.m_form.perm,
-           "m_weight": cost.m_form.weight, "m_hat": cost.template.m_hat,
+    out = {"b": cost.b, "m_perm": cost.template.m_form.perm,
+           "m_weight": cost.template.m_form.weight,
+           "m_hat": cost.template.m_hat,
            "beta": beta, "norm": norm, "weight": weight,
            "measured": np.array(measured)}
     for k, p in enumerate(cost.parts):
-        out[f"part{k}_b"] = p.b_vector
+        out[f"part{k}_b"] = p.joint.b[0]
         out[f"part{k}_m_weight"] = p.template.m.constant.weight
     return out
 
@@ -325,18 +325,17 @@ def test_an_m_that_reads_a_field_is_rejected_by_name():
     rejected when it is compiled, naming the part and the field."""
     m_op = OpExpr.identity() + OpExpr((OpTerm(0.3, (diag("w"), shift("x"))),))
     with pytest.raises(ProblemError, match="hand-b: M reads w"):
-        PartTemplate("hand-b", LAY, m_op, (grad_op("x", 1.0),), ("u",),
-                     ("w",))
+        PartTemplate("hand-b", LAY, m_op, (grad_op("x", 1.0),), ("u",))
 
 
 def hand_parts(m_op, src) -> tuple:
     """Two parts compiled anew, whose sources read the diagonal field w."""
-    return (PartTemplate("a", LAY, m_op, (src,), ("u",), ("w",)),
-            PartTemplate("b", LAY, m_op, (src, m_op), ("v", "u"), ("w",)))
+    return (PartTemplate("a", LAY, m_op, (src,), ("u",)),
+            PartTemplate("b", LAY, m_op, (src, m_op), ("v", "u")))
 
 
 def test_parts_joined_by_hand_equal_a_template_bind():
-    """Parts bound by hand from templates compiled anew and joined into a
+    """Part templates compiled anew and joined by hand into a
     ``JointCost`` equal the template's bind: M and b are the block-diagonal
     stack of the parts compiled anew, and the families those of the parts
     alone, bitwise."""
@@ -348,10 +347,8 @@ def test_parts_joined_by_hand_equal_a_template_bind():
         u, v = history("dsw", step)
         binds = {"w": v + 1.5}
         cost = template.bind([u, v], SPEC)
-        a, b = hand_parts(m_op, src)
-        parts = (CostFunction(a, SPEC, (u,), binds),
-                 CostFunction(b, SPEC, (v, u), binds))
-        by_hand = JointCost("hand", parts)
+        by_hand = JointCost(CostTemplate("hand", hand_parts(m_op, src)), SPEC,
+                            {"u": u, "v": v, **binds})
         m = block_diagonal([compile_monomials(m_op, LAY, binds)] * 2, 8)
         b = [np.real_if_close(compile_monomials(src, LAY, binds).apply(
             u[None, :])[0], tol=1e6)]
@@ -359,25 +356,27 @@ def test_parts_joined_by_hand_equal_a_template_bind():
             compile_monomials(src, LAY, binds).apply(v[None, :])[0]
             + compile_monomials(m_op, LAY, binds).apply(u[None, :])[0],
             tol=1e6))
-        alone = [p.joint.families for p in parts]
+        alone = [p.joint.families for p in by_hand.parts]
         for c in (cost, by_hand):
             assert snapshot(c) == snapshot(by_hand)
-            assert np.array_equal(c.m_form.perm, m.perm)
-            assert np.array_equal(c.m_form.weight, m.weight)
+            assert np.array_equal(c.template.m_form.perm, m.perm)
+            assert np.array_equal(c.template.m_form.weight, m.weight)
             assert np.array_equal(c.b, np.array(b))
             for got, *want in zip(c.families, *alone):
                 assert np.array_equal(got, np.concatenate(want))
 
 
-@pytest.mark.parametrize("samples", [(), (U, V)])
+@pytest.mark.parametrize("samples", [{"v": U}, {"u": U[:4]}])
 def test_samples_must_match_the_templates_sources(samples):
-    """One array per source of the template: a tuple of another length is
-    rejected by the part's name rather than dropping a source from b."""
+    """One grid's samples under every source's name: a missing or short
+    array is rejected by the part's name rather than dropping a source
+    from b."""
     part = PartTemplate("one-source", LAY, OpExpr.identity(),
                         (OpExpr.identity(),), ("u",))
+    n = len(samples.get("u", ()))
     with pytest.raises(ProblemError,
-                       match=f"one-source: {len(samples)} samples for 1 "):
-        CostFunction(part, SPEC, samples, {})
+                       match=f"one-source: array 'u' of {n} samples for 8 "):
+        JointCost(CostTemplate("one-source", (part,)), SPEC, samples)
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, True, np.bool_(1),

@@ -14,6 +14,7 @@ from vqpde.costlib import (
     Boussinesq,
     CamassaHolm,
     CostFunction,
+    CostTemplate,
     DSW,
     Einstein,
     EquilibriumFluid,
@@ -84,7 +85,7 @@ def demo_costs(kind):
     joint = _demo_cost(kind)
     if len(joint.parts) == 1:
         return (joint,)
-    return (*(JointCost(p.name, (p,)) for p in joint.parts), joint)
+    return (*(p.joint for p in joint.parts), joint)
 
 
 # -- problem validation -------------------------------------------------------
@@ -230,10 +231,10 @@ def test_joint_calls_equal_per_part_calls_bitwise(kind):
     rows, cost, scales and gradient equal those of one-part costs over each
     part's columns, summed or concatenated."""
     joint = _demo_cost(kind)
-    singles = [JointCost(p.name, (p,)) for p in joint.parts]
+    singles = [p.joint for p in joint.parts]
     rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
     xs = rng.normal(size=(5, joint.n_params))
-    ends = np.cumsum([p.n_params for p in joint.parts])[:-1]
+    ends = np.cumsum([p.joint.n_params for p in joint.parts])[:-1]
     want = 0.0
     for one, b in zip(singles, np.split(xs, ends, axis=1)):
         want = want + one.evaluate_rows(b)
@@ -249,23 +250,13 @@ def test_joint_calls_equal_per_part_calls_bitwise(kind):
         p.grad_vec(x) for p, x in zip(joint.parts, blocks)]))
 
 
-def test_joint_cost_rejects_parts_with_different_ansatze():
-    """Every part is prepared with one ansatz, so parts built on different
-    ones cannot be stacked."""
-    a = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC).parts[0]
-    b = build_cost(NavierStokes(nu=1.0), [U], LAY, TAU, SPEC_Y).parts[0]
-    with pytest.raises(ProblemError, match="one ansatz"):
-        JointCost("mixed", (a, b))
-    assert JointCost("same", (a, a)).n_params == 2 * a.n_params
-
-
 def test_block_diagonal_operator_pads_shorter_parts():
     """dsw's u part (M = 1) is padded with weight-0 identity rows to the
     v part's term count; each part's columns see only its own operator."""
     joint = _demo_cost("dsw")
     u, v = joint.parts
     dim = u.template.layout.dim
-    form = joint.m_form
+    form = joint.template.m_form
     um, vm = (p.template.m.constant for p in joint.parts)
     assert not form.identity and form.perm.shape == (len(vm.perm), 2 * dim)
     assert np.array_equal(form.perm[:, dim:], vm.perm + dim)
@@ -274,7 +265,7 @@ def test_block_diagonal_operator_pads_shorter_parts():
     assert np.array_equal(form.weight[:1, :dim], um.weight)
     assert np.all(form.perm[1:, :dim] == np.arange(dim))
     assert np.all(form.weight[1:, :dim] == 0)
-    assert np.array_equal(joint.b, np.stack([u.b_vector, v.b_vector]))
+    assert np.array_equal(joint.b, np.stack([u.joint.b[0], v.joint.b[0]]))
 
 
 @pytest.mark.parametrize("kind", DEMO_KINDS)
@@ -285,7 +276,7 @@ def test_rescale_lowers_the_cost_and_is_idempotent(kind):
     not written."""
     rng = np.random.default_rng(zlib.crc32(kind.encode()) + 3)
     for cost in demo_costs(kind):
-        scales = np.cumsum([p.n_params for p in cost.parts]) - 1
+        scales = np.cumsum([p.joint.n_params for p in cost.parts]) - 1
         for _ in range(5):
             x = rng.normal(scale=2.0, size=cost.n_params)
             kept = x.copy()
@@ -311,8 +302,8 @@ def test_fused_call_equals_evaluate_rows_and_shift_rule(kind):
             assert np.array_equal(g, cost.grad_vec(x))
             k, want = 0, []
             for p in cost.parts:
-                k += p.n_params
-                want.append(shift_rule_grad(p, x[k - p.n_params:k - 1],
+                k += p.joint.n_params
+                want.append(shift_rule_grad(p, x[k - p.joint.n_params:k - 1],
                                             x[k - 1]))
             assert np.max(np.abs(g - np.concatenate(want))) <= 1e-10
 
@@ -336,8 +327,7 @@ def test_residual_jacobian_matches_differences_and_gradient(kind, ansatz):
     for demo in demo_costs(kind):
         spec = AnsatzSpec(n_qubits=demo.parts[0].spec.n_qubits, layers=2,
                           **JACOBIAN_ANSATZE[ansatz])
-        cost = JointCost(demo.name, tuple(replace(p, spec=spec)
-                                          for p in demo.parts))
+        cost = JointCost(demo.template, spec, demo.arrays)
         x = rng.normal(size=cost.n_params)
         r, jac, rr = cost.residual_jacobian(x)
         assert rr == float(r.dot(r))
@@ -402,11 +392,11 @@ def test_cost_is_nonnegative_at_an_exact_fit(seed, lam0):
     that row is zero up to rounding and must not read negative."""
     lam = np.random.default_rng(seed).normal(size=SPEC_Y.parameter_count)
     field = lam0 * prepare(SPEC_Y, lam).amplitudes.real
-    cost = CostFunction(PartTemplate("encode", LAY, OpExpr.identity(),
-                                     (OpExpr.identity(),), ("f",)),
-                        SPEC_Y, (field,), {})
+    cost = JointCost(CostTemplate("encode", (PartTemplate(
+        "encode", LAY, OpExpr.identity(), (OpExpr.identity(),), ("f",)),)),
+        SPEC_Y, {"f": field})
     row = np.append(lam, lam0)[None, :]
-    assert JointCost("encode", (cost,)).evaluate_rows(row)[0] >= 0.0
+    assert cost.evaluate_rows(row)[0] >= 0.0
 
 
 def test_zero_at_truth_for_invertible_updates():
@@ -421,8 +411,9 @@ def test_zero_at_truth_for_invertible_updates():
     for prob, hist in cases:
         cost = build_cost(prob, hist, LAY, TAU, SPEC).parts[0]
         nxt = orc.classical_step(prob, hist, LAY, TAU)
-        mc = dense_reference(cost.template.m_op, LAY, cost.bindings) @ nxt
-        assert np.vdot(mc - cost.b_vector, mc - cost.b_vector).real <= 1e-10
+        mc = dense_reference(cost.template.m_op, LAY, cost.arrays) @ nxt
+        b = cost.joint.b[0]
+        assert np.vdot(mc - b, mc - b).real <= 1e-10
 
 
 def test_couette_constant_field_is_stationary():
@@ -436,7 +427,7 @@ def test_couette_constant_field_is_stationary():
 
 def test_hunter_saxton_zero_field_minimized_at_zero_scale():
     cost = build_cost(HunterSaxton(), [np.zeros(8)], LAY, TAU, SPEC)
-    assert np.max(np.abs(cost.parts[0].b_vector)) == 0.0
+    assert np.max(np.abs(cost.parts[0].joint.b[0])) == 0.0
     lam = np.random.default_rng(0).normal(size=SPEC.parameter_count)
     x = cost.rescale(np.append(lam, 1.0))
     assert x[-1] == 0.0
@@ -470,7 +461,7 @@ def test_couette_term_list_structure():
 def test_identity_residual_single_quadratic_term():
     cost = CostFunction(PartTemplate("plain", LAY, OpExpr.identity(),
                                      (OpExpr.identity(),), ("u",)),
-                        SPEC, (U,), {})
+                        SPEC, {"u": U})
     quad = [e for e in cost.term_list() if e[1] == 0]
     assert len(quad) == 1 and quad[0][2].label() == "1"
 
@@ -488,7 +479,7 @@ def test_shot_mode_unbiased_within_four_sigma():
     rng = np.random.default_rng(77)
     lam = rng.normal(size=SPEC.parameter_count)
     lam0 = 0.8
-    exact = JointCost(cost.name, (cost,)).evaluate_rows(
+    exact = cost.joint.evaluate_rows(
         np.append(lam, lam0)[None, :])[0]
     vals = [cost.evaluate_terms(lam, lam0, shots=10 ** 5, rng=rng)
             for _ in range(20)]

@@ -10,6 +10,7 @@ from vqpde.costlib import (
     DSW,
     CamassaHolm,
     CostFunction,
+    CostTemplate,
     JointCost,
     NavierStokes,
     PartTemplate,
@@ -169,9 +170,9 @@ def test_fit_field_recovers_profile():
 
 def encoding_cost(field, spec=SPEC, lay=LAY):
     """The M = I residual ``fit_field`` minimizes, as its ``JointCost``."""
-    return CostFunction(PartTemplate("encode", lay, OpExpr.identity(),
-                                     (OpExpr.identity(),), ("f",)),
-                        spec, (field,), {}).joint
+    return JointCost(CostTemplate("encode", (PartTemplate(
+        "encode", lay, OpExpr.identity(), (OpExpr.identity(),), ("f",)),)),
+        spec, {"f": field})
 
 
 def test_cmaes_on_the_encoding_cost_batched_equals_one_row_at_a_time():
@@ -269,14 +270,13 @@ def test_exact_cost_matches_direct_at_fit_field_optimum(seed):
     the returned row, where the cost is about 1e-6 of the offset."""
     target = np.sin(2 * np.pi * XS / 8) + 1.1
     x = fit_field(SPEC, LAY, target, np.random.default_rng(seed))
-    cost = CostFunction(PartTemplate("encode", LAY, OpExpr.identity(),
-                                     (OpExpr.identity(),), ("f",)),
-                        SPEC, (target,), {})
-    assert direct_cost(cost, x[:-1], x[-1]) <= 1e-12 * cost.offset
+    joint = encoding_cost(target)
+    cost = joint.parts[0]
+    assert direct_cost(cost, x[:-1], x[-1]) <= 1e-12 * joint.offset
     y = x + 1e-3 * np.cos(np.arange(x.size))
     direct = direct_cost(cost, y[:-1], y[-1])
-    rows = JointCost(cost.name, (cost,)).evaluate_rows(y[None, :])[0]
-    assert direct > 1e-9 * cost.offset
+    rows = joint.evaluate_rows(y[None, :])[0]
+    assert direct > 1e-9 * joint.offset
     assert abs(rows - direct) <= 1e-6 * direct
 
 
@@ -294,9 +294,9 @@ def test_reported_cost_matches_direct_at_converged_steps():
         # step in psi or b moves its squared norm by ~1e-5: the direct norm
         # takes the program's psi and b (each checked against a dense
         # reference elsewhere) and the dense operator in place of m_form
-        m = dense_reference(part.template.m_op, LAY, part.bindings)
+        m = dense_reference(part.template.m_op, LAY, part.arrays)
         r = rec.x[-1] * (m @ prepare(SPEC, rec.x[:-1]).amplitudes) \
-            - part.b_vector
+            - part.joint.b[0]
         direct = float(np.vdot(r, r).real)
         assert abs(rec.cost - direct) <= 1e-6 * direct
 
@@ -492,6 +492,29 @@ def test_joint_system_records_both_components():
     assert rec.x.shape == (2 * (SPEC.parameter_count + 1),)
     for name, row in zip(("u", "v"), np.split(rec.x, 2)):
         assert np.array_equal(readout(SPEC, row)[0], rec.fields[name])
+
+
+@pytest.mark.parametrize("problem,fields,optimizer,mode", [
+    (NavierStokes(nu=1.0), [np.sin(2 * np.pi * XS / 8) + 1.2],
+     GradientDescent(eta=0.2, max_iters=10), {}),
+    (DSW(), [0.1 * np.sin(2 * np.pi * XS / 8),
+             0.1 * np.cos(2 * np.pi * XS / 8) + 1.0],
+     GradientDescent(eta=0.1, max_iters=10), {}),
+    (CamassaHolm(), [1.0 + 0.2 * np.sin(2 * np.pi * XS / 8)],
+     SPSA(a=0.05, c=0.05, max_iters=5, seed=3),
+     {"mode": "shots", "shots": 200})],
+    ids=["couette-gd", "dsw-gd", "camassa-holm-spsa-shots"])
+def test_a_run_builds_no_one_part_view(monkeypatch, problem, fields,
+                                       optimizer, mode):
+    """A step's cost is one ``JointCost``, the encoding's too: a run builds
+    no ``CostFunction``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run built a CostFunction")
+
+    monkeypatch.setattr(CostFunction, "__init__", refuse)
+    cfg = EvolutionConfig(tau=0.02, n_steps=2, optimizer=optimizer, seed=4,
+                          **mode)
+    assert len(run(problem, fields, cfg, LAY, SPEC)) == 3
 
 
 @pytest.mark.parametrize("size", [SPEC.parameter_count,

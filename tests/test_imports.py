@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 function, class and method the package defines is named somewhere else in
-it, and every name the benchmark tracer patches exists and is put back."""
+it, the names kept only for the benchmark tracer are called by nothing
+else, and every name the tracer patches exists and is put back."""
 import ast
 from collections import Counter
 import importlib.util
@@ -99,6 +100,43 @@ def test_no_dead_definitions_in_package():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert [d for d in dead_definitions(sources)
             if d.split(".")[1] not in PINNED | PUBLIC] == []
+
+
+# Kept only because the tracer patches them (ROADMAP item 3 deletes them):
+# nothing in the package may call them but one another.
+TRACER_ONLY = {"apply_gate", "apply_shift", "apply_term", "apply_expr",
+               "prepare", "build_cost", "evaluate_terms", "shift_split_eval"}
+
+
+def tracer_only_calls(sources: dict) -> list:
+    """"module:line name" of every call of a ``TRACER_ONLY`` name in
+    ``sources`` (module name -> text) outside the bodies of those names."""
+    found = []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        exempt = {id(n) for d in ast.walk(tree)
+                  if isinstance(d, ast.FunctionDef) and d.name in TRACER_ONLY
+                  for n in ast.walk(d)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and id(n) not in exempt:
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                if name in TRACER_ONLY:
+                    found.append(f"{mod}:{n.lineno} {name}")
+    return sorted(found)
+
+
+def test_tracer_only_call_detector():
+    src = ("def prepare(s): return s\n"
+           "def apply_term(t): return prepare(t)\n"
+           "def readout(s): return prepare(s)\n"
+           "cost.evaluate_terms(1)\n")
+    assert tracer_only_calls({"m": src}) == ["m:3 prepare",
+                                             "m:4 evaluate_terms"]
+
+
+def test_nothing_in_the_package_calls_a_tracer_only_name():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert tracer_only_calls(sources) == []
 
 
 def test_tracer_restores_every_patched_binding():

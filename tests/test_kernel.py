@@ -176,7 +176,7 @@ def test_compiled_m_op_equals_dense_matrix(n, rows, seed):
         t = cost.template
         shape = (rows, t.layout.dim)
         psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        dense = dense_reference(t.m_op, t.layout, cost.bindings)
+        dense = dense_reference(t.m_op, t.layout, cost.arrays)
         got = t.m.constant.apply(psi)
         scale = max(np.max(np.abs(dense)), 1.0) * np.max(np.abs(psi))
         assert np.max(np.abs(got - psi @ dense.T)) <= 1e-13 * scale, cost.name

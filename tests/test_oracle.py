@@ -115,14 +115,14 @@ def test_step_satisfies_symbolic_update_equation(name):
     # one next field per part: the (u, v) pair or a single array
     fields = np.reshape(nxt, (len(cost.parts), -1))
     for field, part in zip(fields, cost.parts):
-        m = dense_reference(part.template.m_op, lay, part.bindings)
+        m = dense_reference(part.template.m_op, lay, part.arrays)
         mc = m @ field
         if name in ("lin-tsien", "hunter-saxton"):
             # singular implicit operator: the least-squares solution zeroes
             # the normal-equation residual, not the raw one
-            assert np.max(np.abs(m.conj().T @ (mc - part.b_vector))) < 1e-9
+            assert np.max(np.abs(m.conj().T @ (mc - part.joint.b[0]))) < 1e-9
         else:
-            assert np.max(np.abs(mc - part.b_vector)) < 1e-9
+            assert np.max(np.abs(mc - part.joint.b[0])) < 1e-9
 
 
 def test_singular_update_keeps_mean_of_current_field():

@@ -16,7 +16,7 @@ import pytest
 from vqpde.ansatz import AnsatzSpec, prepare, prepare_batch
 from vqpde.cli import _demo_cost
 from vqpde import costlib
-from vqpde.costlib import CostFunction, JointCost, PartTemplate
+from vqpde.costlib import CostFunction, CostTemplate, JointCost, PartTemplate
 from vqpde.opexpr import (
     MonomialForm,
     OpExpr,
@@ -55,9 +55,8 @@ def complex_cost(c=0.1) -> CostFunction:
     expr = OpExpr.identity() + (
         OpExpr((OpTerm(1.0, (diag("w"),)),)) * grad_op("x", 1.0)).scale(c) \
         + laplacian_op("x", 1.0).scale(0.05)
-    return CostFunction(PartTemplate("complex", lay, m_op, (expr,), ("u",),
-                                     ("w",)),
-                        spec, (u,), {"w": np.cos(2 * np.pi * xs / 8)})
+    return CostFunction(PartTemplate("complex", lay, m_op, (expr,), ("u",)),
+                        spec, {"u": u, "w": np.cos(2 * np.pi * xs / 8)})
 
 
 def cases():
@@ -76,7 +75,7 @@ def reference_values(cost, lam) -> np.ndarray:
     entries = cost.term_list()
     values = np.zeros(len(entries))
     for i, (_, bra, term) in enumerate(entries):
-        op = dense_reference([term], cost.template.layout, cost.bindings)
+        op = dense_reference([term], cost.template.layout, cost.arrays)
         values[i] = hadamard_test(tagged_state(cost, bra, psi)[None, :],
                                   (op @ psi)[None, :])[0]
     return values
@@ -84,7 +83,7 @@ def reference_values(cost, lam) -> np.ndarray:
 
 def reference_total(cost, values, lam0) -> float:
     """||b||^2 + sum of lam0^p coeff Re<bra|T|psi> over the term list."""
-    return cost.offset + sum(
+    return cost.joint.offset + sum(
         c.real * v * (lam0 if bra else lam0 * lam0)
         for (c, bra, _), v in zip(cost.term_list(), values))
 
@@ -101,13 +100,13 @@ def reference_draw(cost, lam, lam0, shots, rng) -> float:
                  zip(cost.term_list(), reference_values(cost, lam)) if bra)
     overlap = -source / (2.0 * norm) if norm else 0.0
     top = weight.max()
-    if norm > costlib.FLAT * np.sqrt(top) * np.linalg.norm(cost.b_vector):
+    if norm > costlib.FLAT * np.sqrt(top) * np.linalg.norm(cost.joint.b[0]):
         p = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
         overlap = 2.0 * rng.binomial(shots, p) / shots - 1.0
     probs = probs[0] / probs[0].sum()
     if np.ptp(weight) > costlib.FLAT * top:
         probs = rng.multinomial(shots, probs) / shots
-    return cost.offset - 2.0 * lam0 * norm * overlap \
+    return cost.joint.offset - 2.0 * lam0 * norm * overlap \
         + lam0 * lam0 * (probs @ weight)
 
 
@@ -164,7 +163,7 @@ def test_complex_cost_has_complex_and_nonunitary_terms():
     psi = prepare(cost.spec, draws("complex", cost)[0]).amplitudes
     imag, unitary = [], []
     for _, bra, term in cost.term_list():
-        op = dense_reference([term], cost.template.layout, cost.bindings)
+        op = dense_reference([term], cost.template.layout, cost.arrays)
         imag.append(np.vdot(tagged_state(cost, bra, psi), op @ psi).imag)
         unitary.append(all(a.is_unitary() for a in term.atoms))
     assert np.max(np.abs(imag)) > 1e-3
@@ -174,7 +173,7 @@ def test_complex_cost_has_complex_and_nonunitary_terms():
 def test_complex_coefficients_are_estimated():
     """A source with a complex coefficient makes b and beta complex; the
     Hadamard test reads Re<beta|psi>, and the estimate keeps the cost."""
-    cost = JointCost("complex", (complex_cost(0.1j),))
+    cost = complex_cost(0.1j).joint
     assert np.iscomplexobj(cost.b) and np.abs(cost.b.imag).max() > 1e-3
     xs = np.random.default_rng(5).normal(size=(4, cost.n_params))
     assert close(cost.estimate_rows(xs), cost.evaluate_rows(xs))
@@ -183,7 +182,7 @@ def test_complex_coefficients_are_estimated():
 # -- batched objective calls --------------------------------------------------
 
 JOINTS = [(kind, _demo_cost(kind)) for kind in KINDS] + [
-    ("complex", JointCost("complex", (complex_cost(),)))]
+    ("complex", complex_cost().joint)]
 JOINT_IDS = [name for name, _ in JOINTS]
 
 
@@ -239,7 +238,7 @@ def test_batched_contraction_reduces_rows_of_a_2d_view():
 def test_stacked_families_are_each_parts_own():
     """dsw's families are its parts' one-part families in part order."""
     joint = _demo_cost("dsw")
-    alone = [JointCost(p.name, (p,)).families for p in joint.parts]
+    alone = [p.joint.families for p in joint.parts]
     for got, *want in zip(joint.families, *alone):
         assert np.array_equal(np.concatenate(want), got)
 
@@ -381,8 +380,8 @@ def test_a_family_independent_of_psi_draws_nothing():
     draws nothing and returns the exact cost."""
     part = PartTemplate("rest", layout_1d(3, 1.0), OpExpr.identity(),
                         (OpExpr.identity(),), ("u",))
-    joint = CostFunction(part, AnsatzSpec(3, layers=2), (np.zeros(8),),
-                         {}).joint
+    joint = JointCost(CostTemplate("rest", (part,)), AnsatzSpec(3, layers=2),
+                      {"u": np.zeros(8)})
     assert joint.families[3] == [[False, False]]
     rng = np.random.default_rng(6)
     xs = rng.normal(size=(4, joint.n_params))
