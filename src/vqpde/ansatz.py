@@ -4,6 +4,12 @@ The family is an optional leading Fourier block followed by ``layers``
 repetitions of single-qubit rotations (a fixed subset of {Y, Z} axes) and an
 entangling pattern of CNOTs.  A prepared state together with a real scale
 ``lambda0`` represents the physical field lambda0 * amplitudes.
+
+A spec compiles once (``AnsatzSpec.plan``) into index tables that form every
+layer's block matrices for a batch of parameter rows.  A register of up to
+``BLOCK`` qubits, or of up to ``Y_BLOCK`` with Y rotations alone, is one
+block that also holds the CNOTs, so a layer is one matmul; a wider register
+takes one matmul per block of ``BLOCK`` qubits and an entangler gather.
 """
 from __future__ import annotations
 
@@ -23,6 +29,10 @@ from .statevec import (
 _ENTANGLERS = ("chain", "ring", "none")
 _ROTATIONS = ("Y", "Z")
 BLOCK = 3  # qubits per rotation block: one matmul applies a layer's block
+# widest register of Y rotations alone that is one block, formed from two
+# halves; with Z rotations its complex matrices (4 KiB per layer and row)
+# made a 4-layer, 20-row call about twice as slow as blocks of BLOCK qubits
+Y_BLOCK = 4
 # entry of each 2x2 rotation element, in units of n, in a call's entry table
 # [c | s | -s] (Y) or [exp(-i theta/2) | exp(i theta/2) | 0] (Z)
 _SLOTS = {"Y": ((0, 2), (1, 0)), "Z": ((0, 2), (2, 1))}
@@ -81,22 +91,63 @@ class AnsatzSpec:
         perm = np.arange(2 ** n)  # a CNOT only permutes amplitudes
         for pair in pairs:
             perm = perm[basis_permutation("CNOT", pair, n)]
-        # per block, element (i, j) of its matrix on axis a is the product
-        # over qubits m of entry _SLOTS[a][bit m of i][bit m of j] * n + q + m
-        slots, blocks = np.array([_SLOTS[a] for a in self.rotation_axes]), []
-        for q in range(0, n, BLOCK):
-            k = min(BLOCK, n - q)
-            bits = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
-            t = slots[:, bits[:, None], bits[None, :]] * n + q + np.arange(k)
-            blocks.append((q, np.moveaxis(t, -1, 1)))
-        if n <= BLOCK:  # one block: its last axis' rows take the CNOTs
-            blocks[0][1][-1] = blocks[0][1][-1][:, perm]
-        entangler = perm if pairs and n > BLOCK else None
-        pauli = tuple(_pi_tables(q, t.shape[1], self.rotation_axes,
-                                 self.layers, n) for q, t in blocks)
-        for a in (start, *(t for _, t in blocks), *sum(pauli, ())):
+        # a register of up to BLOCK qubits, or of up to Y_BLOCK with Y
+        # rotations alone, is one block, which takes the CNOTs; else blocks
+        # of BLOCK qubits
+        width = n if n <= BLOCK or (
+            n <= Y_BLOCK and self.rotation_axes == ("Y",)) else BLOCK
+        slots = np.array([_SLOTS[a] for a in self.rotation_axes])
+        firsts = range(0, n, width)
+        blocks = tuple((q, _block_tables(slots, n, q, min(width, n - q),
+                                         perm if width == n else None))
+                       for q in firsts)
+        entangler = perm if pairs and width < n else None
+        wide = width > BLOCK
+        pauli = (_y_shift_rows(n),) if wide else tuple(
+            _pi_tables(q, min(width, n - q), self.rotation_axes,
+                       self.layers, n) for q in firsts)
+        tables = (t for _, axes in blocks for groups in axes
+                  for group in groups for t in group if t is not None)
+        for a in (start, *tables, *sum(pauli, ())):
             a.setflags(write=False)
-        return AnsatzPlan(start, tuple(blocks), entangler, pauli)
+        return AnsatzPlan(start, blocks, entangler, pauli, wide)
+
+
+def _block_tables(slots: np.ndarray, n: int, q: int, k: int,
+                  perm: np.ndarray | None) -> tuple:
+    """Per rotation axis, the groups (table, place) that form the matrix of
+    the block of qubits q .. q + k - 1 from a call's entry tables.  On axis
+    a, element (i, j) of a group of the m qubits q + p + r, r < m, is the
+    product over r of entry _SLOTS[a][bit r of i][bit r of j] * n + q + p
+    + r: one index table (m, 2^m, 2^m).  Up to BLOCK qubits are one group,
+    which is the block; a wider block is the product of its halves'
+    groups, each gathered to the block's entries by ``place`` (2^k, 2^k):
+    2^m x 2^m gathers per half instead of 2^k x 2^k per qubit.  A block
+    that spans the register takes the CNOTs' ``perm`` in its last axis'
+    rows."""
+    groups = []
+    for p, m in [(0, k)] if k <= BLOCK else [(k // 2, k - k // 2),
+                                               (0, k // 2)]:
+        bits = (np.arange(2 ** m)[:, None] >> np.arange(m)) & 1
+        t = slots[:, bits[:, None], bits[None, :]] * n + q + p + np.arange(m)
+        h = (np.arange(2 ** k) >> p) % 2 ** m  # the group's bits of a row
+        groups.append((np.moveaxis(t, -1, 1), None if m == k else
+                       h[:, None] * 2 ** m + h[None, :]))
+    tables = [tuple((t[a], place) for t, place in groups)
+              for a in range(len(slots))]
+    if perm is not None:
+        tables[-1] = tuple((t[:, perm], None) if place is None else
+                           (t, place[perm]) for t, place in tables[-1])
+    return tuple(tables)
+
+
+def _y_shift_rows(n: int) -> tuple:
+    """-i Y_m on a state, R(t + pi) = R(t) (-i Y): amplitude c of
+    (-i Y_m) psi is amplitude index[m, c] = c ^ 2^m of psi times factor[m,
+    c], -1 where bit m of c is 0 and +1 where it is 1; index (n, 2^n) and
+    factor (n, 2^n, 1, 1)."""
+    c, m = np.arange(2 ** n), np.arange(n)[:, None]
+    return c ^ (1 << m), (2.0 * ((c >> m) & 1) - 1.0)[..., None, None]
 
 
 def _pi_tables(q: int, k: int, axes: tuple, layers: int, n: int) -> tuple:
@@ -139,16 +190,18 @@ def _pi_tables(q: int, k: int, axes: tuple, layers: int, n: int) -> tuple:
 @dataclass(frozen=True)
 class AnsatzPlan:
     """A compiled circuit: the start vector (real unless a Fourier block
-    leads), per block of up to ``BLOCK`` qubits its first qubit and its
-    index tables (axis, k, 2^k, 2^k) into a call's entry tables, and the
-    layer's CNOT entangler as one basis-index permutation (None when it is
-    the identity or folded into the last axis' tables), and per block the
-    ``_pi_tables`` of its pi rows."""
+    leads), per block its first qubit and per axis its ``_block_tables``
+    into a call's entry tables, the layer's CNOT entangler as one
+    basis-index permutation (None when it is the identity or folded into
+    the one block), and per block the ``_pi_tables`` of its pi rows, or,
+    when one block is wider than ``BLOCK`` (``wide``), its
+    ``_y_shift_rows``."""
 
     start: np.ndarray
     blocks: tuple
     entangler: np.ndarray | None
     pauli: tuple
+    wide: bool
 
 
 def axis_factors(spec: AnsatzSpec, lams: np.ndarray) -> list:
@@ -168,13 +221,19 @@ def axis_factors(spec: AnsatzSpec, lams: np.ndarray) -> list:
     mats = []
     for q, tables in spec.plan.blocks:
         gs = []
-        for e, t in zip(entries, tables):
-            # (k, 2^k, 2^k, layer, row): each qubit's slice is contiguous,
-            # so each product is one elementwise kernel over whole slices
-            g = e.take(t, axis=0)
-            u = g[0]
-            for m in g[1:]:
-                u = u * m
+        for e, groups in zip(entries, tables):
+            u = None
+            for t, place in groups:
+                # (m, 2^m, 2^m, layer, row): each qubit's slice is
+                # contiguous, so each product is one elementwise kernel
+                g = e.take(t, axis=0)
+                f = g[0]
+                for h in g[1:]:
+                    f = f * h
+                if place is not None:  # a half, gathered to the block's
+                    f = f.reshape(len(f) ** 2, *f.shape[2:]).take(place,
+                                                                  axis=0)
+                u = f if u is None else np.multiply(u, f, out=u)
             gs.append(u.transpose(2, 3, 0, 1))
         mats.append((q, tuple(gs)))
     return mats
@@ -238,8 +297,10 @@ def prepare_pi_rows(spec: AnsatzSpec, lams) -> np.ndarray:
     which takes the Pauli -i G before that rotation's axis: a column
     gather of the later axes' product (``AnsatzPlan.pauli``) times the
     earlier axes' product.  Every row then runs through prepare_batch's
-    products."""
+    products.  One block wider than ``BLOCK`` takes ``_wide_pi_rows``."""
     lams = _angle_rows(spec, lams)
+    if spec.plan.wide:
+        return _wide_pi_rows(spec, lams)
     b, mats = len(lams), []
     for (q, gs), (index, factor, scales, src) in zip(
             axis_factors(spec, lams), spec.plan.pauli):
@@ -261,6 +322,26 @@ def prepare_pi_rows(spec: AnsatzSpec, lams) -> np.ndarray:
         mats.append((q, np.ascontiguousarray(rows) if u.flags.c_contiguous
                      else rows))
     return _run(spec, mats).reshape(len(src), b, spec.plan.start.size)
+
+
+def _wide_pi_rows(spec: AnsatzSpec, lams: np.ndarray) -> np.ndarray:
+    """``prepare_pi_rows`` on one block wider than ``BLOCK`` (Y rotations
+    alone, so pi row 1 + j shifts qubit j % n at layer j // n).  Rather
+    than gather every pi row's matrix at every layer, 2^2n entries per row
+    and layer, row j takes u (-i Y) psi as u ((-i Y) psi): before its
+    layer, its state is gathered and signed by ``_y_shift_rows``, and one
+    matmul per layer runs every row, row 0 as prepare_batch does."""
+    n, b, start = spec.n_qubits, len(lams), spec.plan.start
+    (_, (u,)), = axis_factors(spec, lams)  # (layer, B, 2^n, 2^n)
+    (index, factor), = spec.plan.pauli
+    psi = np.empty((1 + spec.parameter_count, b, start.size, 1), start.dtype)
+    psi[...] = start[:, None]
+    qubit = np.arange(n)[:, None]
+    for layer in range(spec.layers):
+        rows = psi[1 + layer * n:1 + (layer + 1) * n]
+        rows[...] = (rows[qubit, :, index] * factor).transpose(0, 2, 1, 3)
+        psi = u[layer] @ psi
+    return np.ascontiguousarray(psi[..., 0], complex)
 
 
 def prepare(spec: AnsatzSpec, lam) -> QuantumState:

@@ -54,7 +54,13 @@ from .opexpr import (
     laplacian_op,
     shift,
 )
-from .statevec import RegisterLayout, SimulationError, hadamard_test, is_real
+from .statevec import (
+    RegisterLayout,
+    SimulationError,
+    hadamard_test,
+    is_real,
+    shot_count,
+)
 
 _IDENT = OpExpr.identity()
 # relative size below which a family's psi-dependent part counts as 0: of
@@ -611,6 +617,7 @@ class JointCost:
             raise SimulationError("shot mode needs the caller's random "
                                   "generator")
         else:  # an overlap left unmeasured is 0 to within FLAT
+            shots = shot_count(shots)
             overlap = np.zeros((len(x), len(norm)))
             # rounding can push a row's sum above 1; one sum per row of a
             # 2-D view, so a row's value does not depend on its batch

@@ -24,6 +24,8 @@ GRAD_TOL_DEFAULT = 1e-8
 LM_STALL = 1e-6
 LM_STEP_TOL = 1e-14
 LM_MU_CAP = 1e16
+# SPSA iterations whose +/-1 directions one generator call draws
+SPSA_CHUNK = 64
 
 
 class OptimizationError(RuntimeError):
@@ -289,15 +291,22 @@ def _levenberg_marquardt(rj, x, cfg: LevenbergMarquardt):
 def _spsa(f, x, cfg: SPSA):
     """One call per iteration on the rows [x_k, x_k + c_k d, x_k - c_k d],
     then x_K alone: the rows, and so the draws of a shot objective, come in
-    the order of a loop that evaluates each new point by itself."""
+    the order of a loop that evaluates each new point by itself.  The
+    directions d are drawn SPSA_CHUNK iterations per generator call, the
+    stream of one call per iteration, since each +/-1 entry takes one
+    32-bit word of the generator's stream either way."""
     rng = np.random.default_rng(cfg.seed)
     for k in range(cfg.max_iters):
+        if k % SPSA_CHUNK == 0:
+            deltas = rng.integers(0, 2, size=(min(
+                SPSA_CHUNK, cfg.max_iters - k), x.size)) * 2.0 - 1.0
+        delta = deltas[k % SPSA_CHUNK]
         ak = cfg.a / (k + 1 + cfg.stability) ** cfg.alpha
         ck = cfg.c / (k + 1) ** cfg.gamma
-        delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
-        fx, fp, fm = f(np.array([x, x + ck * delta, x - ck * delta]))
+        step = ck * delta
+        fx, fp, fm = f(np.array([x, x + step, x - step])).tolist()
         yield x, fx
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        if not (isfinite(fp) and isfinite(fm)):
             return "non-finite"  # no gradient estimate to step along
         gk = (fp - fm) / (2 * ck) / delta
         x = x - ak * gk

@@ -243,6 +243,16 @@ def shift_permutation(layout: RegisterLayout, axis: str,
 # Hadamard-test expectation estimation
 # ---------------------------------------------------------------------------
 
+def shot_count(shots) -> int:
+    """``shots`` as an int, or SimulationError naming it: a shot count is
+    a positive integer, and neither a bool nor a float is one."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) \
+            or shots < 1:
+        raise SimulationError(
+            f"shot count must be a positive integer, got {shots!r}")
+    return int(shots)
+
+
 def hadamard_test(bras, kets, *, shots: int | None = None,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Estimate Re <bra|ket> for every row of raw amplitudes, shape
@@ -267,6 +277,7 @@ def hadamard_test(bras, kets, *, shots: int | None = None,
         return value
     if rng is None:
         raise SimulationError("shot mode needs the caller's random generator")
+    shots = shot_count(shots)
     # one scalar draw per row: the draws of one array call, without its
     # per-call cost of several microseconds
     est = [2.0 * rng.binomial(shots, min(max((1.0 + v) / 2.0, 0.0), 1.0))

@@ -3,10 +3,12 @@ np.kron circuit product, dense operator matrices built from the oracle's
 circulants, the per-coordinate parameter-shift rule and finite
 differences."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vqpde.ansatz import (
     BLOCK,
+    Y_BLOCK,
     AnsatzSpec,
     block_matrices,
     prepare,
@@ -49,11 +51,21 @@ from test_acceptance import pde_instances
 
 # -- dense reference circuit --------------------------------------------------
 
+AXES = [("Y",), ("Z",), ("Y", "Z"), ("Z", "Y")]
+
+
+def block_width(n: int, axes: tuple) -> int:
+    """The plan's rule: a register of up to BLOCK qubits, or of up to
+    Y_BLOCK with Y rotations alone, is one block; else blocks of BLOCK
+    qubits."""
+    one = n <= BLOCK or (n <= Y_BLOCK and axes == ("Y",))
+    return n if one else BLOCK
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 7), layers=st.integers(1, 2), rows=st.integers(1, 3),
        entangler=st.sampled_from(["chain", "ring", "none"]),
-       axes=st.sampled_from([("Y",), ("Z",), ("Y", "Z"), ("Z", "Y")]),
-       seed=st.integers(0, 2 ** 32 - 1))
+       axes=st.sampled_from(AXES), seed=st.integers(0, 2 ** 32 - 1))
 def test_block_matrices_equal_np_kron(n, layers, rows, entangler, axes, seed):
     """Each block's gathered matrix is the np.kron product of its qubits'
     rotations, axis after axis; when one block spans the register (folded),
@@ -64,12 +76,13 @@ def test_block_matrices_equal_np_kron(n, layers, rows, entangler, axes, seed):
         scale=2.0, size=(rows, spec.parameter_count))
     angles = lams.reshape(rows, layers, len(axes), n)
     mats = block_matrices(spec, lams)
-    assert [q for q, _ in mats] == list(range(0, n, BLOCK))
-    folded = n <= BLOCK
+    width = block_width(n, axes)
+    assert [q for q, _ in mats] == list(range(0, n, width))
+    folded = width == n
     assert (spec.plan.entangler is None) == (folded or entangler == "none"
                                              or n == 1)
     for q, u in mats:
-        k = min(BLOCK, n - q)
+        k = min(width, n - q)
         assert u.shape == (layers, rows, 2 ** k, 2 ** k)
         assert u.dtype == (np.float64 if axes == ("Y",) else np.complex128)
         for layer in range(layers):
@@ -83,28 +96,84 @@ def test_block_matrices_equal_np_kron(n, layers, rows, entangler, axes, seed):
                 assert np.max(np.abs(u[layer, r] - want)) <= 1e-14
 
 
+def one_block_equals_rotate_loop(spec, lams):
+    """prepare_batch's one matmul per layer against rotate's block loop."""
+    (q, u), = block_matrices(spec, lams)
+    assert q == 0 and spec.plan.entangler is None
+    want = spec.plan.start[None, :]
+    for layer in range(spec.layers):
+        want = rotate(want, q, u[layer])
+    got = prepare_batch(spec, lams)
+    assert got.shape == (len(lams), 2 ** spec.n_qubits)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+
+
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, BLOCK), layers=st.integers(1, 4),
+@given(n=st.integers(1, Y_BLOCK), layers=st.integers(1, 4),
        rows=st.integers(0, 5),
        entangler=st.sampled_from(["chain", "ring", "none"]),
-       axes=st.sampled_from([("Y",), ("Z",), ("Y", "Z"), ("Z", "Y")]),
-       qft_block=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+       axes=st.sampled_from(AXES), qft_block=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_one_block_path_equals_rotate_loop(n, layers, rows, entangler, axes,
                                            qft_block, seed):
     """When one block spans the register, prepare_batch's one matmul per
     layer gives the rows that rotate's block loop gives."""
+    axes = axes if block_width(n, axes) == n else ("Y",)
     spec = AnsatzSpec(n_qubits=n, layers=layers, entangler=entangler,
                       qft_block=qft_block, rotation_axes=axes)
     lams = np.random.default_rng(seed).normal(
         scale=2.0, size=(rows, spec.parameter_count))
-    (q, u), = block_matrices(spec, lams)
-    assert q == 0 and spec.plan.entangler is None
-    want = spec.plan.start[None, :]
-    for layer in range(layers):
-        want = rotate(want, q, u[layer])
-    got = prepare_batch(spec, lams)
-    assert got.shape == (rows, 2 ** n)
-    assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+    one_block_equals_rotate_loop(spec, lams)
+
+
+FOUR_QUBIT_CIRCUITS = [
+    (axes, entangler, qft_block) for axes in (("Y",), ("Z",), ("Y", "Z"))
+    for entangler in ("chain", "ring", "none") for qft_block in (False, True)]
+
+
+@pytest.mark.parametrize("axes,entangler,qft_block", FOUR_QUBIT_CIRCUITS)
+def test_four_qubit_rows_equal_dense_circuit(axes, entangler, qft_block):
+    """At 4 qubits, Y rotations alone make one block of two 2-qubit halves
+    and Z or Y+Z keep blocks of BLOCK qubits; both match the dense circuit,
+    and the one block matches rotate's loop."""
+    rng = np.random.default_rng(len(axes) * 10 + len(entangler) + qft_block)
+    for layers in (1, 2, 4):
+        spec = AnsatzSpec(n_qubits=4, layers=layers, entangler=entangler,
+                          qft_block=qft_block, rotation_axes=axes)
+        lams = rng.normal(scale=2.0, size=(3, spec.parameter_count))
+        assert spec.plan.wide == (axes == ("Y",))
+        for row, lam in zip(prepare_batch(spec, lams), lams):
+            assert np.max(np.abs(row - dense_circuit_state(spec, lam))) \
+                <= 1e-13
+        if spec.plan.wide:
+            one_block_equals_rotate_loop(spec, lams)
+
+
+def pi_rows_equal_shifted_batches(spec, lams):
+    """Row 0 of prepare_pi_rows is prepare_batch of the base rows bit for
+    bit, and row j that of the base rows with angle j - 1 shifted by pi."""
+    p = spec.parameter_count
+    rows = prepare_pi_rows(spec, lams)
+    assert rows.shape == (p + 1, len(lams), 2 ** spec.n_qubits)
+    assert rows.dtype == np.complex128 and rows.flags.c_contiguous
+    assert np.array_equal(rows[0], prepare_batch(spec, lams))
+    for j in range(p):
+        shifted = lams.copy()
+        shifted[:, j] += np.pi
+        assert np.max(np.abs(rows[j + 1] - prepare_batch(spec, shifted))) \
+            <= 1e-13
+
+
+@pytest.mark.parametrize("axes,entangler,qft_block", FOUR_QUBIT_CIRCUITS)
+def test_four_qubit_pi_rows_equal_shifted_batches(axes, entangler, qft_block):
+    """At 4 qubits row 0 of prepare_pi_rows is prepare_batch bit for bit and
+    row j the batch with angle j - 1 shifted by pi, for 1 to 3 base rows."""
+    rng = np.random.default_rng(len(axes) * 10 + len(entangler) + qft_block)
+    for layers, parts in ((1, 1), (2, 1), (2, 3), (4, 2)):
+        spec = AnsatzSpec(n_qubits=4, layers=layers, entangler=entangler,
+                          qft_block=qft_block, rotation_axes=axes)
+        lams = rng.normal(scale=2.0, size=(parts, spec.parameter_count))
+        pi_rows_equal_shifted_batches(spec, lams)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,20 +186,12 @@ def test_pi_rows_equal_shifted_batches(n, layers, entangler, axes, qft_block,
                                        parts, seed):
     """Row 0 of prepare_pi_rows is prepare_batch of the base rows bit for
     bit, and row j that of the base rows with angle j - 1 shifted by pi
-    (several blocks from 4 qubits)."""
+    (several blocks from 4 qubits, or from 5 with Y rotations alone)."""
     spec = AnsatzSpec(n_qubits=n, layers=layers, entangler=entangler,
                       qft_block=qft_block, rotation_axes=axes)
-    p = spec.parameter_count
-    lams = np.random.default_rng(seed).normal(scale=2.0, size=(parts, p))
-    rows = prepare_pi_rows(spec, lams)
-    assert rows.shape == (p + 1, parts, 2 ** n)
-    assert rows.dtype == np.complex128
-    assert np.array_equal(rows[0], prepare_batch(spec, lams))
-    for j in range(p):
-        shifted = lams.copy()
-        shifted[:, j] += np.pi
-        assert np.max(np.abs(rows[j + 1] - prepare_batch(spec, shifted))) \
-            <= 1e-13
+    lams = np.random.default_rng(seed).normal(
+        scale=2.0, size=(parts, spec.parameter_count))
+    pi_rows_equal_shifted_batches(spec, lams)
 
 
 @settings(max_examples=60, deadline=None)

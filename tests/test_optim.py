@@ -21,6 +21,7 @@ from vqpde.optim import (
     OptimizationTrace,
     ParticleSwarm,
     SPSA,
+    SPSA_CHUNK,
     _counted,
     finite_diff_grad,
     minimize,
@@ -126,6 +127,7 @@ def spsa_two_calls_per_iteration(objective, x, cfg):
         delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
         fp, fm = f(np.array([x + ck * delta, x - ck * delta]))
         if not (np.isfinite(fp) and np.isfinite(fm)):
+            trace.stop = "non-finite"
             break
         gk = (fp - fm) / (2 * ck) / delta
         x = x - ak * gk
@@ -157,6 +159,53 @@ def test_spsa_matches_three_call_reference(iters):
     assert np.array_equal(new.x_best, ref.x_best)
     assert new.n_evals == ref.n_evals == 3 * iters + 1
     assert new_state == ref_state
+
+
+def tilted_bowl(xs):
+    return np.sum((xs - 0.3) ** 2 * np.arange(1, xs.shape[1] + 1), axis=1) \
+        + np.sin(xs[:, 0])
+
+
+def pair_nan_at_iteration(k):
+    """tilted_bowl, but the +/- rows of SPSA iteration k (from 1) are NaN:
+    they are the last two rows of the k-th call of more than one row."""
+    calls = []
+
+    def objective(xs):
+        vals = tilted_bowl(xs)
+        if len(xs) > 1:
+            calls.append(len(xs))
+            if len(calls) == k:
+                vals[-2:] = np.nan
+        return vals
+    return objective
+
+
+# (n, max_iters, the iteration whose +/- rows are NaN, or None)
+SPSA_DRAW_CASES = [
+    (n, iters, None) for n in (1, 7, 13)
+    for iters in (0, 1, SPSA_CHUNK, SPSA_CHUNK + 1)] + [
+    (n, 2 * SPSA_CHUNK + 5, SPSA_CHUNK + 3) for n in (1, 7, 13)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n,iters,nan_at", SPSA_DRAW_CASES)
+def test_spsa_chunked_draws_equal_per_iteration_draws(n, iters, nan_at):
+    """Directions drawn SPSA_CHUNK iterations at a time are the stream of
+    the reference loop's one draw per iteration: the same trace, bit for
+    bit, on both sides of a chunk's end and at a non-finite stop in the
+    second chunk."""
+    x0 = np.linspace(-0.8, 0.9, n)
+    cfg = SPSA(a=0.05, c=0.2, max_iters=iters, seed=17 + n)
+    ref, new = (run(tilted_bowl if nan_at is None else
+                    pair_nan_at_iteration(nan_at), x0, cfg)
+                for run in (spsa_two_calls_per_iteration, minimize))
+    assert new.stop == ref.stop == ("max-iters" if nan_at is None
+                                    else "non-finite")
+    assert new.best_values == ref.best_values
+    assert np.array_equal(new.x_best, ref.x_best)
+    assert new.n_evals == ref.n_evals == (3 * iters + 1 if nan_at is None
+                                          else 3 * nan_at)
 
 
 def rising(xs):

@@ -57,7 +57,7 @@ CSV_SHA256 = {
     "dsw-gd":
         "8eee86bb9b2243ab3f5494b4c46dc05c6613830fe48649cf8c9fb064806ecdbc",
     "camassa-holm-spsa-shots":
-        "81b6bc60686a702ac043ed4ed1734fccf67f1e55a8f2cb76a9a682e6b035d87a",
+        "3967451ad2b67f0015fa1cb67c29ad2a5fb2e9483fd2e41661bc98c52bfb802a",
 }
 
 

@@ -236,6 +236,28 @@ def test_hadamard_shot_mode_needs_the_callers_generator():
     assert hadamard_test(s, s)[0] == 1.0
 
 
+BAD_SHOTS = [2.5, 100.0, np.float64(4.0), True, False, 0, -3, np.int64(0),
+             "100"]
+
+
+@pytest.mark.parametrize("shots", BAD_SHOTS, ids=repr)
+def test_hadamard_rejects_a_bad_shot_count(shots):
+    """A shot count is a positive integer: 2.5 would draw binomial(2, p)
+    and divide by 2.5, True would be one shot and 0 would divide by 0."""
+    s = QuantumState.zero(2).amplitudes[None, :]
+    with pytest.raises(SimulationError, match="shot count"):
+        hadamard_test(s, s, shots=shots, rng=np.random.default_rng(0))
+
+
+def test_hadamard_takes_a_numpy_integer_shot_count():
+    rng = np.random.default_rng(3)
+    bra = random_state(rng, 2).amplitudes[None, :]
+    ket = random_state(rng, 2).amplitudes[None, :]
+    got = [hadamard_test(bra, ket, shots=s, rng=np.random.default_rng(5))
+           for s in (7, np.int64(7), np.int32(7))]
+    assert got[0] == got[1] == got[2]
+
+
 def test_hadamard_shot_mode_within_four_sigma():
     rng = np.random.default_rng(2024)
     lay = layout_1d(3, 1.0)

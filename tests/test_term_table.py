@@ -26,7 +26,7 @@ from vqpde.opexpr import (
     laplacian_op,
     shift,
 )
-from vqpde.statevec import hadamard_test, layout_1d
+from vqpde.statevec import SimulationError, hadamard_test, layout_1d
 
 from reference import (
     dense_reference,
@@ -389,3 +389,19 @@ def test_a_family_independent_of_psi_draws_nothing():
     got = joint.estimate_rows(xs, SHOTS, rng)
     assert rng.bit_generator.state == state
     assert close(got, joint.evaluate_rows(xs))
+
+
+@pytest.mark.parametrize("shots", [2.5, 2000.0, True, 0, -1], ids=repr)
+def test_shot_estimates_reject_a_bad_shot_count(shots):
+    """``estimate_rows`` and the one-part ``evaluate_terms`` reject a shot
+    count that is not a positive integer, before any draw."""
+    joint = _demo_cost("camassa-holm")
+    x = np.random.default_rng(4).normal(size=joint.n_params)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(SimulationError, match="shot count"):
+        joint.estimate_rows(x[None, :], shots, rng)
+    part, = joint.parts
+    with pytest.raises(SimulationError, match="shot count"):
+        part.evaluate_terms(x[:-1], x[-1], shots, rng)
+    assert rng.bit_generator.state == state
