@@ -299,6 +299,9 @@ def prepare_pi_rows(spec: AnsatzSpec, lams) -> np.ndarray:
     earlier axes' product.  Every row then runs through prepare_batch's
     products.  One block wider than ``BLOCK`` takes ``_wide_pi_rows``."""
     lams = _angle_rows(spec, lams)
+    if not len(lams):  # the reshapes below cannot infer a row count of 0
+        return np.zeros((spec.parameter_count + 1, 0, spec.plan.start.size),
+                        complex)
     if spec.plan.wide:
         return _wide_pi_rows(spec, lams)
     b, mats = len(lams), []

@@ -67,6 +67,10 @@ _IDENT = OpExpr.identity()
 # ||M'b|| against max |m_hat| ||b||, and of the spread of |m_hat|^2 against
 # its largest value
 FLAT = 1e-12
+# most amplitudes that one prepare_pi_rows call of residual_jacobian's rows
+# holds: 128 KiB of complex128, malloc's mmap threshold.  Above it a batch
+# of 8-qubit, 4-layer rows ran slower than one row per call.
+PI_AMPS = 2 ** 13
 
 
 class ProblemError(ValueError):
@@ -533,19 +537,24 @@ class JointCost:
         return x
 
     def _pi_rows(self, x) -> tuple:
-        """(lam0 (K, 1), M psi (K, dim, P + 1), r (K, dim)) at x: M psi of
-        every part's ``prepare_pi_rows``, lam then lam + pi e_j, and the
-        residual r = lam0 M psi_0 - b."""
-        x = np.asarray(x, dtype=float).reshape(len(self.b), -1)
-        lam0 = x[:, -1:]
-        mpsi = self._m_cols(prepare_pi_rows(self.spec, x[:, :-1]))
-        return lam0, mpsi, lam0 * mpsi[:, :, 0] - self.b
+        """(lam0 (K, 1), M psi (K, dim, P + 1), r (K, dim)) at x (K, P + 1),
+        a row's parts, or each with a leading axis B at rows of them (B, K,
+        P + 1): M psi of every part's ``prepare_pi_rows``, lam then lam +
+        pi e_j, from one call, and the residual r = lam0 M psi_0 - b."""
+        lam0 = x[..., -1:]
+        mpsi = self._m_cols(prepare_pi_rows(self.spec, x[..., :-1].reshape(
+            -1, x.shape[-1] - 1)))
+        if x.ndim == 3:
+            mpsi = mpsi.reshape(*self.b.shape, -1, len(x)).transpose(
+                3, 0, 1, 2)
+        return lam0, mpsi, lam0 * mpsi[..., 0] - self.b
 
     def value_and_grad(self, x) -> tuple:
         """Cost and exact gradient at x from ``_pi_rows``: each exp(-i t G / 2)
         has G^2 = I, so d psi_0 / d lam_j = psi_j / 2, and per part
         dC/d lam_j = lam0 Re<r|M psi_j> and dC/d lam0 = 2 Re<M psi_0|r>."""
-        lam0, mpsi, r = self._pi_rows(x)
+        lam0, mpsi, r = self._pi_rows(np.asarray(x, dtype=float).reshape(
+            len(self.b), -1))
         rc = r.conj()
         g = (rc[:, None, :] @ mpsi)[:, 0].real
         cost = reduce(np.add, np.einsum("ki,ki->k", rc, r).real)
@@ -555,25 +564,43 @@ class JointCost:
     def grad_vec(self, x) -> np.ndarray:
         return self.value_and_grad(x)[1]
 
-    def residual_jacobian(self, x) -> tuple:
-        """Residual r = lam0 M psi_0 - b of x, the parts stacked, and its
-        Jacobian (r.size, n_params), block-diagonal over the parts, from
-        ``_pi_rows``: dr/d lam_j = lam0 M psi_j / 2 and dr/d lam0 = M psi_0.
-        A complex r and J come back real as [Re; Im] rows (real ones drop
-        their zero Im rows), so r.r, returned third, is the cost and 2 J^T r
-        its gradient."""
-        lam0, mpsi, r = self._pi_rows(x)
-        r = r.ravel()
-        blocks = np.concatenate((0.5 * lam0[:, :, None] * mpsi[:, :, 1:],
-                                 mpsi[:, :, :1]), axis=2)
-        jac = (np.eye(len(self.b))[:, None, :, None]
-               * blocks[:, :, None, :]).reshape(r.size, -1)
-        if r.imag.any() or jac.imag.any():
-            r, jac = (np.concatenate((r.real, r.imag)),
-                      np.concatenate((jac.real, jac.imag)))
-        else:
-            r, jac = r.real, jac.real
-        return r, jac, float(r.dot(r))
+    def residual_jacobian(self, xs):
+        """Residual r = lam0 M psi_0 - b of the row xs, the parts stacked,
+        and its Jacobian (r.size, n_params), block-diagonal over the parts,
+        from ``_pi_rows``: dr/d lam_j = lam0 M psi_j / 2 and dr/d lam0 =
+        M psi_0.  A complex r and J come back real as [Re; Im] rows (real
+        ones drop their zero Im rows), so r.r, returned third, is the cost
+        and 2 J^T r its gradient.  Rows xs (B, n_params) give an iterator
+        over B such triples, each equal to its row's own call: the rows
+        share ``_pi_rows`` calls of at most ``PI_AMPS`` amplitudes, each
+        made as the iterator reaches it, and each row keeps its own
+        real-or-complex choice."""
+        x = np.asarray(xs, dtype=float)
+        triples = self._residual_rows(self._rows(
+            x if x.ndim == 2 else x[None, :]))
+        return triples if x.ndim == 2 else next(triples)
+
+    def _residual_rows(self, rows):
+        """``residual_jacobian``'s triples of rows (B, K, P + 1), a call of
+        at most ``PI_AMPS`` amplitudes at a time."""
+        k, dim = self.b.shape
+        per = max(1, PI_AMPS // (rows.shape[2] * k * dim))  # (P + 1) K dim
+        for i in range(0, len(rows), per):
+            lam0, mpsi, r = self._pi_rows(rows[i:i + per])
+            r = np.ascontiguousarray(r)  # each row laid out as one row's
+            jac = np.zeros((len(r), k, dim, k, mpsi.shape[-1]), complex)
+            for p in range(k):  # part p's residual reads only its own row
+                jac[:, p, :, p, :-1] = 0.5 * lam0[:, p, :, None] \
+                    * mpsi[:, p, :, 1:]
+                jac[:, p, :, p, -1] = mpsi[:, p, :, 0]
+            for rb, jb in zip(r.reshape(len(r), -1),
+                              jac.reshape(len(r), k * dim, -1)):
+                if rb.imag.any() or jb.imag.any():
+                    rb, jb = (np.concatenate((rb.real, rb.imag)),
+                              np.concatenate((jb.real, jb.imag)))
+                else:
+                    rb, jb = rb.real, jb.real
+                yield rb, jb, float(rb.dot(rb))
 
     @cached_property
     def families(self) -> tuple:

@@ -47,6 +47,7 @@ ENCODE_FIT = 1e-15  # encoding residual, relative to ||field||^2, that ends it
 ENCODE_STARTS = 8  # most Levenberg-Marquardt starts of one encoding
 ENCODE_SPREAD = 1.0  # angle spread of the encoding's later starts
 FUSED_MAX_AMPS = 2 ** 10  # largest n_params * dim of a fused GD call
+_IDENT = OpExpr.identity()  # the encoding's operator and its source's
 
 
 class EvolutionError(RuntimeError):
@@ -187,7 +188,8 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
     stationary saddle whenever the field has no overlap with the reference
     state, hence the randomized start.  A start that misses is followed by
     others, up to ``ENCODE_STARTS`` in all, drawn from a generator seeded by
-    one draw of ``rng``; the best is kept.  ``rng`` gives exactly one
+    one draw of ``rng`` and run as one lockstep search; the best is kept,
+    as running them one after another would keep it.  ``rng`` gives exactly one
     normal row and one integer.  A residual above ``ENCODE_TOL`` of the
     squared norm is returned with a warning that names it."""
     if 2 ** spec.n_qubits != layout.dim:
@@ -200,22 +202,25 @@ def fit_field(spec: AnsatzSpec, layout: RegisterLayout, field,
         raise SimulationError("field to encode is not finite")
     if np.linalg.norm(field) == 0.0:
         return np.zeros(spec.parameter_count + 1)
-    part = PartTemplate("encode", layout, OpExpr.identity(),
-                        (OpExpr.identity(),), ("f",))
+    part = PartTemplate("encode", layout, _IDENT, (_IDENT,), ("f",))
     cost = JointCost(CostTemplate("encode", (part,)), spec, {"f": field})
     x0 = rng.normal(scale=0.1, size=cost.n_params)
     x0[-1] = float(np.linalg.norm(field))
-    starts = np.random.default_rng(int(rng.integers(2 ** 31)))
+    seed = int(rng.integers(2 ** 31))  # of the later starts' generator
     lm = LevenbergMarquardt(f_tol=ENCODE_FIT * cost.offset)
-    searches = []
-    for _ in range(ENCODE_STARTS):
-        searches.append(minimize(cost.evaluate_rows, x0, lm,
-                                 residual_jacobian=cost.residual_jacobian))
-        if searches[-1].f_best <= lm.f_tol:
-            break
-        x0 = np.append(starts.normal(scale=ENCODE_SPREAD, size=x0.size - 1),
-                       x0[-1])
-    x = cost.rescale(min(searches, key=lambda t: t.f_best).x_best)
+    best = minimize(cost.evaluate_rows, x0, lm,
+                    residual_jacobian=cost.residual_jacobian)
+    if best.f_best > lm.f_tol:
+        # the later starts do not depend on earlier results: one lockstep
+        # run, which keeps them up to the first that reaches f_tol
+        later = np.empty((ENCODE_STARTS - 1, x0.size))
+        later[:, :-1] = np.random.default_rng(seed).normal(
+            scale=ENCODE_SPREAD, size=(len(later), x0.size - 1))
+        later[:, -1] = x0[-1]
+        best = min(best, minimize(cost.evaluate_rows, later, lm,
+                                  residual_jacobian=cost.residual_jacobian,
+                                  lockstep=True), key=lambda t: t.f_best)
+    x = cost.rescale(best.x_best)
     rel = cost.evaluate_rows(x[None, :])[0] / cost.offset
     if rel > ENCODE_TOL:
         warnings.warn(f"field encoding missed: residual {rel:.3g} of "

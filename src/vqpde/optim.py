@@ -5,7 +5,9 @@ methods pass a whole population in one call, and each SPSA iteration is one
 call on the current point and its +/- pair; single points pass one row.
 All stochastic methods draw from a seeded numpy Generator so runs are
 bit-reproducible.  A method yields (x, value) per iteration from the start
-point on and returns why it stopped; ``minimize`` alone counts calls and
+point on and returns why it stopped (Levenberg-Marquardt, which runs one
+start or several in lockstep, yields each call's (start, x, value) entries
+and returns each start's stop); ``minimize`` alone counts calls and
 records the best-so-far values, so a trace is non-increasing.
 """
 from __future__ import annotations
@@ -167,6 +169,8 @@ class OptimizationTrace:
     x_best: np.ndarray | None = None
     f_best: float = np.inf
     stop: str = "max-iters"
+    # a lockstep run's kept starts, in order, this best one among them
+    starts: list = field(default_factory=list, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -251,41 +255,83 @@ def _gradient_descent(fg, x, cfg: GradientDescent, grad):
             return "converged"
 
 
-def _levenberg_marquardt(rj, x, cfg: LevenbergMarquardt):
-    """``rj(x)`` is one call's (r, J, r.r); x - (J^T J + mu I)^-1 J^T r is
-    kept when r.r falls, and mu shrinks 3x, else mu grows 4x.
-    Converged at r.r <= ``f_tol``, at a descent of at most ``LM_STALL`` of
-    r.r, or when the step proposed at a new point is at most
-    ``LM_STEP_TOL`` of |x| (the residual is at rounding level); no descent
-    once mu passes ``LM_MU_CAP`` times the start's largest diag J^T J."""
-    r, jac, fx = rj(x)
-    yield x, fx
-    a, g = jac.T @ jac, jac.T @ r
-    scale = max(float(a.diagonal().max()), 1e-300)
-    mu, eye, fresh = cfg.mu0 * scale, np.eye(x.size), True
+def _levenberg_marquardt(rj, xs, cfg: LevenbergMarquardt):
+    """Levenberg-Marquardt from each start, a row of xs (S, n), in
+    lockstep: ``rj(X)`` is one call's (r, J, r.r) per row of X (B, n), and
+    each iteration makes one call on the candidates of the starts still
+    running.  Per start, x - (J^T J + mu I)^-1 J^T r is kept when r.r
+    falls, and mu shrinks 3x, else mu grows 4x.  Converged at r.r <=
+    ``f_tol``, at a descent of at most ``LM_STALL`` of r.r, or when the
+    step proposed at a new point is at most ``LM_STEP_TOL`` of |x| (the
+    residual is at rounding level); no descent once mu passes
+    ``LM_MU_CAP`` times the start's largest diag J^T J.  A start that
+    stops drops out of later calls, and one that reaches ``f_tol`` drops
+    every later start: the starts kept are those that running them one
+    after another would run, up to the first that reaches ``f_tol``.
+    Yields each call's (start, x, r.r) entries and returns the kept
+    starts' stops (None: out of iterations)."""
+    tol = -inf if cfg.f_tol is None else cfg.f_tol
+    x, fx, a, g = [], [], [], []
+    for x0, (r, jac, f) in zip(xs, rj(xs)):
+        x.append(x0)
+        fx.append(f)
+        a.append(jac.T @ jac)
+        g.append(jac.T @ r)
+    scale = [max(float(ai.diagonal().max()), 1e-300) for ai in a]
+    mu = [cfg.mu0 * s for s in scale]
+    eye, fresh = np.eye(len(x[0])), [True] * len(x)
+    kept = next((i + 1 for i, f in enumerate(fx) if f <= tol), len(x))
+    stops, live = [None] * kept, list(range(kept))
+    yield [(i, x[i], fx[i]) for i in live]
     for _ in range(cfg.max_iters):
-        if cfg.f_tol is not None and fx <= cfg.f_tol:
-            return "converged"
-        delta = np.linalg.solve(a + mu * eye, g)
-        step = sqrt(delta.dot(delta))
-        if not isfinite(step):
-            return "non-finite"
-        if fresh and step <= LM_STEP_TOL * sqrt(x.dot(x)):
-            return "converged"
-        cand = x - delta
-        rc, jc, fc = rj(cand)
-        fresh = fc < fx  # NaN: rejected
-        if fresh:
-            stalled = fx - fc <= LM_STALL * fx
-            x, fx, a, g = cand, fc, jc.T @ jc, jc.T @ rc
-            mu /= 3.0
-        else:
-            mu *= 4.0
-        yield x, fx
-        if fresh and stalled:
-            return "converged"
-        if mu > LM_MU_CAP * scale:
-            return "no-descent"
+        going = []
+        for i in live:
+            if fx[i] <= tol:
+                stops[i] = "converged"
+            else:
+                going.append(i)
+        if not going:
+            break
+        systems = [a[i] + mu[i] * eye for i in going]
+        if len(going) == 1:  # the stacked call costs a lone system 1.2x
+            deltas = [np.linalg.solve(systems[0], g[going[0]])]
+        else:  # each system solved as a lone call solves it
+            deltas = np.linalg.solve(np.array(systems), np.array(
+                [g[i] for i in going])[:, :, None])[:, :, 0]
+        moves, cands = [], []
+        for i, delta in zip(going, deltas):
+            step = sqrt(delta.dot(delta))
+            if not isfinite(step):
+                stops[i] = "non-finite"
+            elif fresh[i] and step <= LM_STEP_TOL * sqrt(x[i].dot(x[i])):
+                stops[i] = "converged"
+            else:
+                moves.append(i)
+                cands.append(x[i] - delta)
+        if not moves:
+            break
+        entries, live = [], []
+        for i, cand, (rc, jc, fc) in zip(moves, cands, rj(np.array(cands))):
+            if i >= kept:  # an earlier start reached f_tol in this call
+                break
+            fresh[i] = fc < fx[i]  # NaN: rejected
+            if fresh[i]:
+                stalled = fx[i] - fc <= LM_STALL * fx[i]
+                x[i], fx[i], a[i], g[i] = cand, fc, jc.T @ jc, jc.T @ rc
+                mu[i] /= 3.0
+                if fc <= tol:
+                    kept = i + 1
+            else:
+                mu[i] *= 4.0
+            entries.append((i, x[i], fx[i]))
+            if fresh[i] and stalled:
+                stops[i] = "converged"
+            elif mu[i] > LM_MU_CAP * scale[i]:
+                stops[i] = "no-descent"
+            else:
+                live.append(i)
+        yield entries
+    return stops[:kept]
 
 
 def _spsa(f, x, cfg: SPSA):
@@ -466,35 +512,44 @@ CONFIGS = (GradientDescent, LevenbergMarquardt, *_DISPATCH)
 
 
 def minimize(objective, x0, config, grad=None, value_and_grad=None,
-             residual_jacobian=None) -> OptimizationTrace:
+             residual_jacobian=None, lockstep=False) -> OptimizationTrace:
     """Run the configured method on the rows objective (X of shape (B, n)
     to B values); stochastic methods are seeded and reproducible.  Gradient
     descent calls ``value_and_grad(x)`` instead when given, else ``grad``
     (finite differences when absent) at accepted points.  Levenberg-
     Marquardt calls only ``residual_jacobian(x)``, (r, J, r.r) with the
-    objective r.r, which it needs.  Owns its x0 copy; counts and records
-    each step."""
+    objective r.r, which it needs.  With ``lockstep`` (Levenberg-Marquardt
+    only), x0 holds S starts as rows (S, n), run as one: each call is
+    ``residual_jacobian(X)`` on rows X (B, n), B triples back.  The starts
+    kept run up to the first that reaches ``f_tol``, and the trace of the
+    best of them (the first on a tie) comes back, holding all of theirs
+    in ``starts``.  Owns its x0 copy; counts and records each step."""
     x0 = np.array(x0, dtype=float)
-    if x0.ndim != 1 or x0.size == 0:
-        raise OptimizationError(f"x0 must be a non-empty 1-D row, got shape "
-                                f"{x0.shape}")
+    if x0.ndim != 1 + lockstep or x0.size == 0:
+        want = "non-empty rows" if lockstep else "a non-empty 1-D row"
+        raise OptimizationError(f"x0 must be {want}, got shape {x0.shape}")
     kind = type(config)
     if kind not in CONFIGS:
         raise OptimizationError(f"unknown optimizer config {config!r}")
-    trace = OptimizationTrace()
-    f = _counted(objective, trace)
     lm = kind is LevenbergMarquardt
+    if lockstep and not lm:
+        raise OptimizationError("only Levenberg-Marquardt runs in lockstep")
+    traces = [OptimizationTrace() for _ in (x0 if lockstep else [x0])]
+    f = _counted(objective, traces[0])
     if lm:
         if residual_jacobian is None:
             raise OptimizationError("Levenberg-Marquardt needs a residual "
                                     "and its Jacobian")
-        steps = _levenberg_marquardt(residual_jacobian, x0, config)
+        steps = _levenberg_marquardt(
+            residual_jacobian if lockstep else
+            lambda xs: [residual_jacobian(xs[0])],
+            x0 if lockstep else x0[None], config)
     elif kind is GradientDescent:
         def fg(x):
             if value_and_grad is None:
                 return f(x), None
             v, g = value_and_grad(x)
-            _count((v,), 1, trace)  # one value: _tally without the arrays
+            _count((v,), 1, traces[0])  # one value: _tally without the arrays
             return inf if isnan(v) else float(v), g
         steps = _gradient_descent(fg, x0, config, grad or (
             lambda x: finite_diff_grad(objective, x)))
@@ -502,10 +557,20 @@ def minimize(objective, x0, config, grad=None, value_and_grad=None,
         steps = _DISPATCH[kind](f, x0, config)
     while True:
         try:
-            x, fx = next(steps)
+            step = next(steps)
         except StopIteration as end:
-            trace.stop = end.value or trace.stop
-            return trace
-        if lm:  # one residual_jacobian call per step it yields
-            _count((fx,), 1, trace)
-        trace.record(x, fx)
+            stops = end.value if lm else [end.value]
+            for trace, stop in zip(traces, stops):
+                trace.stop = stop or trace.stop
+            if not lockstep:
+                return traces[0]
+            kept = traces[:len(stops)]
+            best = min(kept, key=lambda t: t.f_best)
+            best.starts = kept
+            return best
+        if not lm:
+            traces[0].record(*step)
+            continue
+        for i, x, fx in step:  # one residual_jacobian row per entry
+            _count((fx,), 1, traces[i])
+            traces[i].record(x, fx)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from vqpde import evolve
 from vqpde.cli import (
     _EXACT_REFS,
+    YAML_LOADER,
     ConfigError,
     _parse_problem,
     load_config,
@@ -326,6 +328,33 @@ def test_validate_fuzzed_config_exits_0_or_2(tmp_path_factory, data):
     out = tmp_path_factory.mktemp("fuzz") / "cfg.yaml"
     out.write_text(yaml.safe_dump(cfg))
     assert main(["validate", str(out)]) in (0, 2)
+
+
+# -- YAML parsing -------------------------------------------------------------
+
+README_YAML = re.search(r"^```yaml\n(.*?)^```", (
+    Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.S | re.M).group(1)
+
+
+@pytest.mark.parametrize("text", [*(yaml.safe_dump(b) for b in FUZZ_BASES),
+                                  README_YAML],
+                         ids=[*(f"base-{i}" for i in range(len(FUZZ_BASES))),
+                              "readme"])
+def test_configs_parse_alike_with_libyaml_and_safe_load(text):
+    """``load_config`` parses with libyaml where PyYAML has it: every fuzz
+    base and the README's example read as ``yaml.safe_load`` reads them."""
+    assert yaml.load(text, Loader=YAML_LOADER) == yaml.safe_load(text)
+
+
+@pytest.mark.parametrize("text", ["problem: [1, 2\n", "a: b: c\n",
+                                  "problem:\n\t- x\n", "{unclosed",
+                                  "- a\nb: c\n"])
+def test_malformed_yaml_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert "malformed config" in capsys.readouterr().err
 
 
 # -- run / compare ------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vqpde import ansatz
+from vqpde import ansatz, costlib
 from vqpde.ansatz import AnsatzSpec, prepare
 from vqpde.cli import _demo_cost
 from vqpde.costlib import (
@@ -342,6 +342,43 @@ def test_residual_jacobian_matches_differences_and_gradient(kind, ansatz):
         assert abs(r.dot(r) - f) <= 1e-12 * f
         assert np.max(np.abs(2.0 * jac.T @ r - g)) <= 1e-12 * max(
             1.0, np.linalg.norm(g))
+
+
+def encoding_cost(spec, field):
+    """The M = I residual of ``evolve.fit_field``, on 3 qubits."""
+    part = PartTemplate("encode", LAY, OpExpr.identity(), (OpExpr.identity(),),
+                        ("f",))
+    return JointCost(CostTemplate("encode", (part,)), spec, {"f": field})
+
+
+@pytest.mark.parametrize("amps", [costlib.PI_AMPS, 1], ids=["one-call",
+                                                            "row-by-row"])
+def test_residual_jacobian_rows_equal_one_row_calls(monkeypatch, amps):
+    """Rows xs (B, n_params) give B triples, each equal bit for bit to its
+    row's own call, in one prepare_pi_rows call or one per row
+    (``PI_AMPS``).  The real-or-complex choice is each row's: on a Y+Z
+    ansatz a row with zero Z angles and lam0 = 0 is real (r and J have
+    one row per amplitude), the others complex (two)."""
+    monkeypatch.setattr(costlib, "PI_AMPS", amps)
+    cost = encoding_cost(SPEC, U + 1.5)
+    xs = np.random.default_rng(4).normal(size=(4, cost.n_params))
+    xs[1, :-1].reshape(SPEC.layers, 2, 3)[:, 1] = 0.0  # the Z angles
+    xs[2] = xs[1]
+    xs[2, -1] = 0.0
+    out = list(cost.residual_jacobian(xs))
+    assert [len(r) for r, _, _ in out] == [16, 16, 8, 16]
+    for x, (r, jac, rr) in zip(xs, out):
+        r1, jac1, rr1 = cost.residual_jacobian(x)
+        assert np.array_equal(r, r1) and r.strides == r1.strides
+        assert np.array_equal(jac, jac1) and jac.strides == jac1.strides
+        assert rr == rr1 == float(r.dot(r))
+    joint = build_cost(DSW(), [U, V + 1.5], LAY, TAU, SPEC_Y)
+    xs = np.random.default_rng(5).normal(size=(3, joint.n_params))
+    for x, (r, jac, rr) in zip(xs, joint.residual_jacobian(xs)):
+        r1, jac1, rr1 = joint.residual_jacobian(x)
+        assert np.array_equal(r, r1) and np.array_equal(jac, jac1)
+        assert rr == rr1
+    assert list(joint.residual_jacobian(xs[:0])) == []
 
 
 def test_costs_compare_and_hash_by_identity():

@@ -17,7 +17,11 @@ from vqpde.costlib import (
     build_cost,
     compile_cost,
 )
+from vqpde import evolve
 from vqpde.evolve import (
+    ENCODE_FIT,
+    ENCODE_SPREAD,
+    ENCODE_STARTS,
     ENCODE_TOL,
     IMAG_LEAK_TOL,
     EvolutionConfig,
@@ -232,6 +236,80 @@ def test_fit_field_draws_one_row_and_one_integer_from_rng():
         ref.normal(size=spec.parameter_count + 1)
         ref.integers(2 ** 31)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def serial_fit_field(spec, lay, field, rng):
+    """``fit_field`` as one Levenberg-Marquardt start after another, each
+    drawn once the last stopped short of f_tol: the row and every start's
+    trace."""
+    cost = encoding_cost(field, spec, lay)
+    x0 = rng.normal(scale=0.1, size=cost.n_params)
+    x0[-1] = float(np.linalg.norm(field))
+    starts = np.random.default_rng(int(rng.integers(2 ** 31)))
+    lm = LevenbergMarquardt(f_tol=ENCODE_FIT * cost.offset)
+    searches = []
+    for _ in range(ENCODE_STARTS):
+        searches.append(minimize(cost.evaluate_rows, x0, lm,
+                                 residual_jacobian=cost.residual_jacobian))
+        if searches[-1].f_best <= lm.f_tol:
+            break
+        x0 = np.append(starts.normal(scale=ENCODE_SPREAD, size=x0.size - 1),
+                       x0[-1])
+    return cost.rescale(min(searches, key=lambda t: t.f_best).x_best), \
+        searches
+
+
+def shots_ch_case():
+    """``shots-ch``'s shape and field recipe: no start reaches f_tol."""
+    rng = np.random.default_rng(3)
+    field = 1.0 + rng.uniform(0.15, 0.25) * np.sin(
+        2 * np.pi * np.arange(16) / 16 + rng.uniform(0.0, 2 * np.pi))
+    return 4, 2, field, rng
+
+
+def cut_case():
+    """4 qubits, 4 layers: start 6 of 8 reaches f_tol, so starts 7 and 8
+    are cut while starts 2-5 run on."""
+    rng = np.random.default_rng(29)
+    return 4, 4, 1.0 + 0.3 * rng.normal(size=16), rng
+
+
+def relax_case():
+    """``relax-gd``'s 3 x 4 shape: the first start reaches f_tol."""
+    rng = np.random.default_rng(2)
+    return 3, 4, np.sin(2 * np.pi * XS / 8 + rng.uniform(0, 6)) + 1.2, rng
+
+
+@pytest.mark.parametrize("case, n_starts", [(shots_ch_case, 8),
+                                            (cut_case, 6), (relax_case, 1)],
+                         ids=["shots-ch-4x2", "cut-4x4", "relax-3x4"])
+def test_fit_field_lockstep_equals_one_start_after_another(
+        monkeypatch, case, n_starts):
+    """The later starts run in lockstep and give the row of the loop that
+    runs them one after another, bit for bit, and each start's trace
+    (values, best point, calls and stop)."""
+    n, layers, field, rng = case()
+    spec, lay = AnsatzSpec(n_qubits=n, layers=layers), layout_1d(n, 1.0)
+    traces = []
+
+    def recorded(*args, **kwargs):
+        out = minimize(*args, **kwargs)
+        traces.extend(out.starts if kwargs.get("lockstep") else [out])
+        return out
+
+    state = rng.bit_generator.state
+    monkeypatch.setattr(evolve, "minimize", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # shots-ch's encoding misses
+        x = fit_field(spec, lay, field, rng)
+        rng.bit_generator.state = state
+        want, searches = serial_fit_field(spec, lay, field, rng)
+    assert np.array_equal(x, want)
+    assert len(searches) == n_starts
+    assert [(t.best_values, t.n_evals, t.stop) for t in traces] \
+        == [(t.best_values, t.n_evals, t.stop) for t in searches]
+    assert all(np.array_equal(a.x_best, b.x_best)
+               for a, b in zip(traces, searches))
 
 
 def test_fit_field_reaches_rounding_on_the_relaxation_fields():

@@ -194,6 +194,38 @@ def test_pi_rows_equal_shifted_batches(n, layers, entangler, axes, qft_block,
     pi_rows_equal_shifted_batches(spec, lams)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), layers=st.integers(1, 3),
+       entangler=st.sampled_from(["chain", "ring", "none"]),
+       axes=st.sampled_from(AXES), qft_block=st.booleans(),
+       rows=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_pi_rows_of_a_batch_equal_one_row_calls(n, layers, entangler, axes,
+                                                qft_block, rows, seed):
+    """Each base row's pi rows are bit for bit those of its own call, so a
+    batch of independent searches moves as each would alone."""
+    spec = AnsatzSpec(n_qubits=n, layers=layers, entangler=entangler,
+                      qft_block=qft_block, rotation_axes=axes)
+    lams = np.random.default_rng(seed).normal(
+        scale=2.0, size=(rows, spec.parameter_count))
+    batch = prepare_pi_rows(spec, lams)
+    for i in range(rows):
+        assert np.array_equal(batch[:, i],
+                              prepare_pi_rows(spec, lams[i:i + 1])[:, 0])
+
+
+@pytest.mark.parametrize("n,axes", [(3, ("Y",)), (4, ("Y",)), (4, ("Z",)),
+                                    (5, ("Y",)), (3, ("Y", "Z"))],
+                         ids=["3q-Y", "4q-Y", "4q-Z", "5q-Y", "3q-Y+Z"])
+def test_pi_rows_of_no_base_rows(n, axes):
+    """No base rows give (P + 1, 0, 2^n) complex rows, as prepare_batch
+    gives (0, 2^n), on every plan: one block, the 4-qubit Y block, blocks
+    of BLOCK qubits with and without an entangler gather, two axes."""
+    spec = AnsatzSpec(n_qubits=n, layers=2, rotation_axes=axes)
+    rows = prepare_pi_rows(spec, np.zeros((0, spec.parameter_count)))
+    assert rows.shape == (spec.parameter_count + 1, 0, 2 ** n)
+    assert rows.dtype == np.complex128
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), layers=st.integers(1, 3),
        entangler=st.sampled_from(["chain", "ring", "none"]),

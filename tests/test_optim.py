@@ -689,6 +689,94 @@ def test_lm_needs_a_residual_and_jacobian():
         minimize(quadratic, np.array([0.0]), LevenbergMarquardt())
 
 
+# -- Levenberg-Marquardt in lockstep -------------------------------------------
+
+def one_after_another(rj, starts, cfg):
+    """Each start alone, in order, up to the first that reaches f_tol: what
+    a lockstep run of the starts returns."""
+    traces = []
+    for x0 in starts:
+        traces.append(minimize(quadratic, x0, cfg, residual_jacobian=rj))
+        if cfg.f_tol is not None and traces[-1].f_best <= cfg.f_tol:
+            break
+    return traces
+
+
+def in_lockstep(rj, starts, cfg):
+    """The lockstep run of the starts on rows of ``rj``, and each call's
+    rows."""
+    calls = []
+
+    def rows(xs):
+        calls.append(xs.copy())
+        return [rj(x) for x in xs]
+
+    best = minimize(quadratic, starts, cfg, residual_jacobian=rows,
+                    lockstep=True)
+    assert best is min(best.starts, key=lambda t: t.f_best)
+    return best.starts, calls
+
+
+VALLEY_STARTS = {seed: np.minimum(np.random.default_rng(seed).normal(
+    scale=2.0, size=(6, 2)), [2.0, np.inf]) for seed in (0, 8)}
+LOCKSTEP_CASES = {
+    "defaults": (LevenbergMarquardt(), 0),
+    "max_iters": (LevenbergMarquardt(max_iters=4), 0),
+    "no-iterations": (LevenbergMarquardt(max_iters=0), 0),
+    # start 5 of 6 reaches f_tol after 20 calls, while starts 1-4 go on
+    "f_tol-cut": (LevenbergMarquardt(f_tol=1e-2), 0),
+    # start 4 of 6 reaches f_tol; the others run out of iterations
+    "f_tol-max_iters": (LevenbergMarquardt(max_iters=5, f_tol=3e-2), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+def test_lockstep_equals_one_start_after_another(name):
+    """Every start's trace (values, best point, calls and stop) is that of
+    its own run, the traces stop at the first start that reaches f_tol,
+    and each iteration is one call on the starts still running."""
+    cfg, seed = LOCKSTEP_CASES[name]
+    starts = VALLEY_STARTS[seed]
+    alone = one_after_another(nan_valley_rj, starts, cfg)
+    together, calls = in_lockstep(nan_valley_rj, starts, cfg)
+    assert [trace_digest(t) for t in together] == \
+        [trace_digest(t) for t in alone]
+    assert len(calls) == max(t.n_evals for t in alone)
+    sizes = [len(c) for c in calls]
+    assert sizes[0] == len(starts)
+    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+    if "cut" in name:
+        assert 1 < len(alone) < len(starts)
+        assert sizes[-1] < len(alone)  # the cut starts left early
+
+
+@pytest.mark.parametrize("cfg, rj, stop", LM_STOPS,
+                         ids=[f"{c[2]}-{i}" for i, c in enumerate(LM_STOPS)])
+def test_each_lockstep_start_keeps_its_stop(cfg, rj, stop):
+    starts = np.array([[0.0], [1.0], [-3.0]])
+    alone = one_after_another(rj, starts, cfg)
+    together, _ = in_lockstep(rj, starts, cfg)
+    assert [trace_digest(t) for t in together] == \
+        [trace_digest(t) for t in alone]
+    assert together[0].stop == stop
+
+
+def test_lockstep_takes_rows_of_starts_for_levenberg_marquardt_only():
+    for x0 in (np.zeros(2), np.zeros((0, 2)), np.zeros((2, 0))):
+        with pytest.raises(OptimizationError, match="x0 must be non-empty "
+                                                    "rows"):
+            minimize(quadratic, x0, LevenbergMarquardt(),
+                     residual_jacobian=parabola_rj, lockstep=True)
+    with pytest.raises(OptimizationError, match="only Levenberg-Marquardt"):
+        minimize(quadratic, np.zeros((2, 1)), GradientDescent(),
+                 lockstep=True)
+    nan_start = lambda xs: [with_rr(np.array([np.nan if x[0] else 1.0]),
+                                    np.eye(1)) for x in xs]
+    with pytest.raises(OptimizationError, match="start point"):
+        minimize(quadratic, np.array([[0.0], [1.0]]), LevenbergMarquardt(),
+                 residual_jacobian=nan_start, lockstep=True)
+
+
 def test_configs_accept_edge_values():
     CMAES(popsize=2, max_iters=0, f_tol=None)
     ParticleSwarm(particles=1, inertia=0.0)
